@@ -3,7 +3,7 @@
 use crate::BuildError;
 use std::fmt;
 use wrsn_charging::ChargeModel;
-use wrsn_energy::{Energy, RadioParams, TxLevels};
+use wrsn_energy::{Energy, LevelIdx, RadioParams, TxLevels};
 use wrsn_geom::{GridIndex, Point};
 use wrsn_graph::Digraph;
 
@@ -298,6 +298,35 @@ impl fmt::Display for Instance {
     }
 }
 
+/// The configuration checks every build makes before it looks at links:
+/// some posts, at least one node per post, and room for all nodes under
+/// the optional per-post cap.
+pub(crate) fn check_budget(
+    posts: usize,
+    num_nodes: u32,
+    max_nodes_per_post: Option<u32>,
+) -> Result<(), BuildError> {
+    if posts == 0 {
+        return Err(BuildError::NoPosts);
+    }
+    if (num_nodes as usize) < posts {
+        return Err(BuildError::TooFewNodes {
+            nodes: num_nodes,
+            posts,
+        });
+    }
+    if let Some(cap) = max_nodes_per_post {
+        let capacity = u64::from(cap) * posts as u64;
+        if u64::from(num_nodes) > capacity {
+            return Err(BuildError::CapacityTooSmall {
+                nodes: num_nodes,
+                capacity,
+            });
+        }
+    }
+    Ok(())
+}
+
 #[allow(clippy::too_many_arguments)] // internal plumbing shared by two builders
 fn validate(
     uplinks: Vec<Vec<(usize, Energy)>>,
@@ -310,24 +339,7 @@ fn validate(
     geometry: Option<Geometry>,
 ) -> Result<Instance, BuildError> {
     let n = uplinks.len();
-    if n == 0 {
-        return Err(BuildError::NoPosts);
-    }
-    if (num_nodes as usize) < n {
-        return Err(BuildError::TooFewNodes {
-            nodes: num_nodes,
-            posts: n,
-        });
-    }
-    if let Some(cap) = max_nodes_per_post {
-        let capacity = u64::from(cap) * n as u64;
-        if u64::from(num_nodes) > capacity {
-            return Err(BuildError::CapacityTooSmall {
-                nodes: num_nodes,
-                capacity,
-            });
-        }
-    }
+    check_budget(n, num_nodes, max_nodes_per_post)?;
     for (from, links) in uplinks.iter().enumerate() {
         for &(to, _) in links {
             if to > n || to == from {
@@ -501,27 +513,50 @@ impl GeometricInstanceBuilder {
     /// Returns a [`BuildError`] if the configuration is inconsistent or
     /// some post cannot reach the base station within the maximum range.
     pub fn build(self) -> Result<Instance, BuildError> {
-        let n = self.posts.len();
-        let bs = n;
+        let mut links = Vec::new();
+        self.links(&mut links);
+        self.build_from_links(&links)
+    }
+
+    /// The geometric link rule: fills `out` with `(post, node, level)` for
+    /// every post and each other post or the base station (index
+    /// `posts.len()`) within `d_max`, at the weakest level that covers the
+    /// distance, in post order. Both [`build`](Self::build) and the
+    /// sampler's connectivity check take their links from here.
+    pub(crate) fn links(&self, out: &mut Vec<(usize, usize, LevelIdx)>) {
+        out.clear();
         let d_max = self.levels.max_range();
         // Spatial index over posts + base station for near-linear
         // neighbor discovery.
         let mut all_points = self.posts.clone();
         all_points.push(self.base_station);
         let index = GridIndex::new(&all_points, d_max.max(1e-9));
-        let mut uplinks: Vec<Vec<(usize, Energy)>> = vec![Vec::new(); n];
         for (u, &pu) in self.posts.iter().enumerate() {
             for v in index.within(pu, d_max) {
                 if v == u {
                     continue;
                 }
-                let dist = pu.distance(all_points[v]);
-                if let Some(level) = self.levels.level_for_distance(dist) {
-                    let tx = self.radio.tx_energy(self.levels.range(level));
-                    uplinks[u].push((v, tx));
+                if let Some(level) = self.levels.level_for_distance(pu.distance(all_points[v])) {
+                    out.push((u, v, level));
                 }
             }
-            uplinks[u].sort_unstable_by_key(|&(v, _)| v);
+        }
+    }
+
+    /// Builds and validates the instance with the links
+    /// [`links`](Self::links) gave for these posts.
+    pub(crate) fn build_from_links(
+        self,
+        links: &[(usize, usize, LevelIdx)],
+    ) -> Result<Instance, BuildError> {
+        // A link costs its level's transmission energy.
+        let energies = self.levels.energies(&self.radio);
+        let mut uplinks: Vec<Vec<(usize, Energy)>> = vec![Vec::new(); self.posts.len()];
+        for &(u, v, level) in links {
+            uplinks[u].push((v, energies[level]));
+        }
+        for up in &mut uplinks {
+            up.sort_unstable_by_key(|&(v, _)| v);
         }
         validate(
             uplinks,
@@ -538,10 +573,41 @@ impl GeometricInstanceBuilder {
                 radio: self.radio,
             }),
         )
-        .inspect(|inst| {
-            debug_assert_eq!(inst.bs(), bs);
-        })
     }
+}
+
+/// The posts `0..posts` that cannot reach the base station (index
+/// `posts`) over `links` as [`GeometricInstanceBuilder::links`] lists
+/// them, in increasing order: what a build reports as
+/// [`BuildError::Disconnected`].
+pub(crate) fn unreachable_posts(posts: usize, links: &[(usize, usize, LevelIdx)]) -> Vec<usize> {
+    // Reverse adjacency in compressed rows: node v's senders are
+    // senders[start[v]..start[v + 1]].
+    let mut start = vec![0usize; posts + 2];
+    for &(_, v, _) in links {
+        start[v + 1] += 1;
+    }
+    for v in 1..start.len() {
+        start[v] += start[v - 1];
+    }
+    let mut next = start.clone();
+    let mut senders = vec![0usize; links.len()];
+    for &(u, v, _) in links {
+        senders[next[v]] = u;
+        next[v] += 1;
+    }
+    let mut reached = vec![false; posts + 1];
+    reached[posts] = true;
+    let mut stack = vec![posts];
+    while let Some(v) = stack.pop() {
+        for &u in &senders[start[v]..start[v + 1]] {
+            if !reached[u] {
+                reached[u] = true;
+                stack.push(u);
+            }
+        }
+    }
+    (0..posts).filter(|&p| !reached[p]).collect()
 }
 
 /// Builder for explicit instances: hand-specified links with per-bit
@@ -711,6 +777,69 @@ mod tests {
             91.1328125
         );
         assert!(inst.geometry().is_some());
+    }
+
+    #[test]
+    fn geometric_links_match_an_all_pairs_scan() {
+        // Every pair within d_max links at the weakest covering level and
+        // costs that level's transmission energy; a draw is disconnected
+        // exactly when the link structure strands some post.
+        let levels = TxLevels::icdcs2010();
+        let radio = RadioParams::icdcs2010();
+        let d_max = levels.max_range();
+        let (mut built, mut stranded) = (0, 0);
+        for (posts, field) in [(100, 500.0), (20, 300.0), (8, 200.0)] {
+            for seed in 0..10 {
+                let points = Field::square(field).random_posts(posts, seed);
+                let builder = GeometricInstanceBuilder::new(points.clone(), posts as u32);
+                let mut links = Vec::new();
+                builder.links(&mut links);
+                let mut all = points.clone();
+                all.push(Point::ORIGIN);
+                let want: Vec<Vec<(usize, Energy)>> = points
+                    .iter()
+                    .enumerate()
+                    .map(|(u, &pu)| {
+                        all.iter()
+                            .enumerate()
+                            .filter(|&(v, &pv)| v != u && pu.distance_squared(pv) <= d_max * d_max)
+                            .filter_map(|(v, &pv)| {
+                                let level = levels.level_for_distance(pu.distance(pv))?;
+                                Some((v, radio.tx_energy(levels.range(level))))
+                            })
+                            .collect()
+                    })
+                    .collect();
+                for (u, up) in want.iter().enumerate() {
+                    let mut targets: Vec<usize> = links
+                        .iter()
+                        .filter(|&&(from, _, _)| from == u)
+                        .map(|&(_, v, _)| v)
+                        .collect();
+                    targets.sort_unstable();
+                    let want_targets: Vec<usize> = up.iter().map(|&(v, _)| v).collect();
+                    assert_eq!(targets, want_targets, "post {u}");
+                }
+                let unreachable = unreachable_posts(posts, &links);
+                match builder.build() {
+                    Ok(inst) => {
+                        built += 1;
+                        assert!(unreachable.is_empty());
+                        for (u, up) in want.iter().enumerate() {
+                            assert_eq!(inst.uplinks(u), &up[..], "post {u}");
+                        }
+                    }
+                    Err(e) => {
+                        stranded += 1;
+                        assert_eq!(e, BuildError::Disconnected { unreachable });
+                    }
+                }
+            }
+        }
+        assert!(
+            built > 0 && stranded > 0,
+            "{built} built, {stranded} stranded"
+        );
     }
 
     #[test]

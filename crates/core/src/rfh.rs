@@ -25,7 +25,7 @@ use crate::{
 };
 use std::collections::BinaryHeap;
 use wrsn_energy::Energy;
-use wrsn_graph::Dag;
+use wrsn_graph::{AncestorSets, Dag};
 
 /// Phase III behavior: whether sibling posts merge under a group head.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -232,36 +232,7 @@ impl Rfh {
         let mut dag = Dag::from_parents(scratch.fat_tree(instance, dep)?);
 
         // Phase II: trim to a workload-concentrated tree.
-        let mut processed = vec![false; n];
-        for _ in 0..n {
-            let anc = dag.ancestor_sets();
-            let mut counts = vec![0usize; n];
-            for set in anc.iter().take(n) {
-                for a in set.ones().filter(|&a| a < n) {
-                    counts[a] += 1;
-                }
-            }
-            let p = (0..n)
-                .filter(|&p| !processed[p])
-                .max_by(|&a, &b| counts[a].cmp(&counts[b]).then_with(|| b.cmp(&a)))
-                .expect("n unprocessed posts remain");
-            for u in 0..n {
-                if !anc[u].contains(p) {
-                    continue; // u is not a descendant of p
-                }
-                // Cut u's edges to parents outside p's subtree.
-                let escape: Vec<usize> = dag
-                    .parents(u)
-                    .iter()
-                    .copied()
-                    .filter(|&q| q != p && !(q < n && anc[q].contains(p)))
-                    .collect();
-                for q in escape {
-                    dag.remove_edge(u, q);
-                }
-            }
-            processed[p] = true;
-        }
+        trim_to_tree(&mut dag, n);
         let mut parent: Vec<usize> = (0..n)
             .map(|p| {
                 let ps = dag.parents(p);
@@ -454,6 +425,57 @@ impl PhaseOneScratch {
     }
 }
 
+/// Phase II: trims the fat tree over posts `0..n` (node `n` is the base
+/// station) into a workload-concentrated tree, in place.
+///
+/// Each step takes the unprocessed post with the most descendants (ties
+/// to the lowest id) and cuts its descendants' escape edges. A post with
+/// one parent has no escape edge: every route from it to the step's post
+/// leaves through that parent. So once every post has one parent no later
+/// step changes the DAG, and trimming stops there, often long before its
+/// `n` steps.
+fn trim_to_tree(dag: &mut Dag, n: usize) {
+    // Removing edges keeps a topological order valid.
+    let order = dag.topo_order().expect("the fat tree is acyclic");
+    let mut anc = AncestorSets::default();
+    let mut counts = vec![0usize; n];
+    let mut processed = vec![false; n];
+    let mut escape = Vec::new();
+    for _ in 0..n {
+        if dag.is_tree() {
+            break;
+        }
+        dag.ancestors_into(&order, &mut anc);
+        counts.fill(0);
+        for u in 0..n {
+            for a in anc.ones(u).filter(|&a| a < n) {
+                counts[a] += 1;
+            }
+        }
+        let p = (0..n)
+            .filter(|&p| !processed[p])
+            .max_by(|&a, &b| counts[a].cmp(&counts[b]).then_with(|| b.cmp(&a)))
+            .expect("n unprocessed posts remain");
+        for u in 0..n {
+            if !anc.contains(u, p) {
+                continue; // u is not a descendant of p
+            }
+            // Cut u's edges to parents outside p's subtree.
+            escape.clear();
+            escape.extend(
+                dag.parents(u)
+                    .iter()
+                    .copied()
+                    .filter(|&q| q != p && !(q < n && anc.contains(q, p))),
+            );
+            for &q in &escape {
+                dag.remove_edge(u, q);
+            }
+        }
+        processed[p] = true;
+    }
+}
+
 /// Phase III: group children of each node under cheaper-to-reach heads.
 ///
 /// Children are visited in decreasing current-workload order; a child
@@ -471,14 +493,18 @@ fn merge_siblings(instance: &Instance, parent: &mut [usize]) {
             cur = parent[cur];
         }
     }
+    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
+    for (p, &v) in parent.iter().enumerate() {
+        children[v].push(p);
+    }
     for v in 0..=n {
-        let mut children: Vec<usize> = (0..n).filter(|&p| parent[p] == v).collect();
-        if children.len() < 2 {
+        let mut kids = std::mem::take(&mut children[v]);
+        if kids.len() < 2 {
             continue;
         }
-        children.sort_by(|&a, &b| counts[b].cmp(&counts[a]).then_with(|| a.cmp(&b)));
+        kids.sort_by(|&a, &b| counts[b].cmp(&counts[a]).then_with(|| a.cmp(&b)));
         let mut heads: Vec<usize> = Vec::new();
-        for c in children {
+        for c in kids {
             let to_parent = instance
                 .tx_energy(c, v)
                 .expect("tree edges exist in the instance");
@@ -493,7 +519,12 @@ fn merge_siblings(instance: &Instance, parent: &mut [usize]) {
                 })
                 .min_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
             match best_head {
-                Some((_, h)) => parent[c] = h,
+                Some((_, h)) => {
+                    parent[c] = h;
+                    // c is now h's child; if h's turn is still to come,
+                    // c takes part in it.
+                    children[h].push(c);
+                }
                 None => heads.push(c),
             }
         }
@@ -795,6 +826,191 @@ mod tests {
         // deployments it visited are the deployments the solver visits.
         let report = solver.solve_with_report(&inst).unwrap();
         assert_eq!(history, report.cost_history());
+    }
+
+    /// Phase II as it ran before stopping at the tree: all `n` steps,
+    /// each on freshly computed ancestor sets.
+    fn trim_reference(dag: &mut Dag, n: usize) {
+        let mut processed = vec![false; n];
+        for _ in 0..n {
+            let anc = dag.ancestor_sets();
+            let mut counts = vec![0usize; n];
+            for set in anc.iter().take(n) {
+                for a in set.ones().filter(|&a| a < n) {
+                    counts[a] += 1;
+                }
+            }
+            let p = (0..n)
+                .filter(|&p| !processed[p])
+                .max_by(|&a, &b| counts[a].cmp(&counts[b]).then_with(|| b.cmp(&a)))
+                .expect("n unprocessed posts remain");
+            for u in 0..n {
+                if !anc[u].contains(p) {
+                    continue;
+                }
+                let escape: Vec<usize> = dag
+                    .parents(u)
+                    .iter()
+                    .copied()
+                    .filter(|&q| q != p && !(q < n && anc[q].contains(p)))
+                    .collect();
+                for q in escape {
+                    dag.remove_edge(u, q);
+                }
+            }
+            processed[p] = true;
+        }
+    }
+
+    /// Phase III as it ran before bucketing: every node's children found
+    /// by scanning all posts.
+    fn merge_siblings_reference(instance: &Instance, parent: &mut [usize]) {
+        let n = instance.num_posts();
+        let bs = instance.bs();
+        let mut counts = vec![0usize; n];
+        for p in 0..n {
+            let mut cur = parent[p];
+            while cur != bs {
+                counts[cur] += 1;
+                cur = parent[cur];
+            }
+        }
+        for v in 0..=n {
+            let mut children: Vec<usize> = (0..n).filter(|&p| parent[p] == v).collect();
+            if children.len() < 2 {
+                continue;
+            }
+            children.sort_by(|&a, &b| counts[b].cmp(&counts[a]).then_with(|| a.cmp(&b)));
+            let mut heads: Vec<usize> = Vec::new();
+            for c in children {
+                let to_parent = instance.tx_energy(c, v).unwrap();
+                let best_head = heads
+                    .iter()
+                    .copied()
+                    .filter_map(|h| {
+                        instance
+                            .tx_energy(c, h)
+                            .filter(|&e| e < to_parent)
+                            .map(|e| (e, h))
+                    })
+                    .min_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+                match best_head {
+                    Some((_, h)) => parent[c] = h,
+                    None => heads.push(c),
+                }
+            }
+        }
+    }
+
+    /// The single parent of every post of a trimmed DAG.
+    fn tree_parents(dag: &Dag, n: usize) -> Vec<usize> {
+        (0..n)
+            .map(|p| {
+                assert_eq!(dag.parents(p).len(), 1, "post {p} is not trimmed");
+                dag.parents(p)[0]
+            })
+            .collect()
+    }
+
+    /// A random instance whose posts `0..n` form a DAG toward the base
+    /// station `n`, plus extra links among them, with the DAG edges as
+    /// the fat tree. Post `u` may only link to posts ranked below it.
+    fn arb_dag_instance() -> impl proptest::Strategy<Value = (Instance, Dag)> {
+        use proptest::prelude::*;
+        (2usize..40).prop_flat_map(|n| {
+            let link = (0..n, 0..=n, 1.0f64..100.0);
+            (
+                Just(n),
+                proptest::collection::vec(0u64..1_000_000, n),
+                proptest::collection::vec(link.clone(), n..4 * n),
+                proptest::collection::vec(link, n..8 * n),
+            )
+                .prop_map(|(n, rank, tree_links, extra)| {
+                    // Post u sits below post w when its rank is larger
+                    // (ties to the larger id); the base station is below
+                    // no one.
+                    let below = |u: usize, w: usize| w == n || (rank[u], u) > (rank[w], w);
+                    let mut parents = vec![Vec::new(); n + 1];
+                    let mut builder = InstanceBuilder::new(n, n as u32);
+                    for (u, w, tx) in tree_links {
+                        if u != w && below(u, w) && !parents[u].contains(&w) {
+                            parents[u].push(w);
+                            builder = builder.uplink(u, w, e(tx));
+                        }
+                    }
+                    for (u, ps) in parents.iter_mut().enumerate().take(n) {
+                        if ps.is_empty() {
+                            ps.push(n);
+                            builder = builder.uplink(u, n, e(50.0));
+                        }
+                        ps.sort_unstable();
+                    }
+                    for (u, w, tx) in extra {
+                        if u != w {
+                            builder = builder.uplink(u, w, e(tx));
+                        }
+                    }
+                    (builder.build().unwrap(), Dag::from_parents(parents))
+                })
+        })
+    }
+
+    proptest::proptest! {
+        /// Phases II and III give today's parent vectors bit for bit on
+        /// random DAGs with multi-parent posts.
+        #[test]
+        fn phases_two_and_three_match_the_references((inst, dag) in arb_dag_instance()) {
+            let n = inst.num_posts();
+            let mut fast = dag.clone();
+            trim_to_tree(&mut fast, n);
+            let mut slow = dag;
+            trim_reference(&mut slow, n);
+            proptest::prop_assert_eq!(&fast, &slow);
+            let mut merged = tree_parents(&fast, n);
+            merge_siblings(&inst, &mut merged);
+            let mut merged_ref = tree_parents(&slow, n);
+            merge_siblings_reference(&inst, &mut merged_ref);
+            proptest::prop_assert_eq!(merged, merged_ref);
+        }
+    }
+
+    #[test]
+    fn phases_two_and_three_match_the_references_on_the_fig6_grid() {
+        // The Fig. 6 configuration (100 posts, 400 nodes, 500x500 m):
+        // every pass of iRFH(7) trims and merges the fat tree it visits
+        // exactly as the full trim loop and the all-posts merge did.
+        let solver = Rfh::iterative(7);
+        for seed in 0..3 {
+            let inst = InstanceSampler::new(Field::square(500.0), 100, 400).sample(seed);
+            let n = inst.num_posts();
+            let mut scratch = PhaseOneScratch::new(&inst);
+            let mut dep = Deployment::ones(n);
+            for pass in 0..7 {
+                let dag = Dag::from_parents(scratch.fat_tree(&inst, &dep).unwrap());
+                let mut fast = dag.clone();
+                trim_to_tree(&mut fast, n);
+                let mut slow = dag;
+                trim_reference(&mut slow, n);
+                assert_eq!(fast, slow, "seed {seed}, pass {pass}: trimmed DAGs differ");
+                let mut merged = tree_parents(&fast, n);
+                merge_siblings(&inst, &mut merged);
+                let mut merged_ref = tree_parents(&slow, n);
+                merge_siblings_reference(&inst, &mut merged_ref);
+                assert_eq!(
+                    merged, merged_ref,
+                    "seed {seed}, pass {pass}: merges differ"
+                );
+                // Advance the deployment exactly as solve_with_report does.
+                let tree = solver.build_tree(&inst, &dep, &mut scratch).unwrap();
+                assert_eq!(tree.parents(), &merged[..]);
+                let weights = solver.workload_weights(&inst, &tree);
+                dep = Deployment::new(crate::lagrange_allocate(
+                    &weights,
+                    inst.num_nodes(),
+                    inst.max_nodes_per_post(),
+                ));
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Random-instance sampling for experiments.
 
+use crate::instance::{check_budget, unreachable_posts};
 use crate::{ChargeSpec, GeometricInstanceBuilder, Instance};
 use std::fmt;
 use wrsn_energy::{RadioParams, TxLevels};
@@ -14,6 +15,12 @@ use wrsn_geom::Field;
 /// assumes connectivity. `sample` makes that explicit by redrawing from
 /// seed-derived sub-seeds until the connectivity validation passes, so a
 /// given `(sampler, seed)` pair is still fully deterministic.
+///
+/// Each draw's connectivity is checked on the bare link structure (which
+/// posts lie within which transmission level) before an [`Instance`] is
+/// built, so a rejected draw costs no link energies, no sorting and no
+/// shortest paths. The accepted draw is the instance
+/// [`GeometricInstanceBuilder::build`] gives for the same posts.
 ///
 /// # Examples
 ///
@@ -114,7 +121,10 @@ impl InstanceSampler {
     /// `Disconnected` error when no connected layout is found within
     /// 10 000 redraws.
     pub fn try_sample(&self, seed: u64) -> Result<Instance, crate::BuildError> {
-        let mut last_disconnect = None;
+        // A configuration error fails the first draw, before connectivity.
+        check_budget(self.num_posts, self.num_nodes, self.max_nodes_per_post)?;
+        let mut links = Vec::new();
+        let mut unreachable = Vec::new();
         for attempt in 0..10_000u64 {
             let sub_seed = seed
                 .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -127,15 +137,13 @@ impl InstanceSampler {
             if let Some(cap) = self.max_nodes_per_post {
                 builder = builder.max_nodes_per_post(cap);
             }
-            match builder.build() {
-                Ok(inst) => return Ok(inst),
-                Err(e @ crate::BuildError::Disconnected { .. }) => {
-                    last_disconnect = Some(e);
-                }
-                Err(e) => return Err(e),
+            builder.links(&mut links);
+            unreachable = unreachable_posts(self.num_posts, &links);
+            if unreachable.is_empty() {
+                return builder.build_from_links(&links);
             }
         }
-        Err(last_disconnect.expect("10000 attempts always set the last disconnect error"))
+        Err(crate::BuildError::Disconnected { unreachable })
     }
 }
 
@@ -152,6 +160,7 @@ impl fmt::Display for InstanceSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BuildError;
 
     #[test]
     fn samples_are_deterministic_and_connected() {
@@ -204,6 +213,96 @@ mod tests {
     fn try_sample_reports_infeasible_budget_instead_of_panicking() {
         let s = InstanceSampler::new(Field::square(200.0), 5, 3);
         assert!(s.try_sample(0).is_err());
+    }
+
+    /// The sampling loop as it ran before the connectivity pre-check:
+    /// build every draw in full until one validates.
+    fn reference_sample(s: &InstanceSampler, seed: u64) -> Result<Instance, BuildError> {
+        let mut last_disconnect = None;
+        for attempt in 0..10_000u64 {
+            let sub_seed = seed
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add(attempt);
+            let posts = s.field.random_posts(s.num_posts, sub_seed);
+            let mut builder = GeometricInstanceBuilder::new(posts, s.num_nodes)
+                .levels(s.levels.clone())
+                .radio(s.radio)
+                .charge(s.charge.clone());
+            if let Some(cap) = s.max_nodes_per_post {
+                builder = builder.max_nodes_per_post(cap);
+            }
+            match builder.build() {
+                Ok(inst) => return Ok(inst),
+                Err(e @ BuildError::Disconnected { .. }) => last_disconnect = Some(e),
+                Err(e) => return Err(e),
+            }
+        }
+        Err(last_disconnect.unwrap())
+    }
+
+    #[test]
+    fn try_sample_equals_the_full_build_loop() {
+        // The benchmark's sweep sizes plus a mid-size one.
+        for (posts, nodes, field) in [
+            (100, 400, 500.0),
+            (20, 60, 300.0),
+            (8, 30, 200.0),
+            (50, 200, 350.0),
+        ] {
+            let s = InstanceSampler::new(Field::square(field), posts, nodes);
+            for seed in 0..200 {
+                assert_eq!(
+                    s.try_sample(seed),
+                    reference_sample(&s, seed),
+                    "{posts} posts, {nodes} nodes, {field} m, seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn never_connected_config_reports_the_last_draws_unreachable_posts() {
+        // A 10 m range in a 100 m field: some draws link a few posts, no
+        // draw links them all.
+        let s = InstanceSampler::new(Field::square(100.0), 6, 12)
+            .levels(TxLevels::evenly_spaced(1, 10.0));
+        for seed in 0..2 {
+            let got = s.try_sample(seed);
+            assert!(
+                matches!(got, Err(BuildError::Disconnected { .. })),
+                "{got:?}"
+            );
+            assert_eq!(got, reference_sample(&s, seed));
+        }
+    }
+
+    #[test]
+    fn configuration_errors_win_over_disconnection() {
+        // A field far too sparse to ever connect: the budget error must
+        // come from the first draw, as it always did.
+        let sparse = Field::square(2000.0);
+        assert!(matches!(
+            InstanceSampler::new(sparse, 10, 20).try_sample(0),
+            Err(BuildError::Disconnected { .. })
+        ));
+        let too_few = InstanceSampler::new(sparse, 10, 5);
+        assert_eq!(
+            too_few.try_sample(0),
+            Err(BuildError::TooFewNodes {
+                nodes: 5,
+                posts: 10
+            })
+        );
+        assert_eq!(too_few.try_sample(0), reference_sample(&too_few, 0));
+        let capped = InstanceSampler::new(sparse, 10, 100).max_nodes_per_post(5);
+        assert_eq!(
+            capped.try_sample(0),
+            Err(BuildError::CapacityTooSmall {
+                nodes: 100,
+                capacity: 50
+            })
+        );
+        assert_eq!(capped.try_sample(0), reference_sample(&capped, 0));
     }
 
     #[test]

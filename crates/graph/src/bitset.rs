@@ -39,6 +39,12 @@ impl FixedBitSet {
         }
     }
 
+    /// A set over `0..len` holding exactly the bits of `words`.
+    pub(crate) fn from_words(len: usize, words: Vec<u64>) -> Self {
+        debug_assert_eq!(words.len(), len.div_ceil(64));
+        FixedBitSet { len, words }
+    }
+
     /// The capacity (one past the largest storable value).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -119,19 +125,25 @@ impl FixedBitSet {
 
     /// Iterates over set bits in increasing order.
     pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
+        ones_in(&self.words)
     }
+}
+
+/// The set bits of `words` (bit `i` of word `k` is value `64k + i`) in
+/// increasing order.
+pub(crate) fn ones_in(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut bits = w;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                None
+            } else {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(wi * 64 + b)
+            }
+        })
+    })
 }
 
 impl fmt::Display for FixedBitSet {

@@ -1,6 +1,7 @@
 //! The shortest-path DAG ("fat tree") and the trimming operations the RFH
 //! heuristic performs on it.
 
+use crate::bitset::ones_in;
 use crate::{FixedBitSet, NodeId};
 use std::fmt;
 
@@ -143,31 +144,54 @@ impl Dag {
     /// removal).
     #[must_use]
     pub fn ancestor_sets(&self) -> Vec<FixedBitSet> {
+        let sets = self.ancestors();
+        (0..self.node_count()).map(|u| sets.to_bitset(u)).collect()
+    }
+
+    /// Fills `out` with every node's ancestor set (see
+    /// [`ancestor_sets`](Dag::ancestor_sets)), reusing its storage.
+    ///
+    /// `order` must be a topological order of this DAG, roots first, as
+    /// [`topo_order`](Dag::topo_order) returns. Removing edges keeps an
+    /// order topological, so a caller that only trims can compute it once
+    /// and pass it to every call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` is not as long as the node count.
+    pub fn ancestors_into(&self, order: &[NodeId], out: &mut AncestorSets) {
         let n = self.node_count();
-        let order = self.topo_order().expect("Dag is acyclic by construction");
-        let mut anc = vec![FixedBitSet::new(n); n];
-        // Roots first: when we reach u, every parent's set is complete.
-        for &u in &order {
-            // Split borrow: collect parents first (cheap, few parents).
-            for pi in 0..self.parents[u].len() {
-                let p = self.parents[u][pi];
-                let parent_set = anc[p].clone();
-                anc[u].union_with(&parent_set);
-                anc[u].insert(p);
+        assert_eq!(order.len(), n, "order must list every node");
+        out.reset(n);
+        let stride = out.stride;
+        // Roots first: when we reach u, every parent's row is complete.
+        for &u in order {
+            for &p in &self.parents[u] {
+                for k in 0..stride {
+                    out.words[u * stride + k] |= out.words[p * stride + k];
+                }
+                out.words[u * stride + p / 64] |= 1 << (p % 64);
             }
         }
-        anc
+    }
+
+    /// [`ancestors_into`](Dag::ancestors_into) on a fresh buffer.
+    fn ancestors(&self) -> AncestorSets {
+        let order = self.topo_order().expect("Dag is acyclic by construction");
+        let mut sets = AncestorSets::default();
+        self.ancestors_into(&order, &mut sets);
+        sets
     }
 
     /// The *workload* of every node: its number of distinct descendants
     /// (paper Section V, Phase II).
     #[must_use]
     pub fn descendant_counts(&self) -> Vec<usize> {
-        let anc = self.ancestor_sets();
+        let sets = self.ancestors();
         let n = self.node_count();
         let mut counts = vec![0usize; n];
-        for set in &anc {
-            for p in set.ones() {
+        for u in 0..n {
+            for p in sets.ones(u) {
                 counts[p] += 1;
             }
         }
@@ -187,6 +211,80 @@ impl Dag {
         (0..self.node_count())
             .filter(|&u| self.parents[u].is_empty())
             .collect()
+    }
+}
+
+/// The ancestor sets of every node of a [`Dag`], one row of bits per
+/// node in a single word buffer that
+/// [`Dag::ancestors_into`] refills in place.
+///
+/// # Examples
+///
+/// ```
+/// use wrsn_graph::{AncestorSets, Dag};
+///
+/// // 0 -> {1, 2} -> 3 (root)
+/// let dag = Dag::from_parents(vec![vec![1, 2], vec![3], vec![3], vec![]]);
+/// let order = dag.topo_order().unwrap();
+/// let mut sets = AncestorSets::default();
+/// dag.ancestors_into(&order, &mut sets);
+/// assert!(sets.contains(0, 3) && !sets.contains(3, 0));
+/// assert_eq!(sets.ones(0).collect::<Vec<_>>(), vec![1, 2, 3]);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AncestorSets {
+    nodes: usize,
+    /// Words per row.
+    stride: usize,
+    words: Vec<u64>,
+}
+
+impl AncestorSets {
+    /// Clears the buffer to `nodes` empty rows.
+    fn reset(&mut self, nodes: usize) {
+        self.nodes = nodes;
+        self.stride = nodes.div_ceil(64);
+        self.words.clear();
+        self.words.resize(nodes * self.stride, 0);
+    }
+
+    /// Returns `true` if `a` is an ancestor of `u` (so `u` is a descendant
+    /// of `a`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or `a` is not a node.
+    #[must_use]
+    pub fn contains(&self, u: NodeId, a: NodeId) -> bool {
+        assert!(
+            u < self.nodes && a < self.nodes,
+            "node out of bounds for {} nodes",
+            self.nodes
+        );
+        self.words[u * self.stride + a / 64] & (1 << (a % 64)) != 0
+    }
+
+    /// The ancestors of `u` in increasing order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is not a node.
+    pub fn ones(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        ones_in(self.row(u))
+    }
+
+    /// Row `u` as a standalone [`FixedBitSet`].
+    fn to_bitset(&self, u: NodeId) -> FixedBitSet {
+        FixedBitSet::from_words(self.nodes, self.row(u).to_vec())
+    }
+
+    fn row(&self, u: NodeId) -> &[u64] {
+        assert!(
+            u < self.nodes,
+            "node {u} out of bounds for {} nodes",
+            self.nodes
+        );
+        &self.words[u * self.stride..(u + 1) * self.stride]
     }
 }
 

@@ -9,7 +9,8 @@
 //!   *to* a target (following edge directions),
 //! - [`ShortestPaths`] — distances plus next-hop/predecessor extraction,
 //! - [`tight_edges`] + [`Dag`] — the "fat tree" of *all* shortest paths and
-//!   the trimming operations the RFH heuristic performs on it,
+//!   the trimming operations the RFH heuristic performs on it, with
+//!   [`AncestorSets`] as its reusable descendant bookkeeping,
 //! - [`FixedBitSet`] — a small bitset used for descendant bookkeeping,
 //! - [`bellman_ford`] — a reference implementation used by property tests.
 //!
@@ -40,7 +41,7 @@ mod dijkstra;
 
 pub use bellman_ford::bellman_ford;
 pub use bitset::FixedBitSet;
-pub use dag::Dag;
+pub use dag::{AncestorSets, Dag};
 pub use digraph::Digraph;
 pub use dijkstra::{dijkstra, dijkstra_to, tight_edges, ShortestPaths};
 

@@ -2,7 +2,7 @@
 //! structural invariants of the tight-edge DAG.
 
 use proptest::prelude::*;
-use wrsn_graph::{bellman_ford, dijkstra, dijkstra_to, tight_edges, Dag, Digraph};
+use wrsn_graph::{bellman_ford, dijkstra, dijkstra_to, tight_edges, AncestorSets, Dag, Digraph};
 
 /// Strategy producing a random digraph (as node count + edge list) with
 /// weights in a realistic per-bit-energy range.
@@ -11,6 +11,42 @@ fn arb_graph() -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>)> {
         let edge = (0..n, 0..n, 0.0f64..200.0);
         (Just(n), proptest::collection::vec(edge, 0..60))
     })
+}
+
+/// Strategy producing a random DAG over up to 150 nodes (more than two
+/// bitset words) as per-node parent lists, plus picks of edges to remove
+/// afterwards: node `u` may take parents only among nodes ranked above it.
+fn arb_dag() -> impl Strategy<Value = (Vec<Vec<usize>>, Vec<usize>)> {
+    (2usize..150).prop_flat_map(|n| {
+        (
+            Just(n),
+            proptest::collection::vec(0u64..1_000, n),
+            proptest::collection::vec((0..n, 0..n), 0..4 * n),
+            proptest::collection::vec(0..usize::MAX, 0..n),
+        )
+            .prop_map(|(n, rank, edges, cuts)| {
+                let mut parents = vec![Vec::new(); n];
+                for (u, p) in edges {
+                    if (rank[p], p) < (rank[u], u) && !parents[u].contains(&p) {
+                        parents[u].push(p);
+                    }
+                }
+                (parents, cuts)
+            })
+    })
+}
+
+/// The nodes reachable from `u` along parent edges, excluding `u`, by DFS.
+fn ancestors_by_dfs(dag: &Dag, u: usize) -> Vec<usize> {
+    let mut seen = vec![false; dag.node_count()];
+    let mut stack = dag.parents(u).to_vec();
+    while let Some(x) = stack.pop() {
+        if !seen[x] {
+            seen[x] = true;
+            stack.extend_from_slice(dag.parents(x));
+        }
+    }
+    (0..dag.node_count()).filter(|&x| seen[x]).collect()
 }
 
 fn build(n: usize, edges: &[(usize, usize, f64)]) -> Digraph {
@@ -147,6 +183,35 @@ proptest! {
                 if hit { reached += 1; }
             }
             prop_assert_eq!(counts[p], reached, "node {}", p);
+        }
+    }
+
+    /// `ancestors_into` equals a per-node DFS, also on a reused buffer and
+    /// after edge removals that keep the original topological order.
+    #[test]
+    fn ancestor_sets_match_dfs((parents, cuts) in arb_dag()) {
+        let mut dag = Dag::from_parents(parents);
+        let n = dag.node_count();
+        let order = dag.topo_order().unwrap();
+        // Start from a dirty buffer of a different size.
+        let mut sets = AncestorSets::default();
+        Dag::from_parents(vec![vec![], vec![0], vec![1]]).ancestors_into(&[0, 1, 2], &mut sets);
+        for round in 0..2 {
+            dag.ancestors_into(&order, &mut sets);
+            for (u, set) in dag.ancestor_sets().iter().enumerate() {
+                let want = ancestors_by_dfs(&dag, u);
+                prop_assert_eq!(sets.ones(u).collect::<Vec<_>>(), want.clone(), "round {}, node {}", round, u);
+                prop_assert_eq!(set.ones().collect::<Vec<_>>(), want.clone());
+                for a in 0..n {
+                    prop_assert_eq!(sets.contains(u, a), want.contains(&a));
+                }
+            }
+            for &pick in &cuts {
+                let edges: Vec<(usize, usize)> = dag.edges().collect();
+                if let Some(&(u, p)) = edges.get(pick % edges.len().max(1)) {
+                    prop_assert!(dag.remove_edge(u, p));
+                }
+            }
         }
     }
 }
