@@ -56,7 +56,7 @@ impl ServerProc {
             };
             if let Some(rest) = line.strip_prefix("wrsn-serve listening on ") {
                 let addr = rest.split_whitespace().next().unwrap_or_default();
-                break addr.trim_end_matches(|c| c == '(').trim().to_string();
+                break addr.trim_end_matches('(').trim().to_string();
             }
         };
         // Keep draining stderr so the child never blocks on a full pipe.

@@ -61,6 +61,9 @@ pub fn lagrange_allocate(weights: &[f64], total: u32, cap: Option<u32>) -> Vec<u
     let n = weights.len();
     let cap = cap.unwrap_or(total);
     let mut result = vec![0u32; n];
+    let roots: Vec<f64> = weights.iter().map(|w| w.sqrt()).collect();
+    // Undecided posts in increasing index order, so the first strict
+    // minimum below is the lowest-index tie.
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut budget = total;
     while !remaining.is_empty() {
@@ -69,27 +72,30 @@ pub fn lagrange_allocate(weights: &[f64], total: u32, cap: Option<u32>) -> Vec<u
             result[remaining[0]] = budget;
             break;
         }
-        let sqrt_sum: f64 = remaining.iter().map(|&i| weights[i].sqrt()).sum();
+        let sqrt_sum: f64 = remaining.iter().map(|&i| roots[i]).sum();
         // Continuous optimum over the remaining posts; with all-zero
         // weights any split is optimal, so fall back to uniform.
         let share = |i: usize| {
             if sqrt_sum > 0.0 {
-                f64::from(budget) * weights[i].sqrt() / sqrt_sum
+                f64::from(budget) * roots[i] / sqrt_sum
             } else {
                 f64::from(budget) / k as f64
             }
         };
-        let (pos, &j) = remaining
-            .iter()
-            .enumerate()
-            .min_by(|(_, &a), (_, &b)| share(a).total_cmp(&share(b)).then_with(|| a.cmp(&b)))
-            .expect("remaining is non-empty");
+        let (mut pos, mut smallest) = (0, share(remaining[0]));
+        for (q, &i) in remaining.iter().enumerate().skip(1) {
+            let s = share(i);
+            if s.total_cmp(&smallest).is_lt() {
+                (pos, smallest) = (q, s);
+            }
+        }
+        let j = remaining[pos];
         // Round to nearest, then clamp to feasibility: at least 1, at
         // most cap, and the other k-1 posts still need [1, cap] each.
         let others = (k - 1) as u32;
         let lo = 1u32.max(budget.saturating_sub(others * cap));
         let hi = cap.min(budget - others);
-        let rounded = (share(j).round() as i64).clamp(i64::from(lo), i64::from(hi)) as u32;
+        let rounded = (smallest.round() as i64).clamp(i64::from(lo), i64::from(hi)) as u32;
         result[j] = rounded;
         budget -= rounded;
         remaining.remove(pos);
@@ -456,6 +462,87 @@ mod tests {
     #[should_panic(expected = "non-decreasing")]
     fn generalized_rejects_decreasing_efficiency() {
         let _ = greedy_allocate_by_efficiency(&[1.0, 1.0], 4, None, |m| 1.0 / f64::from(m));
+    }
+
+    /// `lagrange_allocate` as it ran before taking each root once: the
+    /// roots recomputed inside every share, every comparison.
+    fn lagrange_reference(weights: &[f64], total: u32, cap: Option<u32>) -> Vec<u32> {
+        let n = weights.len();
+        let cap = cap.unwrap_or(total);
+        let mut result = vec![0u32; n];
+        let mut remaining: Vec<usize> = (0..n).collect();
+        let mut budget = total;
+        while !remaining.is_empty() {
+            let k = remaining.len();
+            if k == 1 {
+                result[remaining[0]] = budget;
+                break;
+            }
+            let sqrt_sum: f64 = remaining.iter().map(|&i| weights[i].sqrt()).sum();
+            let share = |i: usize| {
+                if sqrt_sum > 0.0 {
+                    f64::from(budget) * weights[i].sqrt() / sqrt_sum
+                } else {
+                    f64::from(budget) / k as f64
+                }
+            };
+            let (pos, &j) = remaining
+                .iter()
+                .enumerate()
+                .min_by(|(_, &a), (_, &b)| share(a).total_cmp(&share(b)).then_with(|| a.cmp(&b)))
+                .unwrap();
+            let others = (k - 1) as u32;
+            let lo = 1u32.max(budget.saturating_sub(others * cap));
+            let hi = cap.min(budget - others);
+            let rounded = (share(j).round() as i64).clamp(i64::from(lo), i64::from(hi)) as u32;
+            result[j] = rounded;
+            budget -= rounded;
+            remaining.remove(pos);
+        }
+        result
+    }
+
+    proptest::proptest! {
+        /// Same allocation as the reference on weights drawn from a
+        /// small pool (zeros and ties) or spread widely, with and
+        /// without a cap.
+        #[test]
+        fn lagrange_matches_the_reference(
+            picks in proptest::collection::vec((0usize..6, 0.0f64..1e4), 1..40),
+            spare in 0u32..200,
+            cap_slack in 0u32..5,
+        ) {
+            let pool = [0.0, 0.0, 1.0, 2.5, 2.5];
+            let weights: Vec<f64> = picks
+                .iter()
+                .map(|&(k, w)| if k < pool.len() { pool[k] } else { w })
+                .collect();
+            let n = weights.len() as u32;
+            let total = n + spare;
+            // Slack 4 stands for no cap.
+            let cap = (cap_slack < 4).then(|| total.div_ceil(n) + cap_slack);
+            proptest::prop_assert_eq!(
+                lagrange_allocate(&weights, total, cap),
+                lagrange_reference(&weights, total, cap)
+            );
+        }
+    }
+
+    #[test]
+    fn lagrange_matches_the_reference_on_ties_and_zeros() {
+        for (w, total, cap) in [
+            (vec![0.0; 5], 17u32, None),
+            (vec![1.0; 6], 6, None),
+            (vec![4.0, 0.0, 4.0, 0.0, 4.0], 23, Some(6)),
+            (vec![9.0, 9.0, 1.0, 1.0], 12, Some(4)),
+            (vec![1e-300, 0.0, 1e300], 9, None),
+        ] {
+            assert_eq!(
+                lagrange_allocate(&w, total, cap),
+                lagrange_reference(&w, total, cap),
+                "{w:?} {total} {cap:?}"
+            );
+        }
     }
 
     #[test]

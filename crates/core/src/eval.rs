@@ -290,20 +290,32 @@ impl<'a> CostEvaluator<'a> {
     /// Panics if no deployment has been set.
     #[must_use]
     pub fn parents(&self) -> Vec<usize> {
+        let mut parents = Vec::new();
+        self.parents_into(&mut parents);
+        parents
+    }
+
+    /// [`parents`](Self::parents) into a caller's buffer, which is
+    /// cleared first, so a caller scoring many deployments reuses one
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no deployment has been set.
+    pub fn parents_into(&self, parents: &mut Vec<usize>) {
         assert!(self.sum.is_finite(), "set_deployment must be called first");
-        (0..self.up.len())
-            .map(|p| {
-                self.up[p]
-                    .iter()
-                    .min_by(|&&(v1, tx1), &&(v2, tx2)| {
-                        let a = self.weight(p, v1, tx1) + self.dist[v1];
-                        let b = self.weight(p, v2, tx2) + self.dist[v2];
-                        a.total_cmp(&b).then_with(|| v1.cmp(&v2))
-                    })
-                    .map(|&(v, _)| v)
-                    .expect("validated instances have at least one uplink per post")
-            })
-            .collect()
+        parents.clear();
+        parents.extend((0..self.up.len()).map(|p| {
+            self.up[p]
+                .iter()
+                .min_by(|&&(v1, tx1), &&(v2, tx2)| {
+                    let a = self.weight(p, v1, tx1) + self.dist[v1];
+                    let b = self.weight(p, v2, tx2) + self.dist[v2];
+                    a.total_cmp(&b).then_with(|| v1.cmp(&v2))
+                })
+                .map(|&(v, _)| v)
+                .expect("validated instances have at least one uplink per post")
+        }));
     }
 
     /// The current deployment as a [`Deployment`].

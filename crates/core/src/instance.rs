@@ -3,8 +3,8 @@
 use crate::BuildError;
 use std::fmt;
 use wrsn_charging::ChargeModel;
-use wrsn_energy::{Energy, LevelIdx, RadioParams, TxLevels};
-use wrsn_geom::{GridIndex, Point};
+use wrsn_energy::{Energy, RadioParams, TxLevels};
+use wrsn_geom::Point;
 use wrsn_graph::Digraph;
 
 /// Index of a post; posts are dense integers `0..num_posts`, and the value
@@ -373,7 +373,23 @@ fn validate(
             what: "sensing energy",
         });
     }
-    let inst = Instance {
+    // Every link's per-bit energy (tx, plus rx below a post) is an edge
+    // weight of the cost graphs the solvers build, which must be finite
+    // and non-negative.
+    for links in &uplinks {
+        for &(to, tx) in links {
+            let w = if to == n { tx } else { tx + rx_energy }.as_njoules();
+            assert!(
+                w.is_finite() && w >= 0.0,
+                "edge weight must be finite and non-negative, got {w}"
+            );
+        }
+    }
+    let unreachable = unreachable_posts(&uplinks);
+    if !unreachable.is_empty() {
+        return Err(BuildError::Disconnected { unreachable });
+    }
+    Ok(Instance {
         uplinks,
         rx_energy,
         num_nodes,
@@ -382,14 +398,43 @@ fn validate(
         report_rates,
         sensing,
         geometry,
-    };
-    let g = inst.energy_digraph();
-    if !g.all_reach(inst.bs()) {
-        let sp = wrsn_graph::dijkstra_to(&g, inst.bs());
-        let unreachable: Vec<usize> = (0..n).filter(|&p| sp.distance(p).is_none()).collect();
-        return Err(BuildError::Disconnected { unreachable });
+    })
+}
+
+/// The posts that cannot reach the base station (index
+/// `uplinks.len()`) over `uplinks`, in increasing order, by a search
+/// backwards along the uplinks from the base station.
+fn unreachable_posts(uplinks: &[Vec<(usize, Energy)>]) -> Vec<usize> {
+    let posts = uplinks.len();
+    // Reverse adjacency in compressed rows: node v's senders are
+    // senders[start[v]..start[v + 1]].
+    let mut start = vec![0usize; posts + 2];
+    for &(v, _) in uplinks.iter().flatten() {
+        start[v + 1] += 1;
     }
-    Ok(inst)
+    for v in 1..start.len() {
+        start[v] += start[v - 1];
+    }
+    let mut next = start.clone();
+    let mut senders = vec![0usize; start[posts + 1]];
+    for (u, links) in uplinks.iter().enumerate() {
+        for &(v, _) in links {
+            senders[next[v]] = u;
+            next[v] += 1;
+        }
+    }
+    let mut reached = vec![false; posts + 1];
+    reached[posts] = true;
+    let mut stack = vec![posts];
+    while let Some(v) = stack.pop() {
+        for &u in &senders[start[v]..start[v + 1]] {
+            if !reached[u] {
+                reached[u] = true;
+                stack.push(u);
+            }
+        }
+    }
+    (0..posts).filter(|&p| !reached[p]).collect()
 }
 
 /// Builder for geometric instances: posts at coordinates, links wherever
@@ -513,49 +558,34 @@ impl GeometricInstanceBuilder {
     /// Returns a [`BuildError`] if the configuration is inconsistent or
     /// some post cannot reach the base station within the maximum range.
     pub fn build(self) -> Result<Instance, BuildError> {
-        let mut links = Vec::new();
-        self.links(&mut links);
-        self.build_from_links(&links)
+        let mut scan = LinkScan::default();
+        scan.load(&self.posts, self.base_station, self.levels.max_range());
+        self.build_from_scan(&scan)
     }
 
-    /// The geometric link rule: fills `out` with `(post, node, level)` for
-    /// every post and each other post or the base station (index
-    /// `posts.len()`) within `d_max`, at the weakest level that covers the
-    /// distance, in post order. Both [`build`](Self::build) and the
-    /// sampler's connectivity check take their links from here.
-    pub(crate) fn links(&self, out: &mut Vec<(usize, usize, LevelIdx)>) {
-        out.clear();
-        let d_max = self.levels.max_range();
-        // Spatial index over posts + base station for near-linear
-        // neighbor discovery.
-        let mut all_points = self.posts.clone();
-        all_points.push(self.base_station);
-        let index = GridIndex::new(&all_points, d_max.max(1e-9));
-        for (u, &pu) in self.posts.iter().enumerate() {
-            for v in index.within(pu, d_max) {
-                if v == u {
-                    continue;
-                }
-                if let Some(level) = self.levels.level_for_distance(pu.distance(all_points[v])) {
-                    out.push((u, v, level));
-                }
-            }
-        }
-    }
-
-    /// Builds and validates the instance with the links
-    /// [`links`](Self::links) gave for these posts.
-    pub(crate) fn build_from_links(
-        self,
-        links: &[(usize, usize, LevelIdx)],
-    ) -> Result<Instance, BuildError> {
-        // A link costs its level's transmission energy.
+    /// Builds and validates the instance over `scan`, which must hold
+    /// this builder's posts, base station and `d_max`
+    /// ([`LinkScan::load`]). Each post links to every other post and to
+    /// the base station within `d_max` ([`in_range`]), at the weakest
+    /// level that covers the distance and that level's transmission
+    /// energy.
+    pub(crate) fn build_from_scan(self, scan: &LinkScan) -> Result<Instance, BuildError> {
         let energies = self.levels.energies(&self.radio);
         let mut uplinks: Vec<Vec<(usize, Energy)>> = vec![Vec::new(); self.posts.len()];
-        for &(u, v, level) in links {
-            uplinks[u].push((v, energies[level]));
-        }
-        for up in &mut uplinks {
+        for (u, up) in uplinks.iter_mut().enumerate() {
+            let s = scan.slot[u];
+            let pu = scan.by_x[s].0;
+            for_each_candidate(&scan.by_x, scan.d_max_sq, s, |w| {
+                let (pv, v) = scan.by_x[w];
+                if !in_range(pu, pv, scan.d_max_sq) {
+                    return;
+                }
+                let level = self
+                    .levels
+                    .level_for_distance(pu.distance(pv))
+                    .expect("in_range implies a covering level");
+                up.push((v, energies[level]));
+            });
             up.sort_unstable_by_key(|&(v, _)| v);
         }
         validate(
@@ -576,38 +606,136 @@ impl GeometricInstanceBuilder {
     }
 }
 
-/// The posts `0..posts` that cannot reach the base station (index
-/// `posts`) over `links` as [`GeometricInstanceBuilder::links`] lists
-/// them, in increasing order: what a build reports as
-/// [`BuildError::Disconnected`].
-pub(crate) fn unreachable_posts(posts: usize, links: &[(usize, usize, LevelIdx)]) -> Vec<usize> {
-    // Reverse adjacency in compressed rows: node v's senders are
-    // senders[start[v]..start[v + 1]].
-    let mut start = vec![0usize; posts + 2];
-    for &(_, v, _) in links {
-        start[v + 1] += 1;
-    }
-    for v in 1..start.len() {
-        start[v] += start[v - 1];
-    }
-    let mut next = start.clone();
-    let mut senders = vec![0usize; links.len()];
-    for &(u, v, _) in links {
-        senders[next[v]] = u;
-        next[v] += 1;
-    }
-    let mut reached = vec![false; posts + 1];
-    reached[posts] = true;
-    let mut stack = vec![posts];
-    while let Some(v) = stack.pop() {
-        for &u in &senders[start[v]..start[v + 1]] {
-            if !reached[u] {
-                reached[u] = true;
-                stack.push(u);
-            }
+/// The geometric link rule: a post can transmit to a node whose squared
+/// distance from it is at most `d_max_sq` (`d_max * d_max`). Both the
+/// instance build and the sampler's connectivity check decide links
+/// here, through [`LinkScan`].
+#[inline]
+fn in_range(a: Point, b: Point, d_max_sq: f64) -> bool {
+    a.distance_squared(b) <= d_max_sq
+}
+
+/// A layout's nodes sorted by x, for finding every pair the link rule
+/// ([`in_range`]) joins, in buffers reused from layout to layout.
+///
+/// A pair in range is at most `d_max` apart in x: the rounded square of
+/// the x-gap never exceeds the rounded squared distance it is summed
+/// into. That square grows monotonically away from a node along the
+/// sorted order, so a scan stops at the first node whose x-gap alone is
+/// too wide and still sees every partner; each candidate then passes or
+/// fails [`in_range`] itself. The sampler's connectivity check and the
+/// build therefore see exactly the same links. Sorting is the only
+/// per-layout set-up: no grid cells to size, fill or allocate.
+///
+/// Every pair in range has a covering level: `d_max_sq` is a value
+/// whose rounded square root is at most `d_max`, and a squared distance
+/// no greater than it has a rounded root, its distance, no greater
+/// either (`sqrt` is monotone and correctly rounded). For binary64,
+/// `sqrt(fl(d²)) = d` whenever `fl(d²)` neither overflows nor is
+/// subnormal, so `d_max_sq` is `fl(d_max²)` itself for any range from
+/// about `1.5e-154` m to `1.3e154` m, the paper's included.
+#[derive(Debug, Default)]
+pub(crate) struct LinkScan {
+    /// `(location, node)` in increasing x: posts `0..n`, then the base
+    /// station as node `n`.
+    by_x: Vec<(Point, usize)>,
+    /// Each node's index in `by_x`.
+    slot: Vec<usize>,
+    /// `fl(d_max²)`, stepped down to the largest value whose rounded
+    /// square root is at most `d_max` where that square overflows or is
+    /// subnormal.
+    d_max_sq: f64,
+    /// By `by_x` index: whether the last [`stranded`](Self::stranded)
+    /// search reached the node.
+    reached: Vec<bool>,
+    stack: Vec<usize>,
+}
+
+impl LinkScan {
+    /// Loads a layout: `posts` as nodes `0..posts.len()`, the base
+    /// station as node `posts.len()`, and the maximum range `d_max`.
+    pub(crate) fn load(&mut self, posts: &[Point], base_station: Point, d_max: f64) {
+        self.by_x.clear();
+        self.by_x.extend(posts.iter().copied().zip(0..));
+        self.by_x.push((base_station, posts.len()));
+        self.by_x.sort_unstable_by(|a, b| a.0.x.total_cmp(&b.0.x));
+        self.slot.clear();
+        self.slot.resize(self.by_x.len(), 0);
+        for (s, &(_, node)) in self.by_x.iter().enumerate() {
+            self.slot[node] = s;
         }
+        let mut d_max_sq = d_max * d_max;
+        while d_max_sq.sqrt() > d_max {
+            d_max_sq = d_max_sq.next_down();
+        }
+        self.d_max_sq = d_max_sq;
     }
-    (0..posts).filter(|&p| !reached[p]).collect()
+
+    /// Searches from the base station over the link rule and returns how
+    /// many posts it cannot reach, stopping once it has reached them all.
+    /// Nothing is allocated once the buffers have grown to the layout's
+    /// size.
+    pub(crate) fn stranded(&mut self) -> usize {
+        let LinkScan {
+            by_x,
+            slot,
+            d_max_sq,
+            reached,
+            stack,
+        } = self;
+        let d_max_sq = *d_max_sq;
+        reached.clear();
+        reached.resize(by_x.len(), false);
+        let root = slot[by_x.len() - 1];
+        reached[root] = true;
+        stack.clear();
+        stack.push(root);
+        let mut left = by_x.len() - 1;
+        while left > 0 {
+            let Some(s) = stack.pop() else { break };
+            let p = by_x[s].0;
+            for_each_candidate(by_x, d_max_sq, s, |w| {
+                // A reached node needs no range test.
+                if !reached[w] && in_range(p, by_x[w].0, d_max_sq) {
+                    reached[w] = true;
+                    left -= 1;
+                    stack.push(w);
+                }
+            });
+        }
+        left
+    }
+
+    /// The posts the last [`stranded`](Self::stranded) search did not
+    /// reach, in increasing order: what a build of the layout reports as
+    /// [`BuildError::Disconnected`].
+    pub(crate) fn unreachable(&self) -> Vec<usize> {
+        (0..self.by_x.len() - 1)
+            .filter(|&p| !self.reached[self.slot[p]])
+            .collect()
+    }
+}
+
+/// Calls `f` with the index of every other node in `by_x` whose x-gap to
+/// the node at `s` does not alone rule out the link rule: the run around
+/// `s` up to the first node on each side whose squared x-gap exceeds
+/// `d_max_sq`.
+fn for_each_candidate(by_x: &[(Point, usize)], d_max_sq: f64, s: usize, mut f: impl FnMut(usize)) {
+    let x = by_x[s].0.x;
+    for (w, &(q, _)) in by_x.iter().enumerate().skip(s + 1) {
+        let dx = q.x - x;
+        if dx * dx > d_max_sq {
+            break;
+        }
+        f(w);
+    }
+    for (w, &(q, _)) in by_x[..s].iter().enumerate().rev() {
+        let dx = x - q.x;
+        if dx * dx > d_max_sq {
+            break;
+        }
+        f(w);
+    }
 }
 
 /// Builder for explicit instances: hand-specified links with per-bit
@@ -735,6 +863,114 @@ impl InstanceBuilder {
     }
 }
 
+/// The geometric build as it ran before the sorted link scan: a grid
+/// index query per post gives the link list, a search over that list
+/// decides connectivity, and the energy graph confirms it. Test oracle
+/// only.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use wrsn_energy::LevelIdx;
+    use wrsn_geom::GridIndex;
+
+    /// `(post, node, level)` for every post and each other post or the
+    /// base station within `d_max`, from one grid query per post.
+    pub(crate) fn links(b: &GeometricInstanceBuilder) -> Vec<(usize, usize, LevelIdx)> {
+        let mut out = Vec::new();
+        let d_max = b.levels.max_range();
+        let mut all_points = b.posts.clone();
+        all_points.push(b.base_station);
+        let index = GridIndex::new(&all_points, d_max.max(1e-9));
+        for (u, &pu) in b.posts.iter().enumerate() {
+            for v in index.within(pu, d_max) {
+                if v == u {
+                    continue;
+                }
+                if let Some(level) = b.levels.level_for_distance(pu.distance(all_points[v])) {
+                    out.push((u, v, level));
+                }
+            }
+        }
+        out
+    }
+
+    /// The posts `0..posts` that cannot reach the base station (index
+    /// `posts`) over a link list, in increasing order.
+    pub(crate) fn unreachable_posts(
+        posts: usize,
+        links: &[(usize, usize, LevelIdx)],
+    ) -> Vec<usize> {
+        let mut senders = vec![Vec::new(); posts + 1];
+        for &(u, v, _) in links {
+            senders[v].push(u);
+        }
+        let mut reached = vec![false; posts + 1];
+        reached[posts] = true;
+        let mut stack = vec![posts];
+        while let Some(v) = stack.pop() {
+            for &u in &senders[v] {
+                if !reached[u] {
+                    reached[u] = true;
+                    stack.push(u);
+                }
+            }
+        }
+        (0..posts).filter(|&p| !reached[p]).collect()
+    }
+
+    /// The energy graph's verdict on `uplinks`: `None` when every post
+    /// reaches the base station, else the posts its shortest paths miss.
+    pub(crate) fn disconnected(uplinks: &[Vec<(usize, Energy)>], rx: Energy) -> Option<Vec<usize>> {
+        let n = uplinks.len();
+        let mut g = Digraph::new(n + 1);
+        for (u, links) in uplinks.iter().enumerate() {
+            for &(v, tx) in links {
+                let w = if v == n { tx } else { tx + rx };
+                g.add_edge(u, v, w.as_njoules());
+            }
+        }
+        if g.all_reach(n) {
+            return None;
+        }
+        let sp = wrsn_graph::dijkstra_to(&g, n);
+        Some((0..n).filter(|&p| sp.distance(p).is_none()).collect())
+    }
+
+    /// The full build: the link list priced per level, then validated
+    /// with the energy graph's connectivity verdict.
+    pub(crate) fn build(b: GeometricInstanceBuilder) -> Result<Instance, BuildError> {
+        let links = links(&b);
+        let energies = b.levels.energies(&b.radio);
+        let mut uplinks: Vec<Vec<(usize, Energy)>> = vec![Vec::new(); b.posts.len()];
+        for &(u, v, level) in &links {
+            uplinks[u].push((v, energies[level]));
+        }
+        for up in &mut uplinks {
+            up.sort_unstable_by_key(|&(v, _)| v);
+        }
+        check_budget(b.posts.len(), b.num_nodes, b.max_nodes_per_post)?;
+        if let Some(unreachable) = disconnected(&uplinks, b.radio.rx_energy()) {
+            return Err(BuildError::Disconnected { unreachable });
+        }
+        let n = b.posts.len();
+        Ok(Instance {
+            uplinks,
+            rx_energy: b.radio.rx_energy(),
+            num_nodes: b.num_nodes,
+            charge: b.charge,
+            max_nodes_per_post: b.max_nodes_per_post,
+            report_rates: b.report_rates.unwrap_or_else(|| vec![1.0; n]),
+            sensing: b.sensing.unwrap_or_else(|| vec![Energy::ZERO; n]),
+            geometry: Some(Geometry {
+                posts: b.posts,
+                base_station: b.base_station,
+                levels: b.levels,
+                radio: b.radio,
+            }),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -783,17 +1019,17 @@ mod tests {
     fn geometric_links_match_an_all_pairs_scan() {
         // Every pair within d_max links at the weakest covering level and
         // costs that level's transmission energy; a draw is disconnected
-        // exactly when the link structure strands some post.
+        // exactly when the scan's search strands some post, and both
+        // agree with the grid-and-link-list build they replace.
         let levels = TxLevels::icdcs2010();
         let radio = RadioParams::icdcs2010();
         let d_max = levels.max_range();
         let (mut built, mut stranded) = (0, 0);
-        for (posts, field) in [(100, 500.0), (20, 300.0), (8, 200.0)] {
+        let mut scan = LinkScan::default();
+        for (posts, field) in [(100, 500.0), (20, 300.0), (8, 200.0), (200, 500.0)] {
             for seed in 0..10 {
                 let points = Field::square(field).random_posts(posts, seed);
                 let builder = GeometricInstanceBuilder::new(points.clone(), posts as u32);
-                let mut links = Vec::new();
-                builder.links(&mut links);
                 let mut all = points.clone();
                 all.push(Point::ORIGIN);
                 let want: Vec<Vec<(usize, Energy)>> = points
@@ -810,28 +1046,32 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                for (u, up) in want.iter().enumerate() {
-                    let mut targets: Vec<usize> = links
-                        .iter()
-                        .filter(|&&(from, _, _)| from == u)
-                        .map(|&(_, v, _)| v)
-                        .collect();
-                    targets.sort_unstable();
-                    let want_targets: Vec<usize> = up.iter().map(|&(v, _)| v).collect();
-                    assert_eq!(targets, want_targets, "post {u}");
-                }
-                let unreachable = unreachable_posts(posts, &links);
-                match builder.build() {
+                scan.load(&points, Point::ORIGIN, d_max);
+                let left = scan.stranded();
+                assert_eq!(left, scan.unreachable().len());
+                let links = reference::links(&builder);
+                assert_eq!(
+                    scan.unreachable(),
+                    reference::unreachable_posts(posts, &links)
+                );
+                let got = builder.clone().build();
+                assert_eq!(got, reference::build(builder));
+                match got {
                     Ok(inst) => {
                         built += 1;
-                        assert!(unreachable.is_empty());
+                        assert_eq!(left, 0);
                         for (u, up) in want.iter().enumerate() {
                             assert_eq!(inst.uplinks(u), &up[..], "post {u}");
                         }
                     }
                     Err(e) => {
                         stranded += 1;
-                        assert_eq!(e, BuildError::Disconnected { unreachable });
+                        assert_eq!(
+                            e,
+                            BuildError::Disconnected {
+                                unreachable: scan.unreachable()
+                            }
+                        );
                     }
                 }
             }
@@ -842,6 +1082,174 @@ mod tests {
         );
     }
 
+    /// Builds `posts` around `bs` both ways and checks the new build
+    /// against the reference, returning the new result.
+    fn build_both(posts: Vec<Point>, bs: Point) -> Result<Instance, BuildError> {
+        build_both_at(posts, bs, TxLevels::icdcs2010())
+    }
+
+    /// [`build_both`] with the level set `levels`.
+    fn build_both_at(
+        posts: Vec<Point>,
+        bs: Point,
+        levels: TxLevels,
+    ) -> Result<Instance, BuildError> {
+        let n = posts.len();
+        let builder = GeometricInstanceBuilder::new(posts.clone(), n as u32)
+            .base_station(bs)
+            .levels(levels);
+        let mut scan = LinkScan::default();
+        scan.load(&posts, bs, builder.levels.max_range());
+        let left = scan.stranded();
+        let links = reference::links(&builder);
+        assert_eq!(scan.unreachable(), reference::unreachable_posts(n, &links));
+        assert_eq!(left, scan.unreachable().len());
+        let got = builder.clone().build();
+        assert_eq!(got, reference::build(builder));
+        got
+    }
+
+    #[test]
+    fn links_at_exactly_d_max_and_one_ulp_beyond() {
+        // d_max = 75 m. A 3-4-5 triangle puts (45, 60) exactly 75 m from
+        // the base station at the origin, and (120, 60) exactly 75 m
+        // from it; one ulp further out, either pair falls out of range.
+        let origin = Point::ORIGIN;
+        let top = TxLevels::icdcs2010().count() - 1;
+        let at = |x: f64, y: f64| Point::new(x, y);
+        for (posts, bs, unreachable) in [
+            (vec![at(75.0, 0.0)], origin, vec![]),
+            (vec![at(0.0, 75.0)], origin, vec![]),
+            (vec![at(45.0, 60.0)], origin, vec![]),
+            (vec![at(75f64.next_up(), 0.0)], origin, vec![0]),
+            (vec![at(0.0, 75f64.next_up())], origin, vec![0]),
+            (vec![at(45.0, 60.0), at(120.0, 60.0)], origin, vec![]),
+            (
+                vec![at(45.0, 60.0), at(120f64.next_up(), 60.0)],
+                origin,
+                vec![1],
+            ),
+            (
+                vec![at(45.0, 60.0), at(120.0, 60.0), at(195f64.next_up(), 60.0)],
+                origin,
+                vec![2],
+            ),
+            // The base station to the right of its posts: the scan's
+            // leftward half decides these.
+            (vec![at(125.0, 0.0)], at(200.0, 0.0), vec![]),
+            (vec![at(125f64.next_down(), 0.0)], at(200.0, 0.0), vec![0]),
+            (vec![at(50.0, 0.0), at(125.0, 0.0)], at(200.0, 0.0), vec![]),
+            (
+                vec![at(125.0 - 75f64.next_up(), 0.0), at(125.0, 0.0)],
+                at(200.0, 0.0),
+                vec![0],
+            ),
+            // Equal x, so only the y-gap separates the pair.
+            (vec![at(10.0, 75.0), at(10.0, 0.0)], at(10.0, 0.0), vec![]),
+            (
+                vec![at(10.0, 75f64.next_up()), at(10.0, 0.0)],
+                at(10.0, 0.0),
+                vec![0],
+            ),
+        ] {
+            let got = build_both(posts.clone(), bs);
+            if unreachable.is_empty() {
+                let inst = got.unwrap_or_else(|e| panic!("{posts:?}: {e}"));
+                // The last post's farthest partner is exactly d_max away
+                // and links at the top level.
+                let p = posts.len() - 1;
+                let far = inst.uplinks(p).iter().map(|&(_, e)| e).max().unwrap();
+                let radio = RadioParams::icdcs2010();
+                assert_eq!(far, radio.tx_energy(TxLevels::icdcs2010().range(top)));
+            } else {
+                assert_eq!(
+                    got,
+                    Err(BuildError::Disconnected { unreachable }),
+                    "{posts:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_link_has_a_covering_level_at_extreme_ranges() {
+        // Ranges whose square is subnormal (1e-160, 3e-158 m) or
+        // overflows (1.5e154, 1e300 m) step `d_max_sq` down until its
+        // root is within `d_max`; the others keep `fl(d_max²)`. Either
+        // way every pair in range has a covering level and the scan
+        // reaches exactly the posts the grid reference does. Where the
+        // top level's energy is finite, the builds agree in full.
+        let at = |x: f64, y: f64| Point::new(x, y);
+        for d in [1e-160, 3e-158, 1e-100, 75.0, 1e100, 1e154, 1.5e154, 1e300] {
+            let levels = TxLevels::new(vec![0.5 * d, d]);
+            for posts in [
+                vec![at(d, 0.0)],
+                vec![at(0.0, d)],
+                vec![at(0.6 * d, 0.8 * d)],
+                vec![at(d.next_up(), 0.0)],
+                vec![at(d, 0.0), at(d, d)],
+                vec![at(0.5 * d, 0.0), at(0.5 * d, 0.5 * d), at(d, d)],
+            ] {
+                let mut scan = LinkScan::default();
+                scan.load(&posts, Point::ORIGIN, d);
+                assert!(scan.d_max_sq.sqrt() <= d, "{d}");
+                if (1e-150..1e150).contains(&d) {
+                    assert_eq!(scan.d_max_sq, d * d, "{d}");
+                }
+                for s in 0..scan.by_x.len() {
+                    let p = scan.by_x[s].0;
+                    for_each_candidate(&scan.by_x, scan.d_max_sq, s, |w| {
+                        let q = scan.by_x[w].0;
+                        if in_range(p, q, scan.d_max_sq) {
+                            assert!(levels.level_for_distance(p.distance(q)).is_some());
+                        }
+                    });
+                }
+                if RadioParams::icdcs2010().tx_energy(d).is_finite() {
+                    let _ = build_both_at(posts, Point::ORIGIN, levels.clone());
+                } else {
+                    scan.stranded();
+                    let builder =
+                        GeometricInstanceBuilder::new(posts.clone(), 3).levels(levels.clone());
+                    let links = reference::links(&builder);
+                    assert_eq!(
+                        scan.unreachable(),
+                        reference::unreachable_posts(posts.len(), &links)
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The uplink search accepts exactly the explicit instances the
+        /// energy graph connects, and a rejected build names the posts
+        /// the graph's shortest paths miss.
+        #[test]
+        fn validate_connectivity_matches_the_energy_graph(
+            n in 1usize..30,
+            links in proptest::collection::vec((0usize..30, 0usize..31, 0.0f64..100.0), 0..90),
+        ) {
+            let mut builder = InstanceBuilder::new(n, n as u32).rx_energy(Energy::from_njoules(2.0));
+            let mut uplinks = vec![Vec::new(); n];
+            for (u, v, tx) in links {
+                let (u, v) = (u % n, v % (n + 1));
+                if u != v {
+                    builder = builder.uplink(u, v, Energy::from_njoules(tx));
+                    uplinks[u].push((v, Energy::from_njoules(tx)));
+                }
+            }
+            let got = builder.build();
+            match reference::disconnected(&uplinks, Energy::from_njoules(2.0)) {
+                None => proptest::prop_assert!(got.is_ok(), "{got:?}"),
+                Some(unreachable) => proptest::prop_assert_eq!(
+                    got,
+                    Err(BuildError::Disconnected { unreachable })
+                ),
+            }
+        }
+    }
+
     #[test]
     fn geometric_build_detects_disconnection() {
         let posts = vec![Point::new(20.0, 0.0), Point::new(500.0, 500.0)];
@@ -850,6 +1258,24 @@ mod tests {
             err,
             BuildError::Disconnected {
                 unreachable: vec![1]
+            }
+        );
+    }
+
+    #[test]
+    fn non_finite_posts_link_to_nothing() {
+        let posts = vec![
+            Point::new(20.0, 0.0),
+            Point::new(f64::INFINITY, 0.0),
+            Point::new(40.0, f64::NEG_INFINITY),
+            Point::new(f64::NAN, 5.0),
+            Point::new(f64::INFINITY, 0.0),
+        ];
+        let err = GeometricInstanceBuilder::new(posts, 5).build().unwrap_err();
+        assert_eq!(
+            err,
+            BuildError::Disconnected {
+                unreachable: vec![1, 2, 3, 4]
             }
         );
     }

@@ -73,7 +73,7 @@ pub use instance::{
     ChargeSpec, GainKind, GeometricInstanceBuilder, Geometry, Instance, InstanceBuilder, PostId,
 };
 pub use rfh::{AllocatorKind, MergePolicy, Rfh, RfhReport, WorkloadMetric};
-pub use routing::{RoutingTree, TreeError};
+pub use routing::{per_post_energy_into, RoutingTree, TreeError};
 pub use sampler::InstanceSampler;
 pub use scenario::ScenarioSpec;
 pub use solution::Solution;

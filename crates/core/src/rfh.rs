@@ -147,7 +147,20 @@ impl Rfh {
         // One adjacency build and one set of Dijkstra scratch buffers
         // amortized over every iteration (mirrors `CostEvaluator`).
         let mut scratch = PhaseOneScratch::new(instance);
-        for _ in 0..self.iterations {
+        // Each pass's input deployment. A pass reads nothing else, so
+        // once an input repeats, every later pass repeats the cycle that
+        // began there; `best` changes only on a strict improvement, which
+        // a repeated cost cannot be.
+        let mut inputs: Vec<Deployment> = Vec::with_capacity(self.iterations);
+        while history.len() < self.iterations {
+            if let Some(start) = inputs.iter().position(|seen| *seen == dep) {
+                let period = history.len() - start;
+                while history.len() < self.iterations {
+                    history.push(history[history.len() - period]);
+                }
+                break;
+            }
+            inputs.push(dep.clone());
             let tree = self.build_tree(instance, &dep, &mut scratch)?;
             let weights = self.workload_weights(instance, &tree);
             // The paper's Lagrange method and the m-proportional greedy
@@ -1009,6 +1022,117 @@ mod tests {
                     inst.num_nodes(),
                     inst.max_nodes_per_post(),
                 ));
+            }
+        }
+    }
+
+    /// iRFH as it ran before the repeated-input stop: every pass run.
+    fn solve_every_pass(solver: &Rfh, instance: &Instance) -> RfhReport {
+        let mut dep = Deployment::ones(instance.num_posts());
+        let mut scratch = PhaseOneScratch::new(instance);
+        let mut history = Vec::new();
+        let mut best: Option<Solution> = None;
+        for _ in 0..solver.iterations {
+            let tree = solver.build_tree(instance, &dep, &mut scratch).unwrap();
+            let weights = solver.workload_weights(instance, &tree);
+            let (total, cap) = (instance.num_nodes(), instance.max_nodes_per_post());
+            let counts = match (solver.allocator, instance.charge().gain()) {
+                (AllocatorKind::LagrangeRounding, GainKind::Linear) => {
+                    lagrange_allocate(&weights, total, cap)
+                }
+                (AllocatorKind::GreedyMarginal, GainKind::Linear) => {
+                    greedy_allocate(&weights, total, cap)
+                }
+                _ => greedy_allocate_by_efficiency(&weights, total, cap, |m| {
+                    instance.charge_efficiency(m)
+                }),
+            };
+            dep = Deployment::new(counts);
+            let sol = Solution::evaluated(solver.name(), instance, dep.clone(), tree);
+            history.push(sol.total_cost());
+            if best
+                .as_ref()
+                .is_none_or(|b| sol.total_cost() < b.total_cost())
+            {
+                best = Some(sol);
+            }
+        }
+        RfhReport {
+            cost_history: history,
+            best: best.unwrap(),
+        }
+    }
+
+    fn history_bits(report: &RfhReport) -> Vec<u64> {
+        report
+            .cost_history()
+            .iter()
+            .map(|c| c.as_njoules().to_bits())
+            .collect()
+    }
+
+    /// Asserts the stopped run reports exactly what running every pass
+    /// reports, and returns its history.
+    fn assert_every_pass_agrees(solver: &Rfh, inst: &Instance) -> Vec<u64> {
+        let got = solver.solve_with_report(inst).unwrap();
+        let want = solve_every_pass(solver, inst);
+        assert_eq!(history_bits(&got), history_bits(&want));
+        assert_eq!(got.best(), want.best());
+        history_bits(&got)
+    }
+
+    #[test]
+    fn repeated_input_stop_matches_every_pass_on_the_fig6_grid() {
+        // The Fig. 6 configuration, at the default 7 passes and at 15,
+        // where most runs replay a cycle for many passes.
+        let mut replayed = 0;
+        for seed in 0..6 {
+            let inst = InstanceSampler::new(Field::square(500.0), 100, 400).sample(seed);
+            for passes in [7, 15] {
+                let history = assert_every_pass_agrees(&Rfh::iterative(passes), &inst);
+                replayed += usize::from(history[passes - 1] == history[passes - 3]);
+            }
+        }
+        assert!(replayed > 0, "no run settled into a cycle");
+    }
+
+    #[test]
+    fn a_two_cycle_from_the_first_pass_replays_exactly() {
+        // Seed 2 at 20 posts / 60 nodes / 300 m: the second pass maps
+        // the first pass's output to a deployment that maps straight
+        // back to it, so the cost alternates from the first pass, the
+        // fourth pass's input repeats the second's, and passes 4 to 7
+        // are replayed.
+        let inst = InstanceSampler::new(Field::square(300.0), 20, 60).sample(2);
+        let history = assert_every_pass_agrees(&Rfh::iterative(7), &inst);
+        assert_ne!(history[0], history[1]);
+        for k in 2..7 {
+            assert_eq!(history[k], history[k % 2], "pass {k}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// Same history bits and best solution as running every pass,
+        /// over random sampled instances, pass counts and allocators.
+        #[test]
+        fn repeated_input_stop_matches_every_pass(
+            posts in 4usize..40,
+            spare in 0u32..80,
+            side in 0usize..4,
+            seed in 0u64..1_000_000,
+            passes in 1usize..12,
+            greedy in proptest::prelude::any::<bool>(),
+        ) {
+            let field = [150.0, 200.0, 250.0, 300.0][side];
+            let sampler = InstanceSampler::new(Field::square(field), posts, posts as u32 + spare);
+            if let Ok(inst) = sampler.try_sample(seed) {
+                let allocator = if greedy {
+                    AllocatorKind::GreedyMarginal
+                } else {
+                    AllocatorKind::LagrangeRounding
+                };
+                assert_every_pass_agrees(&Rfh::iterative(passes).allocator(allocator), &inst);
             }
         }
     }

@@ -207,16 +207,9 @@ impl RoutingTree {
     /// per post this equals [`RoutingTree::descendant_counts`].
     #[must_use]
     pub fn descendant_rate_sums(&self, instance: &Instance) -> Vec<f64> {
-        let n = self.parent.len();
-        let mut inflow = vec![0.0; n];
-        for p in 0..n {
-            let rate = instance.report_rate(p);
-            let mut cur = self.parent[p];
-            while cur != self.bs {
-                inflow[cur] += rate;
-                cur = self.parent[cur];
-            }
-        }
+        let mut inflow = Vec::new();
+        rate_sums_into(instance, &self.parent, &mut inflow)
+            .expect("validated routing trees have no loops");
         inflow
     }
 
@@ -233,15 +226,79 @@ impl RoutingTree {
     /// it separately.
     #[must_use]
     pub fn per_post_energy(&self, instance: &Instance) -> Vec<Energy> {
-        let inflow = self.descendant_rate_sums(instance);
-        (0..self.parent.len())
-            .map(|p| {
-                let w = inflow[p];
-                self.tx_energy(instance, p) * (instance.report_rate(p) + w)
-                    + instance.rx_energy() * w
-            })
-            .collect()
+        let (mut inflow, mut energy) = (Vec::new(), Vec::new());
+        per_post_energy_into(instance, &self.parent, &mut inflow, &mut energy)
+            .expect("validated routing trees have no loops");
+        energy
     }
+}
+
+/// [`RoutingTree::per_post_energy`] of the routing `parent` (one next
+/// hop per post, as in [`RoutingTree::parents`]) into caller buffers,
+/// without building or validating a tree: `inflow` receives
+/// [`RoutingTree::descendant_rate_sums`] and `energy` the per-post
+/// energies, both cleared first. A caller scoring many routings reuses
+/// the buffers.
+///
+/// # Errors
+///
+/// [`TreeError::Cycle`] naming the lowest post whose parent pointers
+/// never reach the base station, as [`RoutingTree::new`] reports it.
+///
+/// # Panics
+///
+/// Panics if `parent` has the wrong length or names a link that does not
+/// exist in `instance`.
+pub fn per_post_energy_into(
+    instance: &Instance,
+    parent: &[usize],
+    inflow: &mut Vec<f64>,
+    energy: &mut Vec<Energy>,
+) -> Result<(), TreeError> {
+    rate_sums_into(instance, parent, inflow)?;
+    energy.clear();
+    energy.extend(
+        parent
+            .iter()
+            .zip(inflow.iter())
+            .enumerate()
+            .map(|(p, (&q, &w))| {
+                let tx = instance
+                    .tx_energy(p, q)
+                    .expect("validated routing tree uses existing links");
+                tx * (instance.report_rate(p) + w) + instance.rx_energy() * w
+            }),
+    );
+    Ok(())
+}
+
+/// Fills `inflow` with the report rate each post forwards for its
+/// descendants under `parent`, or names the lowest post whose walk
+/// toward the base station loops.
+fn rate_sums_into(
+    instance: &Instance,
+    parent: &[usize],
+    inflow: &mut Vec<f64>,
+) -> Result<(), TreeError> {
+    let n = parent.len();
+    assert_eq!(n, instance.num_posts(), "one parent per post");
+    let bs = instance.bs();
+    inflow.clear();
+    inflow.resize(n, 0.0);
+    for p in 0..n {
+        let rate = instance.report_rate(p);
+        let mut cur = parent[p];
+        let mut hops = 0;
+        while cur != bs {
+            hops += 1;
+            if hops > n {
+                return Err(TreeError::Cycle { post: p });
+            }
+            inflow[cur] += rate;
+            cur = parent[cur];
+        }
+    }
+    Ok(())
 }
 
 impl fmt::Display for RoutingTree {
@@ -368,6 +425,33 @@ mod tests {
         let t = RoutingTree::new(vec![4, 0, 0, 1], &inst).unwrap();
         assert_eq!(t.per_post_energy(&inst)[2], e(16.0));
         assert_eq!(t.descendant_counts(), vec![3, 1, 0, 0]);
+    }
+
+    #[test]
+    fn in_place_energy_matches_the_tree_and_reports_its_loops() {
+        let inst = fixture();
+        let (mut inflow, mut energy) = (vec![9.0], vec![e(9.0)]);
+        for parents in [vec![4, 0, 1, 1], vec![4, 0, 0, 1]] {
+            let t = RoutingTree::new(parents.clone(), &inst).unwrap();
+            per_post_energy_into(&inst, &parents, &mut inflow, &mut energy).unwrap();
+            assert_eq!(energy, t.per_post_energy(&inst));
+            assert_eq!(inflow, t.descendant_rate_sums(&inst));
+        }
+        // 1 -> 2 -> 1 loops; post 3 only feeds it. Both name post 1.
+        let inst = InstanceBuilder::new(4, 4)
+            .uplink(0, 4, e(1.0))
+            .bidi_link(1, 2, e(1.0))
+            .uplink(1, 0, e(1.0))
+            .uplink(3, 1, e(1.0))
+            .build()
+            .unwrap();
+        let looping = vec![4, 2, 1, 1];
+        let got = per_post_energy_into(&inst, &looping, &mut inflow, &mut energy);
+        assert_eq!(got, Err(TreeError::Cycle { post: 1 }));
+        assert_eq!(
+            got.unwrap_err(),
+            RoutingTree::new(looping, &inst).unwrap_err()
+        );
     }
 
     #[test]

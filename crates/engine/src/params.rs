@@ -25,6 +25,18 @@ fn default_eta() -> f64 {
     1.0
 }
 
+/// The most posts a sampled instance may have: five times the paper's
+/// largest field (200). Links grow with the square of the post count, so
+/// the cap bounds them too: in the worst case every pair is in range
+/// (as at [`MAX_LEVELS`] in the default field) and an instance at the
+/// cap holds 10⁶ uplinks, 16 MB; a solve of it peaks at 50–80 MB.
+pub const MAX_POSTS: usize = 1_000;
+
+/// The most transmit levels a sampled instance may have (25 m apart, so
+/// up to a 25 km range). The paper uses 3 to 6; the cap keeps a request
+/// from sizing the level table by an arbitrary count.
+pub const MAX_LEVELS: usize = 1_000;
+
 /// The instance-shaping parameters accepted by every front end: post
 /// and node counts, field side length, transmit-level count, charging
 /// efficiency, an optional per-post node cap, and an optional pinned
@@ -99,7 +111,10 @@ impl InstanceParams {
     ///
     /// # Errors
     ///
-    /// [`EngineError::InvalidRequest`] for out-of-range parameters;
+    /// [`EngineError::InvalidRequest`] for out-of-range parameters,
+    /// naming the parameter: counts and levels must be positive, `field`
+    /// positive and finite, `posts` at most [`MAX_POSTS`] and `levels` at
+    /// most [`MAX_LEVELS`];
     /// [`EngineError::Build`] when a pinned spec describes an invalid
     /// instance.
     pub fn source(&self) -> Result<InstanceSource, EngineError> {
@@ -116,6 +131,24 @@ impl InstanceParams {
             return Err(EngineError::InvalidRequest(
                 "posts, nodes, field and levels must be positive".to_string(),
             ));
+        }
+        if !self.field.is_finite() {
+            return Err(EngineError::InvalidRequest(format!(
+                "field must be a finite side length in meters, got {}",
+                self.field
+            )));
+        }
+        if self.posts > MAX_POSTS {
+            return Err(EngineError::InvalidRequest(format!(
+                "posts must be at most {MAX_POSTS}, got {}",
+                self.posts
+            )));
+        }
+        if self.levels > MAX_LEVELS {
+            return Err(EngineError::InvalidRequest(format!(
+                "levels must be at most {MAX_LEVELS}, got {}",
+                self.levels
+            )));
         }
         if !(self.eta > 0.0 && self.eta <= 1.0) {
             return Err(EngineError::InvalidRequest(format!(
@@ -174,6 +207,62 @@ mod tests {
             ..InstanceParams::default()
         };
         assert!(matches!(zero.source(), Err(EngineError::InvalidRequest(_))));
+    }
+
+    #[test]
+    fn non_finite_fields_and_huge_counts_are_rejected_by_name() {
+        let reject = |p: InstanceParams, name: &str| {
+            let Err(EngineError::InvalidRequest(msg)) = p.source() else {
+                panic!("{p:?} must be rejected");
+            };
+            assert!(msg.starts_with(name), "{msg}");
+        };
+        for field in [f64::INFINITY, f64::NAN] {
+            reject(
+                InstanceParams {
+                    field,
+                    ..InstanceParams::default()
+                },
+                "field",
+            );
+        }
+        reject(
+            InstanceParams {
+                posts: MAX_POSTS + 1,
+                nodes: u32::MAX,
+                ..InstanceParams::default()
+            },
+            "posts",
+        );
+        reject(
+            InstanceParams {
+                levels: MAX_LEVELS + 1,
+                ..InstanceParams::default()
+            },
+            "levels",
+        );
+        // JSON's 1e999 parses to +inf; it fails the same way.
+        let v: serde::Value = serde_json::from_str(r#"{"field":1e999}"#).unwrap();
+        reject(InstanceParams::from_value(&v).unwrap(), "field");
+    }
+
+    #[test]
+    fn the_caps_sample_and_build_with_every_pair_in_range() {
+        // MAX_LEVELS reaches 25 km, past the default field's diagonal:
+        // the worst case, where every post links to every other post and
+        // to the base station.
+        let at_caps = InstanceParams {
+            posts: MAX_POSTS,
+            nodes: MAX_POSTS as u32,
+            levels: MAX_LEVELS,
+            ..InstanceParams::default()
+        };
+        let Ok(InstanceSource::Sampled(sampler)) = at_caps.source() else {
+            panic!("the caps must be accepted");
+        };
+        let inst = sampler.try_sample(1).expect("every pair is in range");
+        let links: usize = (0..inst.num_posts()).map(|p| inst.uplinks(p).len()).sum();
+        assert_eq!(links, MAX_POSTS * MAX_POSTS);
     }
 
     #[test]

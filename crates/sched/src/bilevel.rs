@@ -11,9 +11,10 @@
 use crate::profile::EnergyProfile;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use wrsn_core::{
-    optimal_cost, CostEvaluator, Deployment, Instance, RoutingTree, ScenarioSpec, Solution,
-    SolveError, Solver,
+    optimal_cost, per_post_energy_into, CostEvaluator, Deployment, Instance, RoutingTree,
+    ScenarioSpec, Solution, SolveError, Solver,
 };
+use wrsn_energy::Energy;
 use wrsn_sim::PatrolTour;
 
 /// A stable FNV-1a digest of an instance, mixed into the bi-level
@@ -51,16 +52,13 @@ pub fn instance_digest(instance: &Instance) -> u64 {
 /// routing itself. Instances without geometry score 0 (no spatial
 /// schedule to violate), which reduces the anneal to pure cost search.
 pub(crate) fn infeasible_fraction(
-    instance: &Instance,
-    counts: &[u32],
-    tree: &RoutingTree,
+    profile: &EnergyProfile,
     spec: &ScenarioSpec,
     routes: &[(Vec<usize>, f64)],
 ) -> f64 {
     if routes.is_empty() {
         return 0.0;
     }
-    let profile = EnergyProfile::new(instance, counts, tree, spec);
     let mut bad = 0usize;
     for (members, travel_s) in routes {
         let load: f64 = members
@@ -77,7 +75,57 @@ pub(crate) fn infeasible_fraction(
             .filter(|&&p| profile.window_s[p] < cycle_s)
             .count();
     }
-    bad as f64 / instance.num_posts() as f64
+    bad as f64 / profile.window_s.len() as f64
+}
+
+/// Scores anneal candidates by `routing cost × (1 + infeasible_fraction)`
+/// in buffers reused from move to move. The shortest-path parents,
+/// per-post energies and profile are the same expressions, in the same
+/// order, as building a [`RoutingTree`] and an [`EnergyProfile::new`]
+/// for each candidate, without validating a tree or allocating per move.
+struct MoveScorer<'a> {
+    instance: &'a Instance,
+    spec: &'a ScenarioSpec,
+    routes: &'a [(Vec<usize>, f64)],
+    parents: Vec<usize>,
+    inflow: Vec<f64>,
+    per_bit: Vec<Energy>,
+    profile: EnergyProfile,
+}
+
+impl<'a> MoveScorer<'a> {
+    fn new(
+        instance: &'a Instance,
+        spec: &'a ScenarioSpec,
+        routes: &'a [(Vec<usize>, f64)],
+    ) -> Self {
+        MoveScorer {
+            instance,
+            spec,
+            routes,
+            parents: Vec::new(),
+            inflow: Vec::new(),
+            per_bit: Vec::new(),
+            profile: EnergyProfile::default(),
+        }
+    }
+
+    /// The score of `counts`, or `None` when it leaves a post unroutable.
+    fn score(&mut self, eval: &mut CostEvaluator<'_>, counts: &[u32]) -> Option<f64> {
+        let cost = eval.set_deployment(counts)?;
+        eval.parents_into(&mut self.parents);
+        per_post_energy_into(
+            self.instance,
+            &self.parents,
+            &mut self.inflow,
+            &mut self.per_bit,
+        )
+        .expect("shortest-path parents use existing links");
+        self.profile
+            .fill(self.instance, counts, &self.per_bit, self.spec);
+        let frac = infeasible_fraction(&self.profile, self.spec, self.routes);
+        Some(cost * (1.0 + frac))
+    }
 }
 
 /// Plans the fleet's route memberships and travel times once per
@@ -163,13 +211,15 @@ impl Default for SchedBilevel {
     }
 }
 
-impl Solver for SchedBilevel {
-    fn name(&self) -> &'static str {
-        "SchedBilevel"
-    }
-
+impl SchedBilevel {
+    /// The warm start and the anneal, scoring every candidate with
+    /// `objective` (`None` = unroutable).
     #[allow(clippy::needless_range_loop)] // probes every post index
-    fn solve(&self, instance: &Instance) -> Result<Solution, SolveError> {
+    fn anneal(
+        &self,
+        instance: &Instance,
+        mut objective: impl FnMut(&mut CostEvaluator<'_>, &[u32]) -> Option<f64>,
+    ) -> Result<Solution, SolveError> {
         let n = instance.num_posts();
         let cap = instance
             .max_nodes_per_post()
@@ -199,14 +249,6 @@ impl Solver for SchedBilevel {
             eval.commit_add(p);
             counts[p] += 1;
         }
-        let routes = plan_routes(instance, &self.spec);
-        let objective = |eval: &mut CostEvaluator<'_>, counts: &[u32]| -> Option<f64> {
-            let cost = eval.set_deployment(counts)?;
-            let tree = RoutingTree::new(eval.parents(), instance)
-                .expect("shortest-path parents use existing links");
-            let frac = infeasible_fraction(instance, counts, &tree, &self.spec, &routes);
-            Some(cost * (1.0 + frac))
-        };
         let mut current = objective(&mut eval, &counts).expect("warm start is routable");
         let mut best_counts = counts.clone();
         let mut best = current;
@@ -261,12 +303,149 @@ impl Solver for SchedBilevel {
     }
 }
 
+impl Solver for SchedBilevel {
+    fn name(&self) -> &'static str {
+        "SchedBilevel"
+    }
+
+    fn solve(&self, instance: &Instance) -> Result<Solution, SolveError> {
+        let routes = plan_routes(instance, &self.spec);
+        let mut scorer = MoveScorer::new(instance, &self.spec, &routes);
+        self.anneal(instance, |eval, counts| scorer.score(eval, counts))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use wrsn_core::{Idb, InstanceBuilder, InstanceSampler};
-    use wrsn_energy::Energy;
     use wrsn_geom::Field;
+
+    /// The infeasible fraction of a solved deployment and its tree.
+    fn fraction_of(
+        inst: &Instance,
+        sol: &Solution,
+        spec: &ScenarioSpec,
+        routes: &[(Vec<usize>, f64)],
+    ) -> f64 {
+        let profile = EnergyProfile::new(inst, sol.deployment().counts(), sol.tree(), spec);
+        infeasible_fraction(&profile, spec, routes)
+    }
+
+    /// The anneal's objective as it scored each move before in-place
+    /// scoring: a validated tree from fresh parents, its per-post
+    /// energies, a fresh profile and the fraction over it.
+    fn reference_objective(
+        inst: &Instance,
+        spec: &ScenarioSpec,
+        routes: &[(Vec<usize>, f64)],
+        eval: &mut CostEvaluator<'_>,
+        counts: &[u32],
+    ) -> Option<f64> {
+        let cost = eval.set_deployment(counts)?;
+        let tree = RoutingTree::new(eval.parents(), inst)
+            .expect("shortest-path parents use existing links");
+        if routes.is_empty() {
+            return Some(cost * (1.0 + 0.0));
+        }
+        let n = inst.num_posts();
+        let mut inflow = vec![0.0; n];
+        for p in 0..n {
+            let rate = inst.report_rate(p);
+            let mut cur = tree.parent(p);
+            while cur != tree.bs() {
+                inflow[cur] += rate;
+                cur = tree.parent(cur);
+            }
+        }
+        let per_bit: Vec<Energy> = (0..n)
+            .map(|p| {
+                let w = inflow[p];
+                tree.tx_energy(inst, p) * (inst.report_rate(p) + w) + inst.rx_energy() * w
+            })
+            .collect();
+        let (mut demand_w, mut window_s) = (Vec::new(), Vec::new());
+        for p in 0..n {
+            let per_round_j =
+                (per_bit[p] * spec.bits_per_report as f64 + inst.sensing_energy(p)).as_joules();
+            let watts = per_round_j / spec.round_interval_s;
+            demand_w.push(watts / inst.charge_efficiency(counts[p]));
+            let pool_j = spec.battery_j * f64::from(counts[p]);
+            window_s.push(if watts > 0.0 {
+                pool_j / watts
+            } else {
+                f64::INFINITY
+            });
+        }
+        let mut bad = 0usize;
+        for (members, travel_s) in routes {
+            let load: f64 = members
+                .iter()
+                .map(|&p| demand_w[p] / spec.charger_power_w)
+                .sum();
+            let cycle_s = if load < 1.0 {
+                travel_s / (1.0 - load)
+            } else {
+                f64::INFINITY
+            };
+            bad += members.iter().filter(|&&p| window_s[p] < cycle_s).count();
+        }
+        Some(cost * (1.0 + bad as f64 / n as f64))
+    }
+
+    #[test]
+    fn in_place_scores_match_the_reference_on_every_move() {
+        // The benchmark's bi-level size plus smaller fields, under the
+        // default scenario and a tight one where some posts are
+        // infeasible, and an explicit instance with no routes.
+        let tight = ScenarioSpec {
+            battery_j: 0.005,
+            charger_speed_mps: 1.0,
+            charger_power_w: 2.0,
+            ..ScenarioSpec::default()
+        };
+        let mut cases: Vec<(Instance, ScenarioSpec)> = Vec::new();
+        for (posts, nodes, field, seeds) in [(20, 60, 300.0, 0..4), (12, 36, 250.0, 4..6)] {
+            for seed in seeds {
+                let inst = InstanceSampler::new(Field::square(field), posts, nodes).sample(seed);
+                cases.push((inst.clone(), ScenarioSpec::default()));
+                cases.push((inst, tight.clone()));
+            }
+        }
+        let e = Energy::from_njoules(4.0);
+        let explicit = InstanceBuilder::new(3, 9)
+            .rx_energy(Energy::from_njoules(2.0))
+            .uplink(0, 3, e)
+            .uplink(1, 0, e)
+            .uplink(1, 3, Energy::from_njoules(9.0))
+            .uplink(2, 1, e)
+            .build()
+            .unwrap();
+        cases.push((explicit, ScenarioSpec::default()));
+        let mut infeasible_moves = 0;
+        for (inst, spec) in &cases {
+            let solver = SchedBilevel::new(spec.clone());
+            let routes = plan_routes(inst, spec);
+            let mut scorer = MoveScorer::new(inst, spec, &routes);
+            let mut moves = 0;
+            let sol = solver
+                .anneal(inst, |eval, counts| {
+                    let fast = scorer.score(eval, counts);
+                    let slow = reference_objective(inst, spec, &routes, eval, counts);
+                    assert_eq!(fast.map(f64::to_bits), slow.map(f64::to_bits));
+                    let cost = eval.current_cost();
+                    if fast.is_some_and(|j| j > cost) {
+                        infeasible_moves += 1;
+                    }
+                    moves += 1;
+                    fast
+                })
+                .unwrap();
+            assert_eq!(moves, spec.sa_iters as usize + 1, "{inst}");
+            assert_eq!(sol, solver.solve(inst).unwrap());
+        }
+        assert!(infeasible_moves > 0, "no move was penalized");
+    }
 
     #[test]
     fn solves_with_exact_budget_and_valid_deployment() {
@@ -344,20 +523,13 @@ mod tests {
             .map(spec_for)
             .find(|spec| {
                 let routes = plan_routes(&inst, spec);
-                let frac = infeasible_fraction(
-                    &inst,
-                    idb.deployment().counts(),
-                    idb.tree(),
-                    spec,
-                    &routes,
-                );
+                let frac = fraction_of(&inst, &idb, spec, &routes);
                 frac > 0.0 && frac < 1.0
             })
             .unwrap_or_else(|| spec_for(0.004));
         let routes = plan_routes(&inst, &spec);
         let score = |sol: &Solution| {
-            let frac =
-                infeasible_fraction(&inst, sol.deployment().counts(), sol.tree(), &spec, &routes);
+            let frac = fraction_of(&inst, sol, &spec, &routes);
             sol.total_cost().as_njoules() * (1.0 + frac)
         };
         let sched = SchedBilevel::new(spec.clone()).solve(&inst).unwrap();

@@ -8,10 +8,11 @@
 //! the bi-level annealer cannot drift apart on units.
 
 use wrsn_core::{Instance, RoutingTree, ScenarioSpec};
+use wrsn_energy::Energy;
 
 /// Per-post drain rates and charger-side demands for one routed
 /// deployment under one scenario.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct EnergyProfile {
     /// Charger output power each post needs in watts: consumed power
     /// divided by the post's charging efficiency at its node count.
@@ -32,28 +33,39 @@ impl EnergyProfile {
         tree: &RoutingTree,
         spec: &ScenarioSpec,
     ) -> Self {
-        let per_bit = tree.per_post_energy(instance);
+        let mut profile = EnergyProfile::default();
+        profile.fill(instance, counts, &tree.per_post_energy(instance), spec);
+        profile
+    }
+
+    /// Refills the profile in place from per-post traffic energies
+    /// (`RoutingTree::per_post_energy` of the routing) over `counts`
+    /// nodes per post, reusing its buffers.
+    pub(crate) fn fill(
+        &mut self,
+        instance: &Instance,
+        counts: &[u32],
+        per_bit: &[Energy],
+        spec: &ScenarioSpec,
+    ) {
         let n = instance.num_posts();
-        let mut demand_w = Vec::with_capacity(n);
-        let mut window_s = Vec::with_capacity(n);
-        let mut consumed_w = Vec::with_capacity(n);
+        for buf in [&mut self.demand_w, &mut self.window_s, &mut self.consumed_w] {
+            buf.clear();
+            buf.reserve(n);
+        }
         for p in 0..n {
             let per_round_j =
                 (per_bit[p] * spec.bits_per_report as f64 + instance.sensing_energy(p)).as_joules();
             let watts = per_round_j / spec.round_interval_s;
-            consumed_w.push(watts);
-            demand_w.push(watts / instance.charge_efficiency(counts[p]));
+            self.consumed_w.push(watts);
+            self.demand_w
+                .push(watts / instance.charge_efficiency(counts[p]));
             let pool_j = spec.battery_j * f64::from(counts[p]);
-            window_s.push(if watts > 0.0 {
+            self.window_s.push(if watts > 0.0 {
                 pool_j / watts
             } else {
                 f64::INFINITY
             });
-        }
-        EnergyProfile {
-            demand_w,
-            window_s,
-            consumed_w,
         }
     }
 

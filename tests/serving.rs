@@ -1028,3 +1028,33 @@ fn a_server_without_tenants_still_serves_anonymously() {
     );
     server.shutdown().unwrap();
 }
+
+#[test]
+fn out_of_range_instances_answer_400_and_keep_the_only_worker() {
+    // One worker: had a bad body panicked it, no worker would be left
+    // for the valid solve that follows.
+    let server = start(ApiContext::new(), 1, 16);
+    let addr = server.addr().to_string();
+    for (bad, name) in [
+        (r#"{"instance":{"field":1e999},"solver":"idb"}"#, "field"),
+        (
+            r#"{"instance":{"levels":1000000000000},"solver":"idb"}"#,
+            "levels",
+        ),
+        (
+            r#"{"instance":{"posts":4000000000,"nodes":4000000000},"solver":"idb"}"#,
+            "posts",
+        ),
+    ] {
+        let resp = post(&addr, "/v1/solve", bad);
+        assert_eq!(resp.status, 400, "{bad}: {}", resp.body);
+        assert!(resp.body.contains(name), "{bad}: {}", resp.body);
+    }
+    let ok = post(
+        &addr,
+        "/v1/solve",
+        &format!("{{{SMALL},\"solver\":\"idb\"}}"),
+    );
+    assert_eq!(ok.status, 200, "{}", ok.body);
+    server.shutdown().unwrap();
+}
