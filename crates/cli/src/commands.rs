@@ -466,30 +466,32 @@ impl InstanceOptions {
     /// Resolves the options into an engine instance source: a pinned
     /// spec when `--load` was given, a sampler otherwise.
     fn source(&self) -> Result<InstanceSource, CliError> {
-        if let Some(path) = &self.load {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::Msg(format!("reading {path}: {e}")))?;
-            let spec = InstanceSpec::from_json(&text).map_err(|e| CliError::Msg(e.to_string()))?;
-            // Validate now so the error still carries the file name.
-            spec.build()
-                .map_err(|e| CliError::Msg(format!("spec in {path}: {e}")))?;
-            Ok(InstanceSource::Spec(spec))
-        } else {
-            // The sampler recipe lives in the engine's InstanceParams so
-            // the HTTP API and the CLI resolve identical parameters to
-            // identical instances (and identical cache fingerprints).
-            let params = InstanceParams {
-                posts: self.posts,
-                nodes: self.nodes,
-                field: self.field,
-                levels: self.levels,
-                eta: self.eta,
-                cap: self.cap,
-                spec: None,
-                scenario: self.scenario.clone(),
-            };
-            params.source().map_err(CliError::from)
-        }
+        let spec = match &self.load {
+            Some(path) => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| CliError::Msg(format!("reading {path}: {e}")))?;
+                Some(InstanceSpec::from_json(&text).map_err(|e| CliError::Msg(e.to_string()))?)
+            }
+            None => None,
+        };
+        // The instance recipe lives in the engine's InstanceParams so the
+        // HTTP API and the CLI check parameters alike and resolve them to
+        // identical instances (and identical cache fingerprints).
+        let params = InstanceParams {
+            posts: self.posts,
+            nodes: self.nodes,
+            field: self.field,
+            levels: self.levels,
+            eta: self.eta,
+            cap: self.cap,
+            spec,
+            scenario: self.scenario.clone(),
+        };
+        params.source().map_err(|e| match &self.load {
+            // Keep the file name in the message.
+            Some(path) => CliError::Msg(format!("spec in {path}: {e}")),
+            None => CliError::from(e),
+        })
     }
 
     /// The solver registry for these options: the defaults, with the

@@ -1,6 +1,6 @@
-//! Out-of-range instance parameters fail closed at the command line:
-//! exit status 1 with a message naming the parameter, never a panic
-//! (status 101) or an aborted allocation (status 134).
+//! Out-of-range instance parameters and pinned specs fail closed at the
+//! command line: exit status 1 with a message naming the parameter, never
+//! a panic (status 101) or an aborted allocation (status 134).
 
 use std::process::Command;
 
@@ -35,6 +35,52 @@ fn huge_level_and_post_counts_exit_1_naming_the_count() {
         let stderr = solve_fails(&["--posts", posts, "--nodes", "4000000000"]);
         assert!(stderr.contains("posts must be at most 1000"), "{stderr}");
     }
+}
+
+#[test]
+fn huge_node_counts_exit_1_naming_nodes() {
+    // Unchecked, the first would size exhaustive search's composition
+    // count by four billion spare nodes and abort on allocation.
+    for nodes in ["4000000000", "2001"] {
+        let stderr = solve_fails(&["--algo", "exhaustive", "--posts", "5", "--nodes", nodes]);
+        assert!(stderr.contains("nodes must be at most 2000"), "{stderr}");
+    }
+}
+
+#[test]
+fn out_of_domain_pinned_specs_exit_1_naming_the_field() {
+    let dir = std::env::temp_dir().join(format!("wrsn-instance-params-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let valid = dir.join("valid.json");
+    let saved = Command::new(BIN)
+        .args([
+            "solve", "--posts", "4", "--nodes", "8", "--field", "150", "--save",
+        ])
+        .arg(&valid)
+        .output()
+        .expect("running wrsn solve");
+    assert!(saved.status.success());
+    let text = std::fs::read_to_string(&valid).unwrap();
+    for (field, corrupt, message) in [
+        ("\"eta\": 1.0", "\"eta\": 2", "eta must be in (0, 1]"),
+        (
+            "\"beta_pj\": 0.0013",
+            "\"beta_pj\": 1e308",
+            "must be finite and non-negative",
+        ),
+        (
+            "\"num_nodes\": 8",
+            "\"num_nodes\": 2001",
+            "nodes must be at most 2000",
+        ),
+    ] {
+        assert!(text.contains(field), "{text}");
+        let bad = dir.join("bad.json");
+        std::fs::write(&bad, text.replace(field, corrupt)).unwrap();
+        let stderr = solve_fails(&["--load", bad.to_str().unwrap(), "--algo", "idb"]);
+        assert!(stderr.contains(message), "{corrupt}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

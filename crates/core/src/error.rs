@@ -50,6 +50,22 @@ pub enum BuildError {
         /// Which profile.
         what: &'static str,
     },
+    /// A radio, transmit-level or charging parameter lies outside the
+    /// domain of the constructor it feeds.
+    InvalidParameter {
+        /// The parameter, as [`InstanceSpec`](crate::InstanceSpec) names
+        /// it (`eta`, `gain exponent`, `ranges_m`, …).
+        what: &'static str,
+        /// Its domain.
+        expected: &'static str,
+    },
+    /// The receive energy, or a link's transmit energy or edge weight
+    /// (tx plus rx below a post), is negative or not finite.
+    InvalidEnergy {
+        /// The first bad uplink as `(from, to)`, or `None` for the
+        /// receive energy.
+        link: Option<(usize, usize)>,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -81,6 +97,18 @@ impl fmt::Display for BuildError {
             BuildError::InvalidProfileValue { what } => {
                 write!(f, "invalid {what} (must be finite and in range)")
             }
+            BuildError::InvalidParameter { what, expected } => {
+                write!(f, "{what} must be {expected}")
+            }
+            BuildError::InvalidEnergy { link: None } => {
+                write!(f, "rx energy must be finite and non-negative")
+            }
+            BuildError::InvalidEnergy {
+                link: Some((from, to)),
+            } => write!(
+                f,
+                "energy of uplink {from} -> {to} must be finite and non-negative"
+            ),
         }
     }
 }
@@ -150,6 +178,12 @@ mod tests {
             BuildError::InvalidProfileValue {
                 what: "report rate",
             },
+            BuildError::InvalidParameter {
+                what: "eta",
+                expected: "in (0, 1]",
+            },
+            BuildError::InvalidEnergy { link: None },
+            BuildError::InvalidEnergy { link: Some((0, 3)) },
         ];
         for e in errors {
             assert!(!format!("{e}").is_empty());

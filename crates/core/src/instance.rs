@@ -70,31 +70,37 @@ impl ChargeSpec {
     /// sample not 1, decreasing, or non-positive).
     #[must_use]
     pub fn new(eta: f64, gain: GainKind) -> Self {
-        assert!(
-            eta > 0.0 && eta <= 1.0 && eta.is_finite(),
-            "eta must lie in (0, 1], got {eta}"
-        );
+        ChargeSpec::try_new(eta, gain).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Like [`ChargeSpec::new`], but returns
+    /// [`BuildError::InvalidParameter`] naming the bad parameter instead
+    /// of panicking.
+    pub(crate) fn try_new(eta: f64, gain: GainKind) -> Result<Self, BuildError> {
+        let invalid = |what, expected| Err(BuildError::InvalidParameter { what, expected });
+        if !(eta > 0.0 && eta <= 1.0) {
+            return invalid("eta", "in (0, 1]");
+        }
         match &gain {
             GainKind::Linear => {}
             GainKind::Sublinear(p) => {
-                assert!(
-                    *p > 0.0 && *p <= 1.0,
-                    "sublinear exponent must lie in (0, 1]"
-                );
+                if !(*p > 0.0 && *p <= 1.0) {
+                    return invalid("gain exponent", "in (0, 1]");
+                }
             }
             GainKind::Measured(samples) => {
-                assert!(!samples.is_empty(), "measured gain needs samples");
-                assert!(
-                    (samples[0] - 1.0).abs() < 1e-9,
-                    "measured gain must start at k(1) = 1"
-                );
-                assert!(
-                    samples.windows(2).all(|w| w[1] >= w[0]) && samples.iter().all(|&s| s > 0.0),
-                    "measured gain samples must be positive and non-decreasing"
-                );
+                let valid = samples.first().is_some_and(|k| (k - 1.0).abs() < 1e-9)
+                    && samples.windows(2).all(|w| w[1] >= w[0])
+                    && samples.iter().all(|&k| k > 0.0);
+                if !valid {
+                    return invalid(
+                        "gain samples",
+                        "positive and non-decreasing, starting at k(1) = 1",
+                    );
+                }
             }
         }
-        ChargeSpec { eta, gain }
+        Ok(ChargeSpec { eta, gain })
     }
 
     /// The single-node efficiency `η`.
@@ -374,15 +380,20 @@ fn validate(
         });
     }
     // Every link's per-bit energy (tx, plus rx below a post) is an edge
-    // weight of the cost graphs the solvers build, which must be finite
-    // and non-negative.
-    for links in &uplinks {
+    // weight of the cost graphs the solvers build. Dijkstra, the monotone
+    // bound and the branch-and-bound floors need each energy and weight
+    // finite and non-negative.
+    let valid = |e: Energy| e.is_finite() && e >= Energy::ZERO;
+    if !valid(rx_energy) {
+        return Err(BuildError::InvalidEnergy { link: None });
+    }
+    for (from, links) in uplinks.iter().enumerate() {
         for &(to, tx) in links {
-            let w = if to == n { tx } else { tx + rx_energy }.as_njoules();
-            assert!(
-                w.is_finite() && w >= 0.0,
-                "edge weight must be finite and non-negative, got {w}"
-            );
+            if !valid(tx) || !valid(if to == n { tx } else { tx + rx_energy }) {
+                return Err(BuildError::InvalidEnergy {
+                    link: Some((from, to)),
+                });
+            }
         }
     }
     let unreachable = unreachable_posts(&uplinks);
@@ -986,6 +997,52 @@ mod tests {
         assert_eq!(meas.efficiency(2), 0.75);
         assert_eq!(meas.efficiency(9), 0.75); // flat extrapolation
         assert_eq!(ChargeSpec::default(), ChargeSpec::normalized());
+    }
+
+    #[test]
+    fn negative_or_non_finite_energies_are_build_errors() {
+        let nj = Energy::from_njoules;
+        let bad_link = Err(BuildError::InvalidEnergy { link: Some((0, 1)) });
+        let negative_tx = InstanceBuilder::new(1, 1).uplink(0, 1, nj(-1.0)).build();
+        assert_eq!(negative_tx, bad_link);
+        // A negative tx is rejected even where rx lifts its weight above 0.
+        let masked = InstanceBuilder::new(2, 2)
+            .rx_energy(nj(5.0))
+            .uplink(0, 1, nj(-1.0))
+            .uplink(1, 2, nj(1.0))
+            .build();
+        assert_eq!(masked, bad_link);
+        let overflowing = InstanceBuilder::new(2, 2)
+            .rx_energy(nj(f64::MAX))
+            .uplink(0, 1, nj(f64::MAX))
+            .uplink(1, 2, nj(1.0))
+            .build();
+        assert_eq!(overflowing, bad_link);
+        for rx in [f64::INFINITY, f64::NEG_INFINITY, -2.0] {
+            let built = InstanceBuilder::new(1, 1)
+                .rx_energy(nj(rx))
+                .uplink(0, 1, nj(1.0))
+                .build();
+            assert_eq!(built, Err(BuildError::InvalidEnergy { link: None }));
+        }
+    }
+
+    #[test]
+    fn try_new_names_the_bad_charge_parameter() {
+        let what = |eta, gain| match ChargeSpec::try_new(eta, gain) {
+            Err(BuildError::InvalidParameter { what, .. }) => what,
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        };
+        assert_eq!(what(1.5, GainKind::Linear), "eta");
+        assert_eq!(what(0.5, GainKind::Sublinear(0.0)), "gain exponent");
+        assert_eq!(
+            what(0.5, GainKind::Measured(vec![1.0, 0.5])),
+            "gain samples"
+        );
+        assert_eq!(
+            ChargeSpec::try_new(0.5, GainKind::Sublinear(0.5)),
+            Ok(ChargeSpec::new(0.5, GainKind::Sublinear(0.5)))
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! | [`Rfh`] | V-A | routing-first heuristic: minimum-energy fat tree → workload-concentrated trimming → sibling merging → workload-proportional allocation; optionally iterated |
 //! | [`Idb`] | V-B | incremental deployment: add `δ` nodes per round wherever the optimally-routed cost drops most |
 //! | [`ExhaustiveSearch`] | VI-C | enumerate every deployment (small instances) |
-//! | [`BranchAndBound`] | — | exact, same answers as exhaustive, prunes with a monotonicity bound |
+//! | [`BranchAndBound`] | — | exact, same answers as exhaustive, prunes with a monotonicity bound and the posts' shared energy floors |
 //!
 //! All implement the [`Solver`] trait and return a [`Solution`] (deployment
 //! + routing tree + cost).

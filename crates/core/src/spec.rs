@@ -153,19 +153,18 @@ impl InstanceSpec {
     /// # Errors
     ///
     /// Returns a [`BuildError`] for inconsistent specs (disconnected,
-    /// budget too small, malformed profiles, …).
-    ///
-    /// # Panics
-    ///
-    /// Panics if radio/level/charge parameters are out of their domains
-    /// (e.g. non-increasing ranges) — the same contracts as the typed
-    /// constructors they feed.
+    /// budget too small, malformed profiles, …), and
+    /// [`BuildError::InvalidParameter`] naming the field for a radio,
+    /// level or charging parameter outside the domain of the constructor
+    /// it feeds, such as non-increasing ranges or an `eta` above 1.
     pub fn build(&self) -> Result<Instance, BuildError> {
         let gain = match &self.gain {
             GainSpec::Linear => GainKind::Linear,
             GainSpec::Sublinear { exponent } => GainKind::Sublinear(*exponent),
             GainSpec::Measured { samples } => GainKind::Measured(samples.clone()),
         };
+        let charge = ChargeSpec::try_new(self.eta, gain)?;
+        self.check_radio()?;
         let mut builder = GeometricInstanceBuilder::new(
             self.posts.iter().map(|&(x, y)| Point::new(x, y)).collect(),
             self.num_nodes,
@@ -177,7 +176,7 @@ impl InstanceSpec {
             self.beta_pj,
             self.gamma,
         ))
-        .charge(ChargeSpec::new(self.eta, gain));
+        .charge(charge);
         if let Some(cap) = self.max_nodes_per_post {
             builder = builder.max_nodes_per_post(cap);
         }
@@ -189,6 +188,33 @@ impl InstanceSpec {
                 .sensing_energies(sensing.iter().map(|&nj| Energy::from_njoules(nj)).collect());
         }
         builder.build()
+    }
+
+    /// Checks the ranges and radio parameters against the domains of
+    /// [`TxLevels::new`] and [`RadioParams::new`], which panic outside
+    /// them.
+    fn check_radio(&self) -> Result<(), BuildError> {
+        let invalid = |what, expected| Err(BuildError::InvalidParameter { what, expected });
+        let ranges = &self.ranges_m;
+        if ranges.is_empty()
+            || !ranges.iter().all(|d| d.is_finite() && *d > 0.0)
+            || !ranges.windows(2).all(|w| w[0] < w[1])
+        {
+            return invalid(
+                "ranges_m",
+                "non-empty, finite, positive and strictly increasing",
+            );
+        }
+        if !(self.alpha_nj >= 0.0 && self.alpha_nj.is_finite()) {
+            return invalid("alpha_nj", "finite and non-negative");
+        }
+        if !(self.beta_pj >= 0.0 && self.beta_pj.is_finite()) {
+            return invalid("beta_pj", "finite and non-negative");
+        }
+        if !(1.0..=6.0).contains(&self.gamma) {
+            return invalid("gamma", "in [1, 6]");
+        }
+        Ok(())
     }
 
     /// Serializes to pretty JSON.
@@ -278,6 +304,79 @@ mod tests {
         let mut spec = InstanceSpec::from_instance(&inst).unwrap();
         spec.num_nodes = 2; // fewer nodes than posts
         assert!(matches!(spec.build(), Err(BuildError::TooFewNodes { .. })));
+    }
+
+    #[test]
+    fn out_of_domain_parameters_are_build_errors_naming_the_field() {
+        let inst = InstanceSampler::new(Field::square(150.0), 4, 8).sample(1);
+        let valid = InstanceSpec::from_instance(&inst).unwrap();
+        type Corrupt = fn(&mut InstanceSpec);
+        let cases: Vec<(&str, Corrupt)> = vec![
+            ("eta", |s| s.eta = 2.0),
+            ("eta", |s| s.eta = 0.0),
+            ("eta", |s| s.eta = f64::NAN),
+            ("gain exponent", |s| {
+                s.gain = GainSpec::Sublinear { exponent: 1.5 }
+            }),
+            ("gain exponent", |s| {
+                s.gain = GainSpec::Sublinear { exponent: f64::NAN }
+            }),
+            ("gain samples", |s| {
+                s.gain = GainSpec::Measured { samples: vec![] }
+            }),
+            ("gain samples", |s| {
+                s.gain = GainSpec::Measured {
+                    samples: vec![2.0, 3.0],
+                }
+            }),
+            ("gain samples", |s| {
+                s.gain = GainSpec::Measured {
+                    samples: vec![1.0, 2.0, 1.5],
+                }
+            }),
+            ("gain samples", |s| {
+                s.gain = GainSpec::Measured {
+                    samples: vec![1.0, f64::NAN],
+                }
+            }),
+            ("ranges_m", |s| s.ranges_m = vec![]),
+            ("ranges_m", |s| s.ranges_m = vec![50.0, 25.0]),
+            ("ranges_m", |s| s.ranges_m = vec![25.0, f64::INFINITY]),
+            ("ranges_m", |s| s.ranges_m = vec![-1.0, 25.0]),
+            ("alpha_nj", |s| s.alpha_nj = -1.0),
+            ("alpha_nj", |s| s.alpha_nj = f64::INFINITY),
+            ("beta_pj", |s| s.beta_pj = -0.5),
+            ("beta_pj", |s| s.beta_pj = f64::NAN),
+            ("gamma", |s| s.gamma = 0.5),
+            ("gamma", |s| s.gamma = 7.0),
+        ];
+        for (field, corrupt) in cases {
+            let mut spec = valid.clone();
+            corrupt(&mut spec);
+            match spec.build() {
+                Err(BuildError::InvalidParameter { what, .. }) => assert_eq!(what, field),
+                other => panic!("{field}: expected InvalidParameter, got {other:?}"),
+            }
+        }
+        // The domains' closed ends still build.
+        let mut edge = valid;
+        edge.eta = 1.0;
+        edge.gamma = 6.0;
+        edge.alpha_nj = 0.0;
+        edge.beta_pj = 0.0;
+        assert!(edge.build().is_ok());
+    }
+
+    #[test]
+    fn an_overflowing_link_energy_is_a_build_error() {
+        // beta = 1e308 pJ makes every transmit energy +inf.
+        let inst = InstanceSampler::new(Field::square(150.0), 4, 8).sample(1);
+        let mut spec = InstanceSpec::from_instance(&inst).unwrap();
+        spec.beta_pj = 1e308;
+        assert!(matches!(
+            spec.build(),
+            Err(BuildError::InvalidEnergy { link: Some(_) })
+        ));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use experiment::{
     cache_tag, seed_fingerprint, seed_fingerprint_in, seed_fingerprint_scenario, Experiment,
     InstanceSource, SeedEvent, ENGINE_VERSION,
 };
-pub use params::{InstanceParams, MAX_LEVELS, MAX_POSTS};
+pub use params::{InstanceParams, MAX_LEVELS, MAX_NODES, MAX_POSTS};
 pub use registry::{SolverFactory, SolverRegistry};
 pub use report::{mean, save_json, std_dev, RunReport, SeedFailure, SeedRun, SummaryStats};
 pub use runner::{run_seeds, Failure, RetryPolicy, SeedOutcome, SweepRunner};

@@ -32,6 +32,15 @@ fn default_eta() -> f64 {
 /// cap holds 10⁶ uplinks, 16 MB; a solve of it peaks at 50–80 MB.
 pub const MAX_POSTS: usize = 1_000;
 
+/// The most sensor nodes an instance may have, sampled or pinned: two per
+/// post at [`MAX_POSTS`], over three times the paper's largest budget
+/// (600). Exhaustive search sizes its composition count, and
+/// branch-and-bound its floor table, by the `M − N` spare nodes. That
+/// table's build grows with `N·(M − N)²`: at 1 000 posts on a 2-vCPU VM
+/// it takes 0.3 s (8 MB) at this cap against 5.4 s for the IDB
+/// incumbent, but 20 s (72 MB) at 10 000 nodes against 45 s.
+pub const MAX_NODES: u32 = 2_000;
+
 /// The most transmit levels a sampled instance may have (25 m apart, so
 /// up to a 25 km range). The paper uses 3 to 6; the cap keeps a request
 /// from sizing the level table by an arbitrary count.
@@ -113,8 +122,9 @@ impl InstanceParams {
     ///
     /// [`EngineError::InvalidRequest`] for out-of-range parameters,
     /// naming the parameter: counts and levels must be positive, `field`
-    /// positive and finite, `posts` at most [`MAX_POSTS`] and `levels` at
-    /// most [`MAX_LEVELS`];
+    /// positive and finite, `posts` at most [`MAX_POSTS`], `nodes` (a
+    /// pinned spec's `num_nodes` too) at most [`MAX_NODES`] and `levels`
+    /// at most [`MAX_LEVELS`];
     /// [`EngineError::Build`] when a pinned spec describes an invalid
     /// instance.
     pub fn source(&self) -> Result<InstanceSource, EngineError> {
@@ -122,6 +132,7 @@ impl InstanceParams {
             scenario.validate().map_err(EngineError::InvalidRequest)?;
         }
         if let Some(spec) = &self.spec {
+            check_nodes(spec.num_nodes)?;
             // Validate eagerly so bad specs fail at request time, not
             // per seed deep inside a sweep.
             spec.build()?;
@@ -144,6 +155,7 @@ impl InstanceParams {
                 self.posts
             )));
         }
+        check_nodes(self.nodes)?;
         if self.levels > MAX_LEVELS {
             return Err(EngineError::InvalidRequest(format!(
                 "levels must be at most {MAX_LEVELS}, got {}",
@@ -164,6 +176,16 @@ impl InstanceParams {
         }
         Ok(InstanceSource::Sampled(sampler))
     }
+}
+
+/// Rejects a node budget above [`MAX_NODES`].
+fn check_nodes(nodes: u32) -> Result<(), EngineError> {
+    if nodes > MAX_NODES {
+        return Err(EngineError::InvalidRequest(format!(
+            "nodes must be at most {MAX_NODES}, got {nodes}"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -233,6 +255,32 @@ mod tests {
                 ..InstanceParams::default()
             },
             "posts",
+        );
+        reject(
+            InstanceParams {
+                posts: 5,
+                nodes: MAX_NODES + 1,
+                ..InstanceParams::default()
+            },
+            "nodes",
+        );
+        reject(
+            InstanceParams {
+                posts: 5,
+                nodes: 4_000_000_000,
+                ..InstanceParams::default()
+            },
+            "nodes",
+        );
+        let instance = InstanceSampler::new(Field::square(150.0), 5, 10).sample(7);
+        let mut spec = InstanceSpec::from_instance(&instance).unwrap();
+        spec.num_nodes = MAX_NODES + 1;
+        reject(
+            InstanceParams {
+                spec: Some(spec),
+                ..InstanceParams::default()
+            },
+            "nodes",
         );
         reject(
             InstanceParams {

@@ -3,7 +3,7 @@
 
 use wrsn::core::{
     optimal_cost, tree_cost, BranchAndBound, CostEvaluator, ExhaustiveSearch, Idb, InstanceSampler,
-    Rfh, Solver,
+    Rfh, SolveError, Solver,
 };
 use wrsn::energy::Energy;
 use wrsn::engine::SolverRegistry;
@@ -48,25 +48,66 @@ fn every_solver_produces_a_consistent_solution() {
     }
 }
 
+/// The paper-level differential oracle: on N ≤ 10 shapes, no registered
+/// heuristic (and IDB with δ = 2) beats the branch-and-bound optimum, and
+/// branch-and-bound matches exhaustive search wherever that fits within
+/// 300 000 deployments.
 #[test]
 fn exact_solvers_agree_and_lower_bound_heuristics() {
-    let sampler = InstanceSampler::new(Field::square(200.0), 7, 14);
-    for seed in 0..3 {
-        let inst = sampler.sample(seed);
-        let ex = ExhaustiveSearch::default().solve(&inst).unwrap();
-        let bb = BranchAndBound::new().solve(&inst).unwrap();
-        let rel = (ex.total_cost().as_njoules() - bb.total_cost().as_njoules()).abs()
-            / ex.total_cost().as_njoules();
-        assert!(rel < 1e-9, "seed {seed}: exhaustive != b&b");
-        for solver in solvers() {
-            let sol = solver.solve(&inst).unwrap();
-            assert!(
-                sol.total_cost().as_njoules() >= ex.total_cost().as_njoules() * (1.0 - 1e-9),
-                "{} beat the optimum",
-                solver.name()
-            );
+    let mut registry = SolverRegistry::with_defaults();
+    registry.register("idb2", || Box::new(Idb::new(2))).unwrap();
+    let heuristics: Vec<&str> = registry
+        .names()
+        .into_iter()
+        .filter(|name| !["bnb", "exhaustive"].contains(name))
+        .collect();
+    for name in [
+        "irfh",
+        "sched-tour",
+        "sched-place",
+        "sched-bilevel",
+        "uniform",
+        "lifetime",
+    ] {
+        assert!(heuristics.contains(&name), "{name} is not registered");
+    }
+    let exhaustive = ExhaustiveSearch::with_limit(300_000);
+    let mut agreed = 0;
+    for (posts, nodes, side, seeds) in [
+        (4, 12, 150.0, 0..4),
+        (7, 14, 200.0, 0..4),
+        (8, 24, 200.0, 0..3),
+        (10, 20, 200.0, 0..3),
+        (10, 30, 250.0, 0..2),
+    ] {
+        let sampler = InstanceSampler::new(Field::square(side), posts, nodes);
+        for seed in seeds {
+            let inst = sampler.sample(seed);
+            let shape = format!("{posts}/{nodes}/{side} seed {seed}");
+            let opt = BranchAndBound::new().solve(&inst).unwrap().total_cost();
+            match exhaustive.solve(&inst) {
+                Ok(ex) => {
+                    let rel = (ex.total_cost().as_njoules() - opt.as_njoules()).abs()
+                        / ex.total_cost().as_njoules();
+                    assert!(rel < 1e-9, "{shape}: exhaustive != b&b");
+                    agreed += 1;
+                }
+                Err(SolveError::SearchSpaceTooLarge { .. }) => {}
+                Err(e) => panic!("{shape}: exhaustive failed: {e}"),
+            }
+            for name in &heuristics {
+                let sol = registry.create(name).unwrap().solve(&inst).unwrap();
+                assert!(
+                    sol.total_cost().as_njoules() >= opt.as_njoules() * (1.0 - 1e-9),
+                    "{shape}: {name} beat the optimum"
+                );
+            }
         }
     }
+    assert_eq!(
+        agreed, 14,
+        "exhaustive covers every 4-, 7- and 8-post seed and 10/20"
+    );
 }
 
 #[test]

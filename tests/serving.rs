@@ -10,7 +10,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use wrsn::core::{InstanceSampler, InstanceSpec};
 use wrsn::engine::ResultStore;
+use wrsn::geom::Field;
 use wrsn::serve::api::ApiContext;
 use wrsn::serve::client::{
     loadgen, request, request_auth, request_with_retry, request_with_retry_auth, run_job,
@@ -1035,6 +1037,25 @@ fn out_of_range_instances_answer_400_and_keep_the_only_worker() {
     // for the valid solve that follows.
     let server = start(ApiContext::new(), 1, 16);
     let addr = server.addr().to_string();
+    // Pinned specs whose radio or charging parameters are out of domain:
+    // building them used to panic the worker.
+    let valid =
+        InstanceSpec::from_instance(&InstanceSampler::new(Field::square(150.0), 5, 10).sample(7))
+            .unwrap();
+    let spec_body = |spec: InstanceSpec| {
+        format!(
+            r#"{{"instance":{{"spec":{}}},"solver":"idb"}}"#,
+            spec.to_json()
+        )
+    };
+    let eta_2 = spec_body(InstanceSpec {
+        eta: 2.0,
+        ..valid.clone()
+    });
+    let huge_beta = spec_body(InstanceSpec {
+        beta_pj: 1e308,
+        ..valid
+    });
     for (bad, name) in [
         (r#"{"instance":{"field":1e999},"solver":"idb"}"#, "field"),
         (
@@ -1045,6 +1066,12 @@ fn out_of_range_instances_answer_400_and_keep_the_only_worker() {
             r#"{"instance":{"posts":4000000000,"nodes":4000000000},"solver":"idb"}"#,
             "posts",
         ),
+        (
+            r#"{"instance":{"posts":5,"nodes":4000000000},"solver":"exhaustive"}"#,
+            "nodes",
+        ),
+        (&eta_2, "eta"),
+        (&huge_beta, "energy of uplink"),
     ] {
         let resp = post(&addr, "/v1/solve", bad);
         assert_eq!(resp.status, 400, "{bad}: {}", resp.body);
