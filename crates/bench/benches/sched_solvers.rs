@@ -38,12 +38,12 @@ fn scenario() -> ScenarioSpec {
 
 fn bench_solves(c: &mut Criterion) {
     let spec = scenario();
-    let registry = SolverRegistry::with_defaults().scenario_overlay(&spec);
+    let registry = SolverRegistry::with_defaults();
     let instance = sampler().sample(7);
     let mut group = c.benchmark_group("sched solve");
     group.sample_size(20);
     for name in ["rfh", "idb", "sched-tour", "sched-place", "sched-bilevel"] {
-        let solver = registry.create(name).expect("registered");
+        let solver = registry.resolve(name, Some(&spec)).expect("registered");
         group.bench_function(name, |b| {
             b.iter(|| solver.solve(&instance).expect("solvable"))
         });
@@ -74,7 +74,7 @@ struct Snapshot {
 /// Runs after the Criterion group so its latency numbers print first.
 fn emit_snapshot() {
     let spec = scenario();
-    let registry = SolverRegistry::with_defaults().scenario_overlay(&spec);
+    let registry = SolverRegistry::with_defaults();
     let solvers = ["rfh", "idb", "sched-tour", "sched-place", "sched-bilevel"];
     let mut rows: Vec<SolverRow> = Vec::new();
     for name in solvers {

@@ -438,8 +438,9 @@ struct InstanceOptions {
 }
 
 impl InstanceOptions {
+    /// Reads the flags; [`source`](Self::source) checks their values.
     fn parse(args: &mut Args) -> Result<Self, CliError> {
-        let opts = InstanceOptions {
+        Ok(InstanceOptions {
             posts: args.get_or("posts", "a post count", 100)?,
             nodes: args.get_or("nodes", "a node count", 400)?,
             field: args.get_or("field", "meters", 500.0)?,
@@ -448,23 +449,13 @@ impl InstanceOptions {
             cap: args.opt("cap", "a per-post cap")?,
             load: args.opt("load", "a file path")?,
             scenario: parse_scenario(args)?,
-        };
-        if opts.posts == 0 || opts.nodes == 0 || opts.field <= 0.0 || opts.levels == 0 {
-            return Err(CliError::Msg(
-                "posts, nodes, field and levels must be positive".into(),
-            ));
-        }
-        if !(opts.eta > 0.0 && opts.eta <= 1.0) {
-            return Err(CliError::Msg(format!(
-                "--eta must lie in (0, 1], got {}",
-                opts.eta
-            )));
-        }
-        Ok(opts)
+        })
     }
 
     /// Resolves the options into an engine instance source: a pinned
-    /// spec when `--load` was given, a sampler otherwise.
+    /// spec when `--load` was given, a sampler otherwise. Every value,
+    /// the scenario's too, is checked here, by the same
+    /// [`InstanceParams::source`] that checks HTTP requests.
     fn source(&self) -> Result<InstanceSource, CliError> {
         let spec = match &self.load {
             Some(path) => {
@@ -493,31 +484,19 @@ impl InstanceOptions {
             None => CliError::from(e),
         })
     }
-
-    /// The solver registry for these options: the defaults, with the
-    /// scheduling solvers rebound to `--scenario` when one was given.
-    fn registry(&self) -> SolverRegistry {
-        let base = SolverRegistry::with_defaults();
-        match &self.scenario {
-            Some(spec) => base.scenario_overlay(spec),
-            None => base,
-        }
-    }
 }
 
-/// Parses and validates the `--scenario` flag (a [`ScenarioSpec`] JSON
-/// object) shared by `solve`, `sweep`, and `simulate`.
+/// Parses the `--scenario` flag (a [`ScenarioSpec`] JSON object) shared
+/// by `solve`, `sweep`, and `simulate`.
 fn parse_scenario(args: &mut Args) -> Result<Option<ScenarioSpec>, CliError> {
     let Some(text) = args.opt::<String>("scenario", "a scenario JSON object")? else {
         return Ok(None);
     };
     let value: serde::Value = serde_json::from_str(&text)
         .map_err(|e| CliError::Msg(format!("--scenario is not valid JSON: {e}")))?;
-    let spec =
-        ScenarioSpec::from_value(&value).map_err(|e| CliError::Msg(format!("--scenario: {e}")))?;
-    spec.validate()
-        .map_err(|m| CliError::Msg(format!("--scenario: {m}")))?;
-    Ok(Some(spec))
+    ScenarioSpec::from_value(&value)
+        .map(Some)
+        .map_err(|e| CliError::Msg(format!("--scenario: {e}")))
 }
 
 struct SolveSetup {
@@ -541,7 +520,7 @@ fn setup_solve(args: &mut Args) -> Result<SolveSetup, CliError> {
         std::fs::write(&path, spec.to_json())
             .map_err(|e| CliError::Msg(format!("writing {path}: {e}")))?;
     }
-    let solver = opts.registry().create(&algo)?;
+    let solver = SolverRegistry::with_defaults().resolve(&algo, opts.scenario.as_ref())?;
     let solution = solver
         .solve(&instance)
         .map_err(|e| CliError::Msg(format!("{algo} failed: {e}")))?;
@@ -670,6 +649,7 @@ fn sweep(mut args: Args) -> Result<String, CliError> {
     let shard: Option<String> = args.opt("shard", "K/N")?;
     let compare: Option<String> = args.opt("compare", "a comma-separated solver list")?;
     args.finish()?;
+    let source = opts.source()?;
     if seeds == 0 {
         return Err(CliError::Msg("--seeds must be at least 1".into()));
     }
@@ -699,7 +679,8 @@ fn sweep(mut args: Args) -> Result<String, CliError> {
             ));
         }
         return sweep_compare(SweepCompare {
-            opts: &opts,
+            source,
+            scenario: opts.scenario.as_ref(),
             list: &list,
             seeds,
             seed_start,
@@ -713,8 +694,8 @@ fn sweep(mut args: Args) -> Result<String, CliError> {
         });
     }
     let algo = algo_opt.unwrap_or_else(|| "irfh".to_string());
-    let registry = opts.registry();
-    let mut experiment = Experiment::new(opts.source()?)
+    let registry = SolverRegistry::with_defaults();
+    let mut experiment = Experiment::new(source)
         .solver(&algo)
         .seeds(seed_start..seed_start + seeds)
         .runner(runner)
@@ -817,7 +798,8 @@ fn sweep(mut args: Args) -> Result<String, CliError> {
 /// Everything `sweep --compare` needs, bundled to keep the call site
 /// readable.
 struct SweepCompare<'a> {
-    opts: &'a InstanceOptions,
+    source: InstanceSource,
+    scenario: Option<&'a ScenarioSpec>,
     list: &'a str,
     seeds: u64,
     seed_start: u64,
@@ -847,10 +829,10 @@ fn sweep_compare(cfg: SweepCompare<'_>) -> Result<String, CliError> {
             "--compare needs at least two solver names (e.g. --compare rfh,irfh,idb)".into(),
         ));
     }
-    let registry = cfg.opts.registry();
+    let registry = SolverRegistry::with_defaults();
     let mut reports = Vec::new();
     for algo in &algos {
-        let mut experiment = Experiment::new(cfg.opts.source()?)
+        let mut experiment = Experiment::new(cfg.source.clone())
             .solver(algo)
             .seeds(cfg.seed_start..cfg.seed_start + cfg.seeds)
             .runner(cfg.runner)
@@ -858,7 +840,7 @@ fn sweep_compare(cfg: SweepCompare<'_>) -> Result<String, CliError> {
             .retry(RetryPolicy::attempts(cfg.max_retries + 1))
             .keep_going(cfg.keep_going)
             .record_timings(!cfg.no_timings);
-        if let Some(spec) = &cfg.opts.scenario {
+        if let Some(spec) = cfg.scenario {
             experiment = experiment.scenario(spec.clone());
         }
         if let Some(store) = &cfg.store {

@@ -80,6 +80,29 @@ fn out_of_domain_pinned_specs_exit_1_naming_the_field() {
         let stderr = solve_fails(&["--load", bad.to_str().unwrap(), "--algo", "idb"]);
         assert!(stderr.contains(message), "{corrupt}: {stderr}");
     }
+    // Both radio constants at zero make every link free. The shortest-path
+    // parents then tied into a cycle and seven solvers exited 101.
+    let free = dir.join("free.json");
+    let zeroed = text
+        .replace("\"alpha_nj\": 50.0", "\"alpha_nj\": 0.0")
+        .replace("\"beta_pj\": 0.0013", "\"beta_pj\": 0.0");
+    assert_ne!(zeroed, text);
+    std::fs::write(&free, zeroed).unwrap();
+    for algo in [
+        "rfh",
+        "irfh",
+        "idb",
+        "bnb",
+        "sched-tour",
+        "sched-place",
+        "sched-bilevel",
+    ] {
+        let stderr = solve_fails(&["--load", free.to_str().unwrap(), "--algo", algo]);
+        assert!(
+            stderr.contains("positive routing weight"),
+            "{algo}: {stderr}"
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -60,7 +60,8 @@ pub enum BuildError {
         expected: &'static str,
     },
     /// The receive energy, or a link's transmit energy or edge weight
-    /// (tx plus rx below a post), is negative or not finite.
+    /// (tx plus rx below a post), is negative or not finite, or the edge
+    /// weight is zero.
     InvalidEnergy {
         /// The first bad uplink as `(from, to)`, or `None` for the
         /// receive energy.
@@ -107,7 +108,8 @@ impl fmt::Display for BuildError {
                 link: Some((from, to)),
             } => write!(
                 f,
-                "energy of uplink {from} -> {to} must be finite and non-negative"
+                "energy of uplink {from} -> {to} must be finite and non-negative, \
+                 with a positive routing weight"
             ),
         }
     }

@@ -11,8 +11,13 @@
 //!   that adding a node at post `p` only *decreases* the weights of edges
 //!   incident to `p`, so the shortest-path solution can be repaired with
 //!   a local decrease-only Dijkstra instead of recomputed from scratch.
+//!
+//! It also holds the cost-greedy kernel, IDB(1), behind `Idb`,
+//! branch-and-bound's incumbent and the three scheduling solvers:
+//! [`CostEvaluator::from_ones`], [`CostEvaluator::cheapest_add`],
+//! [`CostEvaluator::greedy_fill`] and [`CostEvaluator::solution`].
 
-use crate::{Deployment, Instance};
+use crate::{optimal_cost, Deployment, Instance, RoutingTree, Solution, SolveError};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -112,6 +117,26 @@ impl<'a> CostEvaluator<'a> {
             scratch: vec![f64::INFINITY; n + 1],
             heap: BinaryHeap::new(),
         }
+    }
+
+    /// An evaluator set to one node per post, where every cost-greedy
+    /// solver starts.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::Unroutable`] when a post cannot reach the base
+    /// station under that deployment, naming the stranded post.
+    pub fn from_ones(instance: &'a Instance) -> Result<Self, SolveError> {
+        let ones = Deployment::ones(instance.num_posts());
+        let mut eval = CostEvaluator::new(instance);
+        if eval.set_deployment(ones.counts()).is_some() {
+            return Ok(eval);
+        }
+        // Surface which post is stranded.
+        Err(match optimal_cost(instance, &ones) {
+            Err(e) => e,
+            Ok(_) => SolveError::Unroutable { post: 0 },
+        })
     }
 
     /// Weight of the uplink `u -> v` under the current efficiencies.
@@ -217,6 +242,50 @@ impl<'a> CostEvaluator<'a> {
         new_sum
     }
 
+    /// The post where one more node lowers `f(m)` the most: every post
+    /// below the instance's per-post cap is probed in index order, and
+    /// the first strict minimum wins. `None` when every post is full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no deployment has been set.
+    #[must_use]
+    pub fn cheapest_add(&mut self) -> Option<usize> {
+        let cap = self
+            .instance
+            .max_nodes_per_post()
+            .unwrap_or(self.instance.num_nodes());
+        let mut best: Option<(f64, usize)> = None;
+        for p in 0..self.counts.len() {
+            if self.counts[p] >= cap {
+                continue;
+            }
+            let cost = self.probe_add(p);
+            if best.is_none_or(|(b, _)| cost < b) {
+                best = Some((cost, p));
+            }
+        }
+        best.map(|(_, p)| p)
+    }
+
+    /// Spends the instance's remaining nodes one at a time, each at
+    /// [`cheapest_add`](Self::cheapest_add): from
+    /// [`from_ones`](Self::from_ones) this is IDB(1), greedy coordinate
+    /// ascent on `f(m)` (paper Section V-B).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no deployment has been set.
+    pub fn greedy_fill(&mut self) {
+        let placed: u32 = self.counts.iter().sum();
+        for _ in placed..self.instance.num_nodes() {
+            let p = self
+                .cheapest_add()
+                .expect("cap feasibility was validated at build time");
+            self.commit_add(p);
+        }
+    }
+
     /// Decrease-only Dijkstra repair after raising `post`'s efficiency.
     fn repair_add(&mut self, post: usize) -> f64 {
         let n = self.up.len();
@@ -318,10 +387,29 @@ impl<'a> CostEvaluator<'a> {
         }));
     }
 
+    /// The current node count per post.
+    #[must_use]
+    pub fn counts(&self) -> &[u32] {
+        &self.counts
+    }
+
     /// The current deployment as a [`Deployment`].
     #[must_use]
     pub fn deployment(&self) -> Deployment {
         Deployment::new(self.counts.clone())
+    }
+
+    /// The current deployment on its shortest-path tree, as the
+    /// [`Solution`] of the solver named `algorithm`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no deployment has been set.
+    #[must_use]
+    pub fn solution(&self, algorithm: &'static str) -> Solution {
+        let tree = RoutingTree::new(self.parents(), self.instance)
+            .expect("shortest-path parents use existing links");
+        Solution::evaluated(algorithm, self.instance, self.deployment(), tree)
     }
 }
 

@@ -1,8 +1,6 @@
 //! The Incremental Deployment-Based heuristic (paper Section V-B).
 
-use crate::{
-    optimal_cost, CostEvaluator, Deployment, Instance, RoutingTree, Solution, SolveError, Solver,
-};
+use crate::{optimal_cost, CostEvaluator, Deployment, Instance, Solution, SolveError, Solver};
 
 /// The IDB heuristic: start with one node per post, then place the
 /// remaining `M − N` nodes in rounds of `δ`, each round exhaustively
@@ -10,8 +8,9 @@ use crate::{
 /// one whose *optimally routed* total recharging cost is lowest.
 ///
 /// With `δ = 1` this is greedy coordinate ascent on the exact objective
-/// `f(m) = Σ_p dist_m(p → BS)`; each candidate is scored with a single
-/// reverse Dijkstra. Larger `δ` explores
+/// `f(m) = Σ_p dist_m(p → BS)`, the shared kernel
+/// [`CostEvaluator::greedy_fill`]: each candidate is scored by a local
+/// decrease-only repair instead of a full Dijkstra. Larger `δ` explores
 /// `C(N+δ−1, δ)` candidates per round, trading time for lookahead.
 ///
 /// # Examples
@@ -46,46 +45,6 @@ impl Idb {
     #[must_use]
     pub fn delta(&self) -> u32 {
         self.delta
-    }
-
-    /// The `δ = 1` fast path: greedy coordinate ascent driven by the
-    /// incremental [`CostEvaluator`] (one decrease-only repair per
-    /// candidate instead of a full Dijkstra).
-    #[allow(clippy::needless_range_loop)] // probes every post index
-    fn solve_incremental(&self, instance: &Instance) -> Result<Solution, SolveError> {
-        let n = instance.num_posts();
-        let cap = instance
-            .max_nodes_per_post()
-            .unwrap_or(instance.num_nodes());
-        let mut eval = CostEvaluator::new(instance);
-        if eval.set_deployment(&vec![1u32; n]).is_none() {
-            let dep = Deployment::ones(n);
-            // Surface which post is stranded.
-            return Err(match optimal_cost(instance, &dep) {
-                Err(e) => e,
-                Ok(_) => SolveError::Unroutable { post: 0 },
-            });
-        }
-        let mut counts = vec![1u32; n];
-        for _ in 0..(instance.num_nodes() - n as u32) {
-            let mut best: Option<(f64, usize)> = None;
-            for p in 0..n {
-                if counts[p] >= cap {
-                    continue;
-                }
-                let cost = eval.probe_add(p);
-                if best.is_none_or(|(b, _)| cost < b) {
-                    best = Some((cost, p));
-                }
-            }
-            let (_, p) = best.expect("cap feasibility was validated at build time");
-            eval.commit_add(p);
-            counts[p] += 1;
-        }
-        let dep = eval.deployment();
-        let tree = RoutingTree::new(eval.parents(), instance)
-            .expect("shortest-path parents use existing links");
-        Ok(Solution::evaluated(self.name(), instance, dep, tree))
     }
 
     /// Enumerates all multisets of `k` posts (combinations with
@@ -124,19 +83,14 @@ impl Solver for Idb {
     }
 
     fn solve(&self, instance: &Instance) -> Result<Solution, SolveError> {
+        let mut eval = CostEvaluator::from_ones(instance)?;
         if self.delta == 1 {
-            return self.solve_incremental(instance);
+            eval.greedy_fill();
+            return Ok(eval.solution(self.name()));
         }
         let n = instance.num_posts();
         let cap = instance.max_nodes_per_post();
-        let mut eval = CostEvaluator::new(instance);
         let mut dep = Deployment::ones(n);
-        if eval.set_deployment(dep.counts()).is_none() {
-            return Err(match optimal_cost(instance, &dep) {
-                Err(e) => e,
-                Ok(_) => SolveError::Unroutable { post: 0 },
-            });
-        }
         let mut remaining = instance.num_nodes() - n as u32;
         while remaining > 0 {
             let batch = self.delta.min(remaining);

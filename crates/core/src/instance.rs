@@ -333,6 +333,12 @@ pub(crate) fn check_budget(
     Ok(())
 }
 
+/// Checks a configuration and its links and assembles the instance.
+///
+/// Beyond the budget and profile checks, every energy must be finite
+/// and non-negative, and every link's routing weight (tx to the base
+/// station, tx + rx between posts) positive: at weight zero the
+/// shortest-path parents can tie into a cycle.
 #[allow(clippy::too_many_arguments)] // internal plumbing shared by two builders
 fn validate(
     uplinks: Vec<Vec<(usize, Energy)>>,
@@ -382,14 +388,16 @@ fn validate(
     // Every link's per-bit energy (tx, plus rx below a post) is an edge
     // weight of the cost graphs the solvers build. Dijkstra, the monotone
     // bound and the branch-and-bound floors need each energy and weight
-    // finite and non-negative.
+    // finite and non-negative, and the argmin that picks a post's parent
+    // needs every weight positive, or equal distances tie into a cycle.
     let valid = |e: Energy| e.is_finite() && e >= Energy::ZERO;
     if !valid(rx_energy) {
         return Err(BuildError::InvalidEnergy { link: None });
     }
     for (from, links) in uplinks.iter().enumerate() {
         for &(to, tx) in links {
-            if !valid(tx) || !valid(if to == n { tx } else { tx + rx_energy }) {
+            let weight = if to == n { tx } else { tx + rx_energy };
+            if !valid(tx) || !valid(weight) || weight == Energy::ZERO {
                 return Err(BuildError::InvalidEnergy {
                     link: Some((from, to)),
                 });
@@ -1025,6 +1033,35 @@ mod tests {
                 .build();
             assert_eq!(built, Err(BuildError::InvalidEnergy { link: None }));
         }
+    }
+
+    #[test]
+    fn zero_routing_weights_are_build_errors() {
+        let nj = Energy::from_njoules;
+        // A free hop to the base station.
+        let free_uplink = InstanceBuilder::new(1, 1).uplink(0, 1, nj(0.0)).build();
+        assert_eq!(
+            free_uplink,
+            Err(BuildError::InvalidEnergy { link: Some((0, 1)) })
+        );
+        // A free hop between posts when nothing is spent receiving.
+        let free_relay = InstanceBuilder::new(2, 2)
+            .uplink(0, 2, nj(1.0))
+            .uplink(1, 0, nj(0.0))
+            .build();
+        assert_eq!(
+            free_relay,
+            Err(BuildError::InvalidEnergy { link: Some((1, 0)) })
+        );
+        let message = free_relay.unwrap_err().to_string();
+        assert!(message.contains("positive"), "{message}");
+        // A zero tx is fine where receiving costs something.
+        let paid_relay = InstanceBuilder::new(2, 2)
+            .rx_energy(nj(2.0))
+            .uplink(0, 2, nj(1.0))
+            .uplink(1, 0, nj(0.0))
+            .build();
+        assert!(paid_relay.is_ok());
     }
 
     #[test]

@@ -157,6 +157,9 @@ impl InstanceSpec {
     /// [`BuildError::InvalidParameter`] naming the field for a radio,
     /// level or charging parameter outside the domain of the constructor
     /// it feeds, such as non-increasing ranges or an `eta` above 1.
+    /// Every link's routing weight must be positive, so `alpha_nj` and
+    /// `beta_pj` may not both be zero: that is a
+    /// [`BuildError::InvalidEnergy`] naming a link.
     pub fn build(&self) -> Result<Instance, BuildError> {
         let gain = match &self.gain {
             GainSpec::Linear => GainKind::Linear,
@@ -358,13 +361,18 @@ mod tests {
                 other => panic!("{field}: expected InvalidParameter, got {other:?}"),
             }
         }
-        // The domains' closed ends still build.
+        // The domains' closed ends still build, but with both radio
+        // constants at zero every link is free, which routing rejects.
         let mut edge = valid;
         edge.eta = 1.0;
         edge.gamma = 6.0;
         edge.alpha_nj = 0.0;
-        edge.beta_pj = 0.0;
         assert!(edge.build().is_ok());
+        edge.beta_pj = 0.0;
+        assert!(matches!(
+            edge.build(),
+            Err(BuildError::InvalidEnergy { link: Some(_) })
+        ));
     }
 
     #[test]

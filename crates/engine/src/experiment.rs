@@ -426,12 +426,14 @@ impl Experiment {
         self
     }
 
-    /// Declares the charging scenario this sweep runs under, folding it
-    /// into every cache fingerprint. Callers that rebind the scheduling
-    /// solvers via [`SolverRegistry::scenario_overlay`] must set this
-    /// with the same spec, or cached results from different scenarios
-    /// would collide under one key. Scenario-free sweeps (the default)
-    /// fingerprint exactly as before.
+    /// Declares the charging scenario this sweep runs under: [`run`]
+    /// binds the registry's scheduling solvers to it (see
+    /// [`SolverRegistry::scenario_overlay`]) and folds it into every
+    /// cache fingerprint, so runs under different scenarios never share
+    /// a key. Scenario-free sweeps (the default) use the registry as
+    /// given and fingerprint exactly as before.
+    ///
+    /// [`run`]: Experiment::run
     #[must_use]
     pub fn scenario(mut self, spec: ScenarioSpec) -> Self {
         self.scenario = Some(spec);
@@ -494,6 +496,8 @@ impl Experiment {
     /// across the runner's workers. Per-seed results are deterministic
     /// and independent of the worker count — every seed's work happens
     /// entirely on one thread, and results are collected in seed order.
+    /// The solver comes from `registry`, with the scheduling solvers
+    /// bound to [`Experiment::scenario`] when one is set.
     ///
     /// Panicking or erroring seeds are caught and retried under the
     /// retry policy; the remaining seeds always run to completion. What
@@ -519,7 +523,7 @@ impl Experiment {
                 return Err(EngineError::BadShard { index, count });
             }
         }
-        let factory = registry.factory(&self.solver)?;
+        let factory = registry.factory_in(&self.solver, self.scenario.as_ref())?;
         let label = self.report_label();
 
         // Restore prior progress when resuming.

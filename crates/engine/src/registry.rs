@@ -63,10 +63,11 @@ impl SolverRegistry {
     /// | `sched-place` | [`SchedPlace`] (RF placement, default scenario) |
     /// | `sched-bilevel` | [`SchedBilevel`] (deploy-then-schedule SA, default scenario) |
     ///
-    /// The scheduling solvers run under [`ScenarioSpec::default`]; use
-    /// [`SolverRegistry::scenario_overlay`] to rebind them to a custom
-    /// scenario. Calling `with_defaults` repeatedly is always fine —
-    /// each call builds a fresh registry.
+    /// The scheduling solvers run under [`ScenarioSpec::default`];
+    /// [`SolverRegistry::resolve`] and
+    /// [`Experiment::scenario`](crate::Experiment::scenario) rebind them
+    /// to a custom scenario. Calling `with_defaults` repeatedly is always
+    /// fine — each call builds a fresh registry.
     #[must_use]
     pub fn with_defaults() -> Self {
         let mut registry = SolverRegistry::new();
@@ -150,6 +151,49 @@ impl SolverRegistry {
             Box::new(SchedBilevel::new(bilevel.clone()))
         });
         overlay
+    }
+
+    /// The factory for `name` with the scheduling solvers bound to
+    /// `scenario` when one is given. The registry is used as is when
+    /// there is none, so a scenario-free lookup clones no map.
+    pub(crate) fn factory_in(
+        &self,
+        name: &str,
+        scenario: Option<&ScenarioSpec>,
+    ) -> Result<SolverFactory, EngineError> {
+        match scenario {
+            Some(spec) => self.scenario_overlay(spec).factory(name),
+            None => self.factory(name),
+        }
+    }
+
+    /// Constructs the solver `name` for one solve under an optional
+    /// request scenario: the single path from `(name, scenario)` to a
+    /// solver. Sweeps bind theirs through
+    /// [`Experiment::scenario`](crate::Experiment::scenario).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use wrsn_core::ScenarioSpec;
+    /// use wrsn_engine::SolverRegistry;
+    ///
+    /// let spec = ScenarioSpec { charger_budget: 1, ..ScenarioSpec::default() };
+    /// let registry = SolverRegistry::with_defaults();
+    /// assert_eq!(registry.resolve("sched-place", Some(&spec))?.name(), "SchedPlace");
+    /// assert_eq!(registry.resolve("idb", None)?.name(), "IDB");
+    /// # Ok::<(), wrsn_engine::EngineError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::UnknownSolver`] listing every known name.
+    pub fn resolve(
+        &self,
+        name: &str,
+        scenario: Option<&ScenarioSpec>,
+    ) -> Result<Box<dyn Solver>, EngineError> {
+        Ok(self.factory_in(name, scenario)?())
     }
 
     /// The factory registered under `name`.

@@ -11,8 +11,7 @@
 use crate::profile::EnergyProfile;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use wrsn_core::{
-    optimal_cost, per_post_energy_into, CostEvaluator, Deployment, Instance, RoutingTree,
-    ScenarioSpec, Solution, SolveError, Solver,
+    per_post_energy_into, CostEvaluator, Instance, ScenarioSpec, Solution, SolveError, Solver,
 };
 use wrsn_energy::Energy;
 use wrsn_sim::PatrolTour;
@@ -214,7 +213,6 @@ impl Default for SchedBilevel {
 impl SchedBilevel {
     /// The warm start and the anneal, scoring every candidate with
     /// `objective` (`None` = unroutable).
-    #[allow(clippy::needless_range_loop)] // probes every post index
     fn anneal(
         &self,
         instance: &Instance,
@@ -224,31 +222,10 @@ impl SchedBilevel {
         let cap = instance
             .max_nodes_per_post()
             .unwrap_or(instance.num_nodes());
-        let mut eval = CostEvaluator::new(instance);
-        if eval.set_deployment(&vec![1u32; n]).is_none() {
-            let dep = Deployment::ones(n);
-            return Err(match optimal_cost(instance, &dep) {
-                Err(e) => e,
-                Ok(_) => SolveError::Unroutable { post: 0 },
-            });
-        }
         // Lower level, warm start: cost-greedy coordinate ascent.
-        let mut counts = vec![1u32; n];
-        for _ in 0..(instance.num_nodes() - n as u32) {
-            let mut best: Option<(f64, usize)> = None;
-            for p in 0..n {
-                if counts[p] >= cap {
-                    continue;
-                }
-                let cost = eval.probe_add(p);
-                if best.is_none_or(|(b, _)| cost < b) {
-                    best = Some((cost, p));
-                }
-            }
-            let (_, p) = best.expect("cap feasibility was validated at build time");
-            eval.commit_add(p);
-            counts[p] += 1;
-        }
+        let mut eval = CostEvaluator::from_ones(instance)?;
+        eval.greedy_fill();
+        let mut counts = eval.counts().to_vec();
         let mut current = objective(&mut eval, &counts).expect("warm start is routable");
         let mut best_counts = counts.clone();
         let mut best = current;
@@ -296,10 +273,7 @@ impl SchedBilevel {
         }
         eval.set_deployment(&best_counts)
             .expect("best candidate was routable when accepted");
-        let dep = eval.deployment();
-        let tree = RoutingTree::new(eval.parents(), instance)
-            .expect("shortest-path parents use existing links");
-        Ok(Solution::evaluated(self.name(), instance, dep, tree))
+        Ok(eval.solution(self.name()))
     }
 }
 
@@ -318,8 +292,200 @@ impl Solver for SchedBilevel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wrsn_core::{Idb, InstanceBuilder, InstanceSampler};
+    use crate::{SchedPlace, SchedTour};
+    use wrsn_core::{
+        optimal_cost, ChargeSpec, Deployment, GainKind, GeometricInstanceBuilder, Idb,
+        InstanceBuilder, InstanceSampler, RoutingTree,
+    };
     use wrsn_geom::Field;
+
+    /// IDB(1) as the cost-greedy solvers each wrote it out before they
+    /// shared [`CostEvaluator::greedy_fill`]: the one-node prologue that
+    /// names a stranded post, the first-strict-minimum argmin below the
+    /// cap, and the commit loop. Returns the routed solution and the
+    /// evaluator's final `f` bits.
+    #[allow(clippy::needless_range_loop)] // probes every post index
+    fn reference_greedy(instance: &Instance) -> Result<(Solution, u64), SolveError> {
+        let n = instance.num_posts();
+        let cap = instance
+            .max_nodes_per_post()
+            .unwrap_or(instance.num_nodes());
+        let mut eval = CostEvaluator::new(instance);
+        if eval.set_deployment(&vec![1u32; n]).is_none() {
+            let dep = Deployment::ones(n);
+            return Err(match optimal_cost(instance, &dep) {
+                Err(e) => e,
+                Ok(_) => SolveError::Unroutable { post: 0 },
+            });
+        }
+        let mut counts = vec![1u32; n];
+        for _ in 0..(instance.num_nodes() - n as u32) {
+            let mut best: Option<(f64, usize)> = None;
+            for p in 0..n {
+                if counts[p] >= cap {
+                    continue;
+                }
+                let cost = eval.probe_add(p);
+                if best.is_none_or(|(b, _)| cost < b) {
+                    best = Some((cost, p));
+                }
+            }
+            let (_, p) = best.expect("cap feasibility was validated at build time");
+            eval.commit_add(p);
+            counts[p] += 1;
+        }
+        let dep = eval.deployment();
+        let tree = RoutingTree::new(eval.parents(), instance)
+            .expect("shortest-path parents use existing links");
+        let f = eval.current_cost().to_bits();
+        Ok((Solution::evaluated("reference", instance, dep, tree), f))
+    }
+
+    /// The bi-level warm start: the counts, parents and `f` bits the
+    /// anneal's first objective call sees, or the error it returns.
+    fn warm_start(inst: &Instance) -> Result<(Vec<u32>, Vec<usize>, u64), SolveError> {
+        let spec = ScenarioSpec {
+            sa_iters: 1,
+            ..ScenarioSpec::default()
+        };
+        let mut warm = None;
+        SchedBilevel::new(spec).anneal(inst, |eval, counts| {
+            if warm.is_none() {
+                let f = eval.current_cost().to_bits();
+                warm = Some((counts.to_vec(), eval.parents(), f));
+            }
+            eval.set_deployment(counts)
+        })?;
+        Ok(warm.expect("the anneal scores its warm start"))
+    }
+
+    /// A random instance drawn from `seed`: 2..=8 posts with up to two
+    /// spare nodes each on average; a linear, sublinear or measured gain,
+    /// one of them with plateaus where probes tie; an optional per-post
+    /// cap; uniform or random report rates; zero or random sensing. Half
+    /// are geometric, half explicit with a direct uplink per post.
+    fn random_instance(seed: u64) -> Instance {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let e = Energy::from_njoules;
+        let n = rng.random_range(2..=8usize);
+        let m = n as u32 + rng.random_range(0..=2 * n as u32);
+        let gain = match rng.random_range(0..4) {
+            0 => GainKind::Linear,
+            1 => GainKind::Sublinear(rng.random_range(0.3..=1.0)),
+            2 => GainKind::Measured(vec![1.0, 1.8, 1.8, 1.8, 2.6]),
+            _ => GainKind::Measured(vec![1.0, 1.5, 1.9]),
+        };
+        let charge = ChargeSpec::new(rng.random_range(0.05..=1.0), gain);
+        let cap = rng
+            .random::<bool>()
+            .then(|| rng.random_range(m.div_ceil(n as u32)..=m));
+        let rates: Vec<f64> = if rng.random::<bool>() {
+            (0..n).map(|_| rng.random_range(0.5..3.0)).collect()
+        } else {
+            vec![1.0; n]
+        };
+        let sensing: Vec<Energy> = if rng.random::<bool>() {
+            (0..n).map(|_| e(rng.random_range(0.0..200.0))).collect()
+        } else {
+            vec![Energy::ZERO; n]
+        };
+        if rng.random::<bool>() {
+            let layout = InstanceSampler::new(Field::square(rng.random_range(100.0..250.0)), n, m)
+                .sample(seed);
+            let posts = layout.geometry().expect("sampled").posts.clone();
+            let mut builder = GeometricInstanceBuilder::new(posts, m)
+                .charge(charge)
+                .report_rates(rates)
+                .sensing_energies(sensing);
+            if let Some(cap) = cap {
+                builder = builder.max_nodes_per_post(cap);
+            }
+            builder.build().unwrap()
+        } else {
+            let mut builder = InstanceBuilder::new(n, m)
+                .rx_energy(e(rng.random_range(0.0..60.0)))
+                .charge(charge)
+                .report_rates(rates)
+                .sensing_energies(sensing);
+            for u in 0..n {
+                builder = builder.uplink(u, n, e(rng.random_range(1.0..100.0)));
+                for v in (0..n).filter(|&v| v != u) {
+                    if rng.random_range(0.0..1.0) < 0.4 {
+                        builder = builder.uplink(u, v, e(rng.random_range(1.0..150.0)));
+                    }
+                }
+            }
+            if let Some(cap) = cap {
+                builder = builder.max_nodes_per_post(cap);
+            }
+            builder.build().unwrap()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// `Idb::new(1)`, `SchedPlace` on explicit instances and the
+        /// bi-level warm start give the reference's deployment, parents
+        /// and cost bits.
+        #[test]
+        fn greedy_kernel_reproduces_the_reference(seed in proptest::prelude::any::<u64>()) {
+            let inst = random_instance(seed);
+            let (want, f) = reference_greedy(&inst).unwrap();
+            let mut solutions = vec![Idb::new(1).solve(&inst).unwrap()];
+            if inst.geometry().is_none() {
+                solutions.push(SchedPlace::default().solve(&inst).unwrap());
+            }
+            for sol in &solutions {
+                proptest::prop_assert_eq!(sol.deployment(), want.deployment(), "seed {}", seed);
+                proptest::prop_assert_eq!(sol.tree(), want.tree(), "seed {}", seed);
+                proptest::prop_assert_eq!(
+                    sol.total_cost().as_njoules().to_bits(),
+                    want.total_cost().as_njoules().to_bits(),
+                    "seed {}", seed
+                );
+            }
+            let (counts, parents, warm_f) = warm_start(&inst).unwrap();
+            proptest::prop_assert_eq!(counts.as_slice(), want.deployment().counts(), "seed {}", seed);
+            proptest::prop_assert_eq!(parents.as_slice(), want.tree().parents(), "seed {}", seed);
+            proptest::prop_assert_eq!(warm_f, f, "seed {}", seed);
+        }
+    }
+
+    #[test]
+    fn stranded_posts_fail_as_the_reference_does() {
+        // Post 1 reaches the base station only through post 0, and the
+        // two hops sum past f64::MAX: the prologue names post 1. With a
+        // huge report rate every post routes but f overflows, which the
+        // prologue reports as post 0.
+        let far = Energy::from_njoules(1e308);
+        let two_hops = InstanceBuilder::new(2, 5)
+            .uplink(0, 2, far)
+            .uplink(1, 0, far)
+            .build()
+            .unwrap();
+        let overflow = InstanceBuilder::new(2, 5)
+            .report_rates(vec![1e300, 1.0])
+            .uplink(0, 2, Energy::from_njoules(1e10))
+            .uplink(1, 2, Energy::from_njoules(1.0))
+            .build()
+            .unwrap();
+        for (inst, post) in [(two_hops, 1), (overflow, 0)] {
+            let want = reference_greedy(&inst).unwrap_err();
+            assert_eq!(want, SolveError::Unroutable { post });
+            let solvers: [Box<dyn Solver>; 5] = [
+                Box::new(Idb::new(1)),
+                Box::new(Idb::new(2)),
+                Box::new(SchedPlace::default()),
+                Box::new(SchedTour::default()),
+                Box::new(SchedBilevel::default()),
+            ];
+            for solver in solvers {
+                assert_eq!(solver.solve(&inst).unwrap_err(), want, "{}", solver.name());
+            }
+            assert_eq!(warm_start(&inst).unwrap_err(), want);
+        }
+    }
 
     /// The infeasible fraction of a solved deployment and its tree.
     fn fraction_of(

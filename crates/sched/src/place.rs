@@ -10,8 +10,7 @@
 
 use crate::profile::EnergyProfile;
 use wrsn_core::{
-    optimal_cost, CostEvaluator, Deployment, Geometry, Instance, RoutingTree, ScenarioSpec,
-    Solution, SolveError, Solver,
+    CostEvaluator, Geometry, Instance, RoutingTree, ScenarioSpec, Solution, SolveError, Solver,
 };
 use wrsn_geom::Point;
 
@@ -179,43 +178,6 @@ impl SchedPlace {
     pub fn spec(&self) -> &ScenarioSpec {
         &self.spec
     }
-
-    /// Pure cost-greedy allocation for instances without geometry.
-    #[allow(clippy::needless_range_loop)] // probes every post index
-    fn solve_costwise(&self, instance: &Instance) -> Result<Solution, SolveError> {
-        let n = instance.num_posts();
-        let cap = instance
-            .max_nodes_per_post()
-            .unwrap_or(instance.num_nodes());
-        let mut eval = CostEvaluator::new(instance);
-        if eval.set_deployment(&vec![1u32; n]).is_none() {
-            let dep = Deployment::ones(n);
-            return Err(match optimal_cost(instance, &dep) {
-                Err(e) => e,
-                Ok(_) => SolveError::Unroutable { post: 0 },
-            });
-        }
-        let mut counts = vec![1u32; n];
-        for _ in 0..(instance.num_nodes() - n as u32) {
-            let mut best: Option<(f64, usize)> = None;
-            for p in 0..n {
-                if counts[p] >= cap {
-                    continue;
-                }
-                let cost = eval.probe_add(p);
-                if best.is_none_or(|(b, _)| cost < b) {
-                    best = Some((cost, p));
-                }
-            }
-            let (_, p) = best.expect("cap feasibility was validated at build time");
-            eval.commit_add(p);
-            counts[p] += 1;
-        }
-        let dep = eval.deployment();
-        let tree = RoutingTree::new(eval.parents(), instance)
-            .expect("shortest-path parents use existing links");
-        Ok(Solution::evaluated(self.name(), instance, dep, tree))
-    }
 }
 
 impl Default for SchedPlace {
@@ -231,30 +193,23 @@ impl Solver for SchedPlace {
 
     #[allow(clippy::needless_range_loop)] // scans every post index
     fn solve(&self, instance: &Instance) -> Result<Solution, SolveError> {
+        let mut eval = CostEvaluator::from_ones(instance)?;
         let Some(geo) = instance.geometry() else {
-            return self.solve_costwise(instance);
+            // No sites to place: a pure cost-greedy allocation.
+            eval.greedy_fill();
+            return Ok(eval.solution(self.name()));
         };
-        let geo = geo.clone();
         let n = instance.num_posts();
         let cap = instance
             .max_nodes_per_post()
             .unwrap_or(instance.num_nodes());
-        let mut eval = CostEvaluator::new(instance);
-        if eval.set_deployment(&vec![1u32; n]).is_none() {
-            let dep = Deployment::ones(n);
-            return Err(match optimal_cost(instance, &dep) {
-                Err(e) => e,
-                Ok(_) => SolveError::Unroutable { post: 0 },
-            });
-        }
         // Required power per post under the one-node routing; the site
         // pick keys off this fixed baseline so placement and allocation
         // cannot chase each other.
-        let ones = vec![1u32; n];
         let tree = RoutingTree::new(eval.parents(), instance)
             .expect("shortest-path parents use existing links");
-        let profile = EnergyProfile::new(instance, &ones, &tree, &self.spec);
-        let candidates = candidate_sites(&geo, self.spec.site_grid);
+        let profile = EnergyProfile::new(instance, eval.counts(), &tree, &self.spec);
+        let candidates = candidate_sites(geo, self.spec.site_grid);
         let raw: Vec<Vec<f64>> = candidates
             .iter()
             .map(|&s| {
@@ -281,14 +236,13 @@ impl Solver for SchedPlace {
                 instance.charge_efficiency(m) * raw_sum[p] / profile.consumed_w[p]
             }
         };
-        let mut counts = vec![1u32; n];
         for _ in 0..(instance.num_nodes() - n as u32) {
             let mut best: Option<(f64, usize)> = None;
-            for p in 0..n {
-                if counts[p] >= cap {
+            for (p, &m) in eval.counts().iter().enumerate() {
+                if m >= cap {
                     continue;
                 }
-                let d = duty(p, counts[p]);
+                let d = duty(p, m);
                 if best.is_none_or(|(b, _)| d < b) {
                     best = Some((d, p));
                 }
@@ -297,25 +251,11 @@ impl Solver for SchedPlace {
             if d.is_infinite() {
                 // No post consumes anything: fall back to cost-greedy so
                 // the spares still buy objective value.
-                let mut cheapest: Option<(f64, usize)> = None;
-                for p in 0..n {
-                    if counts[p] >= cap {
-                        continue;
-                    }
-                    let cost = eval.probe_add(p);
-                    if cheapest.is_none_or(|(c, _)| cost < c) {
-                        cheapest = Some((cost, p));
-                    }
-                }
-                pick = cheapest.expect("a post below the cap exists").1;
+                pick = eval.cheapest_add().expect("a post below the cap exists");
             }
             eval.commit_add(pick);
-            counts[pick] += 1;
         }
-        let dep = eval.deployment();
-        let tree = RoutingTree::new(eval.parents(), instance)
-            .expect("shortest-path parents use existing links");
-        Ok(Solution::evaluated(self.name(), instance, dep, tree))
+        Ok(eval.solution(self.name()))
     }
 }
 

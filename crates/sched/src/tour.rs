@@ -14,10 +14,7 @@
 //! it is not.
 
 use crate::profile::EnergyProfile;
-use wrsn_core::{
-    optimal_cost, CostEvaluator, Deployment, Instance, RoutingTree, ScenarioSpec, Solution,
-    SolveError, Solver,
-};
+use wrsn_core::{CostEvaluator, Instance, RoutingTree, ScenarioSpec, Solution, SolveError, Solver};
 use wrsn_geom::Point;
 use wrsn_sim::PatrolTour;
 
@@ -75,29 +72,19 @@ impl Solver for SchedTour {
         "SchedTour"
     }
 
-    #[allow(clippy::needless_range_loop)] // probes every post index
     fn solve(&self, instance: &Instance) -> Result<Solution, SolveError> {
-        let n = instance.num_posts();
         let cap = instance
             .max_nodes_per_post()
             .unwrap_or(instance.num_nodes());
-        let mut eval = CostEvaluator::new(instance);
-        if eval.set_deployment(&vec![1u32; n]).is_none() {
-            let dep = Deployment::ones(n);
-            return Err(match optimal_cost(instance, &dep) {
-                Err(e) => e,
-                Ok(_) => SolveError::Unroutable { post: 0 },
-            });
-        }
-        let mut counts = vec![1u32; n];
-        for _ in 0..(instance.num_nodes() - n as u32) {
+        let mut eval = CostEvaluator::from_ones(instance)?;
+        for _ in 0..(instance.num_nodes() - instance.num_posts() as u32) {
             let tree = RoutingTree::new(eval.parents(), instance)
                 .expect("shortest-path parents use existing links");
-            let profile = EnergyProfile::new(instance, &counts, &tree, &self.spec);
+            let profile = EnergyProfile::new(instance, eval.counts(), &tree, &self.spec);
             // The post whose pooled battery dies first gets the node.
             let mut best: Option<(f64, usize)> = None;
-            for p in 0..n {
-                if counts[p] >= cap {
+            for (p, &m) in eval.counts().iter().enumerate() {
+                if m >= cap {
                     continue;
                 }
                 let w = profile.window_s[p];
@@ -109,25 +96,11 @@ impl Solver for SchedTour {
             if window.is_infinite() {
                 // Nothing drains (degenerate scenario): fall back to the
                 // cost-greedy choice so spares still help the objective.
-                let mut cheapest: Option<(f64, usize)> = None;
-                for p in 0..n {
-                    if counts[p] >= cap {
-                        continue;
-                    }
-                    let cost = eval.probe_add(p);
-                    if cheapest.is_none_or(|(c, _)| cost < c) {
-                        cheapest = Some((cost, p));
-                    }
-                }
-                pick = cheapest.expect("a post below the cap exists").1;
+                pick = eval.cheapest_add().expect("a post below the cap exists");
             }
             eval.commit_add(pick);
-            counts[pick] += 1;
         }
-        let dep = eval.deployment();
-        let tree = RoutingTree::new(eval.parents(), instance)
-            .expect("shortest-path parents use existing links");
-        Ok(Solution::evaluated(self.name(), instance, dep, tree))
+        Ok(eval.solution(self.name()))
     }
 }
 

@@ -283,12 +283,10 @@ impl ApiContext {
         // A request scenario rebinds the scheduling solvers and keys the
         // cache fingerprints (via Experiment::scenario), so differently
         // parameterized requests never collide in the store.
-        let mut report = match &instance.scenario {
-            Some(spec) => experiment
-                .scenario(spec.clone())
-                .run(&self.registry.scenario_overlay(spec))?,
-            None => experiment.run(&self.registry)?,
-        };
+        if let Some(spec) = &instance.scenario {
+            experiment = experiment.scenario(spec.clone());
+        }
+        let mut report = experiment.run(&self.registry)?;
         // The cache block is stripped from the body so identical
         // requests serialize byte-identically whether they hit or miss;
         // the stats flow to /statusz and the x-cache-* headers instead.
@@ -338,10 +336,9 @@ impl ApiContext {
             // cache by design — it is a debugging aid, not the hot path.
             let source = req.instance.source()?;
             let instance = source.instance(req.seed)?;
-            let solver = match &req.instance.scenario {
-                Some(spec) => self.registry.scenario_overlay(spec).create(&req.solver)?,
-                None => self.registry.create(&req.solver)?,
-            };
+            let solver = self
+                .registry
+                .resolve(&req.solver, req.instance.scenario.as_ref())?;
             let solution = solver
                 .solve(&instance)
                 .map_err(|e| ApiError::bad_request(format!("solve failed: {e}")))?;
@@ -395,7 +392,9 @@ impl ApiContext {
         }
         let source = req.instance.source()?;
         let instance = source.instance(req.seed)?;
-        let solver = self.registry.create(&req.solver)?;
+        let solver = self
+            .registry
+            .resolve(&req.solver, req.instance.scenario.as_ref())?;
         let solution = solver
             .solve(&instance)
             .map_err(|e| ApiError::bad_request(format!("solve failed: {e}")))?;

@@ -252,6 +252,28 @@ fn scheduling_solvers_serve_and_scenarios_key_the_cache() {
     assert_eq!(other.status, 200, "{}", other.body);
     assert_eq!(other.header("x-cache-misses"), Some("1"));
 
+    // /v1/simulate honours the scenario as well: a single RF charger
+    // moves sched-place's spare nodes, and with them the charger energy.
+    let charger_energy = |scenario: &str| {
+        let body = format!(
+            "{{\"instance\":{{\"posts\":12,\"nodes\":36,\"field\":250.0{scenario}}},\
+             \"solver\":\"sched-place\",\"seed\":3,\"rounds\":300}}"
+        );
+        let resp = post(&addr, "/v1/simulate", &body);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let v: serde_json::Value = serde_json::from_str(&resp.body).unwrap();
+        v.get("charger_energy_j")
+            .and_then(serde_json::Value::as_f64)
+            .unwrap()
+    };
+    let default_budget = charger_energy("");
+    let one_charger = charger_energy(",\"scenario\":{\"charger_budget\":1}");
+    assert_ne!(
+        one_charger.to_bits(),
+        default_budget.to_bits(),
+        "/v1/simulate ignored the scenario"
+    );
+
     // An invalid scenario is rejected up front with a 400 naming the field.
     let bad = post(
         &addr,
@@ -1077,6 +1099,37 @@ fn out_of_range_instances_answer_400_and_keep_the_only_worker() {
         assert_eq!(resp.status, 400, "{bad}: {}", resp.body);
         assert!(resp.body.contains(name), "{bad}: {}", resp.body);
     }
+    // Free links: with both radio constants zero the shortest-path
+    // parents tied into a cycle, and the panic took the worker and the
+    // reply with it, hence the read timeout.
+    let free = InstanceSpec {
+        alpha_nj: 0.0,
+        beta_pj: 0.0,
+        ..InstanceSpec::from_instance(&InstanceSampler::new(Field::square(150.0), 6, 14).sample(2))
+            .unwrap()
+    };
+    let body = format!(
+        r#"{{"instance":{{"spec":{}}},"solver":"idb","rounds":10}}"#,
+        free.to_json()
+    );
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    write!(
+        stream,
+        "POST /v1/simulate HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\
+         Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut raw = Vec::new();
+    stream
+        .read_to_end(&mut raw)
+        .expect("no reply within 5 s: the worker died");
+    let text = String::from_utf8_lossy(&raw);
+    assert!(text.starts_with("HTTP/1.1 400"), "{text}");
+    assert!(text.contains("positive routing weight"), "{text}");
     let ok = post(
         &addr,
         "/v1/solve",
