@@ -11,18 +11,16 @@ use std::sync::Arc;
 use std::time::Duration;
 use wrsn_charging::FieldExperiment;
 use wrsn_core::reduction::reduce;
-use wrsn_core::{BranchAndBound, Instance, InstanceSpec, ScenarioSpec, Solution, Solver};
-use wrsn_energy::Energy;
+use wrsn_core::{BranchAndBound, Instance, InstanceSpec, ScenarioSpec, Solver};
 use wrsn_engine::{
     cache_tag, merge_checkpoints, DurabilityPolicy, EngineError, Experiment, InstanceParams,
     InstanceSource, ResultStore, RetryPolicy, RunReport, SeedEvent, SolverRegistry, StoreOptions,
     SweepCheckpoint, SweepRunner, Table,
 };
 use wrsn_sat::{CnfFormula, DpllSolver};
-use wrsn_sched::plan_tour_schedule;
-use wrsn_serve::api::ApiContext;
+use wrsn_serve::api::{ApiContext, SimulateRequest};
 use wrsn_serve::{client, ChaosPolicy, Server, ServerConfig};
-use wrsn_sim::{ChargerPolicy, FaultPlan, PatrolTour, SimConfig, Simulator};
+use wrsn_sim::{ChargerPolicy, PatrolTour};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -126,8 +124,10 @@ All `wrsn solve` options, plus:
     --bits B        bits per report                      [default: 4000]
     --battery J     per-node battery capacity in joules  [default: 0.1]
     --policy P      threshold | tour | none              [default: threshold]
-    --speed V       charger speed (m/s, tour policy)     [default: 5.0]
-    --chargers K    charger fleet size (tour policy)     [default: 1]
+    --speed V       charger speed (m/s, tour policy), at most 1000
+                                                         [default: 5.0]
+    --chargers K    charger fleet size (tour policy), at most 1000
+                                                         [default: 1]
     --power W       charger radiated power in watts (finite => refills take time)
     --timeline R    sample state of charge every R rounds and plot it
     --sched-tour    drive the tour policy along the sched-tour solver's
@@ -150,18 +150,35 @@ Failure injection (any of these enables the fault plan):
     --battery-fade F   per-charge-cycle capacity fade fraction
     --fade-floor F     fade floor as a fraction of nameplate [default: 0.2]
     --charger-down FROM:UNTIL[,...]
-                       total charger breakdown over rounds FROM..UNTIL";
+                       total charger breakdown over rounds FROM..UNTIL
+
+The same spec is the body of POST /v1/simulate (see `wrsn serve
+--help`), and --json prints the report it answers. Each flag is a key
+with `-` written `_`, except --algo (solver), --battery (battery_j),
+--bits (bits_per_report), --speed (speed_mps) and --power (power_w);
+the instance flags go in an \"instance\" object (the --scenario JSON
+as its \"scenario\", the --load file's spec as its \"spec\"); lists
+are arrays, e.g. --kill 10:0,20:1 is \"kill\": [[10, 0], [20, 1]]; and
+over HTTP \"seed\" defaults to 0.";
 
 const SERVE_HELP: &str = "\
 wrsn serve — a std-only HTTP/1.1 JSON service over the solver registry
 
-Endpoints: POST /v1/solve, /v1/simulate, /v1/sweep; GET /v1/solvers,
-/healthz, /statusz. Runs until SIGINT/SIGTERM, then drains in-flight
-requests and flushes the result store. A second SIGINT/SIGTERM while
-the drain is in flight forces an immediate exit (status 128+signal);
-segments, checkpoints, and job journals are crash-consistent, so the
-next start recovers every committed result and resumes interrupted
-jobs.
+Endpoints: POST /v1/solve, /v1/simulate, /v1/sweep, /v1/jobs; GET
+/v1/solvers, /healthz, /statusz. POST bodies are JSON objects:
+    /v1/solve     {\"instance\": {\"posts\", \"nodes\", \"field\", \"levels\",
+                  \"eta\", \"cap\", \"spec\", \"scenario\"}, \"solver\", \"seed\",
+                  \"include_solution\"}
+    /v1/sweep, /v1/jobs  {\"instance\", \"solver\", \"seed_start\", \"seeds\"}
+    /v1/simulate  \"instance\", \"solver\", \"seed\" and the settings of
+                  `wrsn simulate --help`, under their JSON keys
+An unknown or repeated key is answered 400 naming it.
+
+Runs until SIGINT/SIGTERM, then drains in-flight requests and flushes
+the result store. A second SIGINT/SIGTERM while the drain is in flight
+forces an immediate exit (status 128+signal); segments, checkpoints,
+and job journals are crash-consistent, so the next start recovers
+every committed result and resumes interrupted jobs.
 
 OPTIONS:
     --addr A:P      bind address                    [default: 127.0.0.1:7421]
@@ -381,6 +398,9 @@ impl From<EngineError> for CliError {
                 "unknown --algo {name:?} (expected {})",
                 known.join("|")
             )),
+            EngineError::InvalidSetting { setting, problem } => {
+                CliError::Msg(format!("{} {problem}", flag_of(setting)))
+            }
             other => CliError::Msg(other.to_string()),
         }
     }
@@ -425,31 +445,38 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
 }
 
 /// The instance-shaping options shared by `solve`, `simulate`, and
-/// `sweep`.
+/// `sweep`, read into the engine's [`InstanceParams`] so the HTTP API
+/// and the CLI check parameters alike and resolve them to identical
+/// instances (and identical cache fingerprints).
 struct InstanceOptions {
-    posts: usize,
-    nodes: u32,
-    field: f64,
-    levels: usize,
-    eta: f64,
-    cap: Option<u32>,
+    params: InstanceParams,
+    /// The `--load` path, named in messages about its spec.
     load: Option<String>,
-    scenario: Option<ScenarioSpec>,
 }
 
 impl InstanceOptions {
-    /// Reads the flags; [`source`](Self::source) checks their values.
+    /// Reads the flags and the `--load` spec; [`source`](Self::source)
+    /// checks their values.
     fn parse(args: &mut Args) -> Result<Self, CliError> {
-        Ok(InstanceOptions {
-            posts: args.get_or("posts", "a post count", 100)?,
-            nodes: args.get_or("nodes", "a node count", 400)?,
-            field: args.get_or("field", "meters", 500.0)?,
-            levels: args.get_or("levels", "a level count", 3)?,
-            eta: args.get_or("eta", "an efficiency in (0,1]", 1.0)?,
+        let defaults = InstanceParams::default();
+        let mut params = InstanceParams {
+            posts: args.get_or("posts", "a post count", defaults.posts)?,
+            nodes: args.get_or("nodes", "a node count", defaults.nodes)?,
+            field: args.get_or("field", "meters", defaults.field)?,
+            levels: args.get_or("levels", "a level count", defaults.levels)?,
+            eta: args.get_or("eta", "an efficiency in (0,1]", defaults.eta)?,
             cap: args.opt("cap", "a per-post cap")?,
-            load: args.opt("load", "a file path")?,
+            spec: None,
             scenario: parse_scenario(args)?,
-        })
+        };
+        let load: Option<String> = args.opt("load", "a file path")?;
+        if let Some(path) = &load {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| CliError::Msg(format!("reading {path}: {e}")))?;
+            params.spec =
+                Some(InstanceSpec::from_json(&text).map_err(|e| CliError::Msg(e.to_string()))?);
+        }
+        Ok(InstanceOptions { params, load })
     }
 
     /// Resolves the options into an engine instance source: a pinned
@@ -457,28 +484,7 @@ impl InstanceOptions {
     /// the scenario's too, is checked here, by the same
     /// [`InstanceParams::source`] that checks HTTP requests.
     fn source(&self) -> Result<InstanceSource, CliError> {
-        let spec = match &self.load {
-            Some(path) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| CliError::Msg(format!("reading {path}: {e}")))?;
-                Some(InstanceSpec::from_json(&text).map_err(|e| CliError::Msg(e.to_string()))?)
-            }
-            None => None,
-        };
-        // The instance recipe lives in the engine's InstanceParams so the
-        // HTTP API and the CLI check parameters alike and resolve them to
-        // identical instances (and identical cache fingerprints).
-        let params = InstanceParams {
-            posts: self.posts,
-            nodes: self.nodes,
-            field: self.field,
-            levels: self.levels,
-            eta: self.eta,
-            cap: self.cap,
-            spec,
-            scenario: self.scenario.clone(),
-        };
-        params.source().map_err(|e| match &self.load {
+        self.params.source().map_err(|e| match &self.load {
             // Keep the file name in the message.
             Some(path) => CliError::Msg(format!("spec in {path}: {e}")),
             None => CliError::from(e),
@@ -499,38 +505,11 @@ fn parse_scenario(args: &mut Args) -> Result<Option<ScenarioSpec>, CliError> {
         .map_err(|e| CliError::Msg(format!("--scenario: {e}")))
 }
 
-struct SolveSetup {
-    instance: Instance,
-    solution: Solution,
-    seed: u64,
-    json: bool,
-    scenario: Option<ScenarioSpec>,
-}
-
-fn setup_solve(args: &mut Args) -> Result<SolveSetup, CliError> {
-    let opts = InstanceOptions::parse(args)?;
-    let seed: u64 = args.get_or("seed", "an integer seed", 1)?;
-    let algo: String = args.get_or("algo", "an algorithm name", "irfh".to_string())?;
-    let save: Option<String> = args.opt("save", "a file path")?;
-    let json = args.flag("json");
-    let instance = opts.source()?.instance(seed)?;
-    if let Some(path) = save {
-        let spec = InstanceSpec::from_instance(&instance)
-            .ok_or(CliError::NonGeometric { what: "--save" })?;
-        std::fs::write(&path, spec.to_json())
-            .map_err(|e| CliError::Msg(format!("writing {path}: {e}")))?;
-    }
-    let solver = SolverRegistry::with_defaults().resolve(&algo, opts.scenario.as_ref())?;
-    let solution = solver
-        .solve(&instance)
-        .map_err(|e| CliError::Msg(format!("{algo} failed: {e}")))?;
-    Ok(SolveSetup {
-        instance,
-        solution,
-        seed,
-        json,
-        scenario: opts.scenario,
-    })
+/// Writes `--save PATH`: the instance's spec as JSON.
+fn save_instance(path: &str, instance: &Instance) -> Result<(), CliError> {
+    let spec =
+        InstanceSpec::from_instance(instance).ok_or(CliError::NonGeometric { what: "--save" })?;
+    std::fs::write(path, spec.to_json()).map_err(|e| CliError::Msg(format!("writing {path}: {e}")))
 }
 
 #[derive(Serialize)]
@@ -547,47 +526,58 @@ struct SolveReport {
 fn solve(mut args: Args) -> Result<String, CliError> {
     let draw = args.flag("draw");
     let svg: Option<String> = args.opt("svg", "a file path")?;
-    let setup = setup_solve(&mut args)?;
+    let opts = InstanceOptions::parse(&mut args)?;
+    let seed: u64 = args.get_or("seed", "an integer seed", 1)?;
+    let algo: String = args.get_or("algo", "an algorithm name", "irfh".to_string())?;
+    let save: Option<String> = args.opt("save", "a file path")?;
+    let json = args.flag("json");
+    let instance = opts.source()?.instance(seed)?;
+    if let Some(path) = save {
+        save_instance(&path, &instance)?;
+    }
+    let solution = SolverRegistry::with_defaults()
+        .resolve(&algo, opts.params.scenario.as_ref())?
+        .solve(&instance)
+        .map_err(|e| CliError::Msg(format!("{algo} failed: {e}")))?;
     args.finish()?;
     if let Some(path) = &svg {
-        let geo = setup
-            .instance
+        let geo = instance
             .geometry()
             .ok_or(CliError::NonGeometric { what: "--svg" })?;
-        let doc = render::render_svg(geo, &setup.solution, 720);
+        let doc = render::render_svg(geo, &solution, 720);
         std::fs::write(path, doc).map_err(|e| CliError::Msg(format!("writing {path}: {e}")))?;
     }
     let report = SolveReport {
-        algorithm: setup.solution.algorithm().to_string(),
-        posts: setup.instance.num_posts(),
-        nodes: setup.instance.num_nodes(),
-        seed: setup.seed,
-        total_cost_uj: setup.solution.total_cost().as_ujoules(),
-        deployment: setup.solution.deployment().counts().to_vec(),
-        parents: setup.solution.tree().parents().to_vec(),
+        algorithm: solution.algorithm().to_string(),
+        posts: instance.num_posts(),
+        nodes: instance.num_nodes(),
+        seed,
+        total_cost_uj: solution.total_cost().as_ujoules(),
+        deployment: solution.deployment().counts().to_vec(),
+        parents: solution.tree().parents().to_vec(),
     };
-    if setup.json {
+    if json {
         return Ok(serde_json::to_string_pretty(&report).expect("serializable"));
     }
     let mut out = String::new();
-    let _ = writeln!(out, "instance: {}", setup.instance);
+    let _ = writeln!(out, "instance: {}", instance);
     let _ = writeln!(
         out,
         "{}: total recharging cost {}",
         report.algorithm,
-        setup.solution.total_cost()
+        solution.total_cost()
     );
-    let _ = writeln!(out, "deployment: {}", setup.solution.deployment());
-    let _ = writeln!(out, "routing:    {}", setup.solution.tree());
+    let _ = writeln!(out, "deployment: {}", solution.deployment());
+    let _ = writeln!(out, "routing:    {}", solution.tree());
     if draw {
-        if let Some(geo) = setup.instance.geometry() {
+        if let Some(geo) = instance.geometry() {
             let _ = writeln!(
                 out,
                 "
 {}",
-                render::render_field(geo, &setup.solution, 64, 24)
+                render::render_field(geo, &solution, 64, 24)
             );
-            let _ = writeln!(out, "{}", render::render_tree(&setup.solution));
+            let _ = writeln!(out, "{}", render::render_tree(&solution));
         }
     }
     Ok(out)
@@ -680,7 +670,7 @@ fn sweep(mut args: Args) -> Result<String, CliError> {
         }
         return sweep_compare(SweepCompare {
             source,
-            scenario: opts.scenario.as_ref(),
+            scenario: opts.params.scenario.as_ref(),
             list: &list,
             seeds,
             seed_start,
@@ -704,7 +694,7 @@ fn sweep(mut args: Args) -> Result<String, CliError> {
         .keep_going(keep_going)
         .resume(resume)
         .record_timings(!no_timings);
-    if let Some(spec) = &opts.scenario {
+    if let Some(spec) = &opts.params.scenario {
         experiment = experiment.scenario(spec.clone());
     }
     if let Some(path) = &checkpoint {
@@ -978,283 +968,107 @@ fn merge(mut args: Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-#[derive(Serialize)]
-struct SimulateReport {
-    algorithm: String,
-    rounds: u64,
-    reports_delivered: u64,
-    reports_lost: u64,
-    delivery_ratio: f64,
-    charger_energy_j: f64,
-    consumed_energy_j: f64,
-    first_death: Option<(f64, usize)>,
-    analytic_cost_per_round_uj: f64,
-    simulated_cost_per_round_uj: f64,
-    soc_timeline: Vec<(f64, f64, f64)>,
-    first_fault_round: Option<u64>,
-    rounds_after_first_fault: u64,
-    charger_skips: u64,
-    charger_delays: u64,
-    link_losses: u64,
-    max_energy_deficit: f64,
-    capacity_floor_hits: u64,
-    charger_downtime_rounds: u64,
-    breakdown_deaths: u64,
-    tour_infeasible_posts: Vec<usize>,
+/// The `wrsn simulate` flag that sets a simulate-spec setting.
+fn flag_of(setting: &str) -> String {
+    match setting {
+        "battery_j" => "--battery".to_string(),
+        "bits_per_report" => "--bits".to_string(),
+        "speed_mps" => "--speed".to_string(),
+        "power_w" => "--power".to_string(),
+        other => format!("--{}", other.replace('_', "-")),
+    }
 }
 
-/// Parses `--kill R:P[,R:P...]` entries into (round, post) pairs.
-fn parse_kill_list(text: &str) -> Result<Vec<(u64, usize)>, CliError> {
+/// Reads a `--kill`, `--outage` or `--charger-down` list: comma-separated
+/// entries of `N` colon-separated numbers, laid out as `shape`.
+fn entry_list<const N: usize>(
+    args: &mut Args,
+    flag: &str,
+    shape: &'static str,
+) -> Result<Option<Vec<[u64; N]>>, CliError> {
+    let Some(text) = args.opt::<String>(flag, shape)? else {
+        return Ok(None);
+    };
     text.split(',')
         .map(|entry| {
+            let bad =
+                |what| CliError::Msg(format!("--{flag} expects {shape} {what}, got {entry:?}"));
             let parts: Vec<&str> = entry.split(':').collect();
-            let [round, post] = parts.as_slice() else {
-                return Err(CliError::Msg(format!(
-                    "--kill expects ROUND:POST entries, got {entry:?}"
-                )));
-            };
-            match (round.trim().parse(), post.trim().parse()) {
-                (Ok(r), Ok(p)) => Ok((r, p)),
-                _ => Err(CliError::Msg(format!(
-                    "--kill expects ROUND:POST numbers, got {entry:?}"
-                ))),
+            if parts.len() != N {
+                return Err(bad("entries"));
             }
+            let mut numbers = [0; N];
+            for (slot, part) in numbers.iter_mut().zip(parts) {
+                *slot = part.trim().parse().map_err(|_| bad("numbers"))?;
+            }
+            Ok(numbers)
         })
-        .collect()
+        .collect::<Result<_, _>>()
+        .map(Some)
 }
 
-/// Parses `--charger-down FROM:UNTIL[,...]` entries into (from, until)
-/// round windows.
-fn parse_charger_down(text: &str) -> Result<Vec<(u64, u64)>, CliError> {
-    text.split(',')
-        .map(|entry| {
-            let parts: Vec<&str> = entry.split(':').collect();
-            let [from, until] = parts.as_slice() else {
-                return Err(CliError::Msg(format!(
-                    "--charger-down expects FROM:UNTIL entries, got {entry:?}"
-                )));
-            };
-            match (from.trim().parse(), until.trim().parse()) {
-                (Ok(a), Ok(b)) => Ok((a, b)),
-                _ => Err(CliError::Msg(format!(
-                    "--charger-down expects FROM:UNTIL numbers, got {entry:?}"
-                ))),
-            }
-        })
-        .collect()
-}
-
-/// Parses `--outage P:FROM:UNTIL[,...]` entries into (post, from, until)
-/// triples.
-fn parse_outage_list(text: &str) -> Result<Vec<(usize, u64, u64)>, CliError> {
-    text.split(',')
-        .map(|entry| {
-            let parts: Vec<&str> = entry.split(':').collect();
-            let [post, from, until] = parts.as_slice() else {
-                return Err(CliError::Msg(format!(
-                    "--outage expects POST:FROM:UNTIL entries, got {entry:?}"
-                )));
-            };
-            match (
-                post.trim().parse(),
-                from.trim().parse(),
-                until.trim().parse(),
-            ) {
-                (Ok(p), Ok(a), Ok(b)) => Ok((p, a, b)),
-                _ => Err(CliError::Msg(format!(
-                    "--outage expects POST:FROM:UNTIL numbers, got {entry:?}"
-                ))),
-            }
-        })
-        .collect()
+/// A post index read from a list entry. It saturates, so a post too
+/// large for this platform still fails the fault plan's range check.
+fn post_index(post: u64) -> usize {
+    usize::try_from(post).unwrap_or(usize::MAX)
 }
 
 fn simulate(mut args: Args) -> Result<String, CliError> {
-    let rounds: u64 = args.get_or("rounds", "a round count", 1000)?;
-    let bits: u64 = args.get_or("bits", "bits per report", 4000)?;
-    let battery: f64 = args.get_or("battery", "joules", 0.1)?;
-    let policy: String = args.get_or("policy", "threshold|tour|none", "threshold".to_string())?;
-    let speed: f64 = args.get_or("speed", "meters per second", 5.0)?;
-    let chargers: u32 = args.get_or("chargers", "a charger count", 1)?;
-    let timeline: Option<u64> = args.opt("timeline", "a sample interval in rounds")?;
-    let power: f64 = match args.opt::<f64>("power", "charger watts")? {
-        Some(w) if w > 0.0 => w,
-        Some(w) => return Err(CliError::Msg(format!("--power must be positive, got {w}"))),
-        None => f64::INFINITY,
+    let defaults = SimulateRequest::default();
+    let opts = InstanceOptions::parse(&mut args)?;
+    let kill = entry_list::<2>(&mut args, "kill", "ROUND:POST")?;
+    let outage = entry_list::<3>(&mut args, "outage", "POST:FROM:UNTIL")?;
+    let charger_down = entry_list::<2>(&mut args, "charger-down", "FROM:UNTIL")?;
+    let spec = SimulateRequest {
+        instance: opts.params,
+        solver: args.get_or("algo", "an algorithm name", defaults.solver)?,
+        seed: args.get_or("seed", "an integer seed", 1)?,
+        rounds: args.get_or("rounds", "a round count", defaults.rounds)?,
+        bits_per_report: args.get_or("bits", "bits per report", defaults.bits_per_report)?,
+        battery_j: args.get_or("battery", "joules", defaults.battery_j)?,
+        policy: args.get_or("policy", "threshold|tour|none", defaults.policy)?,
+        speed_mps: args.get_or("speed", "meters per second", defaults.speed_mps)?,
+        chargers: args.get_or("chargers", "a charger count", defaults.chargers)?,
+        power_w: args.opt("power", "charger watts")?,
+        timeline: args.opt("timeline", "a sample interval in rounds")?,
+        sched_tour: args.flag("sched-tour"),
+        fault_seed: args.opt("fault-seed", "an integer seed")?,
+        kill: kill.map(|v| {
+            v.iter()
+                .map(|&[round, post]| (round, post_index(post)))
+                .collect()
+        }),
+        outage: outage.map(|v| {
+            v.iter()
+                .map(|&[post, from, until]| (post_index(post), from, until))
+                .collect()
+        }),
+        charger_skip: args.opt("charger-skip", "a probability")?,
+        charger_delay: args.opt("charger-delay", "a probability")?,
+        delay_s: args.get_or("delay-s", "seconds", defaults.delay_s)?,
+        link_loss: args.opt("link-loss", "a probability")?,
+        battery_fade: args.opt("battery-fade", "a fraction")?,
+        fade_floor: args.opt("fade-floor", "a fraction")?,
+        charger_down: charger_down.map(|v| v.iter().map(|&[from, until]| (from, until)).collect()),
     };
-    let fault_seed: Option<u64> = args.opt("fault-seed", "an integer seed")?;
-    let kill: Option<String> = args.opt("kill", "ROUND:POST entries")?;
-    let outage: Option<String> = args.opt("outage", "POST:FROM:UNTIL entries")?;
-    let charger_skip: Option<f64> = args.opt("charger-skip", "a probability")?;
-    let charger_delay: Option<f64> = args.opt("charger-delay", "a probability")?;
-    let delay_s: f64 = args.get_or("delay-s", "seconds", 5.0)?;
-    let link_loss: Option<f64> = args.opt("link-loss", "a probability")?;
-    let battery_fade: Option<f64> = args.opt("battery-fade", "a fraction")?;
-    let fade_floor: Option<f64> = args.opt("fade-floor", "a fraction")?;
-    let charger_down: Option<String> = args.opt("charger-down", "FROM:UNTIL entries")?;
-    let sched_tour = args.flag("sched-tour");
-    let setup = setup_solve(&mut args)?;
+    let save: Option<String> = args.opt("save", "a file path")?;
+    let json = args.flag("json");
     args.finish()?;
-    // Range-check the probabilistic knobs up front so the error names
-    // the flag, not an anonymous "fault plan" field.
-    let charger_skip = charger_skip
-        .map(|p| unit_interval("--charger-skip", p))
-        .transpose()?;
-    let charger_delay = charger_delay
-        .map(|p| unit_interval("--charger-delay", p))
-        .transpose()?;
-    let link_loss = link_loss
-        .map(|p| unit_interval("--link-loss", p))
-        .transpose()?;
-    let battery_fade = battery_fade
-        .map(|f| unit_interval("--battery-fade", f))
-        .transpose()?;
-    let fade_floor = fade_floor
-        .map(|f| unit_interval("--fade-floor", f))
-        .transpose()?;
-    let faults = if fault_seed.is_some()
-        || kill.is_some()
-        || outage.is_some()
-        || charger_skip.is_some()
-        || charger_delay.is_some()
-        || link_loss.is_some()
-        || battery_fade.is_some()
-        || charger_down.is_some()
-    {
-        let mut plan = FaultPlan::seeded(fault_seed.unwrap_or(0));
-        if let Some(text) = &kill {
-            for (round, post) in parse_kill_list(text)? {
-                plan = plan.kill_node(round, post);
-            }
-        }
-        if let Some(text) = &outage {
-            for (post, from, until) in parse_outage_list(text)? {
-                plan = plan.outage(post, from, until);
-            }
-        }
-        if let Some(p) = charger_skip {
-            plan = plan.charger_skips(p);
-        }
-        if let Some(p) = charger_delay {
-            plan = plan.charger_delays(p, delay_s);
-        }
-        if let Some(p) = link_loss {
-            plan = plan.link_loss(p);
-        }
-        if let Some(f) = battery_fade {
-            plan = plan.battery_fade(f);
-        }
-        if let Some(f) = fade_floor {
-            plan = plan.battery_fade_floor(f);
-        }
-        if let Some(text) = &charger_down {
-            for (from, until) in parse_charger_down(text)? {
-                plan = plan.charger_breakdown(from, until);
-            }
-        }
-        plan.validate(setup.instance.num_posts())
-            .map_err(|why| CliError::Msg(format!("fault plan: {why}")))?;
-        Some(plan)
-    } else {
-        None
-    };
-    if battery <= 0.0 {
-        return Err(CliError::Msg("--battery must be positive".into()));
+    let run = spec.run(&SolverRegistry::with_defaults())?;
+    if let Some(path) = save {
+        save_instance(&path, &run.instance)?;
     }
-    let charger = match policy.as_str() {
-        "threshold" => ChargerPolicy::Threshold {
-            interval_s: 10.0,
-            trigger_soc: 0.5,
-        },
-        "tour" => ChargerPolicy::PatrolTour {
-            speed_mps: speed,
-            trigger_soc: 0.5,
-            chargers,
-        },
-        "none" => ChargerPolicy::None,
-        other => {
-            return Err(CliError::Msg(format!(
-                "unknown --policy {other:?} (expected threshold|tour|none)"
-            )))
-        }
-    };
-    if chargers == 0 {
-        return Err(CliError::Msg("--chargers must be at least 1".into()));
+    if json {
+        return Ok(serde_json::to_string_pretty(&run.summary()).expect("serializable"));
     }
-    // With --sched-tour the patrol follows the scheduling solver's
-    // planned visit order instead of the simulator's own 2-opt tour.
-    let mut planned_schedule = None;
-    let tour_order = if sched_tour {
-        if !matches!(charger, ChargerPolicy::PatrolTour { .. }) {
-            return Err(CliError::Msg(
-                "--sched-tour needs --policy tour (it drives the patrol chargers)".into(),
-            ));
-        }
-        let mut spec = setup.scenario.clone().unwrap_or_default();
-        spec.charger_speed_mps = speed;
-        spec.chargers = chargers;
-        spec.battery_j = battery;
-        spec.bits_per_report = bits;
-        let schedule = plan_tour_schedule(&setup.instance, &setup.solution, &spec).ok_or(
-            CliError::NonGeometric {
-                what: "--sched-tour",
-            },
-        )?;
-        // The simulator wants a full permutation; posts the scheduler
-        // deemed unsavable still get (hopeless) visits, at the end.
-        let mut order = schedule.visit_order.clone();
-        order.extend(schedule.infeasible.iter().copied());
-        planned_schedule = Some(schedule);
-        Some(order)
-    } else {
-        None
-    };
-    let config = SimConfig {
-        round_interval_s: 1.0,
-        bits_per_report: bits,
-        battery_capacity: Energy::from_joules(battery),
-        charger,
-        record_soc_every: timeline,
-        charger_power_w: power,
-        faults,
-        tour_order,
-    };
-    let sim = Simulator::new(&setup.instance, &setup.solution, config.clone());
-    let report = sim.run(rounds);
-    let analytic = setup.solution.total_cost() * bits as f64;
-    let result = SimulateReport {
-        algorithm: setup.solution.algorithm().to_string(),
-        rounds: report.rounds_completed,
-        reports_delivered: report.reports_delivered,
-        reports_lost: report.reports_lost,
-        delivery_ratio: report.delivery_ratio(),
-        charger_energy_j: report.charger_energy.as_joules(),
-        consumed_energy_j: report.consumed_energy.as_joules(),
-        first_death: report.first_death,
-        analytic_cost_per_round_uj: analytic.as_ujoules(),
-        simulated_cost_per_round_uj: report.charger_energy_per_round().as_ujoules(),
-        soc_timeline: report.soc_timeline.clone(),
-        first_fault_round: report.first_fault_round,
-        rounds_after_first_fault: report.rounds_after_first_fault,
-        charger_skips: report.charger_skips,
-        charger_delays: report.charger_delays,
-        link_losses: report.link_losses,
-        max_energy_deficit: report.max_energy_deficit,
-        capacity_floor_hits: report.capacity_floor_hits,
-        charger_downtime_rounds: report.charger_downtime_rounds,
-        breakdown_deaths: report.breakdown_deaths,
-        tour_infeasible_posts: report.tour_infeasible_posts.clone(),
-    };
-    if setup.json {
-        return Ok(serde_json::to_string_pretty(&result).expect("serializable"));
-    }
+    let report = &run.report;
     let mut out = String::new();
     let _ = writeln!(out, "{report}");
     let _ = writeln!(
         out,
         "charger energy per round: {} (analytic prediction: {})",
         report.charger_energy_per_round(),
-        analytic
+        run.analytic_per_round()
     );
     if let Some((t, p)) = report.first_death {
         let _ = writeln!(
@@ -1264,7 +1078,7 @@ fn simulate(mut args: Args) -> Result<String, CliError> {
     } else {
         let _ = writeln!(out, "network alive for the whole run");
     }
-    if config.faults.is_some() {
+    if run.config.faults.is_some() {
         let _ = writeln!(
             out,
             "faults: delivery ratio {:.3}, first fault at round {}, {} round(s) survived after, \
@@ -1292,8 +1106,9 @@ fn simulate(mut args: Args) -> Result<String, CliError> {
         }
     }
     if let (ChargerPolicy::PatrolTour { .. }, Some(geo)) =
-        (config.charger, setup.instance.geometry())
+        (run.config.charger, run.instance.geometry())
     {
+        let (speed, chargers) = (spec.speed_mps, spec.chargers);
         let tour = PatrolTour::plan(geo.base_station, geo.posts.clone());
         let _ = writeln!(
             out,
@@ -1302,7 +1117,7 @@ fn simulate(mut args: Args) -> Result<String, CliError> {
             tour.cycle_s(speed)
         );
     }
-    if let Some(schedule) = &planned_schedule {
+    if let Some(schedule) = &run.schedule {
         let _ = writeln!(
             out,
             "sched-tour: {} route(s), {} post(s) scheduled, feasible: {}",
@@ -3548,5 +3363,152 @@ mod tests {
         assert_eq!(v["events"], 2);
         assert!(v["final"]["report"].as_object().is_some(), "{out}");
         handle.shutdown().unwrap();
+    }
+
+    /// One random simulate spec on a small instance, drawn from `picks`
+    /// and rendered both as `wrsn simulate --json` argv and as a
+    /// `/v1/simulate` body. In one case of four, one setting is out of
+    /// range.
+    fn random_simulate_spec(picks: &[u64]) -> (Vec<String>, serde::Value) {
+        let mut picks = picks.iter().copied();
+        let mut pick = |n: u64| picks.next().expect("enough picks") % n;
+        let posts = 4 + pick(5);
+        let rounds = 20 + pick(281);
+        let broken = pick(4 * 14);
+        let mut argv: Vec<String> = format!(
+            "simulate --posts {posts} --nodes {} --field 200 --rounds {rounds} --json",
+            posts * 3
+        )
+        .split_whitespace()
+        .map(String::from)
+        .collect();
+        let instance = InstanceParams {
+            posts: posts as usize,
+            nodes: posts as u32 * 3,
+            field: 200.0,
+            ..InstanceParams::default()
+        };
+        let mut body = vec![
+            ("instance".to_string(), instance.to_value()),
+            ("rounds".to_string(), rounds.to_value()),
+        ];
+        let mut set = |flag: &str, key: &str, arg: String, json: serde::Value| {
+            argv.extend([format!("--{flag}"), arg]);
+            body.push((key.to_string(), json));
+        };
+        let solver = ["idb", "rfh", "irfh", "sched-tour", "sched-place"][pick(5) as usize];
+        set("algo", "solver", solver.into(), solver.to_value());
+        let seed = pick(4);
+        set("seed", "seed", seed.to_string(), seed.to_value());
+        let policy = match (broken, pick(4)) {
+            (0, _) => "teleport",
+            (_, 0) => "threshold",
+            (_, 1) => "none",
+            _ => "tour",
+        };
+        set("policy", "policy", policy.into(), policy.to_value());
+        // An optional setting is present half the time, and always when
+        // it is the broken one.
+        let mut f64_setting = |index, flag: &str, key: &str, valid: &[f64], bad: f64| {
+            let v = match (broken == index, pick(2)) {
+                (true, _) => bad,
+                (false, 0) => valid[pick(valid.len() as u64) as usize],
+                _ => return,
+            };
+            set(flag, key, v.to_string(), v.to_value());
+        };
+        f64_setting(1, "battery", "battery_j", &[0.001, 0.002, 0.01, 0.1], 0.0);
+        f64_setting(2, "speed", "speed_mps", &[3.0, 8.0, 25.0, 60.0], 5000.0);
+        f64_setting(3, "power", "power_w", &[0.5, 2.0, 10.0], -1.0);
+        f64_setting(4, "charger-skip", "charger_skip", &[0.0, 0.2, 0.6], 1.5);
+        f64_setting(5, "charger-delay", "charger_delay", &[0.0, 0.5, 1.0], 2.0);
+        f64_setting(6, "delay-s", "delay_s", &[1.0, 12.0, 40.0], -3.0);
+        f64_setting(7, "link-loss", "link_loss", &[0.0, 0.05, 0.3], 1.2);
+        f64_setting(8, "battery-fade", "battery_fade", &[0.0, 0.05, 0.3], -0.1);
+        f64_setting(9, "fade-floor", "fade_floor", &[0.1, 0.6, 0.95], 1.1);
+        let mut u64_setting = |index, flag: &str, key: &str, valid: &[u64], bad: u64| {
+            let v = match (broken == index, pick(2)) {
+                (true, _) => bad,
+                (false, 0) => valid[pick(valid.len() as u64) as usize],
+                _ => return,
+            };
+            set(flag, key, v.to_string(), v.to_value());
+        };
+        u64_setting(10, "chargers", "chargers", &[1, 2, 3], 0);
+        u64_setting(15, "bits", "bits_per_report", &[500, 1000, 8000], 0);
+        u64_setting(15, "timeline", "timeline", &[10, 25, 60], 0);
+        u64_setting(15, "fault-seed", "fault_seed", &[0, 3, 11], 0);
+        // ROUND:POST, POST:FROM:UNTIL and FROM:UNTIL lists. A broken one
+        // names the post one past the last, or an empty window.
+        for (index, flag, key) in [
+            (11, "kill", "kill"),
+            (12, "outage", "outage"),
+            (13, "charger-down", "charger_down"),
+        ] {
+            if broken != index && pick(2) == 0 {
+                continue;
+            }
+            let entries: Vec<Vec<u64>> = (0..1 + pick(2))
+                .map(|_| {
+                    let post = if broken == index { posts } else { pick(posts) };
+                    let from = pick(rounds);
+                    let until = if broken == index {
+                        from
+                    } else {
+                        from + 1 + pick(40)
+                    };
+                    match flag {
+                        "kill" => vec![from, post],
+                        "outage" => vec![post, from, until],
+                        _ => vec![from, until],
+                    }
+                })
+                .collect();
+            let arg: Vec<String> = entries
+                .iter()
+                .map(|e| e.iter().map(u64::to_string).collect::<Vec<_>>().join(":"))
+                .collect();
+            set(flag, key, arg.join(","), entries.to_value());
+        }
+        if pick(4) == 0 {
+            argv.push("--sched-tour".to_string());
+            body.push(("sched_tour".to_string(), true.to_value()));
+        }
+        (argv, serde::Value::Object(body))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// `wrsn simulate --json` and `/v1/simulate` give equal documents
+        /// for one spec, or both reject it naming the same setting.
+        #[test]
+        fn cli_and_http_simulate_agree(
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 64)
+        ) {
+            let (argv, body) = random_simulate_spec(&picks);
+            let req = SimulateRequest::from_value(&body).unwrap();
+            let reparse = |text: &str| serde_json::from_str::<serde_json::Value>(text).unwrap();
+            match (run(&argv), ApiContext::new().simulate(&req)) {
+                (Ok(cli), Ok(http)) => {
+                    let http = serde_json::to_string(&http.body).unwrap();
+                    proptest::prop_assert_eq!(reparse(&cli), reparse(&http), "{:?}", argv);
+                }
+                (Err(cli), Err(http)) => {
+                    // The HTTP message names the key, the CLI's the flag.
+                    let key = http.message.split(' ').next().unwrap_or_default();
+                    let named = body.get(key).map(|_| {
+                        http.message.replacen(key, &flag_of(key), 1)
+                    });
+                    proptest::prop_assert_eq!(
+                        cli.to_string(),
+                        named.unwrap_or(http.message),
+                        "{:?}",
+                        argv
+                    );
+                }
+                (cli, http) => panic!("{argv:?}: CLI {cli:?} but HTTP {http:?}"),
+            }
+        }
     }
 }

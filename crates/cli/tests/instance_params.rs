@@ -73,6 +73,11 @@ fn out_of_domain_pinned_specs_exit_1_naming_the_field() {
             "\"num_nodes\": 2001",
             "nodes must be at most 2000",
         ),
+        (
+            "\"eta\": 1.0",
+            "\"eta\": 1.0, \"etta\": 0.5",
+            "unknown field `etta` in InstanceSpec",
+        ),
     ] {
         assert!(text.contains(field), "{text}");
         let bad = dir.join("bad.json");

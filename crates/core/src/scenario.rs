@@ -76,6 +76,7 @@ fn default_seed() -> u64 {
 /// assert!(spec.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ScenarioSpec {
     /// Mobile-charger travel speed in meters per second.
     #[serde(default = "default_charger_speed")]

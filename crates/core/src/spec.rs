@@ -76,6 +76,7 @@ pub enum GainSpec {
 /// Explicit-adjacency instances (the NP-reduction gadgets) are built
 /// programmatically and are intentionally not covered.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct InstanceSpec {
     /// Post coordinates in meters, `(x, y)`.
     pub posts: Vec<(f64, f64)>,

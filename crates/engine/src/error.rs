@@ -69,6 +69,15 @@ pub enum EngineError {
     /// A request's parameters were out of range or inconsistent (used
     /// by front ends resolving declarative parameters into sources).
     InvalidRequest(String),
+    /// One named setting of a request spec was out of range. `setting`
+    /// is the spec's JSON key; a front end with other names for its
+    /// settings (the CLI's flags) renders it in its own terms.
+    InvalidSetting {
+        /// The setting's JSON key, e.g. `"battery_j"`.
+        setting: &'static str,
+        /// What is wrong with its value, e.g. `"must be positive, got 0"`.
+        problem: String,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -109,6 +118,7 @@ impl fmt::Display for EngineError {
             ),
             EngineError::NoSeeds => write!(f, "experiment has an empty seed range"),
             EngineError::InvalidRequest(message) => write!(f, "invalid request: {message}"),
+            EngineError::InvalidSetting { setting, problem } => write!(f, "{setting} {problem}"),
         }
     }
 }
@@ -180,6 +190,10 @@ mod tests {
             EngineError::BadShard { index: 5, count: 4 },
             EngineError::NoSeeds,
             EngineError::DuplicateSolver { name: "idb".into() },
+            EngineError::InvalidSetting {
+                setting: "battery_j",
+                problem: "must be positive, got 0".into(),
+            },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

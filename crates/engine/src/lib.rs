@@ -58,6 +58,10 @@ pub use report::{mean, save_json, std_dev, RunReport, SeedFailure, SeedRun, Summ
 pub use runner::{run_seeds, Failure, RetryPolicy, SeedOutcome, SweepRunner};
 pub use table::Table;
 
+// The tour planner surfaces through the engine so front ends that
+// simulate a planned tour don't need a direct wrsn-sched dependency.
+pub use wrsn_sched::{plan_tour_schedule, TourSchedule};
+
 // Result-store types surface through the engine so consumers (CLI,
 // benches) don't need a direct wrsn-store dependency for common use.
 pub use wrsn_store::{

@@ -67,6 +67,7 @@ pub const MAX_LEVELS: usize = 1_000;
 /// # Ok::<(), wrsn_engine::EngineError>(())
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct InstanceParams {
     /// Number of monitoring posts (sampled instances).
     #[serde(default = "default_posts")]

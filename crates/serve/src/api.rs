@@ -6,15 +6,23 @@
 
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
+use wrsn_core::{Instance, Solution};
 use wrsn_energy::Energy;
 use wrsn_engine::{
-    CacheStats, EngineError, Experiment, InstanceParams, ProgressFeed, ResultStore, SolverRegistry,
+    plan_tour_schedule, CacheStats, EngineError, Experiment, InstanceParams, ProgressFeed,
+    ResultStore, SolverRegistry, TourSchedule, MAX_POSTS,
 };
-use wrsn_sim::{ChargerPolicy, FaultPlan, SimConfig, Simulator, DEFAULT_FADE_FLOOR};
+use wrsn_sim::{ChargerPolicy, FaultPlan, SimConfig, SimReport, Simulator};
 
 /// The maximum seed count a single `/v1/sweep` request may ask for —
 /// big sweeps belong in the CLI, not behind a request timeout.
 pub const MAX_SWEEP_SEEDS: u64 = 1024;
+
+/// The fastest patrol a simulate spec may ask for, in meters per
+/// second; mobile chargers travel at a few (5 by default). Patrol
+/// events grow with the speed: at 6 posts and 100 rounds on a 2-vCPU
+/// VM, 10³ m/s took 6 ms, 10⁶ m/s 154 ms, and 10¹² m/s ran past 10 s.
+pub const MAX_SPEED_MPS: f64 = 1_000.0;
 
 fn default_solver() -> String {
     "irfh".to_string()
@@ -32,16 +40,35 @@ fn default_battery() -> f64 {
     0.1
 }
 
+fn default_policy() -> String {
+    "threshold".to_string()
+}
+
+fn default_speed() -> f64 {
+    5.0
+}
+
+fn default_chargers() -> u32 {
+    1
+}
+
+fn default_delay_s() -> f64 {
+    5.0
+}
+
 fn default_sweep_seeds() -> u64 {
     8
 }
 
-fn default_fade_floor() -> f64 {
-    DEFAULT_FADE_FLOOR
+/// What an empty JSON object decodes to, so that each request type
+/// writes its defaults once, in its serde attributes.
+fn serde_defaults<T: Deserialize>() -> T {
+    T::from_value(&Value::Object(Vec::new())).expect("every request field has a serde default")
 }
 
 /// `POST /v1/solve` body.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SolveRequest {
     /// Instance parameters (defaults mirror `wrsn solve`).
     #[serde(default)]
@@ -60,17 +87,20 @@ pub struct SolveRequest {
 
 impl Default for SolveRequest {
     fn default() -> Self {
-        SolveRequest {
-            instance: InstanceParams::default(),
-            solver: default_solver(),
-            seed: 0,
-            include_solution: false,
-        }
+        serde_defaults()
     }
 }
 
-/// `POST /v1/simulate` body.
+/// `POST /v1/simulate` body, and what `wrsn simulate` parses its flags
+/// into: one spec, checked and run by [`SimulateRequest::run`], so both
+/// front ends simulate and report alike.
+///
+/// The fault plan is built when any of `fault_seed`, `kill`, `outage`,
+/// `charger_skip`, `charger_delay`, `link_loss`, `battery_fade` or
+/// `charger_down` is present, even at zero: a named fault turns on the
+/// plan's audit (`max_energy_deficit`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SimulateRequest {
     /// Instance parameters.
     #[serde(default)]
@@ -87,59 +117,327 @@ pub struct SimulateRequest {
     /// Bits per report.
     #[serde(default = "default_bits")]
     pub bits_per_report: u64,
-    /// Per-node battery capacity in joules.
+    /// Per-node battery capacity in joules: positive, and finite in
+    /// nanojoules.
     #[serde(default = "default_battery")]
     pub battery_j: f64,
-    /// Seed for the fault plan's RNG streams.
+    /// The charger policy: `threshold` (every 10 s, refill posts below
+    /// half charge), `tour` (mobile chargers patrol the posts) or `none`.
+    #[serde(default = "default_policy")]
+    pub policy: String,
+    /// Patrol speed in m/s under the tour policy, at most
+    /// [`MAX_SPEED_MPS`].
+    #[serde(default = "default_speed")]
+    pub speed_mps: f64,
+    /// Patrol chargers under the tour policy, 1 to [`MAX_POSTS`].
+    #[serde(default = "default_chargers")]
+    pub chargers: u32,
+    /// Charger radiated power in watts (positive); absent means instant
+    /// refills.
     #[serde(default)]
-    pub fault_seed: u64,
-    /// Per-hop link-loss probability (0 disables).
+    pub power_w: Option<f64>,
+    /// Sample the state of charge every this many rounds.
     #[serde(default)]
-    pub link_loss: f64,
-    /// Probability the charger skips a scheduled visit (0 disables).
+    pub timeline: Option<u64>,
+    /// Under the tour policy, patrol along the `sched-tour` solver's
+    /// planned visit order (planned with `instance.scenario`, if any).
     #[serde(default)]
-    pub charger_skip: f64,
-    /// Probability a charger visit is delayed (0 disables).
+    pub sched_tour: bool,
+    /// Seed for the fault plan's RNG streams (0 when absent).
     #[serde(default)]
-    pub charger_delay: f64,
-    /// Per-charge-cycle capacity fade fraction (0 disables).
+    pub fault_seed: Option<u64>,
+    /// Node deaths, `[round, post]` each.
     #[serde(default)]
-    pub battery_fade: f64,
-    /// Capacity floor for fade, as a fraction of nameplate.
-    #[serde(default = "default_fade_floor")]
-    pub fade_floor: f64,
-    /// First round of a total charger breakdown (requires
-    /// `charger_down_until`).
+    pub kill: Option<Vec<(u64, usize)>>,
+    /// Post outages, `[post, from, until]` each: the post is offline
+    /// for rounds `from..until`.
     #[serde(default)]
-    pub charger_down_from: Option<u64>,
-    /// First round after the breakdown ends.
+    pub outage: Option<Vec<(usize, u64, u64)>>,
+    /// Probability the charger skips a due refill.
     #[serde(default)]
-    pub charger_down_until: Option<u64>,
+    pub charger_skip: Option<f64>,
+    /// Probability a patrol leg is delayed.
+    #[serde(default)]
+    pub charger_delay: Option<f64>,
+    /// Seconds added to a delayed patrol leg.
+    #[serde(default = "default_delay_s")]
+    pub delay_s: f64,
+    /// Per-hop link-loss probability.
+    #[serde(default)]
+    pub link_loss: Option<f64>,
+    /// Per-charge-cycle capacity fade fraction.
+    #[serde(default)]
+    pub battery_fade: Option<f64>,
+    /// Capacity floor for fade as a fraction of nameplate (the fault
+    /// plan's [`wrsn_sim::DEFAULT_FADE_FLOOR`] when absent).
+    #[serde(default)]
+    pub fade_floor: Option<f64>,
+    /// Total charger breakdowns, `[from, until]` each: no refills
+    /// anywhere in rounds `from..until`.
+    #[serde(default)]
+    pub charger_down: Option<Vec<(u64, u64)>>,
 }
 
 impl Default for SimulateRequest {
     fn default() -> Self {
-        SimulateRequest {
-            instance: InstanceParams::default(),
-            solver: default_solver(),
-            seed: 0,
-            rounds: default_rounds(),
-            bits_per_report: default_bits(),
-            battery_j: default_battery(),
-            fault_seed: 0,
-            link_loss: 0.0,
-            charger_skip: 0.0,
-            charger_delay: 0.0,
-            battery_fade: 0.0,
-            fade_floor: default_fade_floor(),
-            charger_down_from: None,
-            charger_down_until: None,
-        }
+        serde_defaults()
     }
 }
 
-/// `POST /v1/sweep` body.
+fn invalid(setting: &'static str, problem: String) -> EngineError {
+    EngineError::InvalidSetting { setting, problem }
+}
+
+impl SimulateRequest {
+    /// Checks every setting, solves the instance, builds the fault plan,
+    /// the charger policy and (with `sched_tour`) the planned visit
+    /// order, and runs the simulator.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::InvalidSetting`] naming the first setting out of
+    /// range; otherwise the instance and solver errors of the pipeline,
+    /// or [`EngineError::InvalidRequest`] for a fault plan that does not
+    /// fit the instance (a post out of range, an empty window).
+    pub fn run(&self, registry: &SolverRegistry) -> Result<SimRun, EngineError> {
+        let charger = self.charger_policy()?;
+        let instance = self.instance.source()?.instance(self.seed)?;
+        let solution = registry
+            .resolve(&self.solver, self.instance.scenario.as_ref())?
+            .solve(&instance)
+            .map_err(|error| EngineError::Solve {
+                solver: self.solver.clone(),
+                seed: self.seed,
+                error,
+            })?;
+        let faults = self.fault_plan();
+        if let Some(plan) = &faults {
+            plan.validate(instance.num_posts())
+                .map_err(|why| EngineError::InvalidRequest(format!("fault plan: {why}")))?;
+        }
+        let schedule = self
+            .sched_tour
+            .then(|| {
+                let mut spec = self.instance.scenario.clone().unwrap_or_default();
+                spec.charger_speed_mps = self.speed_mps;
+                spec.chargers = self.chargers;
+                spec.battery_j = self.battery_j;
+                spec.bits_per_report = self.bits_per_report;
+                plan_tour_schedule(&instance, &solution, &spec)
+                    .ok_or_else(|| invalid("sched_tour", "needs a geometric instance".into()))
+            })
+            .transpose()?;
+        // The simulator wants a full permutation; posts the scheduler
+        // deemed unsavable still get (hopeless) visits, at the end.
+        let tour_order = schedule
+            .as_ref()
+            .map(|s| s.visit_order.iter().chain(&s.infeasible).copied().collect());
+        let config = SimConfig {
+            round_interval_s: 1.0,
+            bits_per_report: self.bits_per_report,
+            battery_capacity: Energy::from_joules(self.battery_j),
+            charger,
+            record_soc_every: self.timeline,
+            charger_power_w: self.power_w.unwrap_or(f64::INFINITY),
+            faults,
+            tour_order,
+        };
+        let report = Simulator::new(&instance, &solution, config.clone()).run(self.rounds);
+        Ok(SimRun {
+            solver: self.solver.clone(),
+            seed: self.seed,
+            instance,
+            solution,
+            config,
+            schedule,
+            report,
+        })
+    }
+
+    /// Checks the scalar settings and returns the charger policy they
+    /// describe.
+    fn charger_policy(&self) -> Result<ChargerPolicy, EngineError> {
+        for (setting, value) in [
+            ("charger_skip", self.charger_skip),
+            ("charger_delay", self.charger_delay),
+            ("link_loss", self.link_loss),
+            ("battery_fade", self.battery_fade),
+            ("fade_floor", self.fade_floor),
+        ] {
+            if let Some(v) = value.filter(|v| !(0.0..=1.0).contains(v)) {
+                return Err(invalid(setting, format!("{v} out of range [0, 1]")));
+            }
+        }
+        let battery = self.battery_j;
+        if !(battery > 0.0 && Energy::from_joules(battery).as_njoules().is_finite()) {
+            return Err(invalid(
+                "battery_j",
+                format!("must be positive and finite in nanojoules, got {battery}"),
+            ));
+        }
+        if let Some(w) = self.power_w.filter(|w| w.is_nan() || *w <= 0.0) {
+            return Err(invalid("power_w", format!("must be positive, got {w}")));
+        }
+        if self.chargers == 0 || self.chargers as usize > MAX_POSTS {
+            return Err(invalid(
+                "chargers",
+                format!("must lie in 1..={MAX_POSTS}, got {}", self.chargers),
+            ));
+        }
+        let speed = self.speed_mps;
+        let charger = match self.policy.as_str() {
+            "threshold" => ChargerPolicy::Threshold {
+                interval_s: 10.0,
+                trigger_soc: 0.5,
+            },
+            "tour" if !(speed > 0.0 && speed <= MAX_SPEED_MPS) => {
+                let problem = format!("must lie in (0, {MAX_SPEED_MPS}] m/s, got {speed}");
+                return Err(invalid("speed_mps", problem));
+            }
+            "tour" => ChargerPolicy::PatrolTour {
+                speed_mps: speed,
+                trigger_soc: 0.5,
+                chargers: self.chargers,
+            },
+            "none" => ChargerPolicy::None,
+            other => {
+                let problem = format!("must be threshold, tour or none, got {other:?}");
+                return Err(invalid("policy", problem));
+            }
+        };
+        if self.sched_tour && !matches!(charger, ChargerPolicy::PatrolTour { .. }) {
+            return Err(invalid(
+                "sched_tour",
+                "needs the tour policy (it drives the patrol chargers)".into(),
+            ));
+        }
+        Ok(charger)
+    }
+
+    /// The fault plan, when any fault setting is present.
+    fn fault_plan(&self) -> Option<FaultPlan> {
+        let named = self.fault_seed.is_some()
+            || self.kill.is_some()
+            || self.outage.is_some()
+            || self.charger_skip.is_some()
+            || self.charger_delay.is_some()
+            || self.link_loss.is_some()
+            || self.battery_fade.is_some()
+            || self.charger_down.is_some();
+        if !named {
+            return None;
+        }
+        let mut plan = FaultPlan::seeded(self.fault_seed.unwrap_or(0));
+        for &(round, post) in self.kill.iter().flatten() {
+            plan = plan.kill_node(round, post);
+        }
+        for &(post, from, until) in self.outage.iter().flatten() {
+            plan = plan.outage(post, from, until);
+        }
+        if let Some(p) = self.charger_skip {
+            plan = plan.charger_skips(p);
+        }
+        if let Some(p) = self.charger_delay {
+            plan = plan.charger_delays(p, self.delay_s);
+        }
+        if let Some(p) = self.link_loss {
+            plan = plan.link_loss(p);
+        }
+        if let Some(f) = self.battery_fade {
+            plan = plan.battery_fade(f);
+        }
+        if let Some(f) = self.fade_floor {
+            plan = plan.battery_fade_floor(f);
+        }
+        for &(from, until) in self.charger_down.iter().flatten() {
+            plan = plan.charger_breakdown(from, until);
+        }
+        Some(plan)
+    }
+}
+
+/// One finished simulation: the solved instance, the configuration its
+/// spec resolved to, the `sched_tour` schedule and the simulator's
+/// report.
+#[derive(Debug)]
+pub struct SimRun {
+    /// The solver's registry name.
+    pub solver: String,
+    /// The sampling seed.
+    pub seed: u64,
+    /// The instance simulated.
+    pub instance: Instance,
+    /// The solver's deployment and routing.
+    pub solution: Solution,
+    /// The simulator configuration.
+    pub config: SimConfig,
+    /// The planned tour, with `sched_tour`.
+    pub schedule: Option<TourSchedule>,
+    /// What happened.
+    pub report: SimReport,
+}
+
+impl SimRun {
+    /// The recharging energy per round the analytic cost model predicts
+    /// for the solution.
+    #[must_use]
+    pub fn analytic_per_round(&self) -> Energy {
+        self.solution.total_cost() * self.config.bits_per_report as f64
+    }
+
+    /// The simulate report: the `/v1/simulate` body and `wrsn simulate
+    /// --json`'s document.
+    #[must_use]
+    pub fn summary(&self) -> Value {
+        let r = &self.report;
+        let fields = [
+            ("algorithm", self.solution.algorithm().to_value()),
+            ("rounds", r.rounds_completed.to_value()),
+            ("reports_delivered", r.reports_delivered.to_value()),
+            ("reports_lost", r.reports_lost.to_value()),
+            ("delivery_ratio", r.delivery_ratio().to_value()),
+            ("charger_energy_j", r.charger_energy.as_joules().to_value()),
+            (
+                "consumed_energy_j",
+                r.consumed_energy.as_joules().to_value(),
+            ),
+            ("first_death", r.first_death.to_value()),
+            (
+                "analytic_cost_per_round_uj",
+                self.analytic_per_round().as_ujoules().to_value(),
+            ),
+            (
+                "simulated_cost_per_round_uj",
+                r.charger_energy_per_round().as_ujoules().to_value(),
+            ),
+            ("soc_timeline", r.soc_timeline.to_value()),
+            ("first_fault_round", r.first_fault_round.to_value()),
+            (
+                "rounds_after_first_fault",
+                r.rounds_after_first_fault.to_value(),
+            ),
+            ("charger_skips", r.charger_skips.to_value()),
+            ("charger_delays", r.charger_delays.to_value()),
+            ("link_losses", r.link_losses.to_value()),
+            ("max_energy_deficit", r.max_energy_deficit.to_value()),
+            ("capacity_floor_hits", r.capacity_floor_hits.to_value()),
+            (
+                "charger_downtime_rounds",
+                r.charger_downtime_rounds.to_value(),
+            ),
+            ("breakdown_deaths", r.breakdown_deaths.to_value()),
+            ("tour_infeasible_posts", r.tour_infeasible_posts.to_value()),
+            ("solver", self.solver.to_value()),
+            ("seed", self.seed.to_value()),
+            ("first_death_s", r.first_death.map(|(t, _)| t).to_value()),
+        ];
+        Value::Object(fields.map(|(k, v)| (k.to_string(), v)).into())
+    }
+}
+
+/// `POST /v1/sweep` and `POST /v1/jobs` body.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SweepRequest {
     /// Instance parameters.
     #[serde(default)]
@@ -157,12 +455,7 @@ pub struct SweepRequest {
 
 impl Default for SweepRequest {
     fn default() -> Self {
-        SweepRequest {
-            instance: InstanceParams::default(),
-            solver: default_solver(),
-            seed_start: 0,
-            seeds: default_sweep_seeds(),
-        }
+        serde_defaults()
     }
 }
 
@@ -190,6 +483,7 @@ impl From<EngineError> for ApiError {
     fn from(e: EngineError) -> Self {
         let status = match &e {
             EngineError::InvalidRequest(_)
+            | EngineError::InvalidSetting { .. }
             | EngineError::UnknownSolver { .. }
             | EngineError::NoSeeds
             | EngineError::Build(_)
@@ -376,136 +670,16 @@ impl ApiContext {
         })
     }
 
-    /// `POST /v1/simulate`: solve, then run the discrete-event
-    /// simulator with the requested fault knobs.
+    /// `POST /v1/simulate`: [`SimulateRequest::run`] over this
+    /// context's registry, answered with [`SimRun::summary`].
     ///
     /// # Errors
     ///
-    /// [`ApiError`] with status 400 for invalid parameters, fault
-    /// probabilities outside `[0, 1]`, or an unknown solver.
+    /// [`ApiError`] with status 400 for a setting out of range, invalid
+    /// instance parameters, a fault plan that does not fit the instance,
+    /// or an unknown solver.
     pub fn simulate(&self, req: &SimulateRequest) -> Result<ApiOutcome, ApiError> {
-        if req.battery_j <= 0.0 {
-            return Err(ApiError::bad_request(format!(
-                "battery_j must be positive, got {}",
-                req.battery_j
-            )));
-        }
-        let source = req.instance.source()?;
-        let instance = source.instance(req.seed)?;
-        let solver = self
-            .registry
-            .resolve(&req.solver, req.instance.scenario.as_ref())?;
-        let solution = solver
-            .solve(&instance)
-            .map_err(|e| ApiError::bad_request(format!("solve failed: {e}")))?;
-        let breakdown = match (req.charger_down_from, req.charger_down_until) {
-            (Some(from), Some(until)) => Some((from, until)),
-            (None, None) => None,
-            _ => {
-                return Err(ApiError::bad_request(
-                    "charger_down_from and charger_down_until must be given together",
-                ));
-            }
-        };
-        let faults = if req.link_loss > 0.0
-            || req.charger_skip > 0.0
-            || req.charger_delay > 0.0
-            || req.battery_fade > 0.0
-            || breakdown.is_some()
-        {
-            let mut plan = FaultPlan::seeded(req.fault_seed);
-            if req.link_loss > 0.0 {
-                plan = plan.link_loss(req.link_loss);
-            }
-            if req.charger_skip > 0.0 {
-                plan = plan.charger_skips(req.charger_skip);
-            }
-            if req.charger_delay > 0.0 {
-                plan = plan.charger_delays(req.charger_delay, 5.0);
-            }
-            if req.battery_fade > 0.0 {
-                plan = plan
-                    .battery_fade(req.battery_fade)
-                    .battery_fade_floor(req.fade_floor);
-            }
-            if let Some((from, until)) = breakdown {
-                plan = plan.charger_breakdown(from, until);
-            }
-            plan.validate(instance.num_posts())
-                .map_err(|why| ApiError::bad_request(format!("fault plan: {why}")))?;
-            Some(plan)
-        } else {
-            None
-        };
-        let config = SimConfig {
-            round_interval_s: 1.0,
-            bits_per_report: req.bits_per_report,
-            battery_capacity: Energy::from_joules(req.battery_j),
-            charger: ChargerPolicy::Threshold {
-                interval_s: 10.0,
-                trigger_soc: 0.5,
-            },
-            record_soc_every: None,
-            charger_power_w: f64::INFINITY,
-            faults,
-            tour_order: None,
-        };
-        let report = Simulator::new(&instance, &solution, config).run(req.rounds);
-        let body = Value::Object(vec![
-            ("solver".to_string(), Value::String(req.solver.clone())),
-            ("seed".to_string(), req.seed.to_value()),
-            ("rounds".to_string(), report.rounds_completed.to_value()),
-            (
-                "reports_delivered".to_string(),
-                report.reports_delivered.to_value(),
-            ),
-            ("reports_lost".to_string(), report.reports_lost.to_value()),
-            (
-                "delivery_ratio".to_string(),
-                report.delivery_ratio().to_value(),
-            ),
-            (
-                "charger_energy_j".to_string(),
-                report.charger_energy.as_joules().to_value(),
-            ),
-            (
-                "consumed_energy_j".to_string(),
-                report.consumed_energy.as_joules().to_value(),
-            ),
-            ("link_losses".to_string(), report.link_losses.to_value()),
-            ("charger_skips".to_string(), report.charger_skips.to_value()),
-            (
-                "charger_delays".to_string(),
-                report.charger_delays.to_value(),
-            ),
-            (
-                "capacity_floor_hits".to_string(),
-                report.capacity_floor_hits.to_value(),
-            ),
-            (
-                "charger_downtime_rounds".to_string(),
-                report.charger_downtime_rounds.to_value(),
-            ),
-            (
-                "breakdown_deaths".to_string(),
-                report.breakdown_deaths.to_value(),
-            ),
-            (
-                "first_fault_round".to_string(),
-                match report.first_fault_round {
-                    Some(r) => r.to_value(),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "first_death_s".to_string(),
-                match report.first_death {
-                    Some((t, _)) => t.to_value(),
-                    None => Value::Null,
-                },
-            ),
-        ]);
-        Ok(ApiOutcome::uncached(body))
+        Ok(ApiOutcome::uncached(req.run(&self.registry)?.summary()))
     }
 
     /// `POST /v1/sweep`: a small seed grid through the cached pipeline.
@@ -746,7 +920,7 @@ mod tests {
             instance: small(),
             solver: "idb".to_string(),
             rounds: 50,
-            link_loss: 1.0,
+            link_loss: Some(1.0),
             ..SimulateRequest::default()
         };
         let out = ctx.simulate(&req).unwrap();
@@ -764,7 +938,7 @@ mod tests {
         let ctx = ApiContext::new();
         let req = SimulateRequest {
             instance: small(),
-            link_loss: 1.5,
+            link_loss: Some(1.5),
             ..SimulateRequest::default()
         };
         assert_eq!(ctx.simulate(&req).unwrap_err().status, 400);
@@ -784,9 +958,8 @@ mod tests {
             solver: "idb".to_string(),
             rounds: 80,
             battery_j: 0.001,
-            battery_fade: 0.2,
-            charger_down_from: Some(10),
-            charger_down_until: Some(40),
+            battery_fade: Some(0.2),
+            charger_down: Some(vec![(10, 40)]),
             ..SimulateRequest::default()
         };
         let out = ctx.simulate(&req).unwrap();
@@ -802,15 +975,11 @@ mod tests {
 
     #[test]
     fn simulate_rejects_half_a_breakdown_window() {
-        let ctx = ApiContext::new();
-        let req = SimulateRequest {
-            instance: small(),
-            charger_down_from: Some(10),
-            ..SimulateRequest::default()
-        };
-        let err = ctx.simulate(&req).unwrap_err();
-        assert_eq!(err.status, 400);
-        assert!(err.message.contains("together"));
+        // The window is one `[from, until]` pair; the parts are unknown keys.
+        let err = serde_json::from_str::<SimulateRequest>(r#"{"charger_down_from": 10}"#)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("charger_down_from"), "{err}");
     }
 
     #[test]
@@ -875,6 +1044,27 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted);
+    }
+
+    #[test]
+    fn request_bodies_reject_unknown_and_repeated_keys() {
+        for (body, key, ty) in [
+            (r#"{"link_los": 1.0}"#, "link_los", "SimulateRequest"),
+            (r#"{"instance": {"post": 6}}"#, "post", "InstanceParams"),
+            (r#"{"rounds": 5, "rounds": 7}"#, "rounds", "SimulateRequest"),
+            (
+                r#"{"instance": {"scenario": {"charger": 2}}}"#,
+                "charger",
+                "ScenarioSpec",
+            ),
+        ] {
+            let err = serde_json::from_str::<SimulateRequest>(body)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(&format!("`{key}` in {ty}")), "{body}: {err}");
+        }
+        assert!(serde_json::from_str::<SolveRequest>(r#"{"seeds": 2}"#).is_err());
+        assert!(serde_json::from_str::<SweepRequest>(r#"{"seed": 2}"#).is_err());
     }
 
     #[test]

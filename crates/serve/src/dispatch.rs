@@ -16,7 +16,9 @@ use crate::jobs;
 use crate::metrics::StatusGauges;
 use crate::server::Shared;
 use serde::Deserialize;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -106,7 +108,7 @@ pub(crate) fn respond(job: &DispatchJob, shared: &Arc<Shared>) -> (Response, boo
 /// handler finishes on its detached thread and its result is dropped.
 fn route_with_deadline(request: &Request, tenant: usize, shared: &Arc<Shared>) -> Response {
     let Some(timeout) = shared.request_timeout else {
-        return route(request, tenant, shared);
+        return route_guarded(request, tenant, shared);
     };
     let (tx, rx) = std::sync::mpsc::channel();
     let req = request.clone();
@@ -114,20 +116,32 @@ fn route_with_deadline(request: &Request, tenant: usize, shared: &Arc<Shared>) -
     let spawned = std::thread::Builder::new()
         .name("wrsn-serve-handler".to_string())
         .spawn(move || {
-            let _ = tx.send(route(&req, tenant, &worker_shared));
+            let _ = tx.send(route_guarded(&req, tenant, &worker_shared));
         });
     if spawned.is_err() {
         // Thread exhaustion: degrade to inline handling rather than
         // failing the request.
-        return route(request, tenant, shared);
+        return route_guarded(request, tenant, shared);
     }
     match rx.recv_timeout(timeout) {
         Ok(response) => response,
-        Err(_) => {
+        Err(RecvTimeoutError::Timeout) => {
             shared.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
             Response::error(504, "request deadline exceeded").header("Retry-After", "1")
         }
+        Err(RecvTimeoutError::Disconnected) => handler_panicked(),
     }
+}
+
+/// Routes the request, answering `500` if the handler panics: a panic
+/// costs its own request, never the worker thread that runs it.
+fn route_guarded(request: &Request, tenant: usize, shared: &Arc<Shared>) -> Response {
+    panic::catch_unwind(AssertUnwindSafe(|| route(request, tenant, shared)))
+        .unwrap_or_else(|_| handler_panicked())
+}
+
+fn handler_panicked() -> Response {
+    Response::error(500, "internal error: the request handler panicked")
 }
 
 pub(crate) fn elapsed_us(started: Instant) -> u64 {

@@ -14,8 +14,11 @@
 //! - `POST /v1/solve` — instance parameters + solver name → cost
 //!   summary (routed through [`wrsn_engine::Experiment`], so repeats
 //!   are answered from the shared result store);
-//! - `POST /v1/simulate` — instance + rounds + optional
-//!   [`wrsn_sim::FaultPlan`] knobs → [`wrsn_sim::SimReport`] metrics;
+//! - `POST /v1/simulate` — the [`api::SimulateRequest`] spec that
+//!   `wrsn simulate` parses its flags into (charger policy, fleet,
+//!   planned tour, [`wrsn_sim::FaultPlan`] settings) → the report of
+//!   [`api::SimRun::summary`], the document `wrsn simulate --json`
+//!   prints;
 //! - `POST /v1/sweep` — a small seed grid through the cached pipeline;
 //!   repeated identical requests return byte-identical bodies;
 //! - `POST /v1/jobs` — the same sweep spec, run asynchronously:
@@ -27,6 +30,10 @@
 //! - `GET /healthz`, `GET /statusz` — liveness and introspection
 //!   (uptime, worker/queue/connection/job occupancy, per-endpoint
 //!   request counts and latency histograms, cumulative cache stats).
+//!
+//! Request bodies name only keys their type knows: an unknown or
+//! repeated key answers `400` naming it. A handler that panics answers
+//! `500` and leaves its worker serving.
 //!
 //! The serving stack is multi-tenant ([`tenant`]): per-tenant API
 //! keys (`Authorization: Bearer`, constant-time compare), a

@@ -39,6 +39,7 @@ fn default_weight() -> u32 {
 /// One tenant as declared in the `--tenants` config file (JSON lines,
 /// one object per tenant; blank lines and `#` comments are skipped).
 #[derive(Debug, Clone, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TenantSpec {
     /// Display name; also the cache namespace for isolated tenants.
     pub name: String,
@@ -805,6 +806,9 @@ mod tests {
                 .contains("weight")
         );
         assert!(parse_tenants("not json").unwrap_err().contains("line 1"));
+        // A misspelt limit would otherwise leave the tenant unlimited.
+        let err = parse_tenants("{\"name\": \"a\", \"key\": \"k\", \"rsp\": 5}").unwrap_err();
+        assert!(err.contains("line 1") && err.contains("`rsp`"), "{err}");
     }
 
     #[test]

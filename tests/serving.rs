@@ -47,6 +47,27 @@ fn post(addr: &str, path: &str, body: &str) -> ClientResponse {
     request(addr, "POST", path, Some(body)).unwrap()
 }
 
+/// POSTs `body` on a fresh connection and returns the raw reply, failing
+/// if none arrives within 5 s: a worker that died never answers.
+fn post_within_5s(addr: &str, path: &str, body: &str) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write!(
+        stream,
+        "POST {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\
+         Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut raw = Vec::new();
+    stream
+        .read_to_end(&mut raw)
+        .expect("no reply within 5 s: the worker died");
+    String::from_utf8_lossy(&raw).into_owned()
+}
+
 const SMALL: &str = "\"instance\":{\"posts\":5,\"nodes\":12,\"field\":150.0}";
 
 #[test]
@@ -870,6 +891,27 @@ fn isolated_tenants_get_private_cache_namespaces() {
     server.shutdown().unwrap();
 }
 
+/// Writes `n` pipelined `GET /v1/solvers` calls under `key` in one write
+/// on one keep-alive connection and returns how many were answered 429.
+/// The server closes the connection after its first 429.
+fn pipelined_burst(addr: &str, key: &str, n: usize) -> u64 {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let one = format!("GET /v1/solvers HTTP/1.1\r\nHost: x\r\nAuthorization: Bearer {key}\r\n\r\n");
+    stream.write_all(one.repeat(n).as_bytes()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).unwrap();
+    let text = String::from_utf8_lossy(&raw).to_ascii_lowercase();
+    let limited = text.matches("http/1.1 429").count();
+    assert!(
+        limited == 0 || text.contains("retry-after"),
+        "429 must carry Retry-After"
+    );
+    limited as u64
+}
+
 #[test]
 fn weighted_fair_admission_keeps_an_interactive_tenant_responsive_under_flood() {
     // The headline multi-tenant scenario: an aggressor floods sweeps at
@@ -909,6 +951,7 @@ fn weighted_fair_admission_keeps_an_interactive_tenant_responsive_under_flood() 
         ServerConfig {
             workers: 2,
             queue_depth: 32,
+            keep_alive: true,
             chaos: Some(ChaosPolicy::seeded(42).faults(0.1)),
             tenants: Some(vec![aggressor, interactive]),
             ..ServerConfig::default()
@@ -922,7 +965,13 @@ fn weighted_fair_admission_keeps_an_interactive_tenant_responsive_under_flood() 
         let sweep_body = sweep_body.clone();
         let stop = stop.clone();
         std::thread::spawn(move || {
-            let (mut sent, mut limited) = (0u64, 0u64);
+            // The sweeps alone are throttled only when one returns before
+            // the bucket refills a token (~8 ms). A pipelined burst of
+            // twice the bucket arrives in one write, within microseconds,
+            // so its tail is throttled whatever the sweeps' latency. The
+            // burst is cheap listing calls: it adds no solver work that
+            // the interactive tenant would wait behind.
+            let (mut sent, mut limited) = (0u64, pipelined_burst(&addr, "agg-key", 16));
             while stop.load(Ordering::SeqCst) == 0 {
                 if let Ok(resp) = request_auth(
                     &addr,
@@ -1101,40 +1150,133 @@ fn out_of_range_instances_answer_400_and_keep_the_only_worker() {
     }
     // Free links: with both radio constants zero the shortest-path
     // parents tied into a cycle, and the panic took the worker and the
-    // reply with it, hence the read timeout.
+    // reply with it, hence the read timeout. An infinite battery panicked
+    // the simulator the same way.
     let free = InstanceSpec {
         alpha_nj: 0.0,
         beta_pj: 0.0,
         ..InstanceSpec::from_instance(&InstanceSampler::new(Field::square(150.0), 6, 14).sample(2))
             .unwrap()
     };
-    let body = format!(
+    let free_body = format!(
         r#"{{"instance":{{"spec":{}}},"solver":"idb","rounds":10}}"#,
         free.to_json()
     );
-    let mut stream = TcpStream::connect(&addr).unwrap();
-    write!(
-        stream,
-        "POST /v1/simulate HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\
-         Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .expect("no reply within 5 s: the worker died");
-    let text = String::from_utf8_lossy(&raw);
-    assert!(text.starts_with("HTTP/1.1 400"), "{text}");
-    assert!(text.contains("positive routing weight"), "{text}");
+    let inf_battery = format!("{{{SMALL},\"solver\":\"idb\",\"rounds\":10,\"battery_j\":1e999}}");
+    for (body, message) in [
+        (&free_body, "positive routing weight"),
+        (&inf_battery, "battery_j must be positive"),
+    ] {
+        let text = post_within_5s(&addr, "/v1/simulate", body);
+        assert!(text.starts_with("HTTP/1.1 400"), "{text}");
+        assert!(text.contains(message), "{text}");
+    }
     let ok = post(
         &addr,
         "/v1/solve",
         &format!("{{{SMALL},\"solver\":\"idb\"}}"),
     );
     assert_eq!(ok.status, 200, "{}", ok.body);
+    server.shutdown().unwrap();
+}
+
+/// A solver that panics on every instance.
+struct Panics;
+
+impl wrsn::core::Solver for Panics {
+    fn name(&self) -> &'static str {
+        "panics"
+    }
+
+    fn solve(
+        &self,
+        _: &wrsn::core::Instance,
+    ) -> Result<wrsn::core::Solution, wrsn::core::SolveError> {
+        panic!("injected solver panic")
+    }
+}
+
+#[test]
+fn a_panicking_handler_answers_500_and_keeps_the_only_worker() {
+    let body = format!("{{{SMALL},\"solver\":\"panics\",\"rounds\":10}}");
+    let solve = format!("{{{SMALL},\"solver\":\"idb\"}}");
+    // Inline, the panic used to end the only worker thread. Under a
+    // deadline, the handler thread's panic used to read as a timeout.
+    for request_timeout in [None, Some(Duration::from_secs(10))] {
+        let mut api = ApiContext::new();
+        api.registry
+            .register("panics", || Box::new(Panics))
+            .unwrap();
+        let server = start_with(
+            api,
+            ServerConfig {
+                workers: 1,
+                queue_depth: 16,
+                request_timeout,
+                ..ServerConfig::default()
+            },
+        );
+        let addr = server.addr().to_string();
+        let reply = post_within_5s(&addr, "/v1/simulate", &body);
+        assert!(
+            reply.starts_with("HTTP/1.1 500"),
+            "{request_timeout:?}: {reply}"
+        );
+        assert!(reply.contains("panicked"), "{reply}");
+        assert_eq!(request(&addr, "GET", "/healthz", None).unwrap().status, 200);
+        let ok = post(&addr, "/v1/solve", &solve);
+        assert_eq!(ok.status, 200, "{}", ok.body);
+        // The /statusz request is the only one in service.
+        let statusz = request(&addr, "GET", "/statusz", None).unwrap();
+        let v: serde_json::Value = serde_json::from_str(&statusz.body).unwrap();
+        assert_eq!(v["workers"]["busy"], 1, "{}", statusz.body);
+        server.shutdown().unwrap();
+    }
+}
+
+#[test]
+fn unknown_and_repeated_keys_answer_400_naming_the_key() {
+    let server = start(ApiContext::new(), 2, 16);
+    let addr = server.addr().to_string();
+    for (path, body, key) in [
+        (
+            "/v1/solve",
+            format!("{{{SMALL},\"solver\":\"idb\",\"sed\":3}}"),
+            "sed",
+        ),
+        (
+            "/v1/solve",
+            r#"{"instance":{"post":6,"nodes":12,"field":150.0}}"#.to_string(),
+            "post",
+        ),
+        (
+            "/v1/solve",
+            r#"{"instance":{"posts":5,"posts":100,"nodes":12,"field":150.0}}"#.to_string(),
+            "posts",
+        ),
+        (
+            "/v1/simulate",
+            format!("{{{SMALL},\"rounds\":20,\"link_los\":1.0}}"),
+            "link_los",
+        ),
+        (
+            "/v1/sweep",
+            format!("{{{SMALL},\"seeds\":2,\"seed\":4}}"),
+            "seed",
+        ),
+        (
+            "/v1/jobs",
+            format!("{{{SMALL},\"seeds\":2,\"threads\":4}}"),
+            "threads",
+        ),
+    ] {
+        let resp = post(&addr, path, &body);
+        assert_eq!(resp.status, 400, "{path} {body}: {}", resp.body);
+        assert!(
+            resp.body.contains(&format!("field `{key}`")),
+            "{path} {body}: {}",
+            resp.body
+        );
+    }
     server.shutdown().unwrap();
 }
