@@ -74,3 +74,13 @@ fn an_unknown_scenario_key_exits_1_naming_it() {
     let stderr = simulate_fails(&["--scenario", r#"{"charger":2}"#]);
     assert!(stderr.contains("unknown field `charger`"), "{stderr}");
 }
+
+#[test]
+fn a_zero_timeline_exits_1_naming_timeline() {
+    // It used to exit 0 with an empty `soc_timeline`.
+    let stderr = simulate_fails(&["--timeline", "0", "--json"]);
+    assert!(
+        stderr.contains("--timeline must be at least 1 round"),
+        "{stderr}"
+    );
+}

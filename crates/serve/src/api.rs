@@ -9,8 +9,9 @@ use std::sync::Arc;
 use wrsn_core::{Instance, Solution};
 use wrsn_energy::Energy;
 use wrsn_engine::{
-    plan_tour_schedule, CacheStats, EngineError, Experiment, InstanceParams, ProgressFeed,
-    ResultStore, SolverRegistry, TourSchedule, MAX_POSTS,
+    plan_tour_schedule, seed_fingerprint_scenario, CacheStats, EngineError, Experiment,
+    Fingerprint, InstanceParams, InstanceSource, ProgressFeed, ResultStore, SeedRun,
+    SolverRegistry, TourSchedule, ENGINE_VERSION, MAX_POSTS,
 };
 use wrsn_sim::{ChargerPolicy, FaultPlan, SimConfig, SimReport, Simulator};
 
@@ -91,6 +92,46 @@ impl Default for SolveRequest {
     }
 }
 
+/// The store key of one (instance, solver, seed) cell under `namespace`:
+/// the key the cached pipeline reads and writes, with the instance's
+/// scenario folded in.
+fn cell_key(
+    namespace: Option<&str>,
+    instance: &InstanceParams,
+    source: &InstanceSource,
+    solver: &str,
+    seed: u64,
+) -> Fingerprint {
+    seed_fingerprint_scenario(
+        namespace,
+        instance.scenario.as_ref(),
+        source,
+        solver,
+        ENGINE_VERSION,
+        false,
+        seed,
+    )
+}
+
+impl SolveRequest {
+    /// The store key [`ApiContext::solve_in`] reads and writes for this
+    /// request under `namespace`.
+    ///
+    /// # Errors
+    ///
+    /// The instance parameter errors of [`InstanceParams::source`].
+    pub fn cache_key(&self, namespace: Option<&str>) -> Result<Fingerprint, EngineError> {
+        let source = self.instance.source()?;
+        Ok(cell_key(
+            namespace,
+            &self.instance,
+            &source,
+            &self.solver,
+            self.seed,
+        ))
+    }
+}
+
 /// `POST /v1/simulate` body, and what `wrsn simulate` parses its flags
 /// into: one spec, checked and run by [`SimulateRequest::run`], so both
 /// front ends simulate and report alike.
@@ -136,7 +177,7 @@ pub struct SimulateRequest {
     /// refills.
     #[serde(default)]
     pub power_w: Option<f64>,
-    /// Sample the state of charge every this many rounds.
+    /// Sample the state of charge every this many rounds (at least 1).
     #[serde(default)]
     pub timeline: Option<u64>,
     /// Under the tour policy, patrol along the `sched-tour` solver's
@@ -277,6 +318,12 @@ impl SimulateRequest {
         }
         if let Some(w) = self.power_w.filter(|w| w.is_nan() || *w <= 0.0) {
             return Err(invalid("power_w", format!("must be positive, got {w}")));
+        }
+        if self.timeline == Some(0) {
+            return Err(invalid(
+                "timeline",
+                "must be at least 1 round, got 0".into(),
+            ));
         }
         if self.chargers == 0 || self.chargers as usize > MAX_POSTS {
             return Err(invalid(
@@ -459,6 +506,23 @@ impl Default for SweepRequest {
     }
 }
 
+impl SweepRequest {
+    /// The store key of every seed of the sweep under `namespace`, in
+    /// seed order: [`SolveRequest::cache_key`] per seed.
+    ///
+    /// # Errors
+    ///
+    /// The seed-range errors of [`ApiContext::validate_sweep`] and the
+    /// instance parameter errors of [`InstanceParams::source`].
+    pub fn cache_keys(&self, namespace: Option<&str>) -> Result<Vec<Fingerprint>, ApiError> {
+        let end = ApiContext::validate_sweep(self)?;
+        let source = self.instance.source()?;
+        Ok((self.seed_start..end)
+            .map(|seed| cell_key(namespace, &self.instance, &source, &self.solver, seed))
+            .collect())
+    }
+}
+
 /// A handler failure, carrying the HTTP status it maps to.
 #[derive(Debug)]
 pub struct ApiError {
@@ -610,6 +674,9 @@ impl ApiContext {
         namespace: Option<&str>,
         req: &SolveRequest,
     ) -> Result<ApiOutcome, ApiError> {
+        if let Some(hit) = self.cached_solve_in(namespace, req) {
+            return Ok(hit);
+        }
         let (report, cache) = self.run_cell(
             namespace,
             &req.instance,
@@ -618,12 +685,7 @@ impl ApiContext {
             None,
             None,
         )?;
-        let run = &report.runs[0];
-        let mut fields = vec![
-            ("solver".to_string(), Value::String(req.solver.clone())),
-            ("seed".to_string(), req.seed.to_value()),
-            ("cost_uj".to_string(), run.cost_uj.to_value()),
-        ];
+        let mut fields = solve_fields(req, report.runs[0].cost_uj);
         if req.include_solution {
             // The report only carries costs; rebuild the instance and
             // re-solve for the structural dump. This path bypasses the
@@ -667,6 +729,34 @@ impl ApiContext {
         Ok(ApiOutcome {
             body: Value::Object(fields),
             cache,
+        })
+    }
+
+    /// [`solve_in`](ApiContext::solve_in) when the store already holds
+    /// the answer: one key, one lookup and one body, never a solve, so
+    /// the server's reactor can answer it inline. `None` sends the
+    /// request down the full path: no store, a miss, an unreadable
+    /// payload (as in [`Experiment::run`]), `include_solution` (which
+    /// re-solves), an unregistered solver or invalid instance
+    /// parameters (both of which the full path answers 400).
+    #[must_use]
+    pub fn cached_solve_in(
+        &self,
+        namespace: Option<&str>,
+        req: &SolveRequest,
+    ) -> Option<ApiOutcome> {
+        if req.include_solution || !self.registry.contains(&req.solver) {
+            return None;
+        }
+        let store = self.store.as_ref()?;
+        let key = req.cache_key(namespace).ok()?;
+        let run = SeedRun::from_value(&store.get(&key)?).ok()?;
+        Some(ApiOutcome {
+            body: Value::Object(solve_fields(req, run.cost_uj)),
+            cache: CacheStats {
+                hits: 1,
+                ..CacheStats::default()
+            },
         })
     }
 
@@ -815,6 +905,15 @@ impl Default for ApiContext {
     fn default() -> Self {
         ApiContext::new()
     }
+}
+
+/// The `/v1/solve` body's cost summary, hit or miss.
+fn solve_fields(req: &SolveRequest, cost_uj: f64) -> Vec<(String, Value)> {
+    vec![
+        ("solver".to_string(), Value::String(req.solver.clone())),
+        ("seed".to_string(), req.seed.to_value()),
+        ("cost_uj".to_string(), cost_uj.to_value()),
+    ]
 }
 
 #[cfg(test)]
@@ -1031,6 +1130,91 @@ mod tests {
             "cache hits must not change the response body"
         );
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    fn scratch_store(name: &str) -> Arc<ResultStore> {
+        let dir = std::env::temp_dir().join("wrsn-serve-api").join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        Arc::new(ResultStore::open(&dir).unwrap())
+    }
+
+    #[test]
+    fn cache_keys_are_the_keys_the_handlers_write() {
+        let scenario = wrsn_core::ScenarioSpec {
+            chargers: 2,
+            ..wrsn_core::ScenarioSpec::default()
+        };
+        for (i, (namespace, scenario)) in [
+            (None, None),
+            (Some("tenant-a"), None),
+            (None, Some(scenario.clone())),
+            (Some("tenant-a"), Some(scenario)),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let store = scratch_store(&format!("keys-{i}"));
+            let mut ctx = ApiContext::new();
+            ctx.store = Some(Arc::clone(&store));
+            let instance = InstanceParams {
+                scenario,
+                ..small()
+            };
+            let solve = SolveRequest {
+                instance: instance.clone(),
+                solver: "sched-tour".to_string(),
+                seed: 4,
+                ..SolveRequest::default()
+            };
+            assert_eq!(ctx.solve_in(namespace, &solve).unwrap().cache.misses, 1);
+            assert_eq!(store.len(), 1);
+            let key = solve.cache_key(namespace).unwrap();
+            assert!(store.get(&key).is_some(), "case {i}: solve key");
+
+            let sweep = SweepRequest {
+                instance,
+                solver: "sched-tour".to_string(),
+                seed_start: 4,
+                seeds: 3,
+            };
+            let keys = sweep.cache_keys(namespace).unwrap();
+            assert_eq!(keys[0], key, "case {i}: a sweep's first seed is the solve");
+            assert_eq!(ctx.sweep_in(namespace, &sweep).unwrap().cache.misses, 2);
+            assert_eq!(store.len(), 3);
+            assert!(keys.iter().all(|k| store.get(k).is_some()), "case {i}");
+        }
+    }
+
+    #[test]
+    fn cached_solves_answer_only_stored_plain_requests() {
+        let mut ctx = ApiContext::new();
+        let req = SolveRequest {
+            instance: small(),
+            solver: "idb".to_string(),
+            seed: 2,
+            ..SolveRequest::default()
+        };
+        assert!(ctx.cached_solve_in(None, &req).is_none(), "no store");
+        ctx.store = Some(scratch_store("cached-solve"));
+        assert!(ctx.cached_solve_in(None, &req).is_none(), "a miss");
+        let miss = ctx.solve_in(None, &req).unwrap();
+        let hit = ctx.cached_solve_in(None, &req).expect("stored by the miss");
+        assert_eq!(
+            serde_json::to_string(&hit.body).unwrap(),
+            serde_json::to_string(&miss.body).unwrap()
+        );
+        assert_eq!((hit.cache.hits, hit.cache.misses), (1, 0));
+        assert!(ctx.cached_solve_in(Some("other"), &req).is_none());
+        let with_solution = SolveRequest {
+            include_solution: true,
+            ..req.clone()
+        };
+        assert!(ctx.cached_solve_in(None, &with_solution).is_none());
+        // A name the registry lost since the result was stored answers
+        // 400 on the full path, never a stored cost.
+        ctx.registry = SolverRegistry::new();
+        assert!(ctx.cached_solve_in(None, &req).is_none());
+        assert_eq!(ctx.solve_in(None, &req).unwrap_err().status, 400);
     }
 
     #[test]

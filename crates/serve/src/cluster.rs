@@ -12,6 +12,7 @@
 //! pulls segments it has not seen, and pushes small segments the peer
 //! lacks, so one node's sweep warms every node's cache.
 
+use crate::api::{SimulateRequest, SolveRequest, SweepRequest};
 use crate::client::{self, request_with_retry_headers, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::http::{Request, Response, MAX_BODY_BYTES};
 use crate::server::Shared;
@@ -21,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use wrsn_cluster::{plan_pull, plan_push, ClusterConfig, HashRing, Manifest, Peer};
-use wrsn_engine::{seed_fingerprint_in, ResultStore, ENGINE_VERSION};
+use wrsn_engine::ResultStore;
 
 /// Loop-guard header stamped on every forwarded request. A node that
 /// receives it always answers locally, so a request crosses the fleet
@@ -255,43 +256,36 @@ struct RoutingKeys {
     cache_keys: Vec<wrsn_engine::Fingerprint>,
 }
 
-/// Extracts routing keys from a request body. `None` means the body
-/// does not parse or validate — let the local handler produce the
-/// proper 400 instead of forwarding garbage.
-fn routing_keys(path: &str, body: &str, namespace: Option<&str>) -> Option<RoutingKeys> {
+/// Extracts routing keys from a request body (or the `/v1/solve` body
+/// the reactor already decoded). The cache keys are the ones the local
+/// handler reads, scenario and tenant namespace included. `None` means
+/// the body does not parse or validate — let the local handler produce
+/// the proper 400 instead of forwarding garbage.
+fn routing_keys(
+    path: &str,
+    body: &str,
+    solve: Option<&SolveRequest>,
+    namespace: Option<&str>,
+) -> Option<RoutingKeys> {
     match path {
         "/v1/solve" => {
-            let req: crate::api::SolveRequest = parse_body(body)?;
-            let source = req.instance.source().ok()?;
-            let fp = seed_fingerprint_in(
-                namespace,
-                &source,
-                &req.solver,
-                ENGINE_VERSION,
-                false,
-                req.seed,
-            );
+            let parsed;
+            let req = match solve {
+                Some(req) => req,
+                None => {
+                    parsed = parse_body::<SolveRequest>(body)?;
+                    &parsed
+                }
+            };
+            let fp = req.cache_key(namespace).ok()?;
             Some(RoutingKeys {
                 owner_key: fp.to_hex(),
                 cache_keys: vec![fp],
             })
         }
         "/v1/sweep" => {
-            let req: crate::api::SweepRequest = parse_body(body)?;
-            let end = crate::api::ApiContext::validate_sweep(&req).ok()?;
-            let source = req.instance.source().ok()?;
-            let cache_keys: Vec<_> = (req.seed_start..end)
-                .map(|seed| {
-                    seed_fingerprint_in(
-                        namespace,
-                        &source,
-                        &req.solver,
-                        ENGINE_VERSION,
-                        false,
-                        seed,
-                    )
-                })
-                .collect();
+            let req: SweepRequest = parse_body(body)?;
+            let cache_keys = req.cache_keys(namespace).ok()?;
             Some(RoutingKeys {
                 owner_key: cache_keys.first()?.to_hex(),
                 cache_keys,
@@ -301,7 +295,7 @@ fn routing_keys(path: &str, body: &str, namespace: Option<&str>) -> Option<Routi
         // requests land on one node (its OS page cache and branch
         // predictors warm up) while the fleet shares the load.
         "/v1/simulate" => {
-            let _: crate::api::SimulateRequest = parse_body(body)?;
+            let _: SimulateRequest = parse_body(body)?;
             Some(RoutingKeys {
                 owner_key: format!("simulate:{}", body.trim()),
                 cache_keys: Vec::new(),
@@ -325,14 +319,19 @@ fn parse_body<R: serde::Deserialize + Default>(body: &str) -> Option<R> {
 /// the owning peer, and does so. `None` means: handle locally (this
 /// node owns the key, already holds the results, the body is invalid,
 /// the request is itself a forward, or the owner is unreachable).
-pub(crate) fn maybe_forward(request: &Request, tenant: usize, shared: &Shared) -> Option<Response> {
+pub(crate) fn maybe_forward(
+    request: &Request,
+    solve: Option<&SolveRequest>,
+    tenant: usize,
+    shared: &Shared,
+) -> Option<Response> {
     let cluster = shared.cluster.as_ref()?;
     if request.header(FORWARDED_HEADER).is_some() {
         return None;
     }
     let namespace = shared.tenants.tenant(tenant).namespace();
     let body = request.body_text();
-    let keys = routing_keys(&request.path, &body, namespace)?;
+    let keys = routing_keys(&request.path, &body, solve, namespace)?;
     let owner = cluster.ring.owner_index(&keys.owner_key);
     if owner == cluster.self_index {
         return None;

@@ -1,12 +1,14 @@
-//! Request execution on the CPU worker pool: routing, per-request
-//! deadlines, chaos injection, and the completion hand-off back to the
-//! reactor.
+//! Request execution: the reactor's inline answers, routing on the CPU
+//! worker pool, per-request deadlines, chaos injection, and the
+//! completion hand-off back to the reactor.
 //!
-//! The reactor parses requests and pushes [`DispatchJob`]s onto the
-//! bounded admission queue; workers pop them, compute the [`Response`]
-//! (solver execution happens here, never on the reactor thread), and
-//! push a [`Completion`] that the reactor stitches back into the
-//! owning connection's write queue by `(token, seq)`.
+//! The reactor parses requests and answers the bounded ones itself
+//! ([`answer_inline`]: the probes, and a `/v1/solve` whose result the
+//! store already holds). Everything else it pushes onto the bounded
+//! admission queue as a [`DispatchJob`]; workers pop them, compute the
+//! [`Response`] (solver execution happens here, never on the reactor
+//! thread), and push a [`Completion`] that the reactor stitches back
+//! into the owning connection's write queue by `(token, seq)`.
 
 use crate::api::{ApiContext, ApiError, ApiOutcome, SimulateRequest, SolveRequest, SweepRequest};
 use crate::chaos::ChaosDecision;
@@ -22,6 +24,12 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// The largest `/v1/solve` body the reactor decodes itself. It bounds
+/// the decode, the instance check and the key to a few microseconds: a
+/// pinned spec is built to check it, and a many-level sampler's key
+/// text is long.
+const INLINE_BODY_BYTES: usize = 4 * 1024;
+
 /// One parsed request traveling from the reactor to a worker.
 #[derive(Debug)]
 pub(crate) struct DispatchJob {
@@ -33,11 +41,14 @@ pub(crate) struct DispatchJob {
     pub tenant: usize,
     /// The parsed request.
     pub request: Request,
+    /// The `/v1/solve` body, when the reactor already decoded it.
+    pub solve: Option<Box<SolveRequest>>,
     /// When the request finished parsing (latency baseline).
     pub started: Instant,
 }
 
-/// A computed response traveling from a worker back to the reactor.
+/// A computed response traveling from a worker (or the reactor's
+/// inline path) back to the connection.
 #[derive(Debug)]
 pub(crate) struct Completion {
     /// The owning connection's reactor token.
@@ -48,6 +59,65 @@ pub(crate) struct Completion {
     pub response: Response,
     /// Chaos: cut the serialized bytes in half and hang up.
     pub truncate: bool,
+}
+
+/// What the reactor does with an admitted request.
+pub(crate) enum Inline {
+    /// Answered on the reactor; no worker is needed.
+    Answered(Response),
+    /// For the worker pool, with the `/v1/solve` body if the reactor
+    /// decoded it.
+    Queue(Option<Box<SolveRequest>>),
+}
+
+/// Answers `GET /healthz`, `GET /statusz`, and a `POST /v1/solve` whose
+/// result the store already holds, on the reactor thread: their work is
+/// a few microseconds and never waits on disk, so they skip both thread
+/// hand-offs. A solve is only answered here on a server without chaos
+/// (an injected delay would stall the reactor) and for a body of at
+/// most [`INLINE_BODY_BYTES`]; everything else goes to a worker. A
+/// panic answers `500`, as on a worker, and never reaches the reactor.
+pub(crate) fn answer_inline(request: &Request, tenant: usize, shared: &Shared) -> Inline {
+    panic::catch_unwind(AssertUnwindSafe(|| try_inline(request, tenant, shared)))
+        .unwrap_or_else(|_| Inline::Answered(handler_panicked()))
+}
+
+fn try_inline(request: &Request, tenant: usize, shared: &Shared) -> Inline {
+    match (request.method.as_str(), request.path.as_str()) {
+        ("GET", "/healthz") => Inline::Answered(healthz()),
+        ("GET", "/statusz") => Inline::Answered(statusz(shared)),
+        ("POST", "/v1/solve")
+            if shared.chaos.is_none() && request.body.len() <= INLINE_BODY_BYTES =>
+        {
+            // A body that does not decode goes to a worker, which
+            // answers the 400.
+            let Ok(req) = decode::<SolveRequest>(request) else {
+                return Inline::Queue(None);
+            };
+            let namespace = shared.tenants.tenant(tenant).namespace();
+            match shared.api.cached_solve_in(namespace, &req) {
+                Some(outcome) => Inline::Answered(api_response(outcome, tenant, shared)),
+                None => Inline::Queue(Some(Box::new(req))),
+            }
+        }
+        _ => Inline::Queue(None),
+    }
+}
+
+/// Folds one answered request into the endpoint histogram and, for the
+/// API, its tenant's latency.
+pub(crate) fn record(
+    request: &Request,
+    tenant: usize,
+    status: u16,
+    started: Instant,
+    shared: &Shared,
+) {
+    let micros = elapsed_us(started);
+    shared.metrics.record(&request.path, status, micros);
+    if request.path.starts_with("/v1/") {
+        shared.tenants.tenant(tenant).stats.latency.record(micros);
+    }
 }
 
 /// The worker thread body: pop, respond, hand the completion back.
@@ -83,20 +153,9 @@ pub(crate) fn respond(job: &DispatchJob, shared: &Arc<Shared>) -> (Response, boo
         shared.metrics.chaos_faults.fetch_add(1, Ordering::Relaxed);
         Response::error(500, "chaos: injected fault").header("Retry-After", "1")
     } else {
-        route_with_deadline(request, job.tenant, shared)
+        route_with_deadline(job, shared)
     };
-    let micros = elapsed_us(job.started);
-    shared
-        .metrics
-        .record(&request.path, response.status, micros);
-    if request.path.starts_with("/v1/") {
-        shared
-            .tenants
-            .tenant(job.tenant)
-            .stats
-            .latency
-            .record(micros);
-    }
+    record(request, job.tenant, response.status, job.started, shared);
     if decision.truncate {
         shared.metrics.chaos_faults.fetch_add(1, Ordering::Relaxed);
     }
@@ -106,22 +165,29 @@ pub(crate) fn respond(job: &DispatchJob, shared: &Arc<Shared>) -> (Response, boo
 /// Routes the request, racing the handler against the configured
 /// deadline. On timeout the worker answers `504` immediately; the
 /// handler finishes on its detached thread and its result is dropped.
-fn route_with_deadline(request: &Request, tenant: usize, shared: &Arc<Shared>) -> Response {
+fn route_with_deadline(job: &DispatchJob, shared: &Arc<Shared>) -> Response {
+    let (request, solve, tenant) = (&job.request, job.solve.as_deref(), job.tenant);
     let Some(timeout) = shared.request_timeout else {
-        return route_guarded(request, tenant, shared);
+        return route_guarded(request, solve, tenant, shared);
     };
     let (tx, rx) = std::sync::mpsc::channel();
     let req = request.clone();
+    let solve_req = job.solve.clone();
     let worker_shared = Arc::clone(shared);
     let spawned = std::thread::Builder::new()
         .name("wrsn-serve-handler".to_string())
         .spawn(move || {
-            let _ = tx.send(route_guarded(&req, tenant, &worker_shared));
+            let _ = tx.send(route_guarded(
+                &req,
+                solve_req.as_deref(),
+                tenant,
+                &worker_shared,
+            ));
         });
     if spawned.is_err() {
         // Thread exhaustion: degrade to inline handling rather than
         // failing the request.
-        return route_guarded(request, tenant, shared);
+        return route_guarded(request, solve, tenant, shared);
     }
     match rx.recv_timeout(timeout) {
         Ok(response) => response,
@@ -135,8 +201,13 @@ fn route_with_deadline(request: &Request, tenant: usize, shared: &Arc<Shared>) -
 
 /// Routes the request, answering `500` if the handler panics: a panic
 /// costs its own request, never the worker thread that runs it.
-fn route_guarded(request: &Request, tenant: usize, shared: &Arc<Shared>) -> Response {
-    panic::catch_unwind(AssertUnwindSafe(|| route(request, tenant, shared)))
+fn route_guarded(
+    request: &Request,
+    solve: Option<&SolveRequest>,
+    tenant: usize,
+    shared: &Arc<Shared>,
+) -> Response {
+    panic::catch_unwind(AssertUnwindSafe(|| route(request, solve, tenant, shared)))
         .unwrap_or_else(|_| handler_panicked())
 }
 
@@ -148,7 +219,14 @@ pub(crate) fn elapsed_us(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-fn route(request: &Request, tenant: usize, shared: &Arc<Shared>) -> Response {
+/// Routes one request; `solve` is the `/v1/solve` body when the reactor
+/// already decoded it.
+fn route(
+    request: &Request,
+    solve: Option<&SolveRequest>,
+    tenant: usize,
+    shared: &Arc<Shared>,
+) -> Response {
     // Cluster routing runs before local handling: a request whose key
     // another node owns (and that the local cache cannot answer) is
     // forwarded there; anything else falls through to the local path.
@@ -158,46 +236,23 @@ fn route(request: &Request, tenant: usize, shared: &Arc<Shared>) -> Response {
             "/v1/solve" | "/v1/simulate" | "/v1/sweep"
         )
     {
-        if let Some(response) = cluster::maybe_forward(request, tenant, shared) {
+        if let Some(response) = cluster::maybe_forward(request, solve, tenant, shared) {
             return response;
         }
     }
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => Response::json(200, "{\"status\":\"ok\"}"),
-        ("GET", "/statusz") => {
-            let gauges = StatusGauges {
-                workers_total: shared.workers,
-                workers_busy: shared.busy.load(Ordering::SeqCst),
-                queue_len: shared.queue.len(),
-                queue_capacity: shared.queue.capacity(),
-                conns_open: shared.conns_open.load(Ordering::SeqCst),
-                conns_max: shared.max_conns,
-                jobs_active: shared.jobs.active(),
-                jobs_submitted: shared.jobs.submitted(),
-                jobs_max: shared.jobs.capacity(),
-                store_entries: shared.api.store.as_ref().map(|s| s.len()),
-                io: shared.api.store.as_ref().map(|s| s.io_stats()),
-                durability: shared.api.store.as_ref().map(|s| s.durability().as_str()),
-                jobs_resumed: shared.jobs.resumed(),
-            };
-            let mut status = shared.metrics.to_statusz(&gauges);
-            if let serde::Value::Object(pairs) = &mut status {
-                pairs.push((
-                    "tenants".to_string(),
-                    shared.tenants.to_value(&shared.queue),
-                ));
-                if let Some(cluster) = &shared.cluster {
-                    pairs.push(("cluster".to_string(), cluster.to_value()));
-                }
-            }
-            json_response(200, &status)
-        }
+        ("GET", "/healthz") => healthz(),
+        ("GET", "/statusz") => statusz(shared),
         ("GET", "/v1/solvers") => json_response(200, &shared.api.solvers().body),
-        ("POST", "/v1/solve") => {
-            handle_api(request, tenant, shared, |api, ns, req: &SolveRequest| {
+        ("POST", "/v1/solve") => match solve {
+            Some(req) => {
+                let namespace = shared.tenants.tenant(tenant).namespace();
+                answer(shared.api.solve_in(namespace, req), tenant, shared)
+            }
+            None => handle_api(request, tenant, shared, |api, ns, req: &SolveRequest| {
                 api.solve_in(ns, req)
-            })
-        }
+            }),
+        },
         ("POST", "/v1/simulate") => handle_api(
             request,
             tenant,
@@ -264,32 +319,81 @@ pub(crate) fn json_response(status: u16, body: &serde::Value) -> Response {
     )
 }
 
+fn healthz() -> Response {
+    Response::json(200, "{\"status\":\"ok\"}")
+}
+
+/// `GET /statusz`: the counters, the gauges, the tenant breakdown and,
+/// when clustered, the fabric's health. Every read is an atomic or a
+/// short in-memory lock, so the reactor can answer it.
+fn statusz(shared: &Shared) -> Response {
+    let gauges = StatusGauges {
+        workers_total: shared.workers,
+        workers_busy: shared.busy.load(Ordering::SeqCst),
+        queue_len: shared.queue.len(),
+        queue_capacity: shared.queue.capacity(),
+        conns_open: shared.conns_open.load(Ordering::SeqCst),
+        conns_max: shared.max_conns,
+        jobs_active: shared.jobs.active(),
+        jobs_submitted: shared.jobs.submitted(),
+        jobs_max: shared.jobs.capacity(),
+        store_entries: shared.api.store.as_ref().map(|s| s.len()),
+        io: shared.api.store.as_ref().map(|s| s.io_stats()),
+        durability: shared.api.store.as_ref().map(|s| s.durability().as_str()),
+        jobs_resumed: shared.jobs.resumed(),
+    };
+    let mut status = shared.metrics.to_statusz(&gauges);
+    if let serde::Value::Object(pairs) = &mut status {
+        pairs.push((
+            "tenants".to_string(),
+            shared.tenants.to_value(&shared.queue),
+        ));
+        if let Some(cluster) = &shared.cluster {
+            pairs.push(("cluster".to_string(), cluster.to_value()));
+        }
+    }
+    json_response(200, &status)
+}
+
+/// Decodes a request body the way every API endpoint does: an empty
+/// body means all defaults.
+fn decode<R: Deserialize + Default>(request: &Request) -> Result<R, serde_json::Error> {
+    let body = String::from_utf8_lossy(&request.body);
+    if body.trim().is_empty() {
+        Ok(R::default())
+    } else {
+        serde_json::from_str(&body)
+    }
+}
+
 fn handle_api<R, F>(request: &Request, tenant: usize, shared: &Shared, handler: F) -> Response
 where
     R: Deserialize + Default,
     F: FnOnce(&ApiContext, Option<&str>, &R) -> Result<ApiOutcome, ApiError>,
 {
-    let body = request.body_text();
-    let parsed: Result<R, _> = if body.trim().is_empty() {
-        Ok(R::default())
-    } else {
-        serde_json::from_str(&body)
-    };
-    let req = match parsed {
+    let req = match decode::<R>(request) {
         Ok(req) => req,
         Err(e) => return Response::error(400, &format!("invalid request body: {e}")),
     };
     // Isolated tenants read and write their own cache namespace; every
     // other tenant shares the default namespace.
     let namespace = shared.tenants.tenant(tenant).namespace();
-    match handler(&shared.api, namespace, &req) {
-        Ok(outcome) => {
-            shared.metrics.add_cache(&outcome.cache);
-            shared.tenants.add_cache(tenant, &outcome.cache);
-            json_response(200, &outcome.body)
-                .header("x-cache-hits", outcome.cache.hits.to_string())
-                .header("x-cache-misses", outcome.cache.misses.to_string())
-        }
+    answer(handler(&shared.api, namespace, &req), tenant, shared)
+}
+
+fn answer(result: Result<ApiOutcome, ApiError>, tenant: usize, shared: &Shared) -> Response {
+    match result {
+        Ok(outcome) => api_response(outcome, tenant, shared),
         Err(e) => Response::error(e.status, &e.message),
     }
+}
+
+/// A handler's `200`: the body plus the `x-cache-*` headers, with its
+/// cache traffic folded into `/statusz`.
+fn api_response(outcome: ApiOutcome, tenant: usize, shared: &Shared) -> Response {
+    shared.metrics.add_cache(&outcome.cache);
+    shared.tenants.add_cache(tenant, &outcome.cache);
+    json_response(200, &outcome.body)
+        .header("x-cache-hits", outcome.cache.hits.to_string())
+        .header("x-cache-misses", outcome.cache.misses.to_string())
 }

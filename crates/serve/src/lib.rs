@@ -31,6 +31,10 @@
 //!   (uptime, worker/queue/connection/job occupancy, per-endpoint
 //!   request counts and latency histograms, cumulative cache stats).
 //!
+//! The reactor answers the probes, and a `/v1/solve` whose result the
+//! store already holds, without a worker, so they answer while every
+//! worker is busy.
+//!
 //! Request bodies name only keys their type knows: an unknown or
 //! repeated key answers `400` naming it. A handler that panics answers
 //! `500` and leaves its worker serving.

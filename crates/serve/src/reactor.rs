@@ -1,11 +1,16 @@
 //! The readiness event loop: one thread that owns the listener, every
 //! connection, and the epoll set.
 //!
-//! The reactor never computes a response itself — it accepts sockets,
-//! feeds bytes through each [`Conn`] state machine, pushes parsed
-//! requests onto the bounded admission queue, and stitches worker
-//! [`Completion`]s back into the owning connection's ordered write
-//! queue. Workers signal completions through the shared eventfd
+//! The reactor accepts sockets, feeds bytes through each [`Conn`] state
+//! machine, pushes parsed requests onto the bounded admission queue,
+//! and stitches worker [`Completion`]s back into the owning
+//! connection's ordered write queue. It computes only the responses
+//! whose work is bounded and never waits on disk: admission rejections,
+//! the `/healthz` and `/statusz` probes, and a `/v1/solve` whose result
+//! the store already holds ([`dispatch::answer_inline`]). Those skip
+//! the two thread hand-offs but take the same completion path as a
+//! worker's answer, so keep-alive and pipelining order are unchanged.
+//! Workers signal completions through the shared eventfd
 //! [`crate::sys::Waker`]; a 50 ms poll timeout doubles as the clock
 //! for idle sweeps and shutdown checks.
 //!
@@ -15,7 +20,7 @@
 //! connection's pipeline.
 
 use crate::conn::{Conn, FlushStatus, Outgoing, Phase, ReadOutcome};
-use crate::dispatch::{Completion, DispatchJob};
+use crate::dispatch::{self, Completion, DispatchJob, Inline};
 use crate::http::{ParseError, Request, Response};
 use crate::server::Shared;
 use crate::signal;
@@ -52,9 +57,11 @@ pub(crate) struct Reactor {
     listener: Option<TcpListener>,
     slots: Vec<Slot>,
     free: Vec<usize>,
-    /// Requests dispatched to workers whose completions have not been
-    /// applied yet (across all connections).
+    /// Requests dispatched to workers (or answered inline) whose
+    /// completions have not been applied yet (across all connections).
     inflight: usize,
+    /// Responses computed on this thread, applied with the workers'.
+    answered: Vec<Completion>,
     stopping: bool,
     stop_deadline: Option<Instant>,
 }
@@ -68,6 +75,7 @@ impl Reactor {
             slots: Vec::new(),
             free: Vec::new(),
             inflight: 0,
+            answered: Vec::new(),
             stopping: false,
             stop_deadline: None,
         }
@@ -312,10 +320,12 @@ impl Reactor {
         }
     }
 
-    /// Hands one parsed request to the worker pool (or rejects it
+    /// Hands one parsed request to the worker pool, or answers it
     /// inline: `401`/`403` for failed auth, `429` past the tenant's
-    /// rate limit, `503` when the tenant's sub-queue is full or the
-    /// queue is closed — none of which may ever occupy a worker).
+    /// rate limit, the probes and a stored `/v1/solve` result (past the
+    /// rate limit, but ahead of the fair queue), and `503` when the
+    /// tenant's sub-queue is full or the queue is closed. None of these
+    /// ever occupies a worker.
     fn dispatch(&mut self, index: usize, seq: usize, request: Request) {
         let shared = Arc::clone(&self.shared);
         if seq > 0 {
@@ -356,17 +366,35 @@ impl Reactor {
             }
         }
         let token = self.token_of(index);
-        {
-            let conn = self.slots[index].conn.as_mut().expect("validated");
-            conn.in_flight += 1;
-        }
-        self.inflight += 1;
+        let started = Instant::now();
+        // A draining server sends everything to the closed queue below,
+        // which answers 503.
+        let solve = if self.stopping {
+            None
+        } else {
+            match dispatch::answer_inline(&request, tenant, &shared) {
+                Inline::Answered(response) => {
+                    dispatch::record(&request, tenant, response.status, started, &shared);
+                    self.begin(index);
+                    self.answered.push(Completion {
+                        token,
+                        seq,
+                        response,
+                        truncate: false,
+                    });
+                    return;
+                }
+                Inline::Queue(solve) => solve,
+            }
+        };
+        self.begin(index);
         let job = DispatchJob {
             token,
             seq,
             tenant,
             request,
-            started: Instant::now(),
+            solve,
+            started,
         };
         if shared.queue.try_push(tenant, job).is_err() {
             // Admission control: answer the 503 here so a full worker
@@ -385,6 +413,13 @@ impl Reactor {
             conn.in_flight -= 1;
             self.reject(index, seq, response);
         }
+    }
+
+    /// Counts one request as in flight until its completion is applied.
+    fn begin(&mut self, index: usize) {
+        let conn = self.slots[index].conn.as_mut().expect("validated");
+        conn.in_flight += 1;
+        self.inflight += 1;
     }
 
     /// Answers `response` inline and seals the connection after it:
@@ -489,9 +524,11 @@ impl Reactor {
         true
     }
 
-    /// Applies every completion the workers queued since the last pass.
+    /// Applies every completion the workers queued, and every inline
+    /// answer, since the last pass.
     fn apply_completions(&mut self) {
-        let completions: Vec<Completion> = std::mem::take(&mut *self.shared.completions.lock());
+        let mut completions = std::mem::take(&mut self.answered);
+        completions.append(&mut self.shared.completions.lock());
         let shared = Arc::clone(&self.shared);
         for completion in completions {
             self.inflight = self.inflight.saturating_sub(1);

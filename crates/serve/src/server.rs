@@ -10,7 +10,8 @@
 //! admission bound; overflow is answered `503` + `Retry-After` by the
 //! reactor inline — routes each through [`ApiContext`]
 //! ([`crate::dispatch`]), and hands the completion back through an
-//! eventfd wakeup. Long sweeps go through the bounded async job API
+//! eventfd wakeup. The probes and a `/v1/solve` whose result the store
+//! already holds never reach the pool: the reactor answers them itself. Long sweeps go through the bounded async job API
 //! ([`crate::jobs`]) on their own threads instead of occupying a
 //! worker for the whole run.
 //!

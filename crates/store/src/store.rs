@@ -151,9 +151,10 @@ struct StoredEntry {
     order: u64,
 }
 
-struct Inner {
-    entries: BTreeMap<String, StoredEntry>,
-    writer: Option<LogWriter>,
+/// The append side: the active segment and the counters that name new
+/// segments and rank new entries.
+struct Writer {
+    active: Option<LogWriter>,
     next_seq: u64,
     next_order: u64,
 }
@@ -167,6 +168,13 @@ struct Inner {
 /// from an in-memory index loaded at [`ResultStore::open`] time; on
 /// open, duplicated entries and segment sprawl are compacted away into
 /// a single segment via an atomic rewrite.
+///
+/// Two locks keep reads off the disk. The index lock is held only for
+/// lookups and for the insert after a committed append. The writer lock
+/// is held across appends, seals, fsyncs, imports, gc and segment
+/// reads, and is always taken before the index lock. So a
+/// [`ResultStore::get`] never waits on a slow append or fsync, and a
+/// key becomes visible only once its append has returned.
 ///
 /// Corrupt segments do not brick the store: open quarantines them
 /// (renamed to `….jsonl.quarantine`, records dropped, a warning
@@ -201,7 +209,9 @@ pub struct ResultStore {
     /// processes, or two stores in one process — never collide when
     /// exchanged or merged into one directory.
     disc: String,
-    inner: Mutex<Inner>,
+    /// Key → entry; every read serves from here.
+    index: Mutex<BTreeMap<String, StoredEntry>>,
+    writer: Mutex<Writer>,
 }
 
 /// A short random hex discriminator from std entropy (the store crate
@@ -387,9 +397,9 @@ impl ResultStore {
             durability: options.durability,
             vfs,
             disc: fresh_discriminator(),
-            inner: Mutex::new(Inner {
-                entries,
-                writer: None,
+            index: Mutex::new(entries),
+            writer: Mutex::new(Writer {
+                active: None,
                 next_seq: max_seq + 1,
                 next_order: order,
             }),
@@ -424,9 +434,9 @@ impl ResultStore {
     }
 
     /// Live entries in insertion order (oldest first), as serialized
-    /// records. Caller must hold the lock.
-    fn ordered_records(inner: &Inner) -> Vec<Value> {
-        let mut live: Vec<(&String, &StoredEntry)> = inner.entries.iter().collect();
+    /// records.
+    fn ordered_records(entries: &BTreeMap<String, StoredEntry>) -> Vec<Value> {
+        let mut live: Vec<(&String, &StoredEntry)> = entries.iter().collect();
         live.sort_by_key(|(_, e)| e.order);
         live.iter()
             .map(|(k, e)| record(k, &e.value, e.tag.as_deref()))
@@ -441,8 +451,8 @@ impl ResultStore {
     /// survives the rewrite.
     fn compact(&self, old_segments: &[PathBuf]) -> Result<(), StoreError> {
         let target = self.dir.join("seg-00000000-compact.jsonl");
-        let inner = self.inner.lock();
-        let records = ResultStore::ordered_records(&inner);
+        let _writer = self.writer.lock();
+        let records = ResultStore::ordered_records(&self.index.lock());
         write_log_on(
             &*self.vfs,
             &target,
@@ -463,9 +473,8 @@ impl ResultStore {
     /// The payload stored under `key`, if any.
     #[must_use]
     pub fn get(&self, key: &Fingerprint) -> Option<Value> {
-        self.inner
+        self.index
             .lock()
-            .entries
             .get(&key.to_hex())
             .map(|e| e.value.clone())
     }
@@ -506,11 +515,11 @@ impl ResultStore {
         value: Value,
         tag: Option<&str>,
     ) -> Result<bool, StoreError> {
-        let mut inner = self.inner.lock();
-        self.insert_raw(&mut inner, &key.to_hex(), value, tag)
+        let mut writer = self.writer.lock();
+        self.insert_raw(&mut writer, &key.to_hex(), value, tag)
     }
 
-    /// Put-if-absent under an already-held lock, keyed by the raw hex
+    /// Put-if-absent under the writer lock, keyed by the raw hex
     /// string — the shared path for local puts and segment imports.
     ///
     /// Commit discipline: the in-memory index is only updated after
@@ -518,26 +527,29 @@ impl ResultStore {
     /// seal-fsync) succeeded, so the store never serves a result it
     /// did not commit. Any append or sync failure poisons the active
     /// writer — its tail may be torn — and the next put opens a fresh
-    /// segment rather than fusing records onto the tear.
+    /// segment rather than fusing records onto the tear. The index
+    /// lock is not held across the disk work: every index mutation
+    /// holds the writer lock, so the absence checked first still holds
+    /// at the insert.
     fn insert_raw(
         &self,
-        inner: &mut Inner,
+        writer: &mut Writer,
         hex: &str,
         value: Value,
         tag: Option<&str>,
     ) -> Result<bool, StoreError> {
-        if inner.entries.contains_key(hex) {
+        if self.index.lock().contains_key(hex) {
             return Ok(false);
         }
-        if inner.writer.is_none() {
+        if writer.active.is_none() {
             let name = format!(
                 "seg-{:08}-{}-{}.jsonl",
-                inner.next_seq,
+                writer.next_seq,
                 std::process::id(),
                 self.disc
             );
-            inner.next_seq += 1;
-            inner.writer = Some(LogWriter::create_on(
+            writer.next_seq += 1;
+            writer.active = Some(LogWriter::create_on(
                 &*self.vfs,
                 &self.dir.join(name),
                 &header(),
@@ -545,27 +557,27 @@ impl ResultStore {
                 self.durability.is_fsync(),
             )?);
         }
-        let writer = inner.writer.as_mut().expect("just ensured");
-        if let Err(e) = writer.append(&record(hex, &value, tag)) {
-            inner.writer = None;
+        let active = writer.active.as_mut().expect("just ensured");
+        if let Err(e) = active.append(&record(hex, &value, tag)) {
+            writer.active = None;
             return Err(e);
         }
-        let rotate = writer.bytes() >= self.segment_bytes;
+        let rotate = active.bytes() >= self.segment_bytes;
         if rotate {
             // Seal the full segment; the next put opens a fresh one.
             // Under the fsync policy the seal is the durability point
             // for everything the segment holds.
             if self.durability.is_fsync() {
-                if let Err(e) = writer.sync() {
-                    inner.writer = None;
+                if let Err(e) = active.sync() {
+                    writer.active = None;
                     return Err(e);
                 }
             }
-            inner.writer = None;
+            writer.active = None;
         }
-        let order = inner.next_order;
-        inner.next_order += 1;
-        inner.entries.insert(
+        let order = writer.next_order;
+        writer.next_order += 1;
+        self.index.lock().insert(
             hex.to_string(),
             StoredEntry {
                 value,
@@ -589,11 +601,12 @@ impl ResultStore {
     where
         F: Fn(Option<&str>) -> bool,
     {
+        let mut writer = self.writer.lock();
         let bytes_before = self.disk_bytes()?;
         let old_segments = ResultStore::segment_files_on(&*self.vfs, &self.dir)?;
-        let mut inner = self.inner.lock();
+        let mut entries = self.index.lock();
         let mut dropped_unreachable = 0u64;
-        inner.entries.retain(|_, e| {
+        entries.retain(|_, e| {
             let keep = reachable(e.tag.as_deref());
             if !keep {
                 dropped_unreachable += 1;
@@ -609,8 +622,7 @@ impl ResultStore {
                 .expect("header serializes")
                 .len() as u64
                 + 1;
-            let mut sized: Vec<(String, u64, u64)> = inner
-                .entries
+            let mut sized: Vec<(String, u64, u64)> = entries
                 .iter()
                 .map(|(k, e)| {
                     let line = serde_json::to_string(&record(k, &e.value, e.tag.as_deref()))
@@ -624,18 +636,21 @@ impl ResultStore {
                 if total <= budget {
                     break;
                 }
-                inner.entries.remove(key);
+                entries.remove(key);
                 total -= bytes;
                 dropped_for_budget += 1;
             }
         }
 
+        let records = ResultStore::ordered_records(&entries);
+        let kept = entries.len() as u64;
+        drop(entries);
+
         // Atomic rewrite: survivors into the compact segment, then the
         // superseded segments go away. Close the active writer first —
         // its file is among the segments being replaced.
-        inner.writer = None;
+        writer.active = None;
         let target = self.dir.join("seg-00000000-compact.jsonl");
-        let records = ResultStore::ordered_records(&inner);
         write_log_on(
             &*self.vfs,
             &target,
@@ -650,8 +665,7 @@ impl ResultStore {
                     .map_err(|e| StoreError::io(path, e))?;
             }
         }
-        let kept = inner.entries.len() as u64;
-        drop(inner);
+        drop(writer);
         Ok(GcReport {
             kept,
             dropped_unreachable,
@@ -669,10 +683,10 @@ impl ResultStore {
     /// [`StoreError::Io`] when the sync fails; the active writer is
     /// poisoned so later puts start a fresh segment.
     pub fn sync(&self) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock();
-        if let Some(writer) = inner.writer.as_mut() {
-            if let Err(e) = writer.sync() {
-                inner.writer = None;
+        let mut writer = self.writer.lock();
+        if let Some(active) = writer.active.as_mut() {
+            if let Err(e) = active.sync() {
+                writer.active = None;
                 return Err(e);
             }
         }
@@ -682,7 +696,7 @@ impl ResultStore {
     /// Number of entries in the store.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.index.lock().len()
     }
 
     /// Whether the store holds no entries.
@@ -733,14 +747,14 @@ impl ResultStore {
     }
 
     /// The on-disk segment files as manifest rows, sorted by name.
-    /// Taken under the store lock so sizes are stable (appends hold the
+    /// Taken under the writer lock so sizes are stable (appends hold the
     /// same lock).
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] when the directory cannot be listed.
     pub fn segments(&self) -> Result<Vec<SegmentInfo>, StoreError> {
-        let _guard = self.inner.lock();
+        let _writer = self.writer.lock();
         let mut out = Vec::new();
         for path in ResultStore::segment_files_on(&*self.vfs, &self.dir)? {
             let name = path
@@ -759,7 +773,7 @@ impl ResultStore {
     }
 
     /// Reads one segment file verbatim (header line plus records) for
-    /// transfer to a peer. Taken under the store lock so a concurrent
+    /// transfer to a peer. Taken under the writer lock so a concurrent
     /// append can never be observed mid-line.
     ///
     /// # Errors
@@ -772,7 +786,7 @@ impl ResultStore {
         if !ResultStore::is_segment_name(name) {
             return Err(StoreError::parse(&path, 1, "not a segment file name"));
         }
-        let _guard = self.inner.lock();
+        let _writer = self.writer.lock();
         self.vfs
             .read_to_string(&path)
             .map_err(|e| StoreError::io(&path, e))
@@ -781,8 +795,8 @@ impl ResultStore {
     /// Imports segment text (as produced by [`ResultStore::read_segment`]
     /// on a peer) with put-if-absent semantics: records whose key is
     /// already present are skipped, everything else is appended to this
-    /// store's own active segment. The whole import runs under one lock
-    /// acquisition. A torn final line (sender crashed mid-append) is
+    /// store's own active segment. The whole import runs under one
+    /// writer-lock acquisition. A torn final line (sender crashed mid-append) is
     /// tolerated exactly as on open: the fragment is dropped.
     ///
     /// # Errors
@@ -811,7 +825,7 @@ impl ResultStore {
             ));
         }
         let mut report = ImportReport::default();
-        let mut inner = self.inner.lock();
+        let mut writer = self.writer.lock();
         for (i, raw) in lines.iter().enumerate().skip(1) {
             if raw.trim().is_empty() {
                 continue;
@@ -831,7 +845,7 @@ impl ResultStore {
                 ));
             };
             let tag = rec.get("tag").and_then(Value::as_str);
-            if self.insert_raw(&mut inner, key, value.clone(), tag)? {
+            if self.insert_raw(&mut writer, key, value.clone(), tag)? {
                 report.imported += 1;
             } else {
                 report.skipped += 1;
@@ -847,14 +861,14 @@ impl ResultStore {
     /// cluster anti-entropy decides a fleet has converged.
     #[must_use]
     pub fn keys_digest(&self) -> String {
-        let inner = self.inner.lock();
+        let entries = self.index.lock();
         let mut acc: u128 = 0;
-        for key in inner.entries.keys() {
+        for key in entries.keys() {
             let mut b = FingerprintBuilder::new("wrsn-store-digest-v1");
             b.push_str(key);
             acc ^= u128::from_str_radix(&b.finish().to_hex(), 16).unwrap_or(0);
         }
-        format!("{}:{acc:032x}", inner.entries.len())
+        format!("{}:{acc:032x}", entries.len())
     }
 
     /// Read-only integrity scan of a store directory: parses every
@@ -1085,12 +1099,12 @@ mod tests {
         let first = ResultStore::open(&dir).unwrap();
         assert_eq!(first.segment_count().unwrap(), 1);
         let entries_after_first: Vec<(String, StoredEntry)> =
-            first.inner.lock().entries.clone().into_iter().collect();
+            first.index.lock().clone().into_iter().collect();
         drop(first);
         let second = ResultStore::open(&dir).unwrap();
         assert_eq!(second.segment_count().unwrap(), 1);
         let entries_after_second: Vec<(String, StoredEntry)> =
-            second.inner.lock().entries.clone().into_iter().collect();
+            second.index.lock().clone().into_iter().collect();
         assert_eq!(entries_after_first, entries_after_second);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -1376,18 +1390,13 @@ mod tests {
             store.put(&key("b"), 2u64.to_value()).unwrap();
         }
         let store = ResultStore::open(&dir).unwrap();
-        let inner = store.inner.lock();
+        let entries = store.index.lock();
         assert_eq!(
-            inner
-                .entries
-                .get(&key("a").to_hex())
-                .unwrap()
-                .tag
-                .as_deref(),
+            entries.get(&key("a").to_hex()).unwrap().tag.as_deref(),
             Some("scheme-v1")
         );
-        assert_eq!(inner.entries.get(&key("b").to_hex()).unwrap().tag, None);
-        drop(inner);
+        assert_eq!(entries.get(&key("b").to_hex()).unwrap().tag, None);
+        drop(entries);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1624,6 +1633,143 @@ mod tests {
         );
         let _ = std::fs::remove_dir_all(dir_a);
         let _ = std::fs::remove_dir_all(dir_b);
+    }
+
+    /// Where a [`GateFs`] append stands.
+    #[derive(Debug, Default)]
+    struct Gate {
+        /// (armed, entered, released)
+        state: std::sync::Mutex<(bool, bool, bool)>,
+        changed: std::sync::Condvar,
+    }
+
+    impl Gate {
+        fn update(&self, f: impl FnOnce(&mut (bool, bool, bool))) {
+            f(&mut self.state.lock().unwrap());
+            self.changed.notify_all();
+        }
+
+        fn wait_until(&self, done: impl Fn(&(bool, bool, bool)) -> bool) {
+            let mut state = self.state.lock().unwrap();
+            while !done(&state) {
+                state = self.changed.wait(state).unwrap();
+            }
+        }
+
+        /// Blocks the write that finds the gate armed until release.
+        fn pass(&self) {
+            let armed = std::mem::take(&mut self.state.lock().unwrap().0);
+            if armed {
+                self.update(|s| s.1 = true);
+                self.wait_until(|s| s.2);
+            }
+        }
+    }
+
+    /// The real filesystem, except that once armed, the next append
+    /// blocks inside its write until the test releases it.
+    #[derive(Debug, Default)]
+    struct GateFs {
+        real: RealFs,
+        gate: Arc<Gate>,
+    }
+
+    #[derive(Debug)]
+    struct GatedFile {
+        file: Box<dyn crate::vfs::VfsFile>,
+        gate: Arc<Gate>,
+    }
+
+    impl crate::vfs::VfsFile for GatedFile {
+        fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            self.gate.pass();
+            self.file.write_all(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.file.flush()
+        }
+        fn sync_all(&mut self) -> std::io::Result<()> {
+            self.file.sync_all()
+        }
+    }
+
+    impl Vfs for GateFs {
+        fn read_to_string(&self, path: &Path) -> std::io::Result<String> {
+            self.real.read_to_string(path)
+        }
+        fn write(&self, path: &Path, contents: &[u8]) -> std::io::Result<()> {
+            self.real.write(path, contents)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.real.rename(from, to)
+        }
+        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            self.real.create_dir_all(path)
+        }
+        fn read_dir(&self, path: &Path) -> std::io::Result<Vec<PathBuf>> {
+            self.real.read_dir(path)
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            self.real.remove_file(path)
+        }
+        fn metadata_len(&self, path: &Path) -> std::io::Result<u64> {
+            self.real.metadata_len(path)
+        }
+        fn set_len(&self, path: &Path, len: u64) -> std::io::Result<()> {
+            self.real.set_len(path, len)
+        }
+        fn last_byte(&self, path: &Path) -> std::io::Result<Option<u8>> {
+            self.real.last_byte(path)
+        }
+        fn open_append(&self, path: &Path) -> std::io::Result<Box<dyn crate::vfs::VfsFile>> {
+            Ok(Box::new(GatedFile {
+                file: self.real.open_append(path)?,
+                gate: Arc::clone(&self.gate),
+            }))
+        }
+        fn fsync_path(&self, path: &Path) -> std::io::Result<()> {
+            self.real.fsync_path(path)
+        }
+        fn fsync_dir(&self, path: &Path) -> std::io::Result<()> {
+            self.real.fsync_dir(path)
+        }
+        fn stats(&self) -> &crate::vfs::IoStats {
+            self.real.stats()
+        }
+    }
+
+    #[test]
+    fn reads_never_wait_on_a_blocked_append() {
+        let dir = temp_dir("blocked-append");
+        let fs = Arc::new(GateFs::default());
+        let store = Arc::new(open_on(&dir, Arc::clone(&fs) as Arc<dyn Vfs>).unwrap());
+        store.put(&key("a"), 1u64.to_value()).unwrap();
+        fs.gate.update(|s| s.0 = true);
+        let writer = {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || store.put(&key("b"), 2u64.to_value()))
+        };
+        fs.gate.wait_until(|s| s.1);
+        // The reads run on a thread of their own, so that one waiting
+        // on the append fails the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || {
+                let _ = tx.send((store.get(&key("a")), store.get(&key("b")), store.len()));
+            })
+        };
+        let read = rx.recv_timeout(std::time::Duration::from_secs(5));
+        fs.gate.update(|s| s.2 = true);
+        let (a, b, len) = read.expect("a read waited on the blocked append");
+        assert_eq!(a, Some(1u64.to_value()));
+        assert_eq!(b, None, "a key is invisible until its append returns");
+        assert_eq!(len, 1);
+        assert!(writer.join().unwrap().unwrap());
+        reader.join().unwrap();
+        assert_eq!(store.get(&key("b")), Some(2u64.to_value()));
+        assert_eq!(store.len(), 2);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 use wrsn::cluster::{ClusterConfig, Peer};
 use wrsn::engine::ResultStore;
 use wrsn::serve::api::ApiContext;
-use wrsn::serve::client::{request, ClientResponse};
-use wrsn::serve::{Server, ServerConfig, ServerHandle, SERVED_BY_HEADER};
+use wrsn::serve::client::{request, request_with_headers, ClientResponse};
+use wrsn::serve::{Server, ServerConfig, ServerHandle, FORWARDED_HEADER, SERVED_BY_HEADER};
 
 fn scratch(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("wrsn-cluster-test").join(name);
@@ -250,6 +250,53 @@ fn dead_owner_degrades_to_local_compute_and_survivors_converge() {
 
     node0.shutdown().unwrap();
     node1.shutdown().unwrap();
+}
+
+#[test]
+fn a_node_holding_a_scenario_result_answers_it_without_a_forward() {
+    let fleet = start_fleet("scenario-local", 2, 3_600_000); // gossip effectively off
+    let addrs: Vec<String> = fleet.iter().map(|s| s.addr().to_string()).collect();
+    let body = "{\"instance\":{\"posts\":5,\"nodes\":12,\"field\":150.0,\
+                \"scenario\":{\"chargers\":2}},\"solver\":\"sched-tour\",\"seed\":4}";
+
+    // Whichever node forwards the request does not own its key.
+    let first = post(&addrs[0], "/v1/solve", body);
+    assert_eq!(first.status, 200, "{}", first.body);
+    let node = &addrs[usize::from(first.header(SERVED_BY_HEADER).is_none())];
+    // That node computes and stores the cell itself, as it does for a
+    // forwarded request.
+    let stored = request_with_headers(
+        node,
+        "POST",
+        "/v1/solve",
+        Some(body),
+        &[(FORWARDED_HEADER, "1")],
+    )
+    .unwrap();
+    assert_eq!(
+        stored.header("x-cache-misses"),
+        Some("1"),
+        "{}",
+        stored.body
+    );
+    assert_eq!(stored.body, first.body);
+
+    // Now its cache answers, keyed with the scenario: on the reactor,
+    // and on a worker for a body past the reactor's decode cap.
+    let padded = format!("{body}{}", " ".repeat(5000));
+    for body in [body, padded.as_str()] {
+        let resp = post(node, "/v1/solve", body);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert!(
+            resp.header(SERVED_BY_HEADER).is_none(),
+            "a node that holds the result forwarded it"
+        );
+        assert_eq!(resp.header("x-cache-hits"), Some("1"));
+        assert_eq!(resp.body, first.body);
+    }
+    for server in fleet {
+        server.shutdown().unwrap();
+    }
 }
 
 #[test]

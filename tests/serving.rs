@@ -50,21 +50,26 @@ fn post(addr: &str, path: &str, body: &str) -> ClientResponse {
 /// POSTs `body` on a fresh connection and returns the raw reply, failing
 /// if none arrives within 5 s: a worker that died never answers.
 fn post_within_5s(addr: &str, path: &str, body: &str) -> String {
+    raw_within(addr, "POST", path, Some(body), Duration::from_secs(5))
+}
+
+/// Sends one request on a fresh connection and returns the raw reply,
+/// failing if it does not arrive within `limit`.
+fn raw_within(addr: &str, method: &str, path: &str, body: Option<&str>, limit: Duration) -> String {
     let mut stream = TcpStream::connect(addr).unwrap();
+    let body = body.unwrap_or("");
     write!(
         stream,
-        "POST {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\
+        "{method} {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\
          Content-Length: {}\r\n\r\n{body}",
         body.len()
     )
     .unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
+    stream.set_read_timeout(Some(limit)).unwrap();
     let mut raw = Vec::new();
     stream
         .read_to_end(&mut raw)
-        .expect("no reply within 5 s: the worker died");
+        .unwrap_or_else(|e| panic!("{method} {path}: no reply within {limit:?}: {e}"));
     String::from_utf8_lossy(&raw).into_owned()
 }
 
@@ -307,10 +312,12 @@ fn scheduling_solvers_serve_and_scenarios_key_the_cache() {
     server.shutdown().unwrap();
 }
 
+/// Closed until the test opens it; see [`gated_api`].
+type Gate = Arc<(Mutex<bool>, Condvar)>;
+
 /// A registry whose `"gated"` solver blocks inside the factory until
 /// the test opens the gate — how the overflow test pins the worker.
-#[allow(clippy::type_complexity)]
-fn gated_api() -> (ApiContext, Arc<(Mutex<bool>, Condvar)>, Arc<AtomicUsize>) {
+fn gated_api() -> (ApiContext, Gate, Arc<AtomicUsize>) {
     let mut api = ApiContext::new();
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
     let entered = Arc::new(AtomicUsize::new(0));
@@ -328,6 +335,365 @@ fn gated_api() -> (ApiContext, Arc<(Mutex<bool>, Condvar)>, Arc<AtomicUsize>) {
         })
         .unwrap();
     (api, gate, entered)
+}
+
+/// Opens the gate of a [`gated_api`] server.
+fn open_gate(gate: &(Mutex<bool>, Condvar)) {
+    let (lock, cvar) = gate;
+    *lock.lock().unwrap() = true;
+    cvar.notify_all();
+}
+
+/// Sends a gated solve on its own thread and returns once its solver
+/// factory runs: the worker that took it stays busy until the gate
+/// opens. Its result is stored, so a second pin on a server with a
+/// store would be a cache hit: pin once per server.
+fn pin_a_worker(addr: &str, entered: &AtomicUsize) -> std::thread::JoinHandle<ClientResponse> {
+    let before = entered.load(Ordering::SeqCst);
+    let blocker = {
+        let addr = addr.to_string();
+        let body = format!("{{{SMALL},\"solver\":\"gated\"}}");
+        std::thread::spawn(move || post(&addr, "/v1/solve", &body))
+    };
+    while entered.load(Ordering::SeqCst) == before {
+        std::thread::yield_now();
+    }
+    blocker
+}
+
+/// A gated server with a store and one worker.
+fn gated_server(name: &str, config: ServerConfig) -> (ServerHandle, Gate, Arc<AtomicUsize>) {
+    let (mut api, gate, entered) = gated_api();
+    api.store = Some(Arc::new(ResultStore::open(scratch(name)).unwrap()));
+    let server = start_with(
+        api,
+        ServerConfig {
+            workers: 1,
+            queue_depth: 8,
+            ..config
+        },
+    );
+    (server, gate, entered)
+}
+
+/// The `/statusz` figures a `/v1/solve` moves: its endpoint counters,
+/// the cache counters and the anonymous tenant's counters.
+fn solve_counts(addr: &str) -> Vec<u64> {
+    let statusz = request(addr, "GET", "/statusz", None).unwrap();
+    let v: serde_json::Value = serde_json::from_str(&statusz.body).unwrap();
+    let solve = &v["endpoints"]["/v1/solve"];
+    let tenant = &v["tenants"]["anonymous"];
+    [
+        &solve["requests"],
+        &solve["errors"],
+        &solve["latency"]["count"],
+        &v["cache"]["hits"],
+        &v["cache"]["misses"],
+        &v["cache"]["appended"],
+        &v["cache"]["entries"],
+        &tenant["requests"],
+        &tenant["cache_hits"],
+        &tenant["cache_misses"],
+        &tenant["latency_us"]["count"],
+    ]
+    .iter()
+    .map(|x| x.as_u64().unwrap_or(0))
+    .collect()
+}
+
+fn body_of(raw: &str) -> &str {
+    raw.split_once("\r\n\r\n").map_or("", |(_, body)| body)
+}
+
+#[test]
+fn probes_and_cached_solves_answer_while_the_only_worker_is_pinned() {
+    let (server, gate, entered) = gated_server("inline-pinned", ServerConfig::default());
+    let addr = server.addr().to_string();
+    let cached = format!("{{{SMALL},\"solver\":\"idb\",\"seed\":3}}");
+    assert_eq!(
+        post(&addr, "/v1/solve", &cached).header("x-cache-misses"),
+        Some("1")
+    );
+
+    let blocker = pin_a_worker(&addr, &entered);
+    for (method, path, body) in [
+        ("GET", "/healthz", None),
+        ("GET", "/statusz", None),
+        ("POST", "/v1/solve", Some(cached.as_str())),
+    ] {
+        let reply = raw_within(&addr, method, path, body, Duration::from_secs(1));
+        assert!(reply.starts_with("HTTP/1.1 200"), "{path}: {reply}");
+        if path == "/v1/solve" {
+            assert!(reply.contains("x-cache-hits: 1\r\n"), "{reply}");
+        }
+        if path == "/statusz" {
+            let v: serde_json::Value = serde_json::from_str(body_of(&reply)).unwrap();
+            assert_eq!(
+                v["workers"]["busy"], 1,
+                "only the gated solve is in service"
+            );
+        }
+    }
+    open_gate(&gate);
+    assert_eq!(blocker.join().unwrap().status, 200);
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn inline_hits_match_worker_hits_byte_for_byte() {
+    let (server, gate, entered) = gated_server("inline-bytes", ServerConfig::default());
+    let addr = server.addr().to_string();
+    let body = format!("{{{SMALL},\"solver\":\"idb\",\"seed\":5}}");
+    // Past 4 KiB the reactor leaves the body to a worker; the padding
+    // leaves the request itself unchanged.
+    let padded = format!("{body}{}", " ".repeat(5000));
+    let within = |body: &str| {
+        raw_within(
+            &addr,
+            "POST",
+            "/v1/solve",
+            Some(body),
+            Duration::from_secs(5),
+        )
+    };
+
+    // A cold server answers the miss on the worker.
+    let miss = within(&body);
+    assert!(miss.contains("x-cache-misses: 1\r\n"), "{miss}");
+
+    // The hit answers with the only worker pinned, so on the reactor.
+    let blocker = pin_a_worker(&addr, &entered);
+    let before_inline = solve_counts(&addr);
+    let inline = raw_within(
+        &addr,
+        "POST",
+        "/v1/solve",
+        Some(&body),
+        Duration::from_secs(1),
+    );
+    let after_inline = solve_counts(&addr);
+    open_gate(&gate);
+    assert_eq!(blocker.join().unwrap().status, 200);
+
+    let before_worker = solve_counts(&addr);
+    let worker = within(&padded);
+    let after_worker = solve_counts(&addr);
+
+    assert_eq!(inline, worker, "inline and worker hits differ on the wire");
+    assert_eq!(body_of(&inline), body_of(&miss));
+    assert!(
+        inline.contains("x-cache-hits: 1\r\nx-cache-misses: 0\r\n"),
+        "{inline}"
+    );
+    let delta =
+        |a: &[u64], b: &[u64]| -> Vec<u64> { a.iter().zip(b).map(|(a, b)| b - a).collect() };
+    assert_eq!(
+        delta(&before_inline, &after_inline),
+        delta(&before_worker, &after_worker),
+        "an inline hit must move the same /statusz counters as a worker hit"
+    );
+    assert_eq!(
+        delta(&before_inline, &after_inline),
+        [1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1]
+    );
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn chaos_servers_send_cached_solves_to_the_workers() {
+    let store = Arc::new(ResultStore::open(scratch("inline-chaos")).unwrap());
+    let body = format!("{{{SMALL},\"solver\":\"idb\",\"seed\":2}}");
+    let mut warm = ApiContext::new();
+    warm.store = Some(Arc::clone(&store));
+    warm.solve(&serde_json::from_str(&body).unwrap()).unwrap();
+
+    let mut api = ApiContext::new();
+    api.store = Some(store);
+    let server = start_with(
+        api,
+        ServerConfig {
+            workers: 1,
+            chaos: Some(ChaosPolicy::seeded(3).faults(1.0)),
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.addr().to_string();
+    // Every request that reaches a worker draws the certain fault, so
+    // the stored result is never served from the reactor.
+    let resp = post(&addr, "/v1/solve", &body);
+    assert_eq!(resp.status, 500, "{}", resp.body);
+    assert!(resp.body.contains("chaos"), "{}", resp.body);
+    assert_eq!(request(&addr, "GET", "/healthz", None).unwrap().status, 200);
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn a_draining_server_answers_503_and_never_inline() {
+    let (server, gate, entered) = gated_server(
+        "inline-draining",
+        ServerConfig {
+            keep_alive: true,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.addr().to_string();
+    let cached = format!("{{{SMALL},\"solver\":\"idb\"}}");
+    assert_eq!(post(&addr, "/v1/solve", &cached).status, 200);
+    // Two keep-alive connections the reactor already serves.
+    let mut conns: Vec<Connection> = (0..2)
+        .map(|_| {
+            let mut conn = Connection::connect(&addr).unwrap();
+            assert_eq!(conn.roundtrip("GET", "/healthz", None).unwrap().status, 200);
+            conn
+        })
+        .collect();
+
+    // A request in flight keeps the reactor draining once shutdown
+    // starts; it closes the listener first.
+    let blocker = pin_a_worker(&addr, &entered);
+    let stopper = std::thread::spawn(move || server.shutdown());
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while TcpStream::connect(&addr).is_ok() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the listener never closed"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let solve = conns[0]
+        .roundtrip("POST", "/v1/solve", Some(&cached))
+        .unwrap();
+    assert_eq!(solve.status, 503, "{}", solve.body);
+    let health = conns[1].roundtrip("GET", "/healthz", None).unwrap();
+    assert_eq!(health.status, 503, "{}", health.body);
+
+    open_gate(&gate);
+    assert_eq!(blocker.join().unwrap().status, 200);
+    stopper.join().unwrap().unwrap();
+}
+
+#[test]
+fn include_solution_requests_queue_for_a_worker() {
+    let (server, gate, entered) = gated_server("inline-solution", ServerConfig::default());
+    let addr = server.addr().to_string();
+    let plain = format!("{{{SMALL},\"solver\":\"idb\",\"seed\":7}}");
+    let with_solution =
+        format!("{{{SMALL},\"solver\":\"idb\",\"seed\":7,\"include_solution\":true}}");
+    assert_eq!(post(&addr, "/v1/solve", &plain).status, 200);
+
+    let blocker = pin_a_worker(&addr, &entered);
+    let queued = {
+        let addr = addr.clone();
+        std::thread::spawn(move || post(&addr, "/v1/solve", &with_solution))
+    };
+    // The stored cost is not enough: the request waits in the queue
+    // behind the pinned worker.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let statusz = request(&addr, "GET", "/statusz", None).unwrap();
+        let v: serde_json::Value = serde_json::from_str(&statusz.body).unwrap();
+        if v["queue"]["depth"] == 1 {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "{}", statusz.body);
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    open_gate(&gate);
+    assert_eq!(blocker.join().unwrap().status, 200);
+    let resp = queued.join().unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert!(resp.body.contains("\"solution\""), "{}", resp.body);
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn pipelined_misses_hold_back_later_inline_hits() {
+    let (server, gate, _entered) = gated_server(
+        "inline-pipelined",
+        ServerConfig {
+            keep_alive: true,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.addr().to_string();
+    let hit = format!("{{{SMALL},\"solver\":\"idb\",\"seed\":9}}");
+    assert_eq!(post(&addr, "/v1/solve", &hit).status, 200);
+
+    // A gated miss, then a stored hit, in one write.
+    let miss = format!("{{{SMALL},\"solver\":\"gated\",\"seed\":9}}");
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    write!(
+        stream,
+        "POST /v1/solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n{miss}\
+         POST /v1/solve HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{hit}",
+        miss.len(),
+        hit.len()
+    )
+    .unwrap();
+    // The hit is ready at once, but must wait for the miss's slot.
+    stream
+        .set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    let mut byte = [0u8; 1];
+    assert!(stream.read(&mut byte).is_err(), "a reply overtook the miss");
+    open_gate(&gate);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).unwrap();
+    let text = String::from_utf8_lossy(&raw);
+    let replies: Vec<&str> = text.split("HTTP/1.1 ").skip(1).collect();
+    assert_eq!(replies.len(), 2, "{text}");
+    assert!(
+        replies[0].starts_with("200") && replies[0].contains("\"solver\":\"gated\""),
+        "{text}"
+    );
+    assert!(replies[0].contains("x-cache-misses: 1"), "{text}");
+    assert!(
+        replies[1].starts_with("200") && replies[1].contains("\"solver\":\"idb\""),
+        "{text}"
+    );
+    assert!(replies[1].contains("x-cache-hits: 1"), "{text}");
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn a_megabyte_string_body_answers_promptly_and_frees_the_worker() {
+    // The JSON parser used to rescan the rest of the body for every
+    // character of a string: half a minute for this body on one worker.
+    let server = start(ApiContext::new(), 1, 4);
+    let addr = server.addr().to_string();
+    let body = format!("{{\"solver\":\"{}\"}}", "a".repeat(1023 * 1024));
+    let reply = post_within_5s(&addr, "/v1/solve", &body);
+    assert!(
+        reply.starts_with("HTTP/1.1 400"),
+        "{}",
+        &reply[..200.min(reply.len())]
+    );
+    assert!(
+        reply.contains("unknown solver"),
+        "{}",
+        &reply[..200.min(reply.len())]
+    );
+    let health = raw_within(&addr, "GET", "/healthz", None, Duration::from_secs(5));
+    assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn a_zero_timeline_answers_400_naming_timeline() {
+    let server = start(ApiContext::new(), 1, 4);
+    let addr = server.addr().to_string();
+    let body = format!("{{{SMALL},\"solver\":\"idb\",\"rounds\":10,\"timeline\":0}}");
+    let resp = post(&addr, "/v1/simulate", &body);
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(
+        resp.body.contains("timeline must be at least 1 round"),
+        "{}",
+        resp.body
+    );
+    server.shutdown().unwrap();
 }
 
 #[test]
@@ -360,9 +726,10 @@ fn queue_overflow_is_rejected_with_503_and_retry_after() {
 
     // Poll until the overflow 503 appears: the acceptor pushes the
     // queued connection asynchronously after accepting it, so the very
-    // next request can still race into the free slot.
+    // next request can still race into the free slot. The poll must be
+    // a request that queues: the reactor answers `/healthz` itself.
     let rejected = loop {
-        let resp = request(&addr, "GET", "/healthz", None).unwrap();
+        let resp = request(&addr, "GET", "/v1/solvers", None).unwrap();
         if resp.status == 503 {
             break resp;
         }
@@ -891,6 +1258,61 @@ fn isolated_tenants_get_private_cache_namespaces() {
     server.shutdown().unwrap();
 }
 
+#[test]
+fn isolated_tenants_hit_only_their_own_stored_solves() {
+    let store = Arc::new(ResultStore::open(scratch("tenant-inline")).unwrap());
+    let (api, calls) = counted_api(store);
+    let mut isolated = tenant_spec("iso", Some("i-key"), 1);
+    isolated.isolated = true;
+    let server = start_with(
+        api,
+        ServerConfig {
+            workers: 1,
+            queue_depth: 16,
+            tenants: Some(vec![isolated, tenant_spec("shared", Some("s-key"), 1)]),
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.addr().to_string();
+    let body = format!("{{{SMALL},\"solver\":\"counted\",\"seed\":6}}");
+    let solve =
+        |key: &str| request_auth(&addr, "POST", "/v1/solve", Some(&body), Some(key)).unwrap();
+    let cache = |resp: &ClientResponse| {
+        (
+            resp.header("x-cache-hits").map(str::to_string),
+            resp.header("x-cache-misses").map(str::to_string),
+        )
+    };
+    let (hit, miss) = (
+        (Some("1".to_string()), Some("0".to_string())),
+        (Some("0".to_string()), Some("1".to_string())),
+    );
+
+    // The shared tenant stores the cell in the default namespace and
+    // hits it there.
+    assert_eq!(cache(&solve("s-key")), miss);
+    assert_eq!(cache(&solve("s-key")), hit);
+    // The isolated tenant never reads the default namespace's entry:
+    // it computes under its own, then hits that.
+    let first = solve("i-key");
+    assert_eq!(cache(&first), miss);
+    assert_eq!(calls.load(Ordering::SeqCst), 2);
+    let again = solve("i-key");
+    assert_eq!(cache(&again), hit);
+    assert_eq!(first.body, again.body);
+    assert_eq!(calls.load(Ordering::SeqCst), 2);
+
+    let statusz = request(&addr, "GET", "/statusz", None).unwrap();
+    let v: serde_json::Value = serde_json::from_str(&statusz.body).unwrap();
+    for name in ["iso", "shared"] {
+        let t = &v["tenants"][name];
+        assert_eq!(t["requests"], 2, "{name}: {}", statusz.body);
+        assert_eq!(t["cache_hits"], 1, "{name}: {}", statusz.body);
+        assert_eq!(t["cache_misses"], 1, "{name}: {}", statusz.body);
+    }
+    server.shutdown().unwrap();
+}
+
 /// Writes `n` pipelined `GET /v1/solvers` calls under `key` in one write
 /// on one keep-alive connection and returns how many were answered 429.
 /// The server closes the connection after its first 429.
@@ -1226,10 +1648,11 @@ fn a_panicking_handler_answers_500_and_keeps_the_only_worker() {
         assert_eq!(request(&addr, "GET", "/healthz", None).unwrap().status, 200);
         let ok = post(&addr, "/v1/solve", &solve);
         assert_eq!(ok.status, 200, "{}", ok.body);
-        // The /statusz request is the only one in service.
+        // Nothing is in service: the reactor answers /statusz itself,
+        // so it occupies no worker either.
         let statusz = request(&addr, "GET", "/statusz", None).unwrap();
         let v: serde_json::Value = serde_json::from_str(&statusz.body).unwrap();
-        assert_eq!(v["workers"]["busy"], 1, "{}", statusz.body);
+        assert_eq!(v["workers"]["busy"], 0, "{}", statusz.body);
         server.shutdown().unwrap();
     }
 }
