@@ -256,27 +256,14 @@ struct RoutingKeys {
     cache_keys: Vec<wrsn_engine::Fingerprint>,
 }
 
-/// Extracts routing keys from a request body (or the `/v1/solve` body
-/// the reactor already decoded). The cache keys are the ones the local
-/// handler reads, scenario and tenant namespace included. `None` means
-/// the body does not parse or validate — let the local handler produce
-/// the proper 400 instead of forwarding garbage.
-fn routing_keys(
-    path: &str,
-    body: &str,
-    solve: Option<&SolveRequest>,
-    namespace: Option<&str>,
-) -> Option<RoutingKeys> {
+/// Extracts routing keys from a request body. The cache keys are the
+/// ones the local handler reads, scenario and tenant namespace
+/// included. `None` means the body does not parse or validate — let the
+/// local handler produce the proper 400 instead of forwarding garbage.
+fn routing_keys(path: &str, body: &str, namespace: Option<&str>) -> Option<RoutingKeys> {
     match path {
         "/v1/solve" => {
-            let parsed;
-            let req = match solve {
-                Some(req) => req,
-                None => {
-                    parsed = parse_body::<SolveRequest>(body)?;
-                    &parsed
-                }
-            };
+            let req: SolveRequest = parse_body(body)?;
             let fp = req.cache_key(namespace).ok()?;
             Some(RoutingKeys {
                 owner_key: fp.to_hex(),
@@ -319,19 +306,14 @@ fn parse_body<R: serde::Deserialize + Default>(body: &str) -> Option<R> {
 /// the owning peer, and does so. `None` means: handle locally (this
 /// node owns the key, already holds the results, the body is invalid,
 /// the request is itself a forward, or the owner is unreachable).
-pub(crate) fn maybe_forward(
-    request: &Request,
-    solve: Option<&SolveRequest>,
-    tenant: usize,
-    shared: &Shared,
-) -> Option<Response> {
+pub(crate) fn maybe_forward(request: &Request, tenant: usize, shared: &Shared) -> Option<Response> {
     let cluster = shared.cluster.as_ref()?;
     if request.header(FORWARDED_HEADER).is_some() {
         return None;
     }
     let namespace = shared.tenants.tenant(tenant).namespace();
     let body = request.body_text();
-    let keys = routing_keys(&request.path, &body, solve, namespace)?;
+    let keys = routing_keys(&request.path, &body, namespace)?;
     let owner = cluster.ring.owner_index(&keys.owner_key);
     if owner == cluster.self_index {
         return None;

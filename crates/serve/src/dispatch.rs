@@ -24,11 +24,14 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The largest `/v1/solve` body the reactor decodes itself. It bounds
-/// the decode, the instance check and the key to a few microseconds: a
-/// pinned spec is built to check it, and a many-level sampler's key
-/// text is long.
+/// The largest `/v1/solve` body the reactor decodes itself: 4 KiB
+/// decodes in a few microseconds.
 const INLINE_BODY_BYTES: usize = 4 * 1024;
+
+/// The most transmit levels a sampled `/v1/solve` instance may have and
+/// still be answered on the reactor. The key spells out every level: on
+/// a 2-vCPU VM it took about 4 µs at 16 levels and 120 µs at 1 000.
+const INLINE_MAX_LEVELS: usize = 16;
 
 /// One parsed request traveling from the reactor to a worker.
 #[derive(Debug)]
@@ -41,8 +44,6 @@ pub(crate) struct DispatchJob {
     pub tenant: usize,
     /// The parsed request.
     pub request: Request,
-    /// The `/v1/solve` body, when the reactor already decoded it.
-    pub solve: Option<Box<SolveRequest>>,
     /// When the request finished parsing (latency baseline).
     pub started: Instant,
 }
@@ -61,46 +62,40 @@ pub(crate) struct Completion {
     pub truncate: bool,
 }
 
-/// What the reactor does with an admitted request.
-pub(crate) enum Inline {
-    /// Answered on the reactor; no worker is needed.
-    Answered(Response),
-    /// For the worker pool, with the `/v1/solve` body if the reactor
-    /// decoded it.
-    Queue(Option<Box<SolveRequest>>),
-}
-
 /// Answers `GET /healthz`, `GET /statusz`, and a `POST /v1/solve` whose
 /// result the store already holds, on the reactor thread: their work is
 /// a few microseconds and never waits on disk, so they skip both thread
 /// hand-offs. A solve is only answered here on a server without chaos
-/// (an injected delay would stall the reactor) and for a body of at
-/// most [`INLINE_BODY_BYTES`]; everything else goes to a worker. A
+/// (an injected delay would stall the reactor), for a body of at most
+/// [`INLINE_BODY_BYTES`] and for a sampled instance of at most
+/// [`INLINE_MAX_LEVELS`] levels; everything else goes to a worker. A
 /// panic answers `500`, as on a worker, and never reaches the reactor.
-pub(crate) fn answer_inline(request: &Request, tenant: usize, shared: &Shared) -> Inline {
+/// `None` sends the request to the worker pool.
+pub(crate) fn answer_inline(request: &Request, tenant: usize, shared: &Shared) -> Option<Response> {
     panic::catch_unwind(AssertUnwindSafe(|| try_inline(request, tenant, shared)))
-        .unwrap_or_else(|_| Inline::Answered(handler_panicked()))
+        .unwrap_or_else(|_| Some(handler_panicked()))
 }
 
-fn try_inline(request: &Request, tenant: usize, shared: &Shared) -> Inline {
+fn try_inline(request: &Request, tenant: usize, shared: &Shared) -> Option<Response> {
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => Inline::Answered(healthz()),
-        ("GET", "/statusz") => Inline::Answered(statusz(shared)),
+        ("GET", "/healthz") => Some(healthz()),
+        ("GET", "/statusz") => Some(statusz(shared)),
         ("POST", "/v1/solve")
             if shared.chaos.is_none() && request.body.len() <= INLINE_BODY_BYTES =>
         {
             // A body that does not decode goes to a worker, which
-            // answers the 400.
-            let Ok(req) = decode::<SolveRequest>(request) else {
-                return Inline::Queue(None);
-            };
-            let namespace = shared.tenants.tenant(tenant).namespace();
-            match shared.api.cached_solve_in(namespace, &req) {
-                Some(outcome) => Inline::Answered(api_response(outcome, tenant, shared)),
-                None => Inline::Queue(Some(Box::new(req))),
+            // answers the 400. So does a pinned spec, which is built to
+            // be checked (about 0.2 ms near 4 KiB), and a sampler whose
+            // many levels make the key slow.
+            let req = decode::<SolveRequest>(request).ok()?;
+            if req.instance.spec.is_some() || req.instance.levels > INLINE_MAX_LEVELS {
+                return None;
             }
+            let namespace = shared.tenants.tenant(tenant).namespace();
+            let outcome = shared.api.cached_solve_in(namespace, &req)?;
+            Some(api_response(outcome, tenant, shared))
         }
-        _ => Inline::Queue(None),
+        _ => None,
     }
 }
 
@@ -153,7 +148,7 @@ pub(crate) fn respond(job: &DispatchJob, shared: &Arc<Shared>) -> (Response, boo
         shared.metrics.chaos_faults.fetch_add(1, Ordering::Relaxed);
         Response::error(500, "chaos: injected fault").header("Retry-After", "1")
     } else {
-        route_with_deadline(job, shared)
+        route_with_deadline(request, job.tenant, shared)
     };
     record(request, job.tenant, response.status, job.started, shared);
     if decision.truncate {
@@ -165,29 +160,22 @@ pub(crate) fn respond(job: &DispatchJob, shared: &Arc<Shared>) -> (Response, boo
 /// Routes the request, racing the handler against the configured
 /// deadline. On timeout the worker answers `504` immediately; the
 /// handler finishes on its detached thread and its result is dropped.
-fn route_with_deadline(job: &DispatchJob, shared: &Arc<Shared>) -> Response {
-    let (request, solve, tenant) = (&job.request, job.solve.as_deref(), job.tenant);
+fn route_with_deadline(request: &Request, tenant: usize, shared: &Arc<Shared>) -> Response {
     let Some(timeout) = shared.request_timeout else {
-        return route_guarded(request, solve, tenant, shared);
+        return route_guarded(request, tenant, shared);
     };
     let (tx, rx) = std::sync::mpsc::channel();
     let req = request.clone();
-    let solve_req = job.solve.clone();
     let worker_shared = Arc::clone(shared);
     let spawned = std::thread::Builder::new()
         .name("wrsn-serve-handler".to_string())
         .spawn(move || {
-            let _ = tx.send(route_guarded(
-                &req,
-                solve_req.as_deref(),
-                tenant,
-                &worker_shared,
-            ));
+            let _ = tx.send(route_guarded(&req, tenant, &worker_shared));
         });
     if spawned.is_err() {
         // Thread exhaustion: degrade to inline handling rather than
         // failing the request.
-        return route_guarded(request, solve, tenant, shared);
+        return route_guarded(request, tenant, shared);
     }
     match rx.recv_timeout(timeout) {
         Ok(response) => response,
@@ -201,13 +189,8 @@ fn route_with_deadline(job: &DispatchJob, shared: &Arc<Shared>) -> Response {
 
 /// Routes the request, answering `500` if the handler panics: a panic
 /// costs its own request, never the worker thread that runs it.
-fn route_guarded(
-    request: &Request,
-    solve: Option<&SolveRequest>,
-    tenant: usize,
-    shared: &Arc<Shared>,
-) -> Response {
-    panic::catch_unwind(AssertUnwindSafe(|| route(request, solve, tenant, shared)))
+fn route_guarded(request: &Request, tenant: usize, shared: &Arc<Shared>) -> Response {
+    panic::catch_unwind(AssertUnwindSafe(|| route(request, tenant, shared)))
         .unwrap_or_else(|_| handler_panicked())
 }
 
@@ -219,14 +202,7 @@ pub(crate) fn elapsed_us(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Routes one request; `solve` is the `/v1/solve` body when the reactor
-/// already decoded it.
-fn route(
-    request: &Request,
-    solve: Option<&SolveRequest>,
-    tenant: usize,
-    shared: &Arc<Shared>,
-) -> Response {
+fn route(request: &Request, tenant: usize, shared: &Arc<Shared>) -> Response {
     // Cluster routing runs before local handling: a request whose key
     // another node owns (and that the local cache cannot answer) is
     // forwarded there; anything else falls through to the local path.
@@ -236,7 +212,7 @@ fn route(
             "/v1/solve" | "/v1/simulate" | "/v1/sweep"
         )
     {
-        if let Some(response) = cluster::maybe_forward(request, solve, tenant, shared) {
+        if let Some(response) = cluster::maybe_forward(request, tenant, shared) {
             return response;
         }
     }
@@ -244,15 +220,11 @@ fn route(
         ("GET", "/healthz") => healthz(),
         ("GET", "/statusz") => statusz(shared),
         ("GET", "/v1/solvers") => json_response(200, &shared.api.solvers().body),
-        ("POST", "/v1/solve") => match solve {
-            Some(req) => {
-                let namespace = shared.tenants.tenant(tenant).namespace();
-                answer(shared.api.solve_in(namespace, req), tenant, shared)
-            }
-            None => handle_api(request, tenant, shared, |api, ns, req: &SolveRequest| {
+        ("POST", "/v1/solve") => {
+            handle_api(request, tenant, shared, |api, ns, req: &SolveRequest| {
                 api.solve_in(ns, req)
-            }),
-        },
+            })
+        }
         ("POST", "/v1/simulate") => handle_api(
             request,
             tenant,
@@ -378,11 +350,7 @@ where
     // Isolated tenants read and write their own cache namespace; every
     // other tenant shares the default namespace.
     let namespace = shared.tenants.tenant(tenant).namespace();
-    answer(handler(&shared.api, namespace, &req), tenant, shared)
-}
-
-fn answer(result: Result<ApiOutcome, ApiError>, tenant: usize, shared: &Shared) -> Response {
-    match result {
+    match handler(&shared.api, namespace, &req) {
         Ok(outcome) => api_response(outcome, tenant, shared),
         Err(e) => Response::error(e.status, &e.message),
     }

@@ -20,7 +20,7 @@
 //! connection's pipeline.
 
 use crate::conn::{Conn, FlushStatus, Outgoing, Phase, ReadOutcome};
-use crate::dispatch::{self, Completion, DispatchJob, Inline};
+use crate::dispatch::{self, Completion, DispatchJob};
 use crate::http::{ParseError, Request, Response};
 use crate::server::Shared;
 use crate::signal;
@@ -369,31 +369,25 @@ impl Reactor {
         let started = Instant::now();
         // A draining server sends everything to the closed queue below,
         // which answers 503.
-        let solve = if self.stopping {
-            None
-        } else {
-            match dispatch::answer_inline(&request, tenant, &shared) {
-                Inline::Answered(response) => {
-                    dispatch::record(&request, tenant, response.status, started, &shared);
-                    self.begin(index);
-                    self.answered.push(Completion {
-                        token,
-                        seq,
-                        response,
-                        truncate: false,
-                    });
-                    return;
-                }
-                Inline::Queue(solve) => solve,
+        if !self.stopping {
+            if let Some(response) = dispatch::answer_inline(&request, tenant, &shared) {
+                dispatch::record(&request, tenant, response.status, started, &shared);
+                self.begin(index);
+                self.answered.push(Completion {
+                    token,
+                    seq,
+                    response,
+                    truncate: false,
+                });
+                return;
             }
-        };
+        }
         self.begin(index);
         let job = DispatchJob {
             token,
             seq,
             tenant,
             request,
-            solve,
             started,
         };
         if shared.queue.try_push(tenant, job).is_err() {

@@ -6,6 +6,7 @@ use crate::{Fingerprint, FingerprintBuilder, StoreError};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -17,6 +18,10 @@ const STORE_VERSION: u64 = 1;
 
 /// Suffix a corrupt segment is renamed under when quarantined.
 pub const QUARANTINE_SUFFIX: &str = ".quarantine";
+
+/// How many keys a pass over the key set copies out per hold of the
+/// index lock.
+const KEY_CHUNK: usize = 1024;
 
 /// Cache bookkeeping for one consumer: how many lookups hit, how many
 /// missed, and how many freshly computed results were appended.
@@ -151,6 +156,34 @@ struct StoredEntry {
     order: u64,
 }
 
+/// The read side: every entry, and the key digest once one was asked
+/// for.
+struct Index {
+    entries: BTreeMap<String, StoredEntry>,
+    /// XOR of [`key_hash`] over every key. `None` until the first
+    /// [`ResultStore::keys_digest`] folds it; each insert keeps it
+    /// current after that, and gc drops it.
+    digest: Option<u128>,
+}
+
+impl Index {
+    /// Inserts an entry whose key is absent (`insert_raw` checks that
+    /// under the writer lock).
+    fn insert(&mut self, key: String, entry: StoredEntry) {
+        if let Some(digest) = &mut self.digest {
+            *digest ^= key_hash(&key);
+        }
+        self.entries.insert(key, entry);
+    }
+}
+
+/// One key's share of [`ResultStore::keys_digest`]: its FNV-128 hash.
+fn key_hash(key: &str) -> u128 {
+    let mut b = FingerprintBuilder::new("wrsn-store-digest-v1");
+    b.push_str(key);
+    u128::from_str_radix(&b.finish().to_hex(), 16).unwrap_or(0)
+}
+
 /// The append side: the active segment and the counters that name new
 /// segments and rank new entries.
 struct Writer {
@@ -170,11 +203,14 @@ struct Writer {
 /// a single segment via an atomic rewrite.
 ///
 /// Two locks keep reads off the disk. The index lock is held only for
-/// lookups and for the insert after a committed append. The writer lock
-/// is held across appends, seals, fsyncs, imports, gc and segment
-/// reads, and is always taken before the index lock. So a
-/// [`ResultStore::get`] never waits on a slow append or fsync, and a
-/// key becomes visible only once its append has returned.
+/// lookups, for the insert after a committed append, and to copy out
+/// one chunk of keys at a time for the key digest; never across a pass
+/// over every entry while the store serves (only open's compaction and
+/// the offline gc hold it that long). The writer lock is held across
+/// appends, seals, fsyncs, imports, gc, segment reads and the digest's
+/// first pass, and is always taken before the index lock. So a
+/// [`ResultStore::get`] never waits on a slow append, an fsync or a
+/// digest, and a key becomes visible only once its append has returned.
 ///
 /// Corrupt segments do not brick the store: open quarantines them
 /// (renamed to `….jsonl.quarantine`, records dropped, a warning
@@ -210,7 +246,7 @@ pub struct ResultStore {
     /// exchanged or merged into one directory.
     disc: String,
     /// Key → entry; every read serves from here.
-    index: Mutex<BTreeMap<String, StoredEntry>>,
+    index: Mutex<Index>,
     writer: Mutex<Writer>,
 }
 
@@ -397,7 +433,10 @@ impl ResultStore {
             durability: options.durability,
             vfs,
             disc: fresh_discriminator(),
-            index: Mutex::new(entries),
+            index: Mutex::new(Index {
+                entries,
+                digest: None,
+            }),
             writer: Mutex::new(Writer {
                 active: None,
                 next_seq: max_seq + 1,
@@ -452,7 +491,7 @@ impl ResultStore {
     fn compact(&self, old_segments: &[PathBuf]) -> Result<(), StoreError> {
         let target = self.dir.join("seg-00000000-compact.jsonl");
         let _writer = self.writer.lock();
-        let records = ResultStore::ordered_records(&self.index.lock());
+        let records = ResultStore::ordered_records(&self.index.lock().entries);
         write_log_on(
             &*self.vfs,
             &target,
@@ -475,6 +514,7 @@ impl ResultStore {
     pub fn get(&self, key: &Fingerprint) -> Option<Value> {
         self.index
             .lock()
+            .entries
             .get(&key.to_hex())
             .map(|e| e.value.clone())
     }
@@ -538,7 +578,7 @@ impl ResultStore {
         value: Value,
         tag: Option<&str>,
     ) -> Result<bool, StoreError> {
-        if self.index.lock().contains_key(hex) {
+        if self.index.lock().entries.contains_key(hex) {
             return Ok(false);
         }
         if writer.active.is_none() {
@@ -604,7 +644,11 @@ impl ResultStore {
         let mut writer = self.writer.lock();
         let bytes_before = self.disk_bytes()?;
         let old_segments = ResultStore::segment_files_on(&*self.vfs, &self.dir)?;
-        let mut entries = self.index.lock();
+        let mut index = self.index.lock();
+        // The removals below would each have to fold out of the digest;
+        // the next keys_digest folds it afresh instead.
+        index.digest = None;
+        let entries = &mut index.entries;
         let mut dropped_unreachable = 0u64;
         entries.retain(|_, e| {
             let keep = reachable(e.tag.as_deref());
@@ -642,9 +686,9 @@ impl ResultStore {
             }
         }
 
-        let records = ResultStore::ordered_records(&entries);
+        let records = ResultStore::ordered_records(entries);
         let kept = entries.len() as u64;
-        drop(entries);
+        drop(index);
 
         // Atomic rewrite: survivors into the compact segment, then the
         // superseded segments go away. Close the active writer first —
@@ -696,7 +740,7 @@ impl ResultStore {
     /// Number of entries in the store.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.index.lock().len()
+        self.index.lock().entries.len()
     }
 
     /// Whether the store holds no entries.
@@ -859,16 +903,54 @@ impl ResultStore {
     /// keys — regardless of segment layout, insertion order, or which
     /// node computed each entry — report the same digest, which is how
     /// cluster anti-entropy decides a fleet has converged.
+    ///
+    /// The first call folds every key, under the writer lock, and each
+    /// insert keeps the result current, so later calls take the index
+    /// lock once. Open does none of this work.
     #[must_use]
     pub fn keys_digest(&self) -> String {
-        let entries = self.index.lock();
-        let mut acc: u128 = 0;
-        for key in entries.keys() {
-            let mut b = FingerprintBuilder::new("wrsn-store-digest-v1");
-            b.push_str(key);
-            acc ^= u128::from_str_radix(&b.finish().to_hex(), 16).unwrap_or(0);
+        if let Some(known) = self.known_digest() {
+            return known;
         }
-        format!("{}:{acc:032x}", entries.len())
+        let writer = self.writer.lock();
+        let mut acc = 0;
+        self.for_each_key(&writer, |key| acc ^= key_hash(key));
+        let mut index = self.index.lock();
+        index.digest = Some(acc);
+        format!("{}:{acc:032x}", index.entries.len())
+    }
+
+    fn known_digest(&self) -> Option<String> {
+        let index = self.index.lock();
+        let digest = index.digest?;
+        Some(format!("{}:{digest:032x}", index.entries.len()))
+    }
+
+    /// Calls `f` on every key, in key order. `_frozen` is the writer
+    /// lock, which every change to the index holds, so the key set
+    /// stays put between chunks; the index lock is held only to copy
+    /// out [`KEY_CHUNK`] keys at a time, so lookups run during the pass.
+    fn for_each_key(&self, _frozen: &Writer, mut f: impl FnMut(&str)) {
+        let mut after: Option<String> = None;
+        loop {
+            let chunk: Vec<String> = {
+                let index = self.index.lock();
+                let start = after.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
+                index
+                    .entries
+                    .range::<str, _>((start, Bound::Unbounded))
+                    .take(KEY_CHUNK)
+                    .map(|(key, _)| key.clone())
+                    .collect()
+            };
+            for key in &chunk {
+                f(key);
+            }
+            if chunk.len() < KEY_CHUNK {
+                return;
+            }
+            after = chunk.into_iter().last();
+        }
     }
 
     /// Read-only integrity scan of a store directory: parses every
@@ -1099,12 +1181,12 @@ mod tests {
         let first = ResultStore::open(&dir).unwrap();
         assert_eq!(first.segment_count().unwrap(), 1);
         let entries_after_first: Vec<(String, StoredEntry)> =
-            first.index.lock().clone().into_iter().collect();
+            first.index.lock().entries.clone().into_iter().collect();
         drop(first);
         let second = ResultStore::open(&dir).unwrap();
         assert_eq!(second.segment_count().unwrap(), 1);
         let entries_after_second: Vec<(String, StoredEntry)> =
-            second.index.lock().clone().into_iter().collect();
+            second.index.lock().entries.clone().into_iter().collect();
         assert_eq!(entries_after_first, entries_after_second);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -1390,13 +1472,18 @@ mod tests {
             store.put(&key("b"), 2u64.to_value()).unwrap();
         }
         let store = ResultStore::open(&dir).unwrap();
-        let entries = store.index.lock();
+        let index = store.index.lock();
         assert_eq!(
-            entries.get(&key("a").to_hex()).unwrap().tag.as_deref(),
+            index
+                .entries
+                .get(&key("a").to_hex())
+                .unwrap()
+                .tag
+                .as_deref(),
             Some("scheme-v1")
         );
-        assert_eq!(entries.get(&key("b").to_hex()).unwrap().tag, None);
-        drop(entries);
+        assert_eq!(index.entries.get(&key("b").to_hex()).unwrap().tag, None);
+        drop(index);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1633,6 +1720,94 @@ mod tests {
         );
         let _ = std::fs::remove_dir_all(dir_a);
         let _ = std::fs::remove_dir_all(dir_b);
+    }
+
+    #[test]
+    fn a_kept_digest_matches_a_fresh_fold() {
+        // Once folded, the digest follows puts, imports and gc; a
+        // reopened store folds it from scratch.
+        let dir = temp_dir("digest-kept");
+        let peer_dir = temp_dir("digest-kept-peer");
+        let store = ResultStore::open(&dir).unwrap();
+        let fresh = |store: &ResultStore| {
+            let index = store.index.lock();
+            let acc = index.entries.keys().fold(0, |acc, k| acc ^ key_hash(k));
+            format!("{}:{acc:032x}", index.entries.len())
+        };
+        // More than one chunk, so the first fold resumes after a key.
+        for i in 0..KEY_CHUNK + 3 {
+            store
+                .put_tagged(&key(&format!("k{i}")), 1u64.to_value(), "old")
+                .unwrap();
+        }
+        assert_eq!(store.keys_digest(), fresh(&store));
+        store
+            .put_tagged(&key("new"), 2u64.to_value(), "new")
+            .unwrap();
+        let peer = ResultStore::open(&peer_dir).unwrap();
+        peer.put(&key("peer"), 3u64.to_value()).unwrap();
+        let segment = peer
+            .read_segment(&peer.segments().unwrap()[0].name)
+            .unwrap();
+        assert_eq!(store.import_segment_text(&segment).unwrap().imported, 1);
+        assert_eq!(store.keys_digest(), fresh(&store));
+        store.gc(|tag| tag != Some("old"), None).unwrap();
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.keys_digest(), fresh(&store));
+        let digest = store.keys_digest();
+        drop(store);
+        assert_eq!(ResultStore::open(&dir).unwrap().keys_digest(), digest);
+        let _ = std::fs::remove_dir_all(dir);
+        let _ = std::fs::remove_dir_all(peer_dir);
+    }
+
+    #[test]
+    fn reads_never_wait_on_a_pass_over_the_keys() {
+        // keys_digest folds the keys through for_each_key; stop that
+        // pass inside its first chunk and read.
+        let dir = temp_dir("key-pass");
+        let store = Arc::new(ResultStore::open(&dir).unwrap());
+        let count = KEY_CHUNK + 1;
+        for i in 0..count {
+            store
+                .put(&key(&format!("k{i}")), (i as u64).to_value())
+                .unwrap();
+        }
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let pass = {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || {
+                let writer = store.writer.lock();
+                let mut seen = 0;
+                store.for_each_key(&writer, |_| {
+                    if seen == 0 {
+                        entered_tx.send(()).unwrap();
+                        go_rx.recv().unwrap();
+                    }
+                    seen += 1;
+                });
+                seen
+            })
+        };
+        entered_rx.recv().unwrap();
+        // As in the blocked-append test, the reads run on a thread of
+        // their own so that one waiting fails the test, not hangs it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || {
+                let _ = tx.send((store.get(&key("k0")), store.len()));
+            })
+        };
+        let read = rx.recv_timeout(std::time::Duration::from_secs(5));
+        go_tx.send(()).unwrap();
+        let (value, len) = read.expect("a read waited on the pass over the keys");
+        assert_eq!(value, Some(0u64.to_value()));
+        assert_eq!(len, count);
+        assert_eq!(pass.join().unwrap(), count, "every key, once");
+        reader.join().unwrap();
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     /// Where a [`GateFs`] append stands.

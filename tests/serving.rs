@@ -573,26 +573,43 @@ fn a_draining_server_answers_503_and_never_inline() {
 }
 
 #[test]
-fn include_solution_requests_queue_for_a_worker() {
+fn solution_spec_and_many_level_solves_queue_for_a_worker() {
     let (server, gate, entered) = gated_server("inline-solution", ServerConfig::default());
     let addr = server.addr().to_string();
     let plain = format!("{{{SMALL},\"solver\":\"idb\",\"seed\":7}}");
     let with_solution =
         format!("{{{SMALL},\"solver\":\"idb\",\"seed\":7,\"include_solution\":true}}");
-    assert_eq!(post(&addr, "/v1/solve", &plain).status, 200);
+    // Stored, but their keys cost too much to compute on the reactor: a
+    // pinned spec is built to be checked, and the key spells out every
+    // level.
+    let spec =
+        InstanceSpec::from_instance(&InstanceSampler::new(Field::square(150.0), 5, 10).sample(7))
+            .unwrap();
+    let pinned = format!(
+        r#"{{"instance":{{"spec":{}}},"solver":"idb"}}"#,
+        spec.to_json()
+    );
+    let many_levels =
+        r#"{"instance":{"posts":5,"nodes":12,"field":150.0,"levels":17},"solver":"idb"}"#;
+    for body in [&plain, &pinned, many_levels] {
+        assert_eq!(post(&addr, "/v1/solve", body).status, 200);
+    }
 
     let blocker = pin_a_worker(&addr, &entered);
-    let queued = {
-        let addr = addr.clone();
-        std::thread::spawn(move || post(&addr, "/v1/solve", &with_solution))
-    };
-    // The stored cost is not enough: the request waits in the queue
-    // behind the pinned worker.
+    let queued: Vec<_> = [with_solution, pinned, many_levels.to_string()]
+        .into_iter()
+        .map(|body| {
+            let addr = addr.clone();
+            std::thread::spawn(move || post(&addr, "/v1/solve", &body))
+        })
+        .collect();
+    // The stored results are not answered inline: the requests wait in
+    // the queue behind the pinned worker.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         let statusz = request(&addr, "GET", "/statusz", None).unwrap();
         let v: serde_json::Value = serde_json::from_str(&statusz.body).unwrap();
-        if v["queue"]["depth"] == 1 {
+        if v["queue"]["depth"] == 3 {
             break;
         }
         assert!(std::time::Instant::now() < deadline, "{}", statusz.body);
@@ -600,9 +617,18 @@ fn include_solution_requests_queue_for_a_worker() {
     }
     open_gate(&gate);
     assert_eq!(blocker.join().unwrap().status, 200);
-    let resp = queued.join().unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.body);
-    assert!(resp.body.contains("\"solution\""), "{}", resp.body);
+    let replies: Vec<ClientResponse> = queued.into_iter().map(|q| q.join().unwrap()).collect();
+    for resp in &replies {
+        assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+    assert!(
+        replies[0].body.contains("\"solution\""),
+        "{}",
+        replies[0].body
+    );
+    for resp in &replies[1..] {
+        assert_eq!(resp.header("x-cache-hits"), Some("1"), "{}", resp.body);
+    }
     server.shutdown().unwrap();
 }
 
