@@ -677,11 +677,16 @@ impl ApiContext {
         if let Some(hit) = self.cached_solve_in(namespace, req) {
             return Ok(hit);
         }
+        // The engine runs seed ranges, and `seed..seed + 1` has no end
+        // for the largest seed.
+        let end = req.seed.checked_add(1).ok_or_else(|| {
+            ApiError::bad_request(format!("seed must be below {}, got {}", u64::MAX, req.seed))
+        })?;
         let (report, cache) = self.run_cell(
             namespace,
             &req.instance,
             &req.solver,
-            req.seed..req.seed + 1,
+            req.seed..end,
             None,
             None,
         )?;
@@ -734,7 +739,7 @@ impl ApiContext {
 
     /// [`solve_in`](ApiContext::solve_in) when the store already holds
     /// the answer: one key, one lookup and one body, never a solve, so
-    /// the server's reactor can answer it inline. `None` sends the
+    /// the server's event loops can answer it inline. `None` sends the
     /// request down the full path: no store, a miss, an unreadable
     /// payload (as in [`Experiment::run`]), `include_solution` (which
     /// re-solves), an unregistered solver or invalid instance
@@ -977,6 +982,30 @@ mod tests {
         let err = ctx.solve(&req).unwrap_err();
         assert_eq!(err.status, 400);
         assert!(err.message.contains("nonsense"));
+    }
+
+    #[test]
+    fn the_largest_seed_is_a_400_naming_seed() {
+        let ctx = ApiContext::new();
+        let req = SolveRequest {
+            instance: small(),
+            solver: "idb".to_string(),
+            seed: u64::MAX,
+            ..SolveRequest::default()
+        };
+        let err = ctx.solve(&req).unwrap_err();
+        assert_eq!(err.status, 400);
+        assert!(
+            err.message.starts_with("seed must be below"),
+            "{}",
+            err.message
+        );
+        // The seed just below it still solves.
+        let req = SolveRequest {
+            seed: u64::MAX - 1,
+            ..req
+        };
+        assert!(ctx.solve(&req).is_ok());
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Request execution: the reactor's inline answers, routing on the CPU
-//! worker pool, per-request deadlines, chaos injection, and the
-//! completion hand-off back to the reactor.
+//! Request execution: the event loops' inline answers, routing on the
+//! CPU worker pool, per-request deadlines, chaos injection, and the
+//! completion hand-off back to the event loop that owns the
+//! connection.
 //!
-//! The reactor parses requests and answers the bounded ones itself
+//! An event loop parses requests and answers the bounded ones itself
 //! ([`answer_inline`]: the probes, and a `/v1/solve` whose result the
-//! store already holds). Everything else it pushes onto the bounded
-//! admission queue as a [`DispatchJob`]; workers pop them, compute the
-//! [`Response`] (solver execution happens here, never on the reactor
-//! thread), and push a [`Completion`] that the reactor stitches back
-//! into the owning connection's write queue by `(token, seq)`.
+//! store already holds). Everything else it pushes onto the shared
+//! bounded admission queue as a [`DispatchJob`]; workers pop them,
+//! compute the [`Response`] (solver execution happens here, never on
+//! an event loop), and post a [`Completion`] to the mailbox of the
+//! job's loop, which stitches it back into the owning connection's
+//! write queue by `(token, seq)`.
 
 use crate::api::{ApiContext, ApiError, ApiOutcome, SimulateRequest, SolveRequest, SweepRequest};
 use crate::chaos::ChaosDecision;
@@ -24,19 +26,22 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The largest `/v1/solve` body the reactor decodes itself: 4 KiB
+/// The largest `/v1/solve` body an event loop decodes itself: 4 KiB
 /// decodes in a few microseconds.
 const INLINE_BODY_BYTES: usize = 4 * 1024;
 
 /// The most transmit levels a sampled `/v1/solve` instance may have and
-/// still be answered on the reactor. The key spells out every level: on
+/// still be answered on an event loop. The key spells out every level: on
 /// a 2-vCPU VM it took about 4 µs at 16 levels and 120 µs at 1 000.
 const INLINE_MAX_LEVELS: usize = 16;
 
-/// One parsed request traveling from the reactor to a worker.
+/// One parsed request traveling from an event loop to a worker.
 #[derive(Debug)]
 pub(crate) struct DispatchJob {
-    /// The owning connection's reactor token.
+    /// The event loop that owns the connection: the worker posts the
+    /// completion to its mailbox.
+    pub reactor: usize,
+    /// The owning connection's token within that loop.
     pub token: u64,
     /// Position in that connection's request pipeline.
     pub seq: usize,
@@ -48,11 +53,12 @@ pub(crate) struct DispatchJob {
     pub started: Instant,
 }
 
-/// A computed response traveling from a worker (or the reactor's
+/// A computed response traveling from a worker (or an event loop's
 /// inline path) back to the connection.
 #[derive(Debug)]
 pub(crate) struct Completion {
-    /// The owning connection's reactor token.
+    /// The owning connection's token within its event loop; a stale
+    /// token (the connection died, its slot was reused) is dropped.
     pub token: u64,
     /// Position in that connection's request pipeline.
     pub seq: usize,
@@ -63,14 +69,14 @@ pub(crate) struct Completion {
 }
 
 /// Answers `GET /healthz`, `GET /statusz`, and a `POST /v1/solve` whose
-/// result the store already holds, on the reactor thread: their work is
-/// a few microseconds and never waits on disk, so they skip both thread
-/// hand-offs. A solve is only answered here on a server without chaos
-/// (an injected delay would stall the reactor), for a body of at most
-/// [`INLINE_BODY_BYTES`] and for a sampled instance of at most
-/// [`INLINE_MAX_LEVELS`] levels; everything else goes to a worker. A
-/// panic answers `500`, as on a worker, and never reaches the reactor.
-/// `None` sends the request to the worker pool.
+/// result the store already holds, on the event loop that parsed it:
+/// their work is a few microseconds and never waits on disk, so they
+/// skip both thread hand-offs. A solve is only answered here on a
+/// server without chaos (an injected delay would stall the loop), for a
+/// body of at most [`INLINE_BODY_BYTES`] and for a sampled instance of
+/// at most [`INLINE_MAX_LEVELS`] levels; everything else goes to a
+/// worker. A panic answers `500`, as on a worker, and never reaches the
+/// loop. `None` sends the request to the worker pool.
 pub(crate) fn answer_inline(request: &Request, tenant: usize, shared: &Shared) -> Option<Response> {
     panic::catch_unwind(AssertUnwindSafe(|| try_inline(request, tenant, shared)))
         .unwrap_or_else(|_| Some(handler_panicked()))
@@ -115,19 +121,19 @@ pub(crate) fn record(
     }
 }
 
-/// The worker thread body: pop, respond, hand the completion back.
+/// The worker thread body: pop, respond, hand the completion back to
+/// the event loop that owns the connection.
 pub(crate) fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
         shared.busy.fetch_add(1, Ordering::SeqCst);
         let (response, truncate) = respond(&job, shared);
         shared.busy.fetch_sub(1, Ordering::SeqCst);
-        shared.completions.lock().push(Completion {
+        shared.reactors[job.reactor].complete(Completion {
             token: job.token,
             seq: job.seq,
             response,
             truncate,
         });
-        shared.waker.wake();
     }
 }
 
@@ -297,14 +303,18 @@ fn healthz() -> Response {
 
 /// `GET /statusz`: the counters, the gauges, the tenant breakdown and,
 /// when clustered, the fabric's health. Every read is an atomic or a
-/// short in-memory lock, so the reactor can answer it.
+/// short in-memory lock, so an event loop can answer it.
 fn statusz(shared: &Shared) -> Response {
     let gauges = StatusGauges {
         workers_total: shared.workers,
         workers_busy: shared.busy.load(Ordering::SeqCst),
         queue_len: shared.queue.len(),
         queue_capacity: shared.queue.capacity(),
-        conns_open: shared.conns_open.load(Ordering::SeqCst),
+        conns_per_reactor: shared
+            .reactors
+            .iter()
+            .map(|r| r.conns.load(Ordering::SeqCst))
+            .collect(),
         conns_max: shared.max_conns,
         jobs_active: shared.jobs.active(),
         jobs_submitted: shared.jobs.submitted(),

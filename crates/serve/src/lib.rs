@@ -1,13 +1,15 @@
 //! # wrsn-serve — a std-only HTTP serving layer
 //!
 //! Turns the one-shot experiment pipeline into a long-lived daemon: an
-//! HTTP/1.1 JSON service built on a readiness event loop — one reactor
-//! thread multiplexing every connection through `epoll` ([`sys`],
-//! [`reactor`](crate) internals) with per-connection state machines
-//! and full HTTP/1.1 pipelining — plus a fixed-size CPU worker pool
-//! behind a bounded admission queue (overflow is rejected with `503` +
-//! `Retry-After`), and graceful shutdown (drain in-flight requests,
-//! then flush the shared [`wrsn_engine::ResultStore`]).
+//! HTTP/1.1 JSON service built on readiness event loops — one reactor
+//! thread per available CPU, each multiplexing its own connections
+//! through `epoll` ([`sys`], [`reactor`](crate) internals) with
+//! per-connection state machines and full HTTP/1.1 pipelining; the
+//! first loop accepts and hands each connection to the least-loaded
+//! loop — plus a fixed-size CPU worker pool behind one bounded
+//! admission queue (overflow is rejected with `503` + `Retry-After`),
+//! and graceful shutdown (drain in-flight requests, then flush the
+//! shared [`wrsn_engine::ResultStore`]).
 //!
 //! Endpoints:
 //!
@@ -28,12 +30,13 @@
 //!   per-seed progress from the engine's progress feed;
 //! - `GET /v1/solvers` — the registry listing;
 //! - `GET /healthz`, `GET /statusz` — liveness and introspection
-//!   (uptime, worker/queue/connection/job occupancy, per-endpoint
-//!   request counts and latency histograms, cumulative cache stats).
+//!   (uptime, worker/queue/job occupancy, open connections in all and
+//!   per event loop, per-endpoint request counts and latency
+//!   histograms, cumulative cache stats).
 //!
-//! The reactor answers the probes, and a `/v1/solve` whose result the
-//! store already holds, without a worker, so they answer while every
-//! worker is busy.
+//! The event loop that reads them answers the probes, and a
+//! `/v1/solve` whose result the store already holds, without a worker,
+//! so they answer while every worker is busy.
 //!
 //! Request bodies name only keys their type knows: an unknown or
 //! repeated key answers `400` naming it. A handler that panics answers

@@ -147,7 +147,7 @@ const ENDPOINTS: [&str; 9] = [
 /// Point-in-time occupancy gauges sampled by the caller for
 /// [`Metrics::to_statusz`] — they live in the server's shared state,
 /// not in the cumulative metrics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct StatusGauges {
     /// Worker threads in the pool.
     pub workers_total: usize,
@@ -157,8 +157,9 @@ pub struct StatusGauges {
     pub queue_len: usize,
     /// Admission queue capacity.
     pub queue_capacity: usize,
-    /// Connections currently registered with the reactor.
-    pub conns_open: usize,
+    /// Connections currently open on each event loop, in loop order;
+    /// `/statusz` reports their sum as `conns.open`.
+    pub conns_per_reactor: Vec<usize>,
     /// Connection cap (accepts beyond it are rejected with 503).
     pub conns_max: usize,
     /// Async jobs currently running.
@@ -341,8 +342,15 @@ impl Metrics {
             (
                 "conns".to_string(),
                 Value::Object(vec![
-                    ("open".to_string(), gauges.conns_open.to_value()),
+                    (
+                        "open".to_string(),
+                        gauges.conns_per_reactor.iter().sum::<usize>().to_value(),
+                    ),
                     ("max".to_string(), gauges.conns_max.to_value()),
+                    (
+                        "per_reactor".to_string(),
+                        gauges.conns_per_reactor.to_value(),
+                    ),
                 ]),
             ),
             (
@@ -450,7 +458,7 @@ mod tests {
             workers_busy: 2,
             queue_len: 1,
             queue_capacity: 64,
-            conns_open: 17,
+            conns_per_reactor: vec![9, 8],
             conns_max: 4096,
             jobs_active: 1,
             jobs_submitted: 3,
@@ -470,6 +478,14 @@ mod tests {
         let conns = v.get("conns").unwrap();
         assert_eq!(conns.get("open").and_then(Value::as_u64), Some(17));
         assert_eq!(conns.get("max").and_then(Value::as_u64), Some(4096));
+        let per_reactor: Vec<u64> = conns
+            .get("per_reactor")
+            .and_then(Value::as_array)
+            .unwrap()
+            .iter()
+            .filter_map(Value::as_u64)
+            .collect();
+        assert_eq!(per_reactor, [9, 8]);
         let jobs = v.get("jobs").unwrap();
         assert_eq!(jobs.get("active").and_then(Value::as_u64), Some(1));
         assert_eq!(jobs.get("submitted").and_then(Value::as_u64), Some(3));

@@ -1,28 +1,36 @@
-//! The readiness event loop: one thread that owns the listener, every
-//! connection, and the epoll set.
+//! The readiness event loops: one thread per available CPU, each with
+//! its own epoll set, eventfd and connections.
 //!
-//! The reactor accepts sockets, feeds bytes through each [`Conn`] state
-//! machine, pushes parsed requests onto the bounded admission queue,
-//! and stitches worker [`Completion`]s back into the owning
-//! connection's ordered write queue. It computes only the responses
-//! whose work is bounded and never waits on disk: admission rejections,
-//! the `/healthz` and `/statusz` probes, and a `/v1/solve` whose result
-//! the store already holds ([`dispatch::answer_inline`]). Those skip
-//! the two thread hand-offs but take the same completion path as a
-//! worker's answer, so keep-alive and pipelining order are unchanged.
-//! Workers signal completions through the shared eventfd
-//! [`crate::sys::Waker`]; a 50 ms poll timeout doubles as the clock
-//! for idle sweeps and shutdown checks.
+//! Loop 0 also owns the listener. It hands each accepted socket to the
+//! loop with the fewest open connections, ties going round-robin,
+//! through that loop's [`Mailbox`]; a connection never changes loops
+//! after that. The kernel's own spreading (`SO_REUSEPORT`,
+//! `EPOLLEXCLUSIVE`) is not used: it can put two busy callers on one
+//! loop. The `max_conns` bound is checked, and the connection counted,
+//! at the hand-off.
 //!
-//! Tokens are `generation << 32 | slot-index`, so a completion that
-//! arrives after its connection died (and the slot was reused) is
-//! recognized as stale and dropped instead of corrupting the new
-//! connection's pipeline.
+//! Each loop feeds bytes through its [`Conn`] state machines, pushes
+//! parsed requests onto the shared admission queue, and stitches
+//! worker [`Completion`]s back into the owning connection's ordered
+//! write queue. It computes only the responses whose work is bounded
+//! and never waits on disk: admission rejections, the `/healthz` and
+//! `/statusz` probes, and a `/v1/solve` whose result the store already
+//! holds ([`dispatch::answer_inline`]). Those skip the two thread
+//! hand-offs but take the same completion path as a worker's answer,
+//! so keep-alive and pipelining order are unchanged. Workers post
+//! completions to the owning loop's mailbox and wake its eventfd; a
+//! 50 ms poll timeout doubles as the clock for idle sweeps and
+//! shutdown checks.
+//!
+//! Tokens are `generation << 32 | slot-index` within one loop, so a
+//! completion that arrives after its connection died (and the slot was
+//! reused) is recognized as stale and dropped instead of corrupting the
+//! new connection's pipeline.
 
 use crate::conn::{Conn, FlushStatus, Outgoing, Phase, ReadOutcome};
 use crate::dispatch::{self, Completion, DispatchJob};
 use crate::http::{ParseError, Request, Response};
-use crate::server::Shared;
+use crate::server::{Mailbox, Shared};
 use crate::signal;
 use crate::sys::{event, Epoll};
 use std::net::{TcpListener, TcpStream};
@@ -33,10 +41,10 @@ use std::time::{Duration, Instant};
 
 /// Token for the listening socket.
 const LISTENER_TOKEN: u64 = u64::MAX;
-/// Token for the worker-completion eventfd.
+/// Token for the loop's mailbox eventfd.
 const WAKER_TOKEN: u64 = u64::MAX - 1;
 
-/// How long the reactor blocks in `epoll_wait`; bounds the latency of
+/// How long a loop blocks in `epoll_wait`; bounds the latency of
 /// noticing a shutdown request with no traffic.
 const WAIT_MS: i32 = 50;
 /// How often idle/draining connections are swept.
@@ -50,16 +58,20 @@ struct Slot {
     conn: Option<Conn>,
 }
 
-/// The reactor state; owned by the `wrsn-serve-reactor` thread.
+/// One event loop's state; owned by its `wrsn-serve-reactor-{i}`
+/// thread.
 pub(crate) struct Reactor {
+    /// This loop's number: its mailbox in `Shared::reactors`.
+    index: usize,
     shared: Arc<Shared>,
     epoll: Epoll,
+    /// The listener, on loop 0 until shutdown starts.
     listener: Option<TcpListener>,
+    /// Where loop 0 starts looking for the next hand-off's target, so
+    /// ties between equally loaded loops go round-robin.
+    next: usize,
     slots: Vec<Slot>,
     free: Vec<usize>,
-    /// Requests dispatched to workers (or answered inline) whose
-    /// completions have not been applied yet (across all connections).
-    inflight: usize,
     /// Responses computed on this thread, applied with the workers'.
     answered: Vec<Completion>,
     stopping: bool,
@@ -67,26 +79,33 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    pub fn new(listener: TcpListener, epoll: Epoll, shared: Arc<Shared>) -> Self {
+    pub fn new(
+        index: usize,
+        listener: Option<TcpListener>,
+        epoll: Epoll,
+        shared: Arc<Shared>,
+    ) -> Self {
         Reactor {
+            index,
             shared,
             epoll,
-            listener: Some(listener),
+            listener,
+            next: 0,
             slots: Vec::new(),
             free: Vec::new(),
-            inflight: 0,
             answered: Vec::new(),
             stopping: false,
             stop_deadline: None,
         }
     }
 
+    fn mailbox(&self) -> &Mailbox {
+        &self.shared.reactors[self.index]
+    }
+
     /// The event loop; returns once shutdown has drained.
     pub fn run(mut self) {
-        {
-            let Some(listener) = &self.listener else {
-                return;
-            };
+        if let Some(listener) = &self.listener {
             if self
                 .epoll
                 .add(listener.as_raw_fd(), LISTENER_TOKEN, event::READ)
@@ -97,21 +116,21 @@ impl Reactor {
         }
         let _ = self
             .epoll
-            .add(self.shared.waker.fd(), WAKER_TOKEN, event::READ);
+            .add(self.mailbox().waker().fd(), WAKER_TOKEN, event::READ);
         let mut events = Vec::new();
         let mut last_sweep = Instant::now();
         loop {
-            if !self.stopping
-                && (self.shared.stop.load(Ordering::SeqCst) || signal::shutdown_requested())
-            {
+            if !self.stopping && self.draining() {
                 self.stopping = true;
                 self.stop_deadline = Some(Instant::now() + STOP_GRACE);
+                // Workers drain the backlog, then exit on the closed
+                // queue; new parses get an inline 503. The queue closes
+                // before the listener, so a caller that sees the
+                // listener gone finds every loop answering 503.
+                self.shared.queue.close();
                 if let Some(listener) = self.listener.take() {
                     self.epoll.delete(listener.as_raw_fd());
                 }
-                // Workers drain the backlog, then exit on the closed
-                // queue; new parses get an inline 503.
-                self.shared.queue.close();
             }
             if self.stopping {
                 if self.quiescent() {
@@ -128,7 +147,12 @@ impl Reactor {
             for &(token, mask) in &events {
                 match token {
                     LISTENER_TOKEN => self.accept_all(),
-                    WAKER_TOKEN => self.shared.waker.drain(),
+                    WAKER_TOKEN => {
+                        self.mailbox().waker().drain();
+                        for stream in self.mailbox().take_accepted() {
+                            self.register(stream);
+                        }
+                    }
                     _ => self.service(token, mask),
                 }
             }
@@ -142,9 +166,20 @@ impl Reactor {
         // Dropping the slots closes every remaining socket.
     }
 
-    /// Shutdown is complete: nothing in flight, nothing left to write.
+    /// Shutdown has started, whether or not this loop has seen it yet.
+    fn draining(&self) -> bool {
+        self.stopping || self.shared.stop.load(Ordering::SeqCst) || signal::shutdown_requested()
+    }
+
+    /// Shutdown is complete for this loop: nothing in flight on any
+    /// loop, so no connection can still be answered, and nothing left
+    /// to write here. Until then an idle keep-alive connection stays
+    /// open and its requests answer 503.
     fn quiescent(&self) -> bool {
-        self.inflight == 0
+        self.shared
+            .reactors
+            .iter()
+            .all(|r| r.inflight.load(Ordering::SeqCst) == 0)
             && self.slots.iter().all(|slot| match &slot.conn {
                 None => true,
                 Some(conn) => {
@@ -163,7 +198,7 @@ impl Reactor {
                 return;
             };
             match listener.accept() {
-                Ok((stream, _peer)) => self.admit(stream),
+                Ok((stream, _peer)) => self.hand_off(stream),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 // Transient failure (e.g. EMFILE): give up this round;
@@ -173,13 +208,26 @@ impl Reactor {
         }
     }
 
-    fn admit(&mut self, mut stream: TcpStream) {
-        let shared = Arc::clone(&self.shared);
-        if shared.conns_open.load(Ordering::SeqCst) >= shared.max_conns {
+    /// Counts an accepted socket against `max_conns` and gives it to
+    /// the loop with the fewest connections (the first such loop from
+    /// `next`), or answers `503` when the server is full.
+    fn hand_off(&mut self, mut stream: TcpStream) {
+        let shared = &self.shared;
+        let loops = shared.reactors.len();
+        let mut open = 0;
+        let mut target = (usize::MAX, self.next);
+        for i in (self.next..loops).chain(0..self.next) {
+            let conns = shared.reactors[i].conns.load(Ordering::SeqCst);
+            open += conns;
+            if conns < target.0 {
+                target = (conns, i);
+            }
+        }
+        if open >= shared.max_conns {
             // Admission control at the connection level: answer the 503
             // best-effort and hang up. The write must never stall the
-            // reactor — a hostile peer that refuses to read simply
-            // loses the rejection body, which is acceptable.
+            // loop — a hostile peer that refuses to read simply loses
+            // the rejection body, which is acceptable.
             shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
             let response = Response::error(503, "connection limit reached, try again")
                 .header("Retry-After", "1");
@@ -189,15 +237,25 @@ impl Reactor {
             }
             return;
         }
+        let target = target.1;
+        self.next = (target + 1) % loops;
+        shared.reactors[target].conns.fetch_add(1, Ordering::SeqCst);
+        shared.reactors[target].hand_over(stream);
+    }
+
+    /// Adds a socket handed to this loop (and already counted) to the
+    /// epoll set.
+    fn register(&mut self, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
+            self.mailbox().conns.fetch_sub(1, Ordering::SeqCst);
             return;
         }
         // Pipelined responses are many small writes on a long-lived
         // socket; without TCP_NODELAY, Nagle holds each one for the
         // peer's delayed ACK (~40 ms) and throughput collapses.
         let _ = stream.set_nodelay(true);
-        let max_requests = if shared.keep_alive {
-            shared.keep_alive_max_requests
+        let max_requests = if self.shared.keep_alive {
+            self.shared.keep_alive_max_requests
         } else {
             1
         };
@@ -211,10 +269,10 @@ impl Reactor {
         conn.interest = event::READ;
         if self.epoll.add(fd, token, event::READ).is_err() {
             self.free.push(index);
+            self.mailbox().conns.fetch_sub(1, Ordering::SeqCst);
             return;
         }
         self.slots[index].conn = Some(conn);
-        shared.conns_open.fetch_add(1, Ordering::SeqCst);
     }
 
     fn remove(&mut self, index: usize) {
@@ -223,7 +281,7 @@ impl Reactor {
             self.epoll.delete(conn.stream.as_raw_fd());
             slot.gen = slot.gen.wrapping_add(1);
             self.free.push(index);
-            self.shared.conns_open.fetch_sub(1, Ordering::SeqCst);
+            self.mailbox().conns.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -369,7 +427,7 @@ impl Reactor {
         let started = Instant::now();
         // A draining server sends everything to the closed queue below,
         // which answers 503.
-        if !self.stopping {
+        if !self.draining() {
             if let Some(response) = dispatch::answer_inline(&request, tenant, &shared) {
                 dispatch::record(&request, tenant, response.status, started, &shared);
                 self.begin(index);
@@ -384,6 +442,7 @@ impl Reactor {
         }
         self.begin(index);
         let job = DispatchJob {
+            reactor: self.index,
             token,
             seq,
             tenant,
@@ -393,7 +452,7 @@ impl Reactor {
         if shared.queue.try_push(tenant, job).is_err() {
             // Admission control: answer the 503 here so a full worker
             // pool never delays the rejection.
-            self.inflight -= 1;
+            self.mailbox().inflight.fetch_sub(1, Ordering::SeqCst);
             shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
             shared
                 .tenants
@@ -413,7 +472,7 @@ impl Reactor {
     fn begin(&mut self, index: usize) {
         let conn = self.slots[index].conn.as_mut().expect("validated");
         conn.in_flight += 1;
-        self.inflight += 1;
+        self.mailbox().inflight.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Answers `response` inline and seals the connection after it:
@@ -518,14 +577,26 @@ impl Reactor {
         true
     }
 
-    /// Applies every completion the workers queued, and every inline
-    /// answer, since the last pass.
+    /// Applies every completion the workers posted to this loop, and
+    /// every inline answer, since the last pass.
     fn apply_completions(&mut self) {
         let mut completions = std::mem::take(&mut self.answered);
-        completions.append(&mut self.shared.completions.lock());
+        self.mailbox().take_completions(&mut completions);
+        if completions.is_empty() {
+            return;
+        }
         let shared = Arc::clone(&self.shared);
+        let inflight = &shared.reactors[self.index].inflight;
+        if inflight.fetch_sub(completions.len(), Ordering::SeqCst) == completions.len()
+            && self.draining()
+        {
+            // The last request in flight here is done: the other loops
+            // may be waiting on it to finish their shutdown.
+            for mailbox in &shared.reactors {
+                mailbox.waker().wake();
+            }
+        }
         for completion in completions {
-            self.inflight = self.inflight.saturating_sub(1);
             let index = (completion.token & u64::from(u32::MAX)) as usize;
             let gen = (completion.token >> 32) as u32;
             let valid = self
@@ -536,8 +607,7 @@ impl Reactor {
                 // The connection died while its request was running.
                 continue;
             }
-            let stopping =
-                self.stopping || shared.stop.load(Ordering::SeqCst) || signal::shutdown_requested();
+            let stopping = self.draining();
             {
                 let conn = self.slots[index].conn.as_mut().expect("validated");
                 conn.in_flight = conn.in_flight.saturating_sub(1);

@@ -1,7 +1,7 @@
 //! Minimal SIGINT/SIGTERM notification without external crates.
 //!
 //! Installing the handler flips a process-global [`AtomicBool`]; the
-//! server's reactor polls it between readiness waits. Together with
+//! server's event loops poll it between readiness waits. Together with
 //! the epoll/eventfd wrappers in `sys.rs` this is one of the two
 //! places in the workspace that touch `unsafe` — one `libc`
 //! `signal(2)` registration per signal, with a handler that does

@@ -512,11 +512,10 @@ impl ResultStore {
     /// The payload stored under `key`, if any.
     #[must_use]
     pub fn get(&self, key: &Fingerprint) -> Option<Value> {
-        self.index
-            .lock()
-            .entries
-            .get(&key.to_hex())
-            .map(|e| e.value.clone())
+        // Every event loop and worker reads through this lock: format
+        // the key before taking it.
+        let hex = key.to_hex();
+        self.index.lock().entries.get(&hex).map(|e| e.value.clone())
     }
 
     /// Stores `value` under `key` with no reachability tag; see

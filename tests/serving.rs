@@ -740,9 +740,7 @@ fn queue_overflow_is_rejected_with_503_and_retry_after() {
         std::thread::yield_now();
     }
 
-    // Fill the queue's single slot with a raw connection. The acceptor
-    // admits connections in accept order, so once this connect has
-    // completed the next one must overflow.
+    // Fill the queue's single slot with a raw connection.
     let mut queued = TcpStream::connect(&addr).unwrap();
     let text = format!(
         "POST /v1/solve HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
@@ -750,18 +748,22 @@ fn queue_overflow_is_rejected_with_503_and_retry_after() {
     );
     queued.write_all(text.as_bytes()).unwrap();
 
-    // Poll until the overflow 503 appears: the acceptor pushes the
-    // queued connection asynchronously after accepting it, so the very
-    // next request can still race into the free slot. The poll must be
-    // a request that queues: the reactor answers `/healthz` itself.
-    let rejected = loop {
-        let resp = request(&addr, "GET", "/v1/solvers", None).unwrap();
-        if resp.status == 503 {
-            break resp;
+    // Wait until it holds the slot: the next connection may land on
+    // another event loop and be read first. `/statusz` never queues.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let statusz = request(&addr, "GET", "/statusz", None).unwrap();
+        let v: serde_json::Value = serde_json::from_str(&statusz.body).unwrap();
+        if v["queue"]["depth"] == 1 {
+            break;
         }
-        assert_eq!(resp.status, 200, "only 200 or 503 are possible here");
+        assert!(std::time::Instant::now() < deadline, "{}", statusz.body);
         std::thread::yield_now();
-    };
+    }
+    // A request that queues now overflows; the loop answers
+    // `/healthz` itself, so it would not.
+    let rejected = request(&addr, "GET", "/v1/solvers", None).unwrap();
+    assert_eq!(rejected.status, 503, "{}", rejected.body);
     assert_eq!(rejected.header("retry-after"), Some("1"));
     assert!(rejected.body.contains("busy"));
 
@@ -1728,4 +1730,273 @@ fn unknown_and_repeated_keys_answer_400_naming_the_key() {
         );
     }
     server.shutdown().unwrap();
+}
+
+#[test]
+fn the_largest_seed_answers_400_naming_seed() {
+    let server = start(ApiContext::new(), 1, 4);
+    let addr = server.addr().to_string();
+    let resp = post(
+        &addr,
+        "/v1/solve",
+        &format!("{{{SMALL},\"solver\":\"idb\",\"seed\":18446744073709551615}}"),
+    );
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("seed must be below"), "{}", resp.body);
+    let resp = post(
+        &addr,
+        "/v1/solve",
+        &format!("{{{SMALL},\"solver\":\"idb\",\"seed\":18446744073709551614}}"),
+    );
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    server.shutdown().unwrap();
+}
+
+/// `/statusz` `conns.per_reactor` and `conns.open`, asked on `conn`.
+fn conns_per_reactor(conn: &mut Connection) -> (Vec<u64>, u64) {
+    let resp = conn.roundtrip("GET", "/statusz", None).unwrap();
+    let v: serde_json::Value = serde_json::from_str(&resp.body).unwrap();
+    let per: Vec<u64> = v["conns"]["per_reactor"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .filter_map(serde_json::Value::as_u64)
+        .collect();
+    (per, v["conns"]["open"].as_u64().unwrap())
+}
+
+/// Opens `n` keep-alive connections, each answered once, so every one
+/// is registered with its event loop.
+fn held_connections(addr: &str, n: usize) -> Vec<Connection> {
+    (0..n)
+        .map(|_| {
+            let mut conn = Connection::connect(addr).unwrap();
+            assert_eq!(conn.roundtrip("GET", "/healthz", None).unwrap().status, 200);
+            conn
+        })
+        .collect()
+}
+
+#[test]
+fn keep_alive_connections_spread_evenly_over_one_loop_per_cpu() {
+    let server = start_with(
+        ApiContext::new(),
+        ServerConfig {
+            keep_alive: true,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.addr().to_string();
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let mut probe = Connection::connect(&addr).unwrap();
+    for k in [1, 2, 3, 2 * cpus + 1] {
+        let conns = held_connections(&addr, k);
+        let (per, open) = conns_per_reactor(&mut probe);
+        assert_eq!(per.len(), cpus, "one event loop per CPU");
+        assert_eq!(per.iter().sum::<u64>(), open);
+        assert_eq!(open, k as u64 + 1, "{per:?}");
+        let spread = per.iter().max().unwrap() - per.iter().min().unwrap();
+        assert!(
+            spread <= 1,
+            "{k} connections and the probe spread as {per:?}"
+        );
+        drop(conns);
+        // Wait for the loops to see the closes before the next round.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while conns_per_reactor(&mut probe).1 > 1 {
+            assert!(std::time::Instant::now() < deadline, "closes never seen");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    server.shutdown().unwrap();
+}
+
+/// Reads `n` `Content-Length`-framed replies off `stream`, raw.
+fn read_replies(stream: &mut TcpStream, n: usize) -> Vec<String> {
+    let mut buf = Vec::new();
+    let mut replies = Vec::new();
+    while replies.len() < n {
+        let framed = buf
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .and_then(|end| {
+                let head = String::from_utf8_lossy(&buf[..end]).to_ascii_lowercase();
+                let length: usize = head
+                    .lines()
+                    .find_map(|l| l.strip_prefix("content-length: "))?
+                    .trim()
+                    .parse()
+                    .ok()?;
+                let total = end + 4 + length;
+                (buf.len() >= total).then_some(total)
+            });
+        match framed {
+            Some(total) => {
+                replies.push(String::from_utf8_lossy(&buf[..total]).into_owned());
+                buf.drain(..total);
+            }
+            None => {
+                let mut chunk = [0u8; 8192];
+                let got = stream.read(&mut chunk).unwrap();
+                assert!(got > 0, "closed after {} replies", replies.len());
+                buf.extend_from_slice(&chunk[..got]);
+            }
+        }
+    }
+    assert!(buf.is_empty(), "stray bytes after {n} replies");
+    replies
+}
+
+#[test]
+fn eight_pipelined_connections_answer_like_one_connection() {
+    // A gated miss, a stored hit and a plain miss per connection, with
+    // seeds of its own: the hit is ready first but waits its turn, and
+    // the workers' answers must find the loop that owns the socket.
+    let triple = |i: u64| {
+        [
+            format!("{{{SMALL},\"solver\":\"gated\",\"seed\":{}}}", 100 + i),
+            format!("{{{SMALL},\"solver\":\"idb\",\"seed\":{}}}", 200 + i),
+            format!("{{{SMALL},\"solver\":\"idb\",\"seed\":{}}}", 300 + i),
+        ]
+    };
+    let wire = |bodies: &[String]| -> Vec<u8> {
+        bodies
+            .iter()
+            .flat_map(|body| {
+                format!(
+                    "POST /v1/solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                )
+                .into_bytes()
+            })
+            .collect()
+    };
+    let server = |name: &str| {
+        let (mut api, gate, _entered) = gated_api();
+        api.store = Some(Arc::new(ResultStore::open(scratch(name)).unwrap()));
+        let server = start_with(
+            api,
+            ServerConfig {
+                workers: 2,
+                queue_depth: 64,
+                keep_alive: true,
+                ..ServerConfig::default()
+            },
+        );
+        let addr = server.addr().to_string();
+        for i in 0..8 {
+            assert_eq!(post(&addr, "/v1/solve", &triple(i)[1]).status, 200);
+        }
+        (server, addr, gate)
+    };
+
+    let (many, addr, gate) = server("pipelined-many");
+    let mut streams: Vec<TcpStream> = (0..8)
+        .map(|i| {
+            let mut stream = TcpStream::connect(&addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            stream.write_all(&wire(&triple(i))).unwrap();
+            stream
+        })
+        .collect();
+    open_gate(&gate);
+    let apart: Vec<Vec<String>> = streams.iter_mut().map(|s| read_replies(s, 3)).collect();
+    let (per, open) = conns_per_reactor(&mut Connection::connect(&addr).unwrap());
+    assert_eq!(open, 9, "{per:?}");
+    drop(streams);
+    many.shutdown().unwrap();
+
+    let (one, addr, gate) = server("pipelined-one");
+    open_gate(&gate);
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let bodies: Vec<String> = (0..8).flat_map(triple).collect();
+    stream.write_all(&wire(&bodies)).unwrap();
+    let together = read_replies(&mut stream, 24);
+    one.shutdown().unwrap();
+
+    for (i, replies) in apart.iter().enumerate() {
+        assert!(
+            replies[0].contains("x-cache-misses: 1\r\n"),
+            "{}",
+            replies[0]
+        );
+        assert!(replies[1].contains("x-cache-hits: 1\r\n"), "{}", replies[1]);
+        assert!(
+            replies[2].contains("x-cache-misses: 1\r\n"),
+            "{}",
+            replies[2]
+        );
+        for (j, reply) in replies.iter().enumerate() {
+            assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+            assert_eq!(*reply, together[3 * i + j], "connection {i}, reply {j}");
+        }
+    }
+}
+
+/// Names this binary's event loop threads carry in `/proc`: the kernel
+/// keeps the first 15 bytes of `wrsn-serve-reactor-{i}`.
+fn event_loop_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == "wrsn-serve-reac")
+        .count()
+}
+
+/// Set in the child process the thread lifecycle test re-runs itself in.
+const THREAD_PROBE: &str = "WRSN_SERVING_THREAD_PROBE";
+
+#[test]
+fn event_loop_threads_match_per_reactor_and_exit_on_shutdown() {
+    const NAME: &str = "event_loop_threads_match_per_reactor_and_exit_on_shutdown";
+    // The other tests in this binary run servers at the same time, with
+    // the same thread names: count in a child process running only this.
+    if std::env::var_os(THREAD_PROBE).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", NAME, "--nocapture"])
+            .env(THREAD_PROBE, "1")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stdout}{stderr}");
+        assert!(stdout.contains("1 passed"), "{stdout}{stderr}");
+        return;
+    }
+    assert_eq!(event_loop_threads(), 0);
+    let server = start_with(
+        ApiContext::new(),
+        ServerConfig {
+            keep_alive: true,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.addr().to_string();
+    let mut probe = Connection::connect(&addr).unwrap();
+    let loops = conns_per_reactor(&mut probe).0.len();
+    assert_eq!(event_loop_threads(), loops);
+    // Every loop holds an idle keep-alive connection into the shutdown.
+    let mut held = held_connections(&addr, 2 * loops);
+    held.push(probe);
+    let (per, _) = conns_per_reactor(&mut held[0]);
+    assert!(per.iter().all(|&n| n >= 1), "{per:?}");
+    server.shutdown().unwrap();
+    // A joined thread can linger in /proc until the kernel reaps it.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while event_loop_threads() > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{} event loop threads outlived shutdown",
+            event_loop_threads()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for conn in &mut held {
+        assert!(conn.roundtrip("GET", "/healthz", None).is_err());
+    }
 }
