@@ -2,7 +2,8 @@
 //!
 //! Turns the one-shot experiment pipeline into a long-lived daemon: an
 //! HTTP/1.1 JSON service built on readiness event loops — one reactor
-//! thread per available CPU, each multiplexing its own connections
+//! thread per available CPU, at most [`MAX_REACTORS`], each
+//! multiplexing its own connections
 //! through `epoll` ([`sys`], [`reactor`](crate) internals) with
 //! per-connection state machines and full HTTP/1.1 pipelining; the
 //! first loop accepts and hands each connection to the least-loaded
@@ -82,5 +83,5 @@ pub use cluster::{FORWARDED_HEADER, SERVED_BY_HEADER};
 pub use error::ServeError;
 pub use metrics::{Histogram, Metrics, StatusGauges};
 pub use queue::BoundedQueue;
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig, ServerHandle, MAX_REACTORS};
 pub use tenant::{FairQueue, TenantSpec, TokenBucket};

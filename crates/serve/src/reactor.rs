@@ -1,13 +1,14 @@
-//! The readiness event loops: one thread per available CPU, each with
-//! its own epoll set, eventfd and connections.
+//! The readiness event loops: one thread per available CPU (at most
+//! [`MAX_REACTORS`](crate::MAX_REACTORS)), each with its own epoll set,
+//! eventfd and connections.
 //!
 //! Loop 0 also owns the listener. It hands each accepted socket to the
 //! loop with the fewest open connections, ties going round-robin,
-//! through that loop's [`Mailbox`]; a connection never changes loops
-//! after that. The kernel's own spreading (`SO_REUSEPORT`,
-//! `EPOLLEXCLUSIVE`) is not used: it can put two busy callers on one
-//! loop. The `max_conns` bound is checked, and the connection counted,
-//! at the hand-off.
+//! through that loop's [`Mailbox`], and registers a socket it picks for
+//! itself at once; a connection never changes loops after that. The
+//! kernel's own spreading (`SO_REUSEPORT`, `EPOLLEXCLUSIVE`) is not
+//! used: it can put two busy callers on one loop. The `max_conns` bound
+//! is checked, and the connection counted, at the hand-off.
 //!
 //! Each loop feeds bytes through its [`Conn`] state machines, pushes
 //! parsed requests onto the shared admission queue, and stitches
@@ -20,7 +21,9 @@
 //! so keep-alive and pipelining order are unchanged. Workers post
 //! completions to the owning loop's mailbox and wake its eventfd; a
 //! 50 ms poll timeout doubles as the clock for idle sweeps and
-//! shutdown checks.
+//! shutdown checks. A loop without the listener and without
+//! connections has nothing to sweep, so it waits on its eventfd alone:
+//! an idle server wakes only loop 0 on the clock.
 //!
 //! Tokens are `generation << 32 | slot-index` within one loop, so a
 //! completion that arrives after its connection died (and the slot was
@@ -44,8 +47,9 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 /// Token for the loop's mailbox eventfd.
 const WAKER_TOKEN: u64 = u64::MAX - 1;
 
-/// How long a loop blocks in `epoll_wait`; bounds the latency of
-/// noticing a shutdown request with no traffic.
+/// How long loop 0, or a loop with connections, blocks in
+/// `epoll_wait`; bounds the latency of noticing a shutdown signal with
+/// no traffic.
 const WAIT_MS: i32 = 50;
 /// How often idle/draining connections are swept.
 const SWEEP_EVERY: Duration = Duration::from_millis(500);
@@ -140,8 +144,13 @@ impl Reactor {
                     break;
                 }
             }
+            // Hand-offs, completions and shutdown all wake the eventfd;
+            // the clock is only for idle sweeps and the signal flag.
+            let idle =
+                self.listener.is_none() && !self.stopping && self.free.len() == self.slots.len();
+            let timeout = if idle { -1 } else { WAIT_MS };
             events.clear();
-            if self.epoll.wait(&mut events, WAIT_MS).is_err() {
+            if self.epoll.wait(&mut events, timeout).is_err() {
                 break;
             }
             for &(token, mask) in &events {
@@ -210,9 +219,11 @@ impl Reactor {
 
     /// Counts an accepted socket against `max_conns` and gives it to
     /// the loop with the fewest connections (the first such loop from
-    /// `next`), or answers `503` when the server is full.
+    /// `next`), or answers `503` when the server is full. A socket this
+    /// loop keeps is registered at once, without a trip through its own
+    /// mailbox.
     fn hand_off(&mut self, mut stream: TcpStream) {
-        let shared = &self.shared;
+        let shared = Arc::clone(&self.shared);
         let loops = shared.reactors.len();
         let mut open = 0;
         let mut target = (usize::MAX, self.next);
@@ -240,7 +251,11 @@ impl Reactor {
         let target = target.1;
         self.next = (target + 1) % loops;
         shared.reactors[target].conns.fetch_add(1, Ordering::SeqCst);
-        shared.reactors[target].hand_over(stream);
+        if target == self.index {
+            self.register(stream);
+        } else {
+            shared.reactors[target].hand_over(stream);
+        }
     }
 
     /// Adds a socket handed to this loop (and already counted) to the

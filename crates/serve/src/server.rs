@@ -1,11 +1,12 @@
 //! The server: configuration, startup, shared state, and graceful
 //! shutdown around the readiness event loops.
 //!
-//! Threading model: one event loop per available CPU
-//! (`wrsn-serve-reactor-{i}`, see [`crate::reactor`]), each with its
-//! own epoll set and eventfd. Loop 0 also owns the nonblocking
-//! listener: it hands each accepted socket to the loop with the fewest
-//! open connections (ties round-robin) through that loop's [`Mailbox`].
+//! Threading model: one event loop per available CPU, at most
+//! [`MAX_REACTORS`] (`wrsn-serve-reactor-{i}`, see [`crate::reactor`]),
+//! each with its own epoll set and eventfd. Loop 0 also owns the
+//! nonblocking listener: it hands each accepted socket to the loop with
+//! the fewest open connections (ties round-robin) through that loop's
+//! [`Mailbox`], and registers the ones it picks for itself directly.
 //! A connection stays on its loop for life, as a per-socket state
 //! machine (read → parse → dispatch → buffered write, [`crate::conn`])
 //! with full HTTP/1.1 pipelining. A fixed pool of CPU worker threads
@@ -23,7 +24,9 @@
 //! callers take turns even when each request is a few microseconds of
 //! work. With two closed-loop callers of cached `/v1/solve` on a 2-vCPU
 //! VM, two loops cut the `serve-hot` benchmark's median round trip from
-//! 0.0460 ms (one loop) to 0.0323 ms.
+//! 0.0447 ms (one loop) to 0.0317 ms. With one connection per request
+//! (no keep-alive) the same host showed no difference that repeated
+//! runs could resolve.
 //!
 //! A per-request deadline ([`ServerConfig::request_timeout`]) turns
 //! slow handlers into `504`s instead of wedged workers, and an
@@ -118,6 +121,17 @@ impl Default for ServerConfig {
     }
 }
 
+/// Most event loops one server runs, however many CPUs the host has.
+/// Each loop holds an epoll set and an eventfd, so a server opens
+/// `2n + 1` descriptors with its listener before its first connection,
+/// and a test binary that starts a server per test opens that many per
+/// test thread. With n loops forced and the serving integration tests
+/// run all at once (32 test threads) under a 1024-descriptor soft
+/// limit, the binary peaked at 511–552 descriptors for n = 8, and at
+/// 983–1024 for n = 16, where one run in three failed with "Too many
+/// open files".
+pub const MAX_REACTORS: usize = 8;
+
 /// What other threads hand one event loop, and its counters. Aligned
 /// to its own cache lines: a loop's writes to its counters must not
 /// stall the workers and loops that lock a neighbouring mailbox.
@@ -211,9 +225,10 @@ pub struct ServerHandle {
 }
 
 impl Server {
-    /// Binds, spawns one event loop per available CPU and the worker
-    /// pool, and returns the handle. The listener is ready (connections
-    /// are accepted) before this returns.
+    /// Binds, spawns one event loop per available CPU (at most
+    /// [`MAX_REACTORS`]) and the worker pool, and returns the handle.
+    /// The listener is ready (connections are accepted) before this
+    /// returns.
     ///
     /// # Errors
     ///
@@ -222,7 +237,7 @@ impl Server {
     /// chaos policy is out of range.
     pub fn start(config: &ServerConfig, api: ApiContext) -> Result<ServerHandle, ServeError> {
         let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        Self::start_with_reactors(config, api, cpus)
+        Self::start_with_reactors(config, api, cpus.min(MAX_REACTORS))
     }
 
     /// [`Server::start`] with `reactors` event loops (at least 1).
@@ -818,6 +833,46 @@ mod tests {
         }
         let mut next = crate::client::Connection::connect(&addr).unwrap();
         assert_eq!(next.roundtrip("GET", "/healthz", None).unwrap().status, 200);
+        server.shutdown().unwrap();
+    }
+
+    #[test]
+    fn every_loop_closes_its_own_idle_keep_alive_connections() {
+        use std::io::{Read as _, Write as _};
+        let server = start_loops(
+            3,
+            ServerConfig {
+                workers: 1,
+                keep_alive: true,
+                keep_alive_idle: Duration::from_millis(100),
+                ..ServerConfig::default()
+            },
+        );
+        // One connection per loop, answered once and then left idle.
+        // Nothing else reaches the server, so only each loop's own
+        // clock can close them.
+        let held: Vec<std::net::TcpStream> = (0..3)
+            .map(|_| {
+                let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(5)))
+                    .unwrap();
+                stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+                let mut wire = Vec::new();
+                let mut chunk = [0u8; 1024];
+                while !wire.ends_with(b"{\"status\":\"ok\"}") {
+                    let n = stream.read(&mut chunk).unwrap();
+                    assert!(n > 0, "closed before the answer");
+                    wire.extend_from_slice(&chunk[..n]);
+                }
+                stream
+            })
+            .collect();
+        for (i, mut stream) in held.into_iter().enumerate() {
+            let mut chunk = [0u8; 64];
+            let read = stream.read(&mut chunk);
+            assert!(matches!(read, Ok(0)), "connection {i} still open: {read:?}");
+        }
         server.shutdown().unwrap();
     }
 
