@@ -755,7 +755,7 @@ impl ApiContext {
         }
         let store = self.store.as_ref()?;
         let key = req.cache_key(namespace).ok()?;
-        let run = SeedRun::from_value(&store.get(&key)?).ok()?;
+        let run = SeedRun::from_value(&*store.get(&key)?).ok()?;
         Some(ApiOutcome {
             body: Value::Object(solve_fields(req, run.cost_uj)),
             cache: CacheStats {

@@ -152,7 +152,10 @@ pub(crate) fn respond(job: &DispatchJob, shared: &Arc<Shared>) -> (Response, boo
     }
     let response = if decision.inject_fault {
         shared.metrics.chaos_faults.fetch_add(1, Ordering::Relaxed);
-        Response::error(500, "chaos: injected fault").header("Retry-After", "1")
+        // No `Retry-After`: HTTP defines it for 503, 429 and redirects,
+        // not for a 500, and a client honouring it would wait a whole
+        // second per injected fault instead of its own short backoff.
+        Response::error(500, "chaos: injected fault")
     } else {
         route_with_deadline(request, job.tenant, shared)
     };

@@ -17,6 +17,11 @@
 //!   here (the [`ResultStore`](crate::ResultStore) layer above
 //!   downgrades it to segment quarantine).
 //!
+//! One line reader splits a log and applies the torn-tail rule. It is
+//! generic over the record decoder, so the result store checks its
+//! segments with a scan that builds no trees, while [`read_log`] parses
+//! every record.
+//!
 //! Every function has a `_on` variant taking a [`Vfs`], the seam where
 //! [`FaultFs`](crate::FaultFs) injects disk faults; the plain names
 //! run on a private [`RealFs`].
@@ -24,6 +29,7 @@
 use crate::vfs::{RealFs, Vfs, VfsFile};
 use crate::StoreError;
 use serde::Value;
+use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// The default filesystem backing the non-`_on` entry points.
@@ -60,11 +66,23 @@ pub fn write_log_on(
     records: &[Value],
     durable: bool,
 ) -> Result<(), StoreError> {
+    write_lines_on(vfs, path, header, records.iter().map(line), durable)
+}
+
+/// [`write_log_on`] with each record already rendered as one line of
+/// compact JSON.
+pub(crate) fn write_lines_on(
+    vfs: &dyn Vfs,
+    path: &Path,
+    header: &Value,
+    records: impl IntoIterator<Item = impl AsRef<str>>,
+    durable: bool,
+) -> Result<(), StoreError> {
     let mut text = String::new();
     text.push_str(&line(header));
     text.push('\n');
     for record in records {
-        text.push_str(&line(record));
+        text.push_str(record.as_ref());
         text.push('\n');
     }
     let mut tmp = path.as_os_str().to_owned();
@@ -109,39 +127,99 @@ pub fn read_log_on(vfs: &dyn Vfs, path: &Path) -> Result<(Value, Vec<Value>), St
     let text = vfs
         .read_to_string(path)
         .map_err(|e| StoreError::io(path, e))?;
+    let log = read_lines(&text, |raw| {
+        serde_json::from_str(raw).map_err(LineError::Syntax)
+    })
+    .ok_or_else(|| StoreError::parse(path, 1, "empty log (missing header)"))?;
+    let header: Value = serde_json::from_str(log.header)
+        .map_err(|e| StoreError::parse(path, 1, format!("bad header: {e}")))?;
+    if let Some((line, e)) = log.corrupt {
+        return Err(StoreError::parse(path, line, e));
+    }
+    if let Some(keep) = log.torn_at {
+        truncate_torn_tail(vfs, path, keep, text.len() - keep);
+    }
+    Ok((header, log.records))
+}
+
+/// Why a record decoder refused one line.
+#[derive(Debug)]
+pub(crate) enum LineError {
+    /// The line is not valid JSON. On the unterminated final line this
+    /// is a torn append; anywhere else it is corruption.
+    Syntax(serde_json::Error),
+    /// The line is valid JSON but not a record of this log: corruption
+    /// wherever it sits, never a torn append.
+    Shape,
+}
+
+impl fmt::Display for LineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LineError::Syntax(e) => e.fmt(f),
+            LineError::Shape => f.write_str("not a record of this log"),
+        }
+    }
+}
+
+/// A log's text, read line by line by [`read_lines`].
+pub(crate) struct LogLines<'a, R> {
+    /// The first line, undecoded.
+    pub(crate) header: &'a str,
+    /// The records before the first bad line, in order.
+    pub(crate) records: Vec<R>,
+    /// The first record line that failed to decode and is not a torn
+    /// tail: its 1-based line number and why. Reading stops there.
+    pub(crate) corrupt: Option<(usize, LineError)>,
+    /// Where a torn final line starts, when the log ends in one: the
+    /// bytes to keep when repairing the file.
+    pub(crate) torn_at: Option<usize>,
+}
+
+/// Splits a log's text into its header line and its records, decoding
+/// each record line with `decode` and skipping blank lines. Only the
+/// unterminated final line, the one a crash mid-append leaves, may be
+/// torn, and only when `decode` finds it is not valid JSON: a complete
+/// line of the wrong shape is corruption there as anywhere else.
+/// Returns `None` when the log has no header line. Touches no file:
+/// the caller decides whether to repair a torn tail.
+pub(crate) fn read_lines<'a, R>(
+    text: &'a str,
+    mut decode: impl FnMut(&'a str) -> Result<R, LineError>,
+) -> Option<LogLines<'a, R>> {
     let terminated = text.ends_with('\n');
     let lines: Vec<&str> = text.lines().collect();
-    if lines.is_empty() || lines[0].trim().is_empty() {
-        return Err(StoreError::parse(path, 1, "empty log (missing header)"));
-    }
-    let header: Value = serde_json::from_str(lines[0])
-        .map_err(|e| StoreError::parse(path, 1, format!("bad header: {e}")))?;
-    let mut records = Vec::with_capacity(lines.len().saturating_sub(1));
+    let header = *lines.first().filter(|first| !first.trim().is_empty())?;
+    let mut log = LogLines {
+        header,
+        records: Vec::with_capacity(lines.len() - 1),
+        corrupt: None,
+        torn_at: None,
+    };
     for (i, raw) in lines.iter().enumerate().skip(1) {
         if raw.trim().is_empty() {
             continue;
         }
-        match serde_json::from_str::<Value>(raw) {
-            Ok(v) => records.push(v),
-            // Only the unterminated final line may be torn by a crash.
-            // Repair the file in place: leaving the fragment on disk
-            // would fuse it with the next append into interior garbage
-            // that no later open could read past.
-            Err(_) if i + 1 == lines.len() && !terminated => {
-                let keep = text.len() - raw.len();
-                truncate_torn_tail(vfs, path, keep, raw.len());
+        match decode(raw) {
+            Ok(record) => log.records.push(record),
+            Err(LineError::Syntax(_)) if i + 1 == lines.len() && !terminated => {
+                log.torn_at = Some(text.len() - raw.len());
+            }
+            Err(e) => {
+                log.corrupt = Some((i + 1, e));
                 break;
             }
-            Err(e) => return Err(StoreError::parse(path, i + 1, e)),
         }
     }
-    Ok((header, records))
+    Some(log)
 }
 
-/// Cuts a torn trailing line off the log. Best-effort: a read-only
-/// file (or a racing writer) only costs us the repair, not the open —
-/// the caller already dropped the fragment from the parsed records.
-fn truncate_torn_tail(vfs: &dyn Vfs, path: &Path, keep_bytes: usize, torn_bytes: usize) {
+/// Cuts a torn trailing line off the log, so that the next append
+/// does not fuse the fragment into interior garbage no later open could
+/// read past. Best-effort: a read-only file (or a racing writer) only
+/// costs us the repair, not the open — the caller already dropped the
+/// fragment from the parsed records.
+pub(crate) fn truncate_torn_tail(vfs: &dyn Vfs, path: &Path, keep_bytes: usize, torn_bytes: usize) {
     match vfs.set_len(path, keep_bytes as u64) {
         Ok(()) => eprintln!(
             "wrsn-store: {}: dropped a torn trailing line ({torn_bytes} bytes) \
@@ -234,7 +312,14 @@ impl LogWriter {
     ///
     /// [`StoreError::Io`] when the write fails.
     pub fn append(&mut self, record: &Value) -> Result<(), StoreError> {
-        let mut text = line(record);
+        self.append_line(&line(record))
+    }
+
+    /// Appends one record already rendered as a line of compact JSON
+    /// (no newline inside) and flushes it.
+    pub(crate) fn append_line(&mut self, record: &str) -> Result<(), StoreError> {
+        let mut text = String::with_capacity(record.len() + 1);
+        text.push_str(record);
         text.push('\n');
         self.file
             .write_all(text.as_bytes())

@@ -1,14 +1,15 @@
 //! The content-addressed result store: a directory of JSONL segments.
 
-use crate::jsonl::{read_log_on, write_log_on, LogWriter};
+use crate::jsonl::{read_lines, truncate_torn_tail, write_lines_on, LineError, LogWriter};
 use crate::vfs::{DurabilityPolicy, IoSnapshot, RealFs, Vfs};
 use crate::{Fingerprint, FingerprintBuilder, StoreError};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Rotate the active segment once it grows past this many bytes.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 1 << 20;
@@ -145,9 +146,52 @@ impl VerifyReport {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
+/// One stored result: its JSON text, and the tree parsed from that text
+/// on the first read. Open keeps only the text; `put` and import, which
+/// hold the tree already, fill both at once.
+#[derive(Debug)]
+struct Payload {
+    text: Box<str>,
+    tree: OnceLock<Arc<Value>>,
+}
+
+impl Payload {
+    /// A payload read from a segment line that [`decode_record`]
+    /// accepted.
+    fn unparsed(text: &str) -> Arc<Self> {
+        Arc::new(Payload {
+            text: text.into(),
+            tree: OnceLock::new(),
+        })
+    }
+
+    /// A payload held as a tree, with the compact text that `put`
+    /// appends.
+    fn parsed(value: Value) -> Arc<Self> {
+        let text = serde_json::to_string(&value).expect("a Value always serializes");
+        Arc::new(Payload {
+            text: text.into_boxed_str(),
+            tree: OnceLock::from(Arc::new(value)),
+        })
+    }
+
+    /// The tree, parsed on the first call. Concurrent first calls parse
+    /// once; the others wait for it and share the result.
+    fn tree(&self) -> Arc<Value> {
+        let tree = self.tree.get_or_init(|| {
+            // Only open leaves the tree empty, and open keeps only text
+            // that `scan_fields` checked exactly as `from_str` would,
+            // nested at least one level shallower than the limit.
+            let value = serde_json::from_str(&self.text).expect("a stored payload always parses");
+            Arc::new(value)
+        });
+        Arc::clone(tree)
+    }
+}
+
+#[derive(Debug)]
 struct StoredEntry {
-    value: Value,
+    payload: Arc<Payload>,
     /// Reachability tag (cache-scheme identifier) recorded at put time.
     /// Legacy segments predate tags and load as `None`.
     tag: Option<String>,
@@ -200,7 +244,9 @@ struct Writer {
 /// share a store directory without interleaving writes. Reads serve
 /// from an in-memory index loaded at [`ResultStore::open`] time; on
 /// open, duplicated entries and segment sprawl are compacted away into
-/// a single segment via an atomic rewrite.
+/// a single segment via an atomic rewrite. Open checks every line but
+/// builds no trees: a payload stays JSON text until its first
+/// [`ResultStore::get`], which parses it once for every later reader.
 ///
 /// Two locks keep reads off the disk. The index lock is held only for
 /// lookups, for the insert after a committed append, and to copy out
@@ -229,7 +275,7 @@ struct Writer {
 /// let key = FingerprintBuilder::new("doc").finish();
 /// assert!(store.get(&key).is_none());
 /// store.put(&key, 42u64.to_value())?;
-/// assert_eq!(store.get(&key), Some(42u64.to_value()));
+/// assert_eq!(store.get(&key).as_deref(), Some(&42u64.to_value()));
 /// // A reopened store sees the persisted entry.
 /// assert_eq!(ResultStore::open(&dir)?.len(), 1);
 /// # std::fs::remove_dir_all(&dir).ok();
@@ -273,15 +319,31 @@ fn header() -> Value {
     ])
 }
 
-fn record(key: &str, value: &Value, tag: Option<&str>) -> Value {
-    let mut fields = vec![
-        ("key".to_string(), Value::String(key.to_string())),
-        ("value".to_string(), value.clone()),
-    ];
+/// One segment line: `{"key":…,"value":…,"tag":…}` in compact JSON,
+/// with the payload already rendered as `value`. The same bytes as
+/// rendering the record as one tree, without copying the payload into
+/// it.
+fn record_line(key: &str, value: &str, tag: Option<&str>) -> String {
+    let json = |s: &str| serde_json::to_string(s).expect("a string always serializes");
+    let mut line = format!("{{\"key\":{},\"value\":{value}", json(key));
     if let Some(tag) = tag {
-        fields.push(("tag".to_string(), Value::String(tag.to_string())));
+        line.push_str(",\"tag\":");
+        line.push_str(&json(tag));
     }
-    Value::Object(fields)
+    line.push('}');
+    line
+}
+
+impl StoredEntry {
+    /// This entry's segment line under `key`, as compaction and gc write
+    /// it: rendered from the payload's tree, as it always was, so a
+    /// segment spelled differently by hand or by an older build
+    /// rewrites to the same bytes as before.
+    fn line(&self, key: &str) -> String {
+        let value =
+            serde_json::to_string(&*self.payload.tree()).expect("a Value always serializes");
+        record_line(key, &value, self.tag.as_deref())
+    }
 }
 
 /// Segment sequence number parsed from `seg-NNNNNNNN-*.jsonl`.
@@ -291,6 +353,60 @@ fn segment_seq(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
+/// One record line of a segment: its key, its payload's JSON text and
+/// its tag.
+struct Record<'a> {
+    key: String,
+    value: &'a str,
+    tag: Option<String>,
+}
+
+/// The one definition of a valid segment record line, shared by open,
+/// import and [`ResultStore::verify_dir`]: JSON, checked as strictly as
+/// parsing it would, that is an object whose `key` is a string and that
+/// has a `value`. A `tag` that is not a string reads as no tag. As
+/// `Value::get` reads a record, the first member of each name counts.
+/// Builds no tree: the payload stays text.
+fn decode_record(line: &str) -> Result<Record<'_>, LineError> {
+    let (mut key, mut value, mut tag) = (None, None, None);
+    serde_json::scan_fields(line, |name, raw| {
+        let slot = match &*name {
+            "key" => &mut key,
+            "value" => &mut value,
+            "tag" => &mut tag,
+            _ => return,
+        };
+        slot.get_or_insert(raw);
+    })
+    .map_err(LineError::Syntax)?;
+    match (key.and_then(serde_json::str_literal), value) {
+        (Some(key), Some(value)) => Ok(Record {
+            key: key.into_owned(),
+            value,
+            tag: tag.and_then(serde_json::str_literal).map(Cow::into_owned),
+        }),
+        _ => Err(LineError::Shape),
+    }
+}
+
+/// Checks a segment's header line: JSON naming this store's kind.
+fn check_header(line: &str) -> Result<(), String> {
+    let head: Value = serde_json::from_str(line).map_err(|e| format!("bad header: {e}"))?;
+    if head.get("kind").and_then(Value::as_str) == Some(STORE_KIND) {
+        Ok(())
+    } else {
+        Err("not a wrsn result-store segment".to_string())
+    }
+}
+
+/// A corrupt record line as open and import report it.
+fn record_fault(path: &Path, line: usize, e: LineError) -> StoreError {
+    match e {
+        LineError::Syntax(e) => StoreError::parse(path, line, e),
+        LineError::Shape => StoreError::parse(path, line, "segment record missing key/value"),
+    }
+}
+
 /// Why a segment could not be loaded: corruption (quarantinable) or a
 /// filesystem failure (fatal — the directory itself may be sick).
 enum SegmentFault {
@@ -298,38 +414,32 @@ enum SegmentFault {
     Io(StoreError),
 }
 
-/// Parses one segment into `(key, value, tag)` triples. Any shape
-/// problem — bad header, foreign kind, malformed interior line,
-/// record missing its key/value — is a [`SegmentFault::Corrupt`].
+/// Reads one segment and hands each record to `each`, in order, once
+/// the whole segment has checked clean. Any shape problem — no header,
+/// a foreign kind, a malformed line before the torn tail, a record
+/// missing its key or value — is a [`SegmentFault::Corrupt`], and the
+/// file is left as found for quarantine. A torn tail is cut off the
+/// file.
 fn load_segment(
     vfs: &dyn Vfs,
     path: &Path,
-) -> Result<Vec<(String, Value, Option<String>)>, SegmentFault> {
-    let (head, records) = match read_log_on(vfs, path) {
-        Ok(parsed) => parsed,
-        Err(e @ StoreError::Io { .. }) => return Err(SegmentFault::Io(e)),
-        Err(e @ StoreError::Parse { .. }) => return Err(SegmentFault::Corrupt(e.to_string())),
-    };
-    if head.get("kind").and_then(Value::as_str) != Some(STORE_KIND) {
-        return Err(SegmentFault::Corrupt(
-            "not a wrsn result-store segment".to_string(),
-        ));
+    each: impl FnMut(Record<'_>),
+) -> Result<(), SegmentFault> {
+    let text = vfs
+        .read_to_string(path)
+        .map_err(|e| SegmentFault::Io(StoreError::io(path, e)))?;
+    let corrupt = |e: StoreError| SegmentFault::Corrupt(e.to_string());
+    let log = read_lines(&text, decode_record)
+        .ok_or_else(|| corrupt(StoreError::parse(path, 1, "empty log (missing header)")))?;
+    check_header(log.header).map_err(|why| corrupt(StoreError::parse(path, 1, why)))?;
+    if let Some((line, e)) = log.corrupt {
+        return Err(corrupt(record_fault(path, line, e)));
     }
-    let mut out = Vec::with_capacity(records.len());
-    for rec in records {
-        let (Some(key), Some(value)) = (rec.get("key").and_then(Value::as_str), rec.get("value"))
-        else {
-            return Err(SegmentFault::Corrupt(
-                "segment record missing key/value".to_string(),
-            ));
-        };
-        let tag = rec
-            .get("tag")
-            .and_then(Value::as_str)
-            .map(ToString::to_string);
-        out.push((key.to_string(), value.clone(), tag));
+    if let Some(keep) = log.torn_at {
+        truncate_torn_tail(vfs, path, keep, text.len() - keep);
     }
-    Ok(out)
+    log.records.into_iter().for_each(each);
+    Ok(())
 }
 
 /// Sets a corrupt segment aside as `{name}.quarantine` so the store
@@ -408,17 +518,19 @@ impl ResultStore {
         for path in segments {
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
             max_seq = max_seq.max(segment_seq(name).unwrap_or(0));
-            match load_segment(&*vfs, &path) {
-                Ok(records) => {
-                    for (key, value, tag) in records {
-                        // Later segments win, making compaction
-                        // replay-safe.
-                        entries.insert(key, StoredEntry { value, tag, order });
-                        order += 1;
-                        total_records += 1;
-                    }
-                    live_segments.push(path);
-                }
+            let loaded = load_segment(&*vfs, &path, |record| {
+                // Later segments win, making compaction replay-safe.
+                let entry = StoredEntry {
+                    payload: Payload::unparsed(record.value),
+                    tag: record.tag,
+                    order,
+                };
+                entries.insert(record.key, entry);
+                order += 1;
+                total_records += 1;
+            });
+            match loaded {
+                Ok(()) => live_segments.push(path),
                 // One bad segment must not brick the node: set it
                 // aside and serve the rest. Only a filesystem failure
                 // (unreadable directory or file) stays fatal.
@@ -472,14 +584,12 @@ impl ResultStore {
         Ok(total)
     }
 
-    /// Live entries in insertion order (oldest first), as serialized
-    /// records.
-    fn ordered_records(entries: &BTreeMap<String, StoredEntry>) -> Vec<Value> {
+    /// Live entries in insertion order (oldest first), as segment
+    /// lines.
+    fn ordered_lines(entries: &BTreeMap<String, StoredEntry>) -> Vec<String> {
         let mut live: Vec<(&String, &StoredEntry)> = entries.iter().collect();
         live.sort_by_key(|(_, e)| e.order);
-        live.iter()
-            .map(|(k, e)| record(k, &e.value, e.tag.as_deref()))
-            .collect()
+        live.iter().map(|(k, e)| e.line(k)).collect()
     }
 
     /// Folds every live entry into one `seg-00000000-compact.jsonl`
@@ -491,8 +601,8 @@ impl ResultStore {
     fn compact(&self, old_segments: &[PathBuf]) -> Result<(), StoreError> {
         let target = self.dir.join("seg-00000000-compact.jsonl");
         let _writer = self.writer.lock();
-        let records = ResultStore::ordered_records(&self.index.lock().entries);
-        write_log_on(
+        let records = ResultStore::ordered_lines(&self.index.lock().entries);
+        write_lines_on(
             &*self.vfs,
             &target,
             &header(),
@@ -509,13 +619,16 @@ impl ResultStore {
         Ok(())
     }
 
-    /// The payload stored under `key`, if any.
+    /// The payload stored under `key`, if any. A payload read from
+    /// disk is parsed on its first read and shared after that.
     #[must_use]
-    pub fn get(&self, key: &Fingerprint) -> Option<Value> {
+    pub fn get(&self, key: &Fingerprint) -> Option<Arc<Value>> {
         // Every event loop and worker reads through this lock: format
-        // the key before taking it.
+        // the key before taking it, and parse after releasing it, so
+        // the lock covers a lookup and a reference count.
         let hex = key.to_hex();
-        self.index.lock().entries.get(&hex).map(|e| e.value.clone())
+        let payload = Arc::clone(&self.index.lock().entries.get(&hex)?.payload);
+        Some(payload.tree())
     }
 
     /// Stores `value` under `key` with no reachability tag; see
@@ -523,7 +636,7 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when the segment cannot be written.
+    /// As [`ResultStore::put_tagged`].
     pub fn put(&self, key: &Fingerprint, value: Value) -> Result<bool, StoreError> {
         self.insert(key, value, None)
     }
@@ -538,7 +651,9 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when the segment cannot be written.
+    /// [`StoreError::Io`] when the segment cannot be written;
+    /// [`StoreError::Parse`] for a payload nested so deep (arrays and
+    /// objects more than 127 levels) that its line would not read back.
     pub fn put_tagged(
         &self,
         key: &Fingerprint,
@@ -580,6 +695,14 @@ impl ResultStore {
         if self.index.lock().entries.contains_key(hex) {
             return Ok(false);
         }
+        let payload = Payload::parsed(value);
+        let line = record_line(hex, &payload.text, tag);
+        // Append only a line that open reads back: a payload nested past
+        // the parser's limit would make its whole segment look corrupt.
+        if let Err(e) = decode_record(&line) {
+            let why = format!("the payload under {hex} would not read back: {e}");
+            return Err(StoreError::parse(&self.dir, 0, why));
+        }
         if writer.active.is_none() {
             let name = format!(
                 "seg-{:08}-{}-{}.jsonl",
@@ -597,7 +720,7 @@ impl ResultStore {
             )?);
         }
         let active = writer.active.as_mut().expect("just ensured");
-        if let Err(e) = active.append(&record(hex, &value, tag)) {
+        if let Err(e) = active.append_line(&line) {
             writer.active = None;
             return Err(e);
         }
@@ -619,7 +742,7 @@ impl ResultStore {
         self.index.lock().insert(
             hex.to_string(),
             StoredEntry {
-                value,
+                payload,
                 tag: tag.map(ToString::to_string),
                 order,
             },
@@ -667,11 +790,7 @@ impl ResultStore {
                 + 1;
             let mut sized: Vec<(String, u64, u64)> = entries
                 .iter()
-                .map(|(k, e)| {
-                    let line = serde_json::to_string(&record(k, &e.value, e.tag.as_deref()))
-                        .expect("a Value always serializes");
-                    (k.clone(), e.order, line.len() as u64 + 1)
-                })
+                .map(|(k, e)| (k.clone(), e.order, e.line(k).len() as u64 + 1))
                 .collect();
             sized.sort_by_key(|(_, order, _)| *order);
             let mut total: u64 = header_bytes + sized.iter().map(|(_, _, b)| b).sum::<u64>();
@@ -685,7 +804,7 @@ impl ResultStore {
             }
         }
 
-        let records = ResultStore::ordered_records(entries);
+        let records = ResultStore::ordered_lines(entries);
         let kept = entries.len() as u64;
         drop(index);
 
@@ -694,7 +813,7 @@ impl ResultStore {
         // its file is among the segments being replaced.
         writer.active = None;
         let target = self.dir.join("seg-00000000-compact.jsonl");
-        write_log_on(
+        write_lines_on(
             &*self.vfs,
             &target,
             &header(),
@@ -849,52 +968,28 @@ impl ResultStore {
     /// append fails.
     pub fn import_segment_text(&self, text: &str) -> Result<ImportReport, StoreError> {
         let pseudo = self.dir.join("<import>");
-        let terminated = text.ends_with('\n');
-        let lines: Vec<&str> = text.lines().collect();
-        if lines.is_empty() || lines[0].trim().is_empty() {
-            return Err(StoreError::parse(
-                &pseudo,
-                1,
-                "empty segment (missing header)",
-            ));
-        }
-        let head: Value = serde_json::from_str(lines[0])
-            .map_err(|e| StoreError::parse(&pseudo, 1, format!("bad header: {e}")))?;
-        if head.get("kind").and_then(Value::as_str) != Some(STORE_KIND) {
-            return Err(StoreError::parse(
-                &pseudo,
-                1,
-                "not a wrsn result-store segment",
-            ));
-        }
+        // Appends render the payload from its tree, as a put does, so
+        // parse each one as its line is read.
+        let log = read_lines(text, |line| {
+            let record = decode_record(line)?;
+            let value: Value = serde_json::from_str(record.value).map_err(LineError::Syntax)?;
+            Ok((record.key, value, record.tag))
+        })
+        .ok_or_else(|| StoreError::parse(&pseudo, 1, "empty segment (missing header)"))?;
+        check_header(log.header).map_err(|why| StoreError::parse(&pseudo, 1, why))?;
         let mut report = ImportReport::default();
         let mut writer = self.writer.lock();
-        for (i, raw) in lines.iter().enumerate().skip(1) {
-            if raw.trim().is_empty() {
-                continue;
-            }
-            let rec = match serde_json::from_str::<Value>(raw) {
-                Ok(v) => v,
-                Err(_) if i + 1 == lines.len() && !terminated => break,
-                Err(e) => return Err(StoreError::parse(&pseudo, i + 1, e)),
-            };
-            let (Some(key), Some(value)) =
-                (rec.get("key").and_then(Value::as_str), rec.get("value"))
-            else {
-                return Err(StoreError::parse(
-                    &pseudo,
-                    i + 1,
-                    "segment record missing key/value",
-                ));
-            };
-            let tag = rec.get("tag").and_then(Value::as_str);
-            if self.insert_raw(&mut writer, key, value.clone(), tag)? {
+        for (key, value, tag) in log.records {
+            if self.insert_raw(&mut writer, &key, value, tag.as_deref())? {
                 report.imported += 1;
             } else {
                 report.skipped += 1;
             }
         }
-        Ok(report)
+        match log.corrupt {
+            Some((line, e)) => Err(record_fault(&pseudo, line, e)),
+            None => Ok(report),
+        }
     }
 
     /// An order-independent digest of the key set, `{count}:{32 hex}`:
@@ -1006,49 +1101,21 @@ fn verify_segment_text(
     seg: &mut SegmentVerify,
     keys: &mut std::collections::BTreeSet<String>,
 ) {
-    let terminated = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    if lines.is_empty() || lines[0].trim().is_empty() {
+    let Some(log) = read_lines(text, decode_record) else {
         seg.error = Some("empty segment (missing header)".to_string());
         return;
-    }
-    let head: Value = match serde_json::from_str(lines[0]) {
-        Ok(v) => v,
-        Err(e) => {
-            seg.error = Some(format!("bad header: {e}"));
-            return;
-        }
     };
-    if head.get("kind").and_then(Value::as_str) != Some(STORE_KIND) {
-        seg.error = Some("not a wrsn result-store segment".to_string());
+    if let Err(why) = check_header(log.header) {
+        seg.error = Some(why);
         return;
     }
-    for (i, raw) in lines.iter().enumerate().skip(1) {
-        if raw.trim().is_empty() {
-            continue;
-        }
-        let rec = match serde_json::from_str::<Value>(raw) {
-            Ok(v) => v,
-            Err(_) if i + 1 == lines.len() && !terminated => {
-                seg.torn_tail = true;
-                break;
-            }
-            Err(e) => {
-                seg.error = Some(format!("line {}: {e}", i + 1));
-                return;
-            }
-        };
-        match rec.get("key").and_then(Value::as_str) {
-            Some(key) if rec.get("value").is_some() => {
-                keys.insert(key.to_string());
-                seg.records += 1;
-            }
-            _ => {
-                seg.error = Some(format!("line {}: record missing key/value", i + 1));
-                return;
-            }
-        }
-    }
+    seg.records = log.records.len() as u64;
+    keys.extend(log.records.into_iter().map(|record| record.key));
+    seg.torn_tail = log.torn_at.is_some();
+    seg.error = log.corrupt.map(|(line, e)| match e {
+        LineError::Syntax(e) => format!("line {line}: {e}"),
+        LineError::Shape => format!("line {line}: record missing key/value"),
+    });
 }
 
 impl std::fmt::Debug for ResultStore {
@@ -1062,7 +1129,11 @@ impl std::fmt::Debug for ResultStore {
 }
 
 #[cfg(test)]
+mod differential;
+
+#[cfg(test)]
 mod tests {
+    use super::differential::record;
     use super::*;
     use crate::jsonl::write_log;
     use crate::vfs::FaultFs;
@@ -1097,11 +1168,11 @@ mod tests {
         assert!(store.is_empty());
         assert!(store.put(&key("a"), 1u64.to_value()).unwrap());
         assert!(store.put(&key("b"), 2u64.to_value()).unwrap());
-        assert_eq!(store.get(&key("a")), Some(1u64.to_value()));
+        assert_eq!(store.get(&key("a")).as_deref(), Some(&1u64.to_value()));
         assert_eq!(store.get(&key("missing")), None);
         let reopened = ResultStore::open(&dir).unwrap();
         assert_eq!(reopened.len(), 2);
-        assert_eq!(reopened.get(&key("b")), Some(2u64.to_value()));
+        assert_eq!(reopened.get(&key("b")).as_deref(), Some(&2u64.to_value()));
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1132,8 +1203,8 @@ mod tests {
 
         let reopened = ResultStore::open(&dir).unwrap();
         assert_eq!(reopened.len(), 2, "intact entries survive the torn tail");
-        assert_eq!(reopened.get(&key("a")), Some(1u64.to_value()));
-        assert_eq!(reopened.get(&key("b")), Some(2u64.to_value()));
+        assert_eq!(reopened.get(&key("a")).as_deref(), Some(&1u64.to_value()));
+        assert_eq!(reopened.get(&key("b")).as_deref(), Some(&2u64.to_value()));
         reopened.put(&key("c"), 3u64.to_value()).unwrap();
         drop(reopened);
         let again = ResultStore::open(&dir).unwrap();
@@ -1163,7 +1234,10 @@ mod tests {
         assert_eq!(reopened.len(), 10);
         assert_eq!(reopened.segment_count().unwrap(), 1, "compacted on open");
         for i in 0..10u64 {
-            assert_eq!(reopened.get(&key(&format!("k{i}"))), Some(i.to_value()));
+            assert_eq!(
+                reopened.get(&key(&format!("k{i}"))).as_deref(),
+                Some(&i.to_value())
+            );
         }
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -1177,16 +1251,27 @@ mod tests {
                 store.put(&key(&format!("k{i}")), i.to_value()).unwrap();
             }
         }
+        let entries = |store: &ResultStore| -> Vec<(String, String, Option<String>, u64)> {
+            let index = store.index.lock();
+            let entries = index.entries.iter();
+            entries
+                .map(|(k, e)| {
+                    (
+                        k.clone(),
+                        e.payload.text.to_string(),
+                        e.tag.clone(),
+                        e.order,
+                    )
+                })
+                .collect()
+        };
         let first = ResultStore::open(&dir).unwrap();
         assert_eq!(first.segment_count().unwrap(), 1);
-        let entries_after_first: Vec<(String, StoredEntry)> =
-            first.index.lock().entries.clone().into_iter().collect();
+        let entries_after_first = entries(&first);
         drop(first);
         let second = ResultStore::open(&dir).unwrap();
         assert_eq!(second.segment_count().unwrap(), 1);
-        let entries_after_second: Vec<(String, StoredEntry)> =
-            second.index.lock().entries.clone().into_iter().collect();
-        assert_eq!(entries_after_first, entries_after_second);
+        assert_eq!(entries_after_first, entries(&second));
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1209,7 +1294,7 @@ mod tests {
         .unwrap();
         let store = ResultStore::open(&dir).unwrap();
         assert_eq!(store.len(), 1);
-        assert_eq!(store.get(&key("dup")), Some(2u64.to_value()));
+        assert_eq!(store.get(&key("dup")).as_deref(), Some(&2u64.to_value()));
         assert_eq!(store.segment_count().unwrap(), 1, "duplicates compacted");
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -1259,7 +1344,7 @@ mod tests {
         )
         .unwrap();
         let store = ResultStore::open(&dir).unwrap();
-        assert_eq!(store.get(&key("good")), Some(1u64.to_value()));
+        assert_eq!(store.get(&key("good")).as_deref(), Some(&1u64.to_value()));
         assert_eq!(store.get(&key("lost")), None, "whole bad segment drops");
         assert_eq!(store.io_stats().quarantined, 1);
         assert!(dir.join("seg-00000002-1.jsonl.quarantine").exists());
@@ -1360,8 +1445,8 @@ mod tests {
             );
             for i in 0..PUTS {
                 assert_eq!(
-                    recovered.get(&key(&format!("k{i}"))),
-                    ((i as usize) < n).then(|| i.to_value()),
+                    recovered.get(&key(&format!("k{i}"))).as_deref(),
+                    ((i as usize) < n).then(|| i.to_value()).as_ref(),
                     "offset {offset}: recovered set must be the prefix k0..k{n}"
                 );
             }
@@ -1412,8 +1497,8 @@ mod tests {
         let recovered = ResultStore::open(&dir).unwrap();
         for i in &acked {
             assert_eq!(
-                recovered.get(&key(&format!("k{i}"))),
-                Some(i.to_value()),
+                recovered.get(&key(&format!("k{i}"))).as_deref(),
+                Some(&i.to_value()),
                 "acked k{i} must survive reopen"
             );
         }
@@ -1506,7 +1591,7 @@ mod tests {
             report.bytes_reclaimed(),
             report.bytes_before - report.bytes_after
         );
-        assert_eq!(store.get(&key("new")), Some(1u64.to_value()));
+        assert_eq!(store.get(&key("new")).as_deref(), Some(&1u64.to_value()));
         assert_eq!(store.get(&key("old")), None);
         assert_eq!(store.get(&key("legacy")), None);
         // The rewrite survives a reopen.
@@ -1533,7 +1618,7 @@ mod tests {
         assert!(report.bytes_after <= full / 2, "{report:?}");
         // Oldest keys go first; the newest must survive.
         assert_eq!(store.get(&key("k0")), None);
-        assert_eq!(store.get(&key("k7")), Some(7u64.to_value()));
+        assert_eq!(store.get(&key("k7")).as_deref(), Some(&7u64.to_value()));
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1567,8 +1652,14 @@ mod tests {
         drop((a, b));
         let merged = ResultStore::open(&dir).unwrap();
         assert_eq!(merged.len(), 2, "both writers' segments survive");
-        assert_eq!(merged.get(&key("from-a")), Some(1u64.to_value()));
-        assert_eq!(merged.get(&key("from-b")), Some(2u64.to_value()));
+        assert_eq!(
+            merged.get(&key("from-a")).as_deref(),
+            Some(&1u64.to_value())
+        );
+        assert_eq!(
+            merged.get(&key("from-b")).as_deref(),
+            Some(&2u64.to_value())
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1585,7 +1676,7 @@ mod tests {
         )
         .unwrap();
         let store = ResultStore::open(&dir).unwrap();
-        assert_eq!(store.get(&key("old")), Some(7u64.to_value()));
+        assert_eq!(store.get(&key("old")).as_deref(), Some(&7u64.to_value()));
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1634,7 +1725,7 @@ mod tests {
         let report = b.import_segment_text(&text).unwrap();
         assert_eq!(report.imported, 1, "only the absent key lands");
         assert_eq!(report.skipped, 1, "the present key is left untouched");
-        assert_eq!(b.get(&key("x")), Some(1u64.to_value()));
+        assert_eq!(b.get(&key("x")).as_deref(), Some(&1u64.to_value()));
         assert_eq!(a.keys_digest(), b.keys_digest(), "same key set converges");
         // Re-importing is a no-op.
         let again = b.import_segment_text(&text).unwrap();
@@ -1693,7 +1784,10 @@ mod tests {
         drop(b);
         let recovered = ResultStore::open(&dir_b).unwrap();
         for i in 0..4u64 {
-            assert_eq!(recovered.get(&key(&format!("g{i}"))), Some(i.to_value()));
+            assert_eq!(
+                recovered.get(&key(&format!("g{i}"))).as_deref(),
+                Some(&i.to_value())
+            );
         }
         let _ = std::fs::remove_dir_all(dir_a);
         let _ = std::fs::remove_dir_all(dir_b);
@@ -1802,7 +1896,7 @@ mod tests {
         let read = rx.recv_timeout(std::time::Duration::from_secs(5));
         go_tx.send(()).unwrap();
         let (value, len) = read.expect("a read waited on the pass over the keys");
-        assert_eq!(value, Some(0u64.to_value()));
+        assert_eq!(value.as_deref(), Some(&0u64.to_value()));
         assert_eq!(len, count);
         assert_eq!(pass.join().unwrap(), count, "every key, once");
         reader.join().unwrap();
@@ -1936,12 +2030,12 @@ mod tests {
         let read = rx.recv_timeout(std::time::Duration::from_secs(5));
         fs.gate.update(|s| s.2 = true);
         let (a, b, len) = read.expect("a read waited on the blocked append");
-        assert_eq!(a, Some(1u64.to_value()));
+        assert_eq!(a.as_deref(), Some(&1u64.to_value()));
         assert_eq!(b, None, "a key is invisible until its append returns");
         assert_eq!(len, 1);
         assert!(writer.join().unwrap().unwrap());
         reader.join().unwrap();
-        assert_eq!(store.get(&key("b")), Some(2u64.to_value()));
+        assert_eq!(store.get(&key("b")).as_deref(), Some(&2u64.to_value()));
         assert_eq!(store.len(), 2);
         let _ = std::fs::remove_dir_all(dir);
     }

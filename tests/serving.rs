@@ -708,6 +708,33 @@ fn a_megabyte_string_body_answers_promptly_and_frees_the_worker() {
 }
 
 #[test]
+fn deeply_nested_bodies_answer_400_and_the_server_keeps_serving() {
+    // A megabyte of `[` must not overflow a worker's stack and abort
+    // the whole server: the parser stops at 128 levels. The short body
+    // is small enough for the event loop to try as a stored solve
+    // before a worker answers it.
+    let mut api = ApiContext::new();
+    api.store = Some(Arc::new(ResultStore::open(scratch("deep-bodies")).unwrap()));
+    let server = start_with(
+        api,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.addr().to_string();
+    for body in ["[".repeat(1 << 20), "[".repeat(4000)] {
+        let reply = post_within_5s(&addr, "/v1/solve", &body);
+        let head = &reply[..200.min(reply.len())];
+        assert!(reply.starts_with("HTTP/1.1 400"), "{head}");
+        assert!(reply.contains("recursion limit exceeded"), "{head}");
+        let health = raw_within(&addr, "GET", "/healthz", None, Duration::from_secs(5));
+        assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+    }
+    server.shutdown().unwrap();
+}
+
+#[test]
 fn a_zero_timeline_answers_400_naming_timeline() {
     let server = start(ApiContext::new(), 1, 4);
     let addr = server.addr().to_string();
@@ -828,8 +855,10 @@ fn loadgen_sustains_cached_solves() {
     server.shutdown().unwrap();
 }
 
-/// A retry policy tuned for tests: the server's `Retry-After: 1` is
-/// clamped to `cap`, so a small cap keeps chaos runs fast.
+/// A retry policy tuned for tests. A chaos 500 names no pause, so its
+/// retry waits the client's own jittered backoff from `base` (2–6 ms
+/// for a first retry); a `Retry-After: 1` on a 429, 503 or 504 is
+/// clamped to `cap`, so a small cap keeps those runs fast too.
 fn fast_retry(seed: u64) -> RetryPolicy {
     RetryPolicy {
         max_retries: 10,
