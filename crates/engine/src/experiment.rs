@@ -9,7 +9,7 @@ use crate::{
 };
 use parking_lot::Mutex;
 use serde::{Deserialize as _, Serialize as _};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -110,6 +110,9 @@ pub fn seed_fingerprint_in(
 /// scenario-free sweeps stay valid; a `Some` scenario folds its
 /// canonical JSON into the key, so any scenario-parameter change
 /// invalidates cached scheduling runs.
+///
+/// This is [`KeyPrefix::new`] followed by [`KeyPrefix::key`]: callers
+/// that key many seeds of one cell build the prefix once.
 #[must_use]
 pub fn seed_fingerprint_scenario(
     namespace: Option<&str>,
@@ -120,33 +123,88 @@ pub fn seed_fingerprint_scenario(
     capture_history: bool,
     seed: u64,
 ) -> Fingerprint {
-    let mut fp = FingerprintBuilder::new("wrsn-seedrun-v1");
-    if let Some(ns) = namespace {
-        fp.push_str("tenant");
-        fp.push_str(ns);
-    }
-    if let Some(spec) = scenario {
-        fp.push_str("scenario");
-        fp.push_str(&spec.canonical_json());
-    }
-    fp.push_str(engine_version);
-    fp.push_str(solver);
-    match source {
-        InstanceSource::Sampled(sampler) => {
-            fp.push_str("sampled");
-            // The sampler's Debug form spells out every parameter
-            // (field, counts, levels, radio, charge model), so any
-            // configuration change invalidates the key.
-            fp.push_str(&format!("{sampler:?}"));
+    KeyPrefix::new(
+        namespace,
+        scenario,
+        source,
+        solver,
+        engine_version,
+        capture_history,
+    )
+    .key(seed)
+}
+
+/// Everything a sweep cell's store key absorbs before its seed. The
+/// sampler's rendering dominates the key's cost and no seed changes
+/// it, so a sweep builds the prefix once and finishes each seed's key
+/// from a copy, with the same bytes as [`seed_fingerprint_scenario`].
+///
+/// # Examples
+///
+/// ```
+/// use wrsn_core::InstanceSampler;
+/// use wrsn_engine::{seed_fingerprint_scenario, InstanceSource, KeyPrefix, ENGINE_VERSION};
+/// use wrsn_geom::Field;
+///
+/// let source = InstanceSource::Sampled(InstanceSampler::new(Field::square(200.0), 10, 30));
+/// let prefix = KeyPrefix::new(None, None, &source, "idb", ENGINE_VERSION, false);
+/// let key = seed_fingerprint_scenario(None, None, &source, "idb", ENGINE_VERSION, false, 7);
+/// assert_eq!(prefix.key(7), key);
+/// ```
+#[derive(Debug, Clone)]
+pub struct KeyPrefix(FingerprintBuilder);
+
+impl KeyPrefix {
+    /// Absorbs the cell's namespace, scenario, engine version, solver,
+    /// instance source and history flag, in the key's order.
+    #[must_use]
+    pub fn new(
+        namespace: Option<&str>,
+        scenario: Option<&ScenarioSpec>,
+        source: &InstanceSource,
+        solver: &str,
+        engine_version: &str,
+        capture_history: bool,
+    ) -> Self {
+        let mut fp = FingerprintBuilder::new("wrsn-seedrun-v1");
+        if let Some(ns) = namespace {
+            fp.push_str("tenant");
+            fp.push_str(ns);
         }
-        InstanceSource::Spec(spec) => {
-            fp.push_str("spec");
-            fp.push_str(&spec.to_json());
+        if let Some(spec) = scenario {
+            fp.push_str("scenario");
+            fp.push_str(&spec.canonical_json());
         }
+        fp.push_str(engine_version);
+        fp.push_str(solver);
+        match source {
+            InstanceSource::Sampled(sampler) => {
+                fp.push_str("sampled");
+                // The sampler's Debug form spells out every parameter
+                // (field, counts, levels, radio, charge model), so any
+                // configuration change invalidates the key. It runs to
+                // about 300 bytes at three levels: sizing the buffer
+                // once spares the six regrowths `format!` would make.
+                let mut text = String::with_capacity(512);
+                write!(text, "{sampler:?}").expect("formatting into a String cannot fail");
+                fp.push_str(&text);
+            }
+            InstanceSource::Spec(spec) => {
+                fp.push_str("spec");
+                fp.push_str(&spec.to_json());
+            }
+        }
+        fp.push_bool(capture_history);
+        KeyPrefix(fp)
     }
-    fp.push_bool(capture_history);
-    fp.push_u64(seed);
-    fp.finish()
+
+    /// The store key of `seed` under this prefix.
+    #[must_use]
+    pub fn key(&self, seed: u64) -> Fingerprint {
+        let mut fp = self.0.clone();
+        fp.push_u64(seed);
+        fp.finish()
+    }
 }
 
 /// A per-seed progress notification from a running sweep — how the CLI
@@ -565,22 +623,26 @@ impl Experiment {
         // restored from the cache (like resumed seeds) and never reach
         // the solver; the rest stay pending.
         let mut cache_stats = CacheStats::default();
-        if let Some(store) = &self.cache {
+        // One key prefix serves every seed's read and write; a sweep
+        // without a store builds none.
+        let cache = self.cache.as_ref().map(|store| {
+            let prefix = KeyPrefix::new(
+                self.cache_namespace.as_deref(),
+                self.scenario.as_ref(),
+                &self.source,
+                &self.solver,
+                ENGINE_VERSION,
+                self.capture_history,
+            );
+            (store, prefix)
+        });
+        if let Some((store, prefix)) = &cache {
             let mut misses = Vec::with_capacity(pending.len());
             for seed in pending {
-                let key = seed_fingerprint_scenario(
-                    self.cache_namespace.as_deref(),
-                    self.scenario.as_ref(),
-                    &self.source,
-                    &self.solver,
-                    ENGINE_VERSION,
-                    self.capture_history,
-                    seed,
-                );
                 // An unreadable payload (future format change) counts as
                 // a miss and is recomputed.
                 let hit = store
-                    .get(&key)
+                    .get(&prefix.key(seed))
                     .and_then(|payload| SeedRun::from_value(&payload).ok());
                 match hit {
                     Some(run) => {
@@ -746,23 +808,14 @@ impl Experiment {
         // Append freshly solved seeds to the cache. Timings are zeroed
         // in the stored payload — a later cache hit truthfully reports
         // zero wall-clock, and stored payloads stay deterministic.
-        if let Some(store) = &self.cache {
+        if let Some((store, prefix)) = &cache {
             for (seed, outcome) in pending.iter().zip(&outcomes) {
                 if let SeedOutcome::Ok { value, attempts } = outcome {
                     let mut run = value.clone();
                     run.attempts = *attempts;
                     run.setup_ms = 0.0;
                     run.solve_ms = 0.0;
-                    let key = seed_fingerprint_scenario(
-                        self.cache_namespace.as_deref(),
-                        self.scenario.as_ref(),
-                        &self.source,
-                        &self.solver,
-                        ENGINE_VERSION,
-                        self.capture_history,
-                        *seed,
-                    );
-                    if store.put_tagged(&key, run.to_value(), &cache_tag())? {
+                    if store.put_tagged(&prefix.key(*seed), run.to_value(), &cache_tag())? {
                         cache_stats.appended += 1;
                     }
                 }

@@ -5,13 +5,14 @@
 //! server module wires them to parsed [`crate::http::Request`]s.
 
 use serde::{Deserialize, Serialize, Value};
+use std::cell::RefCell;
 use std::sync::Arc;
 use wrsn_core::{Instance, Solution};
 use wrsn_energy::Energy;
 use wrsn_engine::{
-    plan_tour_schedule, seed_fingerprint_scenario, CacheStats, EngineError, Experiment,
-    Fingerprint, InstanceParams, InstanceSource, ProgressFeed, ResultStore, SeedRun,
-    SolverRegistry, TourSchedule, ENGINE_VERSION, MAX_POSTS,
+    plan_tour_schedule, CacheStats, EngineError, Experiment, Fingerprint, InstanceParams,
+    InstanceSource, KeyPrefix, ProgressFeed, ResultStore, SeedRun, SolverRegistry, TourSchedule,
+    ENGINE_VERSION, MAX_POSTS,
 };
 use wrsn_sim::{ChargerPolicy, FaultPlan, SimConfig, SimReport, Simulator};
 
@@ -92,43 +93,104 @@ impl Default for SolveRequest {
     }
 }
 
-/// The store key of one (instance, solver, seed) cell under `namespace`:
-/// the key the cached pipeline reads and writes, with the instance's
+/// The key prefix of one (instance, solver) cell under `namespace`: the
+/// prefix the cached pipeline keys each seed under, with the instance's
 /// scenario folded in.
-fn cell_key(
+fn cell_prefix(
     namespace: Option<&str>,
     instance: &InstanceParams,
     source: &InstanceSource,
     solver: &str,
-    seed: u64,
-) -> Fingerprint {
-    seed_fingerprint_scenario(
+) -> KeyPrefix {
+    KeyPrefix::new(
         namespace,
         instance.scenario.as_ref(),
         source,
         solver,
         ENGINE_VERSION,
         false,
-        seed,
     )
+}
+
+/// The inputs of the last sampled solve keyed on this thread, and the
+/// prefix they built. Inputs are stored only once they have passed
+/// [`InstanceParams::source`], so a request that matches them exactly
+/// would pass again and can skip it.
+struct SolvePrefix {
+    namespace: Option<String>,
+    solver: String,
+    instance: InstanceParams,
+    prefix: KeyPrefix,
+}
+
+impl SolvePrefix {
+    /// Whether sampled `req` under `namespace` builds this prefix: equal
+    /// inputs, floats compared by bit pattern. The scenario's floats are
+    /// all positive once validated, where `==` is exact.
+    fn matches(&self, namespace: Option<&str>, req: &SolveRequest) -> bool {
+        // Destructured so that a new parameter cannot be left out.
+        let InstanceParams {
+            posts,
+            nodes,
+            field,
+            levels,
+            eta,
+            cap,
+            spec: _,
+            scenario,
+        } = &self.instance;
+        let other = &req.instance;
+        self.namespace.as_deref() == namespace
+            && self.solver == req.solver
+            && *posts == other.posts
+            && *nodes == other.nodes
+            && field.to_bits() == other.field.to_bits()
+            && *levels == other.levels
+            && eta.to_bits() == other.eta.to_bits()
+            && *cap == other.cap
+            && *scenario == other.scenario
+    }
+}
+
+thread_local! {
+    /// One entry per thread: a thread answering a run of solves of one
+    /// cell keys each of them from it, and a thread that alternates
+    /// cells pays a comparison per miss. No lock is shared.
+    static SOLVE_PREFIX: RefCell<Option<SolvePrefix>> = const { RefCell::new(None) };
 }
 
 impl SolveRequest {
     /// The store key [`ApiContext::solve_in`] reads and writes for this
-    /// request under `namespace`.
+    /// request under `namespace`. A sampled request reuses the key
+    /// prefix of the last one on this thread when their inputs match.
     ///
     /// # Errors
     ///
     /// The instance parameter errors of [`InstanceParams::source`].
     pub fn cache_key(&self, namespace: Option<&str>) -> Result<Fingerprint, EngineError> {
-        let source = self.instance.source()?;
-        Ok(cell_key(
-            namespace,
-            &self.instance,
-            &source,
-            &self.solver,
-            self.seed,
-        ))
+        // A pinned spec builds its prefix afresh: its JSON spells a post
+        // at `-0.0` apart from one at `0.0`, which `==` equates.
+        if self.instance.spec.is_some() {
+            let source = self.instance.source()?;
+            return Ok(
+                cell_prefix(namespace, &self.instance, &source, &self.solver).key(self.seed),
+            );
+        }
+        SOLVE_PREFIX.with_borrow_mut(|memo| {
+            let memo = match memo {
+                Some(last) if last.matches(namespace, self) => last,
+                _ => {
+                    let source = self.instance.source()?;
+                    memo.insert(SolvePrefix {
+                        namespace: namespace.map(str::to_string),
+                        solver: self.solver.clone(),
+                        instance: self.instance.clone(),
+                        prefix: cell_prefix(namespace, &self.instance, &source, &self.solver),
+                    })
+                }
+            };
+            Ok(memo.prefix.key(self.seed))
+        })
     }
 }
 
@@ -508,7 +570,8 @@ impl Default for SweepRequest {
 
 impl SweepRequest {
     /// The store key of every seed of the sweep under `namespace`, in
-    /// seed order: [`SolveRequest::cache_key`] per seed.
+    /// seed order: [`SolveRequest::cache_key`] per seed, from one key
+    /// prefix.
     ///
     /// # Errors
     ///
@@ -517,8 +580,9 @@ impl SweepRequest {
     pub fn cache_keys(&self, namespace: Option<&str>) -> Result<Vec<Fingerprint>, ApiError> {
         let end = ApiContext::validate_sweep(self)?;
         let source = self.instance.source()?;
+        let prefix = cell_prefix(namespace, &self.instance, &source, &self.solver);
         Ok((self.seed_start..end)
-            .map(|seed| cell_key(namespace, &self.instance, &source, &self.solver, seed))
+            .map(|seed| prefix.key(seed))
             .collect())
     }
 }

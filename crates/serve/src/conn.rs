@@ -109,6 +109,10 @@ pub(crate) struct Conn {
     pub phase: Phase,
     /// The epoll interest mask currently registered for this socket.
     pub interest: u32,
+    /// The request owed a `100 Continue`, and whether it went out: its
+    /// head asked for one while its body had not arrived. The interim
+    /// answer is written once, right before that request's response.
+    continue_for: Option<(usize, bool)>,
 }
 
 impl Conn {
@@ -130,6 +134,7 @@ impl Conn {
             last_activity: Instant::now(),
             phase: Phase::Open,
             interest: 0,
+            continue_for: None,
         }
     }
 
@@ -169,7 +174,15 @@ impl Conn {
             }
             let (request, used) = match http::try_parse(&self.buf) {
                 Ok(Some(hit)) => hit,
-                Ok(None) => break,
+                Ok(None) => {
+                    if !self.buf.is_empty()
+                        && self.continue_for.map(|(seq, _)| seq) != Some(self.next_seq)
+                        && http::awaits_continue(&self.buf)
+                    {
+                        self.continue_for = Some((self.next_seq, false));
+                    }
+                    break;
+                }
                 Err(e) => return (parsed, Some(e)),
             };
             self.buf.drain(..used);
@@ -208,6 +221,7 @@ impl Conn {
         self.close_after = Some(seq);
         self.read_closed = true;
         self.buf.clear();
+        self.continue_for = None;
         seq
     }
 
@@ -249,6 +263,13 @@ impl Conn {
                 }
                 Some(false) => return FlushStatus::Close,
                 None => {}
+            }
+            if self.continue_for == Some((self.next_write, false)) {
+                // Every earlier response is on the wire: release the
+                // waiting client's body.
+                self.continue_for = Some((self.next_write, true));
+                self.out.extend_from_slice(http::CONTINUE);
+                continue;
             }
             let Some(outgoing) = self.ready.remove(&self.next_write) else {
                 return FlushStatus::Keep;
@@ -436,6 +457,47 @@ mod tests {
         let mut got = Vec::new();
         client.read_to_end(&mut got).unwrap();
         assert_eq!(got, b"FIRSTSECOND");
+    }
+
+    #[test]
+    fn a_continue_follows_every_earlier_response_and_precedes_its_own() {
+        let (mut client, server) = pair();
+        let mut conn = Conn::new(server, 8);
+        client
+            .write_all(
+                b"GET /a HTTP/1.1\r\n\r\n\
+                  POST /b HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\n",
+            )
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        conn.fill();
+        let (reqs, err) = conn.take_requests();
+        assert!(err.is_none());
+        assert_eq!(reqs.len(), 1, "the second request waits for its body");
+        assert_eq!(conn.flush(), FlushStatus::Keep);
+        assert!(!conn.has_pending_output(), "no 100 ahead of /a's response");
+        let outgoing = |bytes: &[u8], close| Outgoing {
+            bytes: bytes.to_vec(),
+            close,
+            drain: false,
+        };
+        conn.enqueue(0, outgoing(b"FIRST", false));
+        assert_eq!(conn.flush(), FlushStatus::Keep);
+        client.write_all(b"{}").unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        conn.fill();
+        let (reqs, err) = conn.take_requests();
+        assert!(err.is_none());
+        assert_eq!(reqs.len(), 1);
+        conn.enqueue(1, outgoing(b"SECOND", true));
+        assert_eq!(conn.flush(), FlushStatus::Close);
+        drop(conn);
+        client
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        let mut got = Vec::new();
+        client.read_to_end(&mut got).unwrap();
+        assert_eq!(got, b"FIRSTHTTP/1.1 100 Continue\r\n\r\nSECOND");
     }
 
     #[test]

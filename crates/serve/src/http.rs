@@ -10,7 +10,9 @@
 //! one request off a blocking stream (tests, simple clients), while
 //! [`try_parse`] consumes zero or more complete requests from a byte
 //! buffer — the nonblocking reactor's pipelining path, where a single
-//! read may carry several back-to-back requests.
+//! read may carry several back-to-back requests. When that path finds
+//! an `Expect: 100-continue` head whose body has not arrived, the
+//! connection answers `100 Continue` before the request's response.
 
 use std::io::{Read, Write};
 
@@ -206,6 +208,35 @@ pub fn try_parse(buf: &[u8]) -> Result<Option<(Request, usize)>, ParseError> {
     )))
 }
 
+/// The interim response an HTTP/1.1 client that sent
+/// `Expect: 100-continue` waits for before it sends its body.
+pub(crate) const CONTINUE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
+
+/// Whether `buf` starts with a complete HTTP/1.1 request head that asks
+/// for `Expect: 100-continue` but not yet the whole body it declares:
+/// the client is waiting for [`CONTINUE`]. [`try_parse`] answers
+/// `None` for such a buffer; call this only then, so a request that
+/// arrives whole pays nothing.
+pub(crate) fn awaits_continue(buf: &[u8]) -> bool {
+    let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
+        return false;
+    };
+    let head = String::from_utf8_lossy(&buf[..head_end]);
+    let Ok((_, _, headers)) = parse_head(&head) else {
+        return false;
+    };
+    let http11 = head
+        .split("\r\n")
+        .next()
+        .is_some_and(|line| line.ends_with(" HTTP/1.1"));
+    let expects = headers
+        .iter()
+        .any(|(n, v)| n == "expect" && v.eq_ignore_ascii_case("100-continue"));
+    http11
+        && expects
+        && content_length(&headers).is_ok_and(|length| buf.len() < head_end + 4 + length)
+}
+
 /// An HTTP response ready to serialize.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
@@ -290,24 +321,68 @@ impl Response {
     }
 
     /// The full wire form of the response as bytes (used by the server
-    /// so chaos truncation can cut a serialized response mid-body).
+    /// so chaos truncation can cut a serialized response mid-body),
+    /// written into one buffer sized for it up front.
     #[must_use]
     pub fn serialize(&self, keep_alive: bool) -> Vec<u8> {
-        let mut text = format!("HTTP/1.1 {} {}\r\n", self.status, reason(self.status));
-        text.push_str("Content-Type: application/json\r\n");
-        text.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
-        if keep_alive {
-            text.push_str("Connection: keep-alive\r\n");
-        } else {
-            text.push_str("Connection: close\r\n");
-        }
+        /// The head's fixed text, plus the most digits a `u16` status
+        /// and a `usize` length can take.
+        const FIXED: usize = "HTTP/1.1  \r\nContent-Type: application/json\r\n\
+            Content-Length: \r\nConnection: \r\n\r\n"
+            .len()
+            + 5
+            + 20;
+        let reason = reason(self.status);
+        let connection = if keep_alive { "keep-alive" } else { "close" };
+        let headers: usize = self
+            .headers
+            .iter()
+            .map(|(n, v)| n.len() + v.len() + 4)
+            .sum();
+        let mut out =
+            Vec::with_capacity(FIXED + reason.len() + connection.len() + headers + self.body.len());
+        write!(
+            out,
+            "HTTP/1.1 {} {reason}\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\nConnection: {connection}\r\n",
+            self.status,
+            self.body.len()
+        )
+        .expect("writing to a Vec cannot fail");
         for (name, value) in &self.headers {
-            text.push_str(&format!("{name}: {value}\r\n"));
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(value.as_bytes());
+            out.extend_from_slice(b"\r\n");
         }
-        text.push_str("\r\n");
-        text.push_str(&self.body);
-        text.into_bytes()
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(self.body.as_bytes());
+        out
     }
+}
+
+/// The serializer [`Response::serialize`] replaced, one `format!` per
+/// line, kept as the reference its bytes are checked against.
+#[cfg(test)]
+fn serialize_by_format(response: &Response, keep_alive: bool) -> Vec<u8> {
+    let mut text = format!(
+        "HTTP/1.1 {} {}\r\n",
+        response.status,
+        reason(response.status)
+    );
+    text.push_str("Content-Type: application/json\r\n");
+    text.push_str(&format!("Content-Length: {}\r\n", response.body.len()));
+    if keep_alive {
+        text.push_str("Connection: keep-alive\r\n");
+    } else {
+        text.push_str("Connection: close\r\n");
+    }
+    for (name, value) in &response.headers {
+        text.push_str(&format!("{name}: {value}\r\n"));
+    }
+    text.push_str("\r\n");
+    text.push_str(&response.body);
+    text.into_bytes()
 }
 
 #[cfg(test)]
@@ -418,6 +493,33 @@ mod tests {
     }
 
     #[test]
+    fn only_a_waiting_http11_expect_head_awaits_continue() {
+        let head = "POST /v1/solve HTTP/1.1\r\nExpect: 100-Continue\r\nContent-Length: 4\r\n\r\n";
+        assert!(awaits_continue(head.as_bytes()));
+        assert!(
+            awaits_continue(format!("{head}{{}}").as_bytes()),
+            "half the body"
+        );
+        assert!(
+            !awaits_continue(format!("{head}{{\"\"}}").as_bytes()),
+            "whole"
+        );
+        assert!(
+            !awaits_continue(&head.as_bytes()[..head.len() - 2]),
+            "head cut"
+        );
+        for other in [
+            head.replace("HTTP/1.1", "HTTP/1.0"),
+            head.replace("100-Continue", "200-ok"),
+            head.replace("Expect", "X-Expect"),
+            head.replace("Content-Length: 4", "Content-Length: 0"),
+            head.replace("Content-Length: 4", "Content-Length: x"),
+        ] {
+            assert!(!awaits_continue(other.as_bytes()), "{other:?}");
+        }
+    }
+
+    #[test]
     fn try_parse_rejects_bad_syntax_and_oversize() {
         assert!(matches!(
             try_parse(b"NONSENSE\r\n\r\n"),
@@ -497,6 +599,57 @@ mod tests {
             close.replace("Connection: close", "Connection: keep-alive"),
             keep
         );
+    }
+
+    /// Random responses serialize to the reference's bytes, and into a
+    /// buffer that never grows: every served status and some others,
+    /// zero to five headers, and texts mixing ASCII with two-, three-
+    /// and four-byte UTF-8.
+    #[test]
+    fn serialize_matches_the_format_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(2201);
+        let text = |rng: &mut SmallRng, max: usize| -> String {
+            let ranges = [0x20..0x7f, 0xa0..0x800, 0x800..0xd800, 0x1_0000..0x1_1000];
+            (0..rng.random_range(0..=max))
+                .map(|_| {
+                    let range = ranges[rng.random_range(0..ranges.len())].clone();
+                    char::from_u32(rng.random_range(range)).expect("no surrogates drawn")
+                })
+                .collect()
+        };
+        let statuses = [
+            200, 201, 202, 400, 401, 403, 404, 405, 413, 429, 500, 503, 504,
+        ];
+        for case in 0..3000 {
+            let status = if rng.random::<bool>() {
+                statuses[rng.random_range(0..statuses.len())]
+            } else {
+                rng.random::<u16>()
+            };
+            let headers = (0..rng.random_range(0..=5))
+                .map(|_| (text(&mut rng, 16), text(&mut rng, 40)))
+                .collect();
+            let body = text(&mut rng, 300);
+            let response = Response {
+                status,
+                headers,
+                body,
+            };
+            for keep_alive in [false, true] {
+                let wire = response.serialize(keep_alive);
+                assert_eq!(
+                    wire,
+                    serialize_by_format(&response, keep_alive),
+                    "case {case}: {response:?}"
+                );
+                assert!(
+                    wire.capacity() <= wire.len() + 25,
+                    "case {case}: sized up front"
+                );
+            }
+        }
     }
 
     #[test]

@@ -32,13 +32,24 @@ impl Fingerprint {
     /// The fingerprint as 32 lowercase hex digits.
     #[must_use]
     pub fn to_hex(&self) -> String {
-        format!("{:032x}", self.0)
+        self.hex_in(&mut [0; 32]).to_string()
+    }
+
+    /// The 32 lowercase hex digits written into `buf`, most significant
+    /// first: [`Fingerprint::to_hex`] without the allocation, for a
+    /// lookup that only borrows the key.
+    pub(crate) fn hex_in<'a>(&self, buf: &'a mut [u8; 32]) -> &'a str {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        for (i, digit) in buf.iter_mut().enumerate() {
+            *digit = DIGITS[(self.0 >> (124 - 4 * i) & 0xf) as usize];
+        }
+        std::str::from_utf8(buf).expect("hex digits are ASCII")
     }
 }
 
 impl fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:032x}", self.0)
+        f.write_str(self.hex_in(&mut [0; 32]))
     }
 }
 
@@ -150,5 +161,20 @@ mod tests {
         assert_eq!(f.to_hex().len(), 32);
         assert_eq!(format!("{f}"), f.to_hex());
         assert!(f.to_hex().chars().all(|c| c.is_ascii_hexdigit()));
+    }
+
+    #[test]
+    fn hex_matches_zero_padded_formatting() {
+        let digits = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210_u128;
+        for shift in 0..128 {
+            for v in [
+                1 << shift,
+                u128::MAX >> shift,
+                digits >> shift,
+                digits << shift,
+            ] {
+                assert_eq!(Fingerprint(v).to_hex(), format!("{v:032x}"));
+            }
+        }
     }
 }

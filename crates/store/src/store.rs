@@ -626,8 +626,9 @@ impl ResultStore {
         // Every event loop and worker reads through this lock: format
         // the key before taking it, and parse after releasing it, so
         // the lock covers a lookup and a reference count.
-        let hex = key.to_hex();
-        let payload = Arc::clone(&self.index.lock().entries.get(&hex)?.payload);
+        let mut buf = [0; 32];
+        let hex = key.hex_in(&mut buf);
+        let payload = Arc::clone(&self.index.lock().entries.get(hex)?.payload);
         Some(payload.tree())
     }
 

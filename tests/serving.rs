@@ -2044,3 +2044,75 @@ fn event_loop_threads_match_per_reactor_and_exit_on_shutdown() {
         assert!(conn.roundtrip("GET", "/healthz", None).is_err());
     }
 }
+
+/// A client that sends `Expect: 100-continue` holds its body back until
+/// the server answers `100 Continue` (curl waits 1 s for it). Both a
+/// worker's miss and an inline hit on one keep-alive connection get
+/// the interim answer within 1 s, and only once, and a body over the
+/// cap still gets its 413 at once, with no `100` before it.
+#[test]
+fn expect_continue_is_answered_before_the_body_is_sent() {
+    let dir = scratch("expect-continue");
+    let api = ApiContext {
+        store: Some(Arc::new(ResultStore::open(&dir).unwrap())),
+        ..ApiContext::new()
+    };
+    let server = start_with(
+        api,
+        ServerConfig {
+            workers: 1,
+            keep_alive: true,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.addr().to_string();
+    let body = format!("{{{SMALL},\"solver\":\"idb\",\"seed\":3}}");
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    for round in ["a miss", "a hit"] {
+        write!(
+            stream,
+            "POST /v1/solve HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n\
+             Content-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .unwrap();
+        let mut interim = [0u8; 25];
+        stream
+            .read_exact(&mut interim)
+            .unwrap_or_else(|e| panic!("{round}: no 100 Continue within 1 s: {e}"));
+        assert_eq!(&interim, b"HTTP/1.1 100 Continue\r\n\r\n", "{round}");
+        // In two parts: the half-sent body must not earn a second 100.
+        let (first, rest) = body.split_at(body.len() / 2);
+        stream.write_all(first.as_bytes()).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        stream.write_all(rest.as_bytes()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let reply = read_replies(&mut stream, 1).remove(0);
+        assert!(reply.starts_with("HTTP/1.1 200"), "{round}: {reply}");
+        assert!(reply.contains("\"cost_uj\""), "{round}: {reply}");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+    }
+
+    let mut big = TcpStream::connect(&addr).unwrap();
+    write!(
+        big,
+        "POST /v1/solve HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n\
+         Content-Length: {}\r\n\r\n",
+        wrsn::serve::http::MAX_BODY_BYTES + 1
+    )
+    .unwrap();
+    big.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+    let mut raw = Vec::new();
+    big.read_to_end(&mut raw)
+        .expect("the 413 and a close within 1 s");
+    let raw = String::from_utf8_lossy(&raw);
+    assert!(raw.starts_with("HTTP/1.1 413"), "{raw}");
+    server.shutdown().unwrap();
+}
