@@ -101,6 +101,11 @@ impl Args {
         Ok(Args { values, consumed })
     }
 
+    /// The names of the options given, in sorted order.
+    pub fn given(&self) -> Vec<String> {
+        self.values.keys().cloned().collect()
+    }
+
     fn take(&mut self, key: &str) -> Option<Option<String>> {
         if let Some(c) = self.consumed.get_mut(key) {
             *c = true;

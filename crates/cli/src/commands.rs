@@ -241,6 +241,19 @@ byte-for-byte the single-node service):
 const LOADGEN_HELP: &str = "\
 wrsn loadgen — drive a running `wrsn serve` and measure it
 
+MODES (the first of these flags given picks the mode; a flag the mode
+does not read is refused by name):
+    --job           one async job; reads --addr, --body, --tenant, --json
+    --addrs         one lane per node; reads --concurrency, --retries,
+                    --tenant
+    --tenants-file  one lane per keyed tenant; reads --addr,
+                    --concurrency, --retries
+    --connections   a keep-alive fleet; reads --addr, --pipeline, --tenant
+    (none of them)  a closed loop, one connection per request; reads
+                    --addr, --concurrency, --retries, --tenant
+    Every mode but --job also reads --requests, --path, --method,
+    --body, --bench-json and --json.
+
 OPTIONS:
     --addr A:P      server address                  [default: 127.0.0.1:7421]
     --concurrency C client threads                  [default: 4]
@@ -250,19 +263,17 @@ OPTIONS:
     --body JSON     request body                    [default: {}]
     --retries N     retry budget per request, with exponential backoff
                     and a circuit breaker (0 disables)  [default: 0]
-    --connections C open-loop mode: open C persistent keep-alive
-                    connections up front and drive them concurrently
-                    (requires `serve --keep-alive`; ignores --retries)
+    --connections C open C persistent keep-alive connections up front
+                    and drive them concurrently (requires
+                    `serve --keep-alive`)
     --pipeline P    requests written per batch on each keep-alive
-                    connection (with --connections)     [default: 1]
+                    connection                      [default: 1]
     --job           submit one async job (POST /v1/jobs) with --body as
                     the sweep spec, stream its events, and report the
                     round trip instead of load-testing
     --addrs A,B,... round-robin the workload across several cluster
                     nodes (each gets requests/N) and report one row per
-                    node next to the aggregate; overrides --addr
-                    (incompatible with --connections/--job/
-                    --tenants-file)
+                    node next to the aggregate
     --tenant KEY    authenticate every request with
                     Authorization: Bearer KEY
     --tenants-file FILE  adversarial mode: drive every keyed tenant in
@@ -640,9 +651,8 @@ fn sweep(mut args: Args) -> Result<String, CliError> {
     let compare: Option<String> = args.opt("compare", "a comma-separated solver list")?;
     args.finish()?;
     let source = opts.source()?;
-    if seeds == 0 {
-        return Err(CliError::Msg("--seeds must be at least 1".into()));
-    }
+    let seed_range = wrsn_serve::api::seed_range(seed_start, seeds, ["--seed-start", "--seeds"])
+        .map_err(CliError::Msg)?;
     if resume && checkpoint.is_none() {
         return Err(CliError::Msg(
             "--resume needs --checkpoint to know where the previous run left off".into(),
@@ -672,8 +682,7 @@ fn sweep(mut args: Args) -> Result<String, CliError> {
             source,
             scenario: opts.params.scenario.as_ref(),
             list: &list,
-            seeds,
-            seed_start,
+            seeds: seed_range,
             runner,
             history,
             max_retries,
@@ -687,7 +696,7 @@ fn sweep(mut args: Args) -> Result<String, CliError> {
     let registry = SolverRegistry::with_defaults();
     let mut experiment = Experiment::new(source)
         .solver(&algo)
-        .seeds(seed_start..seed_start + seeds)
+        .seeds(seed_range)
         .runner(runner)
         .capture_history(history)
         .retry(RetryPolicy::attempts(max_retries + 1))
@@ -791,8 +800,7 @@ struct SweepCompare<'a> {
     source: InstanceSource,
     scenario: Option<&'a ScenarioSpec>,
     list: &'a str,
-    seeds: u64,
-    seed_start: u64,
+    seeds: std::ops::Range<u64>,
     runner: SweepRunner,
     history: bool,
     max_retries: u32,
@@ -824,7 +832,7 @@ fn sweep_compare(cfg: SweepCompare<'_>) -> Result<String, CliError> {
     for algo in &algos {
         let mut experiment = Experiment::new(cfg.source.clone())
             .solver(algo)
-            .seeds(cfg.seed_start..cfg.seed_start + cfg.seeds)
+            .seeds(cfg.seeds.clone())
             .runner(cfg.runner)
             .capture_history(cfg.history)
             .retry(RetryPolicy::attempts(cfg.max_retries + 1))
@@ -843,7 +851,11 @@ fn sweep_compare(cfg: SweepCompare<'_>) -> Result<String, CliError> {
     }
     let baseline = reports[0].cost_uj.mean;
     let mut table = Table::new(
-        &format!("compare ({} seeds, seed {}..)", cfg.seeds, cfg.seed_start),
+        &format!(
+            "compare ({} seeds, seed {}..)",
+            cfg.seeds.end - cfg.seeds.start,
+            cfg.seeds.start
+        ),
         &[
             "algo",
             "mean (uJ)",
@@ -1537,17 +1549,9 @@ struct LoadgenRow {
     p99_ms: f64,
 }
 
-/// The per-status retry totals as a `{"429": 31, "503": 4}` object.
-fn status_counts(list: &[(u16, u64)]) -> serde::Value {
+/// One report row: `requests` sent and what `report` measured.
+fn loadgen_row(requests: u64, report: &client::LoadgenReport) -> serde::Value {
     use serde::Serialize as _;
-    serde::Value::Object(
-        list.iter()
-            .map(|&(status, count)| (status.to_string(), count.to_value()))
-            .collect(),
-    )
-}
-
-fn loadgen_row(requests: u64, report: &client::LoadgenReport) -> LoadgenRow {
     let ms = |q: f64| report.quantile(q).as_secs_f64() * 1e3;
     LoadgenRow {
         requests,
@@ -1558,7 +1562,14 @@ fn loadgen_row(requests: u64, report: &client::LoadgenReport) -> LoadgenRow {
         retries: report.retries,
         retryable_status: report.retryable_status,
         rate_limited: report.rate_limited,
-        retries_by_status: status_counts(&report.retries_by_status),
+        // The per-status retry totals as a `{"429": 31, "503": 4}` object.
+        retries_by_status: serde::Value::Object(
+            report
+                .retries_by_status
+                .iter()
+                .map(|&(status, count)| (status.to_string(), count.to_value()))
+                .collect(),
+        ),
         transport_resets: report.transport_resets,
         breaker_opens: report.breaker_opens,
         elapsed_s: report.elapsed.as_secs_f64(),
@@ -1567,9 +1578,15 @@ fn loadgen_row(requests: u64, report: &client::LoadgenReport) -> LoadgenRow {
         p95_ms: ms(0.95),
         p99_ms: ms(0.99),
     }
+    .to_value()
 }
 
+/// `wrsn loadgen`: one lane for `--addr`, one per `--addrs` node (its
+/// round-robin share of the requests) or one per keyed tenant of
+/// `--tenants-file` (the whole workload each), all run at once; or,
+/// with `--job`, one async sweep job.
 fn loadgen_cmd(mut args: Args) -> Result<String, CliError> {
+    let given = args.given();
     let addr: String = args.get_or("addr", "an address:port", "127.0.0.1:7421".to_string())?;
     let concurrency: usize = args.get_or("concurrency", "a thread count", 4)?;
     let requests: u64 = args.get_or("requests", "a request count", 200)?;
@@ -1586,105 +1603,169 @@ fn loadgen_cmd(mut args: Args) -> Result<String, CliError> {
     let bench_json: Option<String> = args.opt("bench-json", "an output path")?;
     let json = args.flag("json");
     args.finish()?;
-    if job {
-        return loadgen_job(&addr, &body, json);
-    }
-    if concurrency == 0 || requests == 0 {
-        return Err(CliError::Msg(
-            "--concurrency and --requests must be at least 1".into(),
-        ));
-    }
-    if connections == Some(0) || pipeline == 0 {
-        return Err(CliError::Msg(
-            "--connections and --pipeline must be at least 1".into(),
-        ));
-    }
-    let body_opt = if method == "GET" {
-        None
+    // The first of these flags given picks the mode. Every load mode
+    // reads `LOAD`; a flag the mode does not read is refused by name.
+    const LOAD: [&str; 6] = ["requests", "path", "method", "body", "bench-json", "json"];
+    let (mode, reads): (&str, &[&str]) = if job {
+        ("loadgen --job", &["job", "addr", "body", "tenant", "json"])
+    } else if addrs.is_some() {
+        (
+            "loadgen --addrs",
+            &["addrs", "concurrency", "retries", "tenant"],
+        )
+    } else if tenants_file.is_some() {
+        (
+            "loadgen --tenants-file",
+            &["tenants-file", "addr", "concurrency", "retries"],
+        )
+    } else if connections.is_some() {
+        (
+            "loadgen --connections",
+            &["connections", "pipeline", "addr", "tenant"],
+        )
     } else {
-        Some(body.as_str())
+        (
+            "closed-loop loadgen (without --connections)",
+            &["addr", "concurrency", "retries", "tenant"],
+        )
     };
-    if let Some(list) = &addrs {
-        if connections.is_some() || job || tenants_file.is_some() {
-            return Err(CliError::Msg(
-                "--addrs is incompatible with --connections/--job/--tenants-file".into(),
-            ));
-        }
-        let spec = MultiNodeSpec {
-            method: &method,
-            path: &path,
-            body: body_opt,
-            key: tenant_key.as_deref(),
-            concurrency,
-            requests,
-            retries,
-        };
-        return loadgen_multi(list, &spec, bench_json.as_deref(), json);
+    let unread: Vec<String> = given
+        .iter()
+        .filter(|f| !reads.contains(&f.as_str()) && (job || !LOAD.contains(&f.as_str())))
+        .map(|f| format!("--{f}"))
+        .collect();
+    if !unread.is_empty() {
+        return Err(CliError::Msg(format!(
+            "{mode} does not read {}",
+            unread.join(", ")
+        )));
     }
-    if let Some(file) = &tenants_file {
-        if tenant_key.is_some() {
+    let (doc, text) = if job {
+        loadgen_job(&addr, &body, tenant_key.as_deref())?
+    } else {
+        if concurrency == 0 || requests == 0 {
             return Err(CliError::Msg(
-                "--tenant and --tenants-file are mutually exclusive".into(),
+                "--concurrency and --requests must be at least 1".into(),
             ));
         }
-        let spec = AdversarialSpec {
+        if connections == Some(0) || pipeline == 0 {
+            return Err(CliError::Msg(
+                "--connections and --pipeline must be at least 1".into(),
+            ));
+        }
+        let base = client::RequestSpec {
             addr: &addr,
             method: &method,
             path: &path,
-            body: body_opt,
-            concurrency,
-            requests,
-            retries,
+            body: (method != "GET").then_some(body.as_str()),
+            key: tenant_key.as_deref(),
         };
-        return loadgen_adversarial(file, &spec, bench_json.as_deref(), json);
-    }
-    let report = match connections {
-        // Open-loop: a fixed fleet of persistent keep-alive connections
-        // driven with pipelined batches.
-        Some(conns) => client::loadgen_keep_alive_auth(
-            &addr,
-            &method,
-            &path,
-            body_opt,
-            tenant_key.as_deref(),
-            conns,
-            requests,
-            pipeline,
-        ),
-        // Closed-loop: one connection per request, optional retries.
-        None => {
-            let retry = (retries > 0).then(|| client::RetryPolicy {
-                max_retries: retries,
-                ..client::RetryPolicy::default()
+        let retry = (retries > 0).then(|| client::RetryPolicy {
+            max_retries: retries,
+            ..client::RetryPolicy::default()
+        });
+        let per_request = |threads| client::Drive::PerRequest {
+            threads,
+            retry: retry.clone(),
+        };
+        let tenants = tenants_file.as_deref().map(keyed_tenants).transpose()?;
+        // One lane per --addrs node (its round-robin share), per keyed
+        // tenant (the whole workload each), or for --addr; `kind` names
+        // the lanes in errors and picks the report's shape.
+        let (kind, lanes) = if let Some(list) = &addrs {
+            let nodes: Vec<&str> = list
+                .split(',')
+                .map(str::trim)
+                .filter(|s| !s.is_empty())
+                .collect();
+            let n = nodes.len() as u64;
+            if n == 0 {
+                return Err(CliError::Msg("--addrs needs at least one address".into()));
+            }
+            if requests < n {
+                return Err(CliError::Msg(format!(
+                    "--requests {requests} is fewer than the {n} node(s) in --addrs"
+                )));
+            }
+            let lanes = nodes.iter().enumerate().map(|(i, node)| {
+                // Round-robin split: the first (requests % n) nodes
+                // carry one extra request.
+                let share = requests / n + u64::from((i as u64) < requests % n);
+                let threads = concurrency.min(usize::try_from(share).unwrap_or(usize::MAX));
+                let work = client::Workload {
+                    request: client::RequestSpec { addr: node, ..base },
+                    requests: share,
+                    drive: per_request(threads),
+                };
+                ((*node).to_string(), work)
             });
-            client::loadgen_auth(
-                &addr,
-                &method,
-                &path,
-                body_opt,
-                tenant_key.as_deref(),
-                concurrency,
+            ("node", lanes.collect())
+        } else if let Some(tenants) = &tenants {
+            let lanes = tenants.iter().map(|tenant| {
+                let work = client::Workload {
+                    request: client::RequestSpec {
+                        key: tenant.key.as_deref(),
+                        ..base
+                    },
+                    requests,
+                    drive: per_request(concurrency),
+                };
+                (tenant.name.clone(), work)
+            });
+            ("tenant", lanes.collect())
+        } else {
+            let drive = match connections {
+                Some(connections) => client::Drive::KeepAlive {
+                    connections,
+                    pipeline,
+                },
+                None => per_request(concurrency),
+            };
+            let work = client::Workload {
+                request: base,
                 requests,
-                retry.as_ref(),
-            )
-        }
-    }
-    .map_err(|e| CliError::Msg(e.to_string()))?;
-    let row = loadgen_row(requests, &report);
-    let mut doc = row.to_value();
-    // When the server exposes an io section (a store is attached), the
-    // durability counters ride along in the bench artifact so a perf
-    // row records the fsync cost it was measured under.
-    if let serde::Value::Object(pairs) = &mut doc {
-        let server_io = client::request(&addr, "GET", "/statusz", None)
-            .ok()
-            .filter(|resp| resp.status == 200)
-            .and_then(|resp| serde_json::from_str::<serde::Value>(&resp.body).ok())
-            .and_then(|status| status.get("io").cloned());
-        if let Some(io) = server_io {
-            pairs.push(("server_io".to_string(), io));
-        }
-    }
+                drive,
+            };
+            ("", vec![(addr.clone(), work)])
+        };
+        let (mut rows, total) = run_lanes(kind, &lanes)?;
+        let how = match (kind, connections) {
+            ("node", _) => format!("round-robin over {} node(s)", lanes.len()),
+            ("tenant", _) => format!("x {} tenant(s), {concurrency} thread(s) each", lanes.len()),
+            (_, Some(c)) => format!("{c} keep-alive connection(s), pipeline {pipeline}"),
+            (_, None) => format!("{concurrency} thread(s)"),
+        };
+        let title = format!("loadgen {method} {path} ({requests} requests, {how})");
+        let doc = match kind {
+            "node" => {
+                let aggregate = loadgen_row(requests, &total);
+                let doc = serde::Value::Object(vec![
+                    ("nodes".to_string(), serde::Value::Object(rows.clone())),
+                    ("aggregate".to_string(), aggregate.clone()),
+                ]);
+                rows.push(("(aggregate)".to_string(), aggregate));
+                doc
+            }
+            "tenant" => serde::Value::Object(rows.clone()),
+            _ => {
+                // When the server exposes an io section (a store is
+                // attached), the durability counters ride along in the
+                // bench artifact so a perf row records the fsync cost it
+                // was measured under.
+                let mut doc = rows[0].1.clone();
+                let server_io = client::request(&addr, "GET", "/statusz", None)
+                    .ok()
+                    .filter(|resp| resp.status == 200)
+                    .and_then(|resp| serde_json::from_str::<serde::Value>(&resp.body).ok())
+                    .and_then(|status| status.get("io").cloned());
+                if let (serde::Value::Object(pairs), Some(io)) = (&mut doc, server_io) {
+                    pairs.push(("server_io".to_string(), io));
+                }
+                doc
+            }
+        };
+        (doc, loadgen_table(&title, &rows))
+    };
     if let Some(path) = &bench_json {
         let text = serde_json::to_string_pretty(&doc).expect("serializable");
         std::fs::write(path, text.as_bytes())
@@ -1693,380 +1774,113 @@ fn loadgen_cmd(mut args: Args) -> Result<String, CliError> {
     if json {
         return Ok(serde_json::to_string_pretty(&doc).expect("serializable"));
     }
-    let drive = match connections {
-        Some(c) => format!("{c} keep-alive connection(s), pipeline {pipeline}"),
-        None => format!("{concurrency} thread(s)"),
-    };
-    let mut table = Table::new(
-        &format!("loadgen {method} {path} ({requests} requests, {drive})"),
-        &["metric", "value"],
-    );
-    table.row(&["connections".to_string(), row.connections.to_string()]);
-    table.row(&["ok".to_string(), row.ok.to_string()]);
-    table.row(&["non-200".to_string(), row.non_ok.to_string()]);
-    table.row(&["transport errors".to_string(), row.errors.to_string()]);
-    table.row(&["retries".to_string(), row.retries.to_string()]);
-    table.row(&[
-        "retryable non-200s".to_string(),
-        row.retryable_status.to_string(),
-    ]);
-    table.row(&[
-        "rate limited (429)".to_string(),
-        row.rate_limited.to_string(),
-    ]);
-    table.row(&[
-        "transport resets".to_string(),
-        row.transport_resets.to_string(),
-    ]);
-    table.row(&["breaker opens".to_string(), row.breaker_opens.to_string()]);
-    table.row(&["elapsed (s)".to_string(), format!("{:.3}", row.elapsed_s)]);
-    table.row(&[
-        "throughput (req/s)".to_string(),
-        format!("{:.1}", row.throughput_rps),
-    ]);
-    table.row(&["p50 (ms)".to_string(), format!("{:.2}", row.p50_ms)]);
-    table.row(&["p95 (ms)".to_string(), format!("{:.2}", row.p95_ms)]);
-    table.row(&["p99 (ms)".to_string(), format!("{:.2}", row.p99_ms)]);
-    Ok(table.render())
+    Ok(text)
 }
 
-/// The shared workload of a `--addrs` multi-node run.
-struct MultiNodeSpec<'a> {
-    method: &'a str,
-    path: &'a str,
-    body: Option<&'a str>,
-    key: Option<&'a str>,
-    concurrency: usize,
-    requests: u64,
-    retries: u32,
-}
-
-/// `loadgen --addrs`: split the request budget round-robin across a
-/// fleet of cluster nodes (each node's share driven by its own thread
-/// pool, all nodes concurrently) and report one row per node next to
-/// the aggregate — per-node p50/p95/p99 makes a slow or cold node
-/// stand out immediately.
-fn loadgen_multi(
-    list: &str,
-    spec: &MultiNodeSpec<'_>,
-    bench_json: Option<&str>,
-    json: bool,
-) -> Result<String, CliError> {
-    use serde::Serialize as _;
-    let nodes: Vec<String> = list
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(String::from)
-        .collect();
-    if nodes.is_empty() {
-        return Err(CliError::Msg("--addrs needs at least one address".into()));
-    }
-    let n = nodes.len() as u64;
-    if spec.requests < n {
-        return Err(CliError::Msg(format!(
-            "--requests {} is fewer than the {} node(s) in --addrs",
-            spec.requests, n
-        )));
-    }
-    let retry = (spec.retries > 0).then(|| client::RetryPolicy {
-        max_retries: spec.retries,
-        ..client::RetryPolicy::default()
+/// Runs every lane at once, one `client::loadgen` each, and returns a
+/// labelled report row per lane and the lanes merged. A lane that
+/// fails fails the run, named by `kind` and its label.
+fn run_lanes(
+    kind: &str,
+    lanes: &[(String, client::Workload<'_>)],
+) -> Result<(Vec<(String, serde::Value)>, client::LoadgenReport), CliError> {
+    let reports: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = lanes
+            .iter()
+            .map(|(_, work)| scope.spawn(move || client::loadgen(work)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("loadgen lane panicked"))
+            .collect()
     });
-    let results: Vec<(String, u64, Result<client::LoadgenReport, String>)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = nodes
-                .iter()
-                .enumerate()
-                .map(|(i, addr)| {
-                    // Round-robin split: the first (requests % n) nodes
-                    // carry one extra request.
-                    let share = spec.requests / n + u64::from((i as u64) < spec.requests % n);
-                    let retry = retry.clone();
-                    scope.spawn(move || {
-                        let report = client::loadgen_auth(
-                            addr,
-                            spec.method,
-                            spec.path,
-                            spec.body,
-                            spec.key,
-                            spec.concurrency.min(share.max(1) as usize),
-                            share,
-                            retry.as_ref(),
-                        )
-                        .map_err(|e| e.to_string());
-                        (addr.clone(), share, report)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("loadgen node thread panicked"))
-                .collect()
-        });
-    let mut rows: Vec<(String, LoadgenRow)> = Vec::new();
-    let mut agg = client::LoadgenReport {
-        ok: 0,
-        non_ok: 0,
-        errors: 0,
-        elapsed: Duration::ZERO,
-        latencies: Vec::new(),
-        retries: 0,
-        retryable_status: 0,
-        rate_limited: 0,
-        retries_by_status: Vec::new(),
-        transport_resets: 0,
-        breaker_opens: 0,
-        connections: 0,
-    };
-    for (addr, share, result) in results {
-        let report = match result {
-            Ok(report) => report,
-            Err(why) => return Err(CliError::Msg(format!("node {addr}: {why}"))),
-        };
-        agg.ok += report.ok;
-        agg.non_ok += report.non_ok;
-        agg.errors += report.errors;
-        // The nodes run concurrently, so fleet wall-clock is the
-        // slowest node, not the sum.
-        agg.elapsed = agg.elapsed.max(report.elapsed);
-        agg.latencies.extend_from_slice(&report.latencies);
-        agg.retries += report.retries;
-        agg.retryable_status += report.retryable_status;
-        agg.rate_limited += report.rate_limited;
-        for &(status, count) in &report.retries_by_status {
-            match agg.retries_by_status.iter_mut().find(|(s, _)| *s == status) {
-                Some((_, total)) => *total += count,
-                None => agg.retries_by_status.push((status, count)),
-            }
-        }
-        agg.transport_resets += report.transport_resets;
-        agg.breaker_opens += report.breaker_opens;
-        agg.connections += report.connections;
-        rows.push((addr, loadgen_row(share, &report)));
+    let mut rows = Vec::with_capacity(lanes.len());
+    let mut total = client::LoadgenReport::default();
+    for ((label, work), report) in lanes.iter().zip(reports) {
+        let report = report.map_err(|e| match kind {
+            "" => CliError::Msg(e.to_string()),
+            kind => CliError::Msg(format!("{kind} {label}: {e}")),
+        })?;
+        rows.push((label.clone(), loadgen_row(work.requests, &report)));
+        total.merge(report);
     }
-    agg.latencies.sort_unstable();
-    agg.retries_by_status.sort_unstable();
-    let total = loadgen_row(spec.requests, &agg);
-    let doc = serde::Value::Object(vec![
-        (
-            "nodes".to_string(),
-            serde::Value::Object(
-                rows.iter()
-                    .map(|(addr, row)| (addr.clone(), row.to_value()))
-                    .collect(),
-            ),
-        ),
-        ("aggregate".to_string(), total.to_value()),
-    ]);
-    if let Some(path) = bench_json {
-        let text = serde_json::to_string_pretty(&doc).expect("serializable");
-        std::fs::write(path, text.as_bytes())
-            .map_err(|e| CliError::Msg(format!("writing {path}: {e}")))?;
-    }
-    if json {
-        return Ok(serde_json::to_string_pretty(&doc).expect("serializable"));
-    }
-    let mut table = Table::new(
-        &format!(
-            "loadgen {} {} ({} requests round-robin over {} node(s))",
-            spec.method,
-            spec.path,
-            spec.requests,
-            rows.len()
-        ),
-        &[
-            "node", "requests", "ok", "non-200", "errors", "retries", "req/s", "p50 ms", "p95 ms",
-            "p99 ms",
-        ],
-    );
-    for (addr, row) in &rows {
-        table.row(&[
-            addr.clone(),
-            row.requests.to_string(),
-            row.ok.to_string(),
-            row.non_ok.to_string(),
-            row.errors.to_string(),
-            row.retries.to_string(),
-            format!("{:.1}", row.throughput_rps),
-            format!("{:.2}", row.p50_ms),
-            format!("{:.2}", row.p95_ms),
-            format!("{:.2}", row.p99_ms),
-        ]);
-    }
-    table.row(&[
-        "(aggregate)".to_string(),
-        total.requests.to_string(),
-        total.ok.to_string(),
-        total.non_ok.to_string(),
-        total.errors.to_string(),
-        total.retries.to_string(),
-        format!("{:.1}", total.throughput_rps),
-        format!("{:.2}", total.p50_ms),
-        format!("{:.2}", total.p95_ms),
-        format!("{:.2}", total.p99_ms),
-    ]);
-    Ok(table.render())
+    Ok((rows, total))
 }
 
-/// The shared workload of an adversarial multi-tenant run: every
-/// tenant fires the same requests at the same server, concurrently.
-struct AdversarialSpec<'a> {
-    addr: &'a str,
-    method: &'a str,
-    path: &'a str,
-    body: Option<&'a str>,
-    concurrency: usize,
-    requests: u64,
-    retries: u32,
-}
-
-/// `loadgen --tenants-file`: drive every keyed tenant in the config
-/// against the server at once — each under its own API key with the
-/// full workload — and report one row per tenant, so fairness (who got
-/// throughput, who got 429s) is directly measurable.
-fn loadgen_adversarial(
-    file: &str,
-    spec: &AdversarialSpec<'_>,
-    bench_json: Option<&str>,
-    json: bool,
-) -> Result<String, CliError> {
-    use serde::Serialize as _;
+/// The keyed tenants of a tenants file, the lanes of `loadgen
+/// --tenants-file`.
+fn keyed_tenants(file: &str) -> Result<Vec<wrsn_serve::TenantSpec>, CliError> {
     let text =
         std::fs::read_to_string(file).map_err(|e| CliError::Msg(format!("reading {file}: {e}")))?;
     let tenants = wrsn_serve::tenant::parse_tenants(&text)
         .map_err(|why| CliError::Msg(format!("{file}: {why}")))?;
-    let keyed: Vec<_> = tenants.iter().filter(|t| t.key.is_some()).collect();
+    let keyed: Vec<_> = tenants.into_iter().filter(|t| t.key.is_some()).collect();
     if keyed.is_empty() {
         return Err(CliError::Msg(format!("{file}: no keyed tenants to drive")));
     }
-    let retry = (spec.retries > 0).then(|| client::RetryPolicy {
-        max_retries: spec.retries,
-        ..client::RetryPolicy::default()
-    });
-    let results: Vec<(String, Result<client::LoadgenReport, String>)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = keyed
-                .iter()
-                .map(|tenant| {
-                    let retry = retry.clone();
-                    scope.spawn(move || {
-                        let report = client::loadgen_auth(
-                            spec.addr,
-                            spec.method,
-                            spec.path,
-                            spec.body,
-                            tenant.key.as_deref(),
-                            spec.concurrency,
-                            spec.requests,
-                            retry.as_ref(),
-                        )
-                        .map_err(|e| e.to_string());
-                        (tenant.name.clone(), report)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("loadgen tenant thread panicked"))
-                .collect()
-        });
-    let mut rows: Vec<(String, LoadgenRow)> = Vec::new();
-    for (name, result) in results {
-        match result {
-            Ok(report) => rows.push((name, loadgen_row(spec.requests, &report))),
-            Err(why) => return Err(CliError::Msg(format!("tenant {name}: {why}"))),
+    Ok(keyed)
+}
+
+/// A loadgen text table: one column per lane, one line per field of
+/// its JSON row.
+fn loadgen_table(title: &str, rows: &[(String, serde::Value)]) -> String {
+    let mut headers = vec!["metric"];
+    headers.extend(rows.iter().map(|(label, _)| label.as_str()));
+    let mut table = Table::new(title, &headers);
+    if let Some((_, serde::Value::Object(fields))) = rows.first() {
+        for (field, _) in fields {
+            let mut cells = vec![field.clone()];
+            cells.extend(rows.iter().map(|(_, row)| match row.get(field) {
+                Some(serde::Value::Number(serde::Number::Float(x))) => format!("{x:.3}"),
+                Some(value) => serde_json::to_string(value).expect("serializable"),
+                None => String::new(),
+            }));
+            table.row(&cells);
         }
     }
-    let doc = serde::Value::Object(
-        rows.iter()
-            .map(|(name, row)| (name.clone(), row.to_value()))
-            .collect(),
-    );
-    if let Some(path) = bench_json {
-        let text = serde_json::to_string_pretty(&doc).expect("serializable");
-        std::fs::write(path, text.as_bytes())
-            .map_err(|e| CliError::Msg(format!("writing {path}: {e}")))?;
-    }
-    if json {
-        return Ok(serde_json::to_string_pretty(&doc).expect("serializable"));
-    }
-    let mut table = Table::new(
-        &format!(
-            "loadgen {} {} ({} requests x {} tenant(s), {} thread(s) each)",
-            spec.method,
-            spec.path,
-            spec.requests,
-            rows.len(),
-            spec.concurrency
-        ),
-        &[
-            "tenant", "ok", "non-200", "429s", "errors", "retries", "req/s", "p50 ms", "p99 ms",
-        ],
-    );
-    for (name, row) in &rows {
-        table.row(&[
-            name.clone(),
-            row.ok.to_string(),
-            row.non_ok.to_string(),
-            row.rate_limited.to_string(),
-            row.errors.to_string(),
-            row.retries.to_string(),
-            format!("{:.1}", row.throughput_rps),
-            format!("{:.2}", row.p50_ms),
-            format!("{:.2}", row.p99_ms),
-        ]);
-    }
-    Ok(table.render())
+    table.render()
 }
 
 /// `loadgen --job`: submit one async sweep job, stream its events, and
 /// report the round trip.
-fn loadgen_job(addr: &str, body: &str, json: bool) -> Result<String, CliError> {
-    let spec = if body.trim().is_empty() || body == "{}" {
-        None
-    } else {
-        Some(body)
-    };
+fn loadgen_job(
+    addr: &str,
+    body: &str,
+    key: Option<&str>,
+) -> Result<(serde::Value, String), CliError> {
+    let spec = (!body.trim().is_empty() && body != "{}").then_some(body);
     let outcome = client::run_job(
         addr,
+        key,
         spec,
         Duration::from_millis(50),
         Duration::from_secs(120),
     )
     .map_err(|e| CliError::Msg(e.to_string()))?;
-    if json {
-        let value = serde::Value::Object(vec![
-            (
-                "id".to_string(),
-                serde::Value::Number(serde::Number::PosInt(outcome.id)),
-            ),
-            (
-                "state".to_string(),
-                serde::Value::String(outcome.state.clone()),
-            ),
-            (
-                "events".to_string(),
-                serde::Value::Number(serde::Number::PosInt(outcome.events.len() as u64)),
-            ),
-            (
-                "final".to_string(),
-                serde_json::from_str::<serde::Value>(&outcome.final_body)
-                    .unwrap_or(serde::Value::String(outcome.final_body.clone())),
-            ),
-        ]);
-        return Ok(serde_json::to_string_pretty(&value).expect("serializable"));
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "job {} finished in state {:?} after {} event(s)",
+    let text = format!(
+        "job {} finished in state {:?} after {} event(s)\n{}\n",
         outcome.id,
         outcome.state,
-        outcome.events.len()
+        outcome.events.len(),
+        outcome.final_body
     );
-    let _ = writeln!(out, "{}", outcome.final_body);
-    Ok(out)
+    let doc = serde::Value::Object(vec![
+        (
+            "id".to_string(),
+            serde::Value::Number(serde::Number::PosInt(outcome.id)),
+        ),
+        ("state".to_string(), serde::Value::String(outcome.state)),
+        (
+            "events".to_string(),
+            serde::Value::Number(serde::Number::PosInt(outcome.events.len() as u64)),
+        ),
+        (
+            "final".to_string(),
+            serde_json::from_str::<serde::Value>(&outcome.final_body)
+                .unwrap_or(serde::Value::String(outcome.final_body)),
+        ),
+    ]);
+    Ok((doc, text))
 }
 
 fn cache_cmd(rest: &[String]) -> Result<String, CliError> {
@@ -3363,6 +3177,87 @@ mod tests {
         assert_eq!(v["events"], 2);
         assert!(v["final"]["report"].as_object().is_some(), "{out}");
         handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn loadgen_job_sends_the_tenant_key_to_a_keyed_server() {
+        let tenants =
+            wrsn_serve::tenant::parse_tenants(r#"{"name": "solo", "key": "solo-key"}"#).unwrap();
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 2,
+            queue_depth: 16,
+            keep_alive: true,
+            tenants: Some(tenants),
+            ..ServerConfig::default()
+        };
+        let handle = Server::start(&config, ApiContext::new()).unwrap();
+        let addr = handle.addr().to_string();
+        let spec = "{\"instance\":{\"posts\":5,\"nodes\":12,\"field\":150.0},\"seeds\":2}";
+        let out = run_str(&format!(
+            "loadgen --addr {addr} --job --tenant solo-key --body {spec} --json"
+        ))
+        .unwrap();
+        let v: serde_json::Value = serde_json::from_str(&out).unwrap();
+        assert_eq!(v["state"], "done", "{out}");
+        assert_eq!(v["events"], 2);
+        // Without the key the submit is refused.
+        let err = run_str(&format!("loadgen --addr {addr} --job --body {spec}")).unwrap_err();
+        assert!(err.to_string().contains("401"), "{err}");
+        handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn loadgen_refuses_a_flag_its_mode_does_not_read() {
+        for (cmd, flag) in [
+            (
+                "loadgen --tenants-file t.jsonl --connections 3 --pipeline 4",
+                "--connections",
+            ),
+            (
+                "loadgen --connections 2 --retries 3 --concurrency 9",
+                "--concurrency, --retries",
+            ),
+            (
+                "loadgen --addrs 127.0.0.1:9,127.0.0.1:10 --pipeline 8",
+                "--pipeline",
+            ),
+            ("loadgen --addrs 127.0.0.1:9 --job", "--addrs"),
+            ("loadgen --job --requests 5", "--requests"),
+            ("loadgen --pipeline 2", "--pipeline"),
+            ("loadgen --addrs 127.0.0.1:9 --addr 127.0.0.1:9", "--addr"),
+            ("loadgen --tenants-file t.jsonl --tenant k", "--tenant"),
+        ] {
+            let err = run_str(cmd).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("does not read {flag}")),
+                "{cmd}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_refuses_a_seed_range_past_the_last_seed() {
+        for extra in ["--algo idb", "--compare rfh,idb"] {
+            let err = run_str(&format!(
+                "sweep --posts 5 --nodes 10 --field 150 {extra} \
+                 --seed-start 18446744073709551615 --seeds 2"
+            ))
+            .unwrap_err()
+            .to_string();
+            assert!(
+                err.contains("--seed-start + --seeds overflows"),
+                "{extra}: {err}"
+            );
+        }
+        // The last seed alone is a range of one.
+        let out = run_str(
+            "sweep --posts 5 --nodes 10 --field 150 --algo idb \
+             --seed-start 18446744073709551614 --seeds 1 --no-timings --json",
+        )
+        .unwrap();
+        let v: serde_json::Value = serde_json::from_str(&out).unwrap();
+        assert_eq!(v["runs"].as_array().map(Vec::len), Some(1), "{out}");
     }
 
     /// One random simulate spec on a small instance, drawn from `picks`

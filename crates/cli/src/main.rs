@@ -1,5 +1,6 @@
 //! `wrsn` — command-line entry point.
 
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 
 mod args;
@@ -10,8 +11,16 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match commands::run(&argv) {
         Ok(output) => {
-            println!("{output}");
-            ExitCode::SUCCESS
+            // A reader that stops early (`wrsn ... | head`) closes the
+            // pipe; that ends the run quietly, not with a panic.
+            let mut stdout = std::io::stdout().lock();
+            match writeln!(stdout, "{output}").and_then(|()| stdout.flush()) {
+                Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+                    eprintln!("error: writing stdout: {e}");
+                    ExitCode::FAILURE
+                }
+                _ => ExitCode::SUCCESS,
+            }
         }
         Err(e) => {
             eprintln!("error: {e}");

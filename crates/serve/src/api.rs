@@ -20,6 +20,28 @@ use wrsn_sim::{ChargerPolicy, FaultPlan, SimConfig, SimReport, Simulator};
 /// big sweeps belong in the CLI, not behind a request timeout.
 pub const MAX_SWEEP_SEEDS: u64 = 1024;
 
+/// The seeds `start..start + count`, or why there are none: a zero
+/// `count`, or an end past `u64::MAX`. `names` spell the two settings
+/// as the caller's surface does (`seed_start` and `seeds` in a request
+/// body, `--seed-start` and `--seeds` on the command line).
+///
+/// # Errors
+///
+/// A message naming the setting at fault.
+pub fn seed_range(
+    start: u64,
+    count: u64,
+    [start_name, count_name]: [&str; 2],
+) -> Result<std::ops::Range<u64>, String> {
+    if count == 0 {
+        return Err(format!("{count_name} must be at least 1"));
+    }
+    let end = start
+        .checked_add(count)
+        .ok_or_else(|| format!("{start_name} + {count_name} overflows"))?;
+    Ok(start..end)
+}
+
 /// The fastest patrol a simulate spec may ask for, in meters per
 /// second; mobile chargers travel at a few (5 by default). Patrol
 /// events grow with the speed: at 6 posts and 100 rounds on a 2-vCPU
@@ -841,73 +863,36 @@ impl ApiContext {
         Ok(ApiOutcome::uncached(req.run(&self.registry)?.summary()))
     }
 
-    /// `POST /v1/sweep`: a small seed grid through the cached pipeline.
-    /// Repeated identical requests return byte-identical bodies.
+    /// `POST /v1/sweep`: a small seed grid through the cached pipeline,
+    /// under an optional per-tenant cache namespace. Repeated identical
+    /// requests return byte-identical bodies.
     ///
     /// # Errors
     ///
     /// [`ApiError`] with status 400 for invalid parameters, a zero or
     /// over-cap seed count, or an unknown solver.
-    pub fn sweep(&self, req: &SweepRequest) -> Result<ApiOutcome, ApiError> {
-        self.sweep_with_progress(req, None)
-    }
-
-    /// [`sweep`](ApiContext::sweep) under an optional per-tenant cache
-    /// namespace. `None` is byte-identical to [`sweep`](ApiContext::sweep).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`sweep`](ApiContext::sweep).
     pub fn sweep_in(
         &self,
         namespace: Option<&str>,
         req: &SweepRequest,
     ) -> Result<ApiOutcome, ApiError> {
-        self.sweep_with_progress_in(namespace, req, None)
+        self.sweep_job_in(namespace, req, None, None)
     }
 
-    /// [`sweep`](ApiContext::sweep) with an optional progress feed that
-    /// observes every terminal seed (including cache hits) as the sweep
-    /// runs — the async job API streams it to `/v1/jobs/{id}/events`.
-    /// The response body is byte-identical with or without a feed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`sweep`](ApiContext::sweep).
-    pub fn sweep_with_progress(
-        &self,
-        req: &SweepRequest,
-        progress: Option<Arc<ProgressFeed>>,
-    ) -> Result<ApiOutcome, ApiError> {
-        self.sweep_with_progress_in(None, req, progress)
-    }
-
-    /// [`sweep_with_progress`](ApiContext::sweep_with_progress) under an
-    /// optional per-tenant cache namespace.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`sweep`](ApiContext::sweep).
-    pub fn sweep_with_progress_in(
-        &self,
-        namespace: Option<&str>,
-        req: &SweepRequest,
-        progress: Option<Arc<ProgressFeed>>,
-    ) -> Result<ApiOutcome, ApiError> {
-        self.sweep_job_in(namespace, req, progress, None)
-    }
-
-    /// The async job API's sweep: like
-    /// [`sweep_with_progress_in`](ApiContext::sweep_with_progress_in),
-    /// plus an optional checkpoint path. With a checkpoint the sweep
-    /// journals every completed seed there (under the store's
+    /// The async job API's sweep: [`sweep_in`](ApiContext::sweep_in)
+    /// plus an optional progress feed and an optional checkpoint path.
+    /// The feed observes every terminal seed (including cache hits) as
+    /// the sweep runs, and the job API streams it to
+    /// `/v1/jobs/{id}/events`; the body is byte-identical with or
+    /// without a feed. With a checkpoint the sweep journals every
+    /// completed seed there (under the store's
     /// [`wrsn_engine::DurabilityPolicy`]) and resumes past already
     /// completed seeds on restart, so an interrupted job replays to a
     /// byte-identical report instead of starting over.
     ///
     /// # Errors
     ///
-    /// Same as [`sweep`](ApiContext::sweep).
+    /// Same as [`sweep_in`](ApiContext::sweep_in).
     pub fn sweep_job_in(
         &self,
         namespace: Option<&str>,
@@ -940,18 +925,15 @@ impl ApiContext {
     /// [`ApiError`] with status 400 for a zero or over-cap seed count
     /// or a range that overflows `u64`.
     pub fn validate_sweep(req: &SweepRequest) -> Result<u64, ApiError> {
-        if req.seeds == 0 {
-            return Err(ApiError::bad_request("seeds must be at least 1"));
-        }
         if req.seeds > MAX_SWEEP_SEEDS {
             return Err(ApiError::bad_request(format!(
                 "seeds capped at {MAX_SWEEP_SEEDS} per request, got {}",
                 req.seeds
             )));
         }
-        req.seed_start
-            .checked_add(req.seeds)
-            .ok_or_else(|| ApiError::bad_request("seed_start + seeds overflows"))
+        seed_range(req.seed_start, req.seeds, ["seed_start", "seeds"])
+            .map(|seeds| seeds.end)
+            .map_err(ApiError::bad_request)
     }
 
     /// `GET /v1/solvers`: the registry listing.
@@ -1182,20 +1164,20 @@ mod tests {
             seeds: 0,
             ..SweepRequest::default()
         };
-        assert_eq!(ctx.sweep(&req).unwrap_err().status, 400);
+        assert_eq!(ctx.sweep_in(None, &req).unwrap_err().status, 400);
         let req = SweepRequest {
             instance: small(),
             seeds: MAX_SWEEP_SEEDS + 1,
             ..SweepRequest::default()
         };
-        assert_eq!(ctx.sweep(&req).unwrap_err().status, 400);
+        assert_eq!(ctx.sweep_in(None, &req).unwrap_err().status, 400);
         let req = SweepRequest {
             instance: small(),
             seed_start: u64::MAX,
             seeds: 2,
             ..SweepRequest::default()
         };
-        assert_eq!(ctx.sweep(&req).unwrap_err().status, 400);
+        assert_eq!(ctx.sweep_in(None, &req).unwrap_err().status, 400);
     }
 
     #[test]
@@ -1211,10 +1193,10 @@ mod tests {
             seeds: 3,
             ..SweepRequest::default()
         };
-        let first = ctx.sweep(&req).unwrap();
+        let first = ctx.sweep_in(None, &req).unwrap();
         assert_eq!(first.cache.hits, 0);
         assert_eq!(first.cache.misses, 3);
-        let second = ctx.sweep(&req).unwrap();
+        let second = ctx.sweep_in(None, &req).unwrap();
         assert_eq!(second.cache.hits, 3);
         assert_eq!(second.cache.misses, 0);
         assert_eq!(

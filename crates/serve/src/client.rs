@@ -10,14 +10,15 @@
 //! shared [`CircuitBreaker`] that stops hammering a failing server
 //! (half-open probing brings it back).
 //!
-//! Two load harnesses report exact (not bucketed) p50/p95/p99
-//! latencies plus throughput: [`loadgen`] fans one-shot requests
-//! across threads (connect-per-request, the retry/chaos-era path),
-//! while [`loadgen_keep_alive`] opens a fixed fleet of persistent
-//! connections up front and drives them with pipelined batches — the
-//! harness that exercises the reactor's concurrency and pipelining.
-//! [`run_job`] drives the async job API end to end (submit → cursor
-//! the event stream → fetch the final report).
+//! One load harness, [`loadgen`], runs a [`Workload`] and reports
+//! exact (not bucketed) p50/p95/p99 latencies plus throughput. Its
+//! [`Drive`] either fans one-shot requests across threads
+//! (connect-per-request, the retry/chaos-era path) or opens a fixed
+//! fleet of persistent connections up front and drives them with
+//! pipelined batches — the path that exercises the reactor's
+//! concurrency and pipelining. [`run_job`] drives the async job API
+//! end to end (submit → cursor the event stream → fetch the final
+//! report).
 
 use crate::ServeError;
 use rand::rngs::SmallRng;
@@ -563,14 +564,6 @@ pub struct RetryOutcome {
     pub transport_resets: u64,
 }
 
-/// Bumps `status`'s counter in a sorted `(status, count)` list.
-fn bump_status(list: &mut Vec<(u16, u64)>, status: u16) {
-    match list.binary_search_by_key(&status, |&(s, _)| s) {
-        Ok(i) => list[i].1 += 1,
-        Err(i) => list.insert(i, (status, 1)),
-    }
-}
-
 /// Folds `from` into `into`, summing counts per status.
 fn merge_status(into: &mut Vec<(u16, u64)>, from: &[(u16, u64)]) {
     for &(status, count) in from {
@@ -620,7 +613,7 @@ pub fn request_with_retry_auth(
     policy: &RetryPolicy,
     breaker: Option<&CircuitBreaker>,
 ) -> Result<RetryOutcome, ServeError> {
-    retry_via(policy, breaker, || {
+    retry_outcome(policy, breaker, || {
         request_auth(addr, method, path, body, key)
     })
 }
@@ -640,32 +633,42 @@ pub fn request_with_retry_headers(
     policy: &RetryPolicy,
     breaker: Option<&CircuitBreaker>,
 ) -> Result<RetryOutcome, ServeError> {
-    retry_via(policy, breaker, || {
+    retry_outcome(policy, breaker, || {
         request_with_headers(addr, method, path, body, extra)
     })
 }
 
-/// The shared retry loop: backoff, `Retry-After`, and breaker wiring
-/// around any one-shot request closure.
-fn retry_via(
+/// [`retry_via`] with what its attempts ran into reported next to the
+/// final response.
+fn retry_outcome(
     policy: &RetryPolicy,
     breaker: Option<&CircuitBreaker>,
     attempt: impl Fn() -> Result<ClientResponse, ServeError>,
 ) -> Result<RetryOutcome, ServeError> {
+    let mut seen = LoadgenReport::default();
+    let response = retry_via(policy, breaker, &mut seen, attempt)?;
+    Ok(RetryOutcome {
+        response,
+        retries: seen.retries,
+        retryable_status: seen.retryable_status,
+        rate_limited: seen.rate_limited,
+        retries_by_status: seen.retries_by_status,
+        transport_resets: seen.transport_resets,
+    })
+}
+
+/// The shared retry loop: backoff, `Retry-After`, and breaker wiring
+/// around any one-shot request closure. Retries, retryable statuses
+/// and transport failures are counted into `seen`, also when the
+/// last attempt fails.
+fn retry_via(
+    policy: &RetryPolicy,
+    breaker: Option<&CircuitBreaker>,
+    seen: &mut LoadgenReport,
+    attempt: impl Fn() -> Result<ClientResponse, ServeError>,
+) -> Result<ClientResponse, ServeError> {
     let mut rng = SmallRng::seed_from_u64(policy.seed);
     let mut prev = policy.base;
-    let mut outcome = RetryOutcome {
-        response: ClientResponse {
-            status: 0,
-            headers: Vec::new(),
-            body: String::new(),
-        },
-        retries: 0,
-        retryable_status: 0,
-        rate_limited: 0,
-        retries_by_status: Vec::new(),
-        transport_resets: 0,
-    };
     let mut attempts = 0u32;
     loop {
         if let Some(b) = breaker {
@@ -686,21 +689,16 @@ fn retry_via(
                 if let Some(b) = breaker {
                     b.record_success();
                 }
-                outcome.response = resp.clone();
-                return Ok(outcome);
+                return result;
             }
             Ok(resp) => {
-                outcome.retryable_status += 1;
-                if resp.status == 429 {
-                    outcome.rate_limited += 1;
-                }
-                bump_status(&mut outcome.retries_by_status, resp.status);
+                seen.saw(resp.status);
                 resp.header("retry-after")
                     .and_then(|v| v.parse::<u64>().ok())
                     .map(Duration::from_secs)
             }
             Err(_) => {
-                outcome.transport_resets += 1;
+                seen.transport_resets += 1;
                 None
             }
         };
@@ -708,16 +706,10 @@ fn retry_via(
             b.record_failure();
         }
         if attempts >= policy.max_retries {
-            return match result {
-                Ok(resp) => {
-                    outcome.response = resp;
-                    Ok(outcome)
-                }
-                Err(e) => Err(e),
-            };
+            return result;
         }
         attempts += 1;
-        outcome.retries += 1;
+        seen.retries += 1;
         let sleep = match retry_after {
             // The server named a pause; respect it within our bounds.
             Some(after) => after.max(policy.base).min(policy.cap),
@@ -730,8 +722,9 @@ fn retry_via(
     }
 }
 
-/// What one loadgen run measured.
-#[derive(Debug, Clone)]
+/// What a load run measured. Counts add up over requests, threads and
+/// lanes through one [`LoadgenReport::merge`].
+#[derive(Debug, Clone, Default)]
 pub struct LoadgenReport {
     /// Requests that completed with status 200 (eventually, when
     /// retries are enabled).
@@ -763,9 +756,9 @@ pub struct LoadgenReport {
     pub transport_resets: u64,
     /// Times the shared circuit breaker opened during the run.
     pub breaker_opens: u64,
-    /// Concurrent connections the run held open: the thread count for
-    /// the connect-per-request [`loadgen`], the socket-fleet size for
-    /// [`loadgen_keep_alive`].
+    /// Concurrent connections the run held open: the thread count of a
+    /// [`Drive::PerRequest`] run, the socket-fleet size of a
+    /// [`Drive::KeepAlive`] one.
     pub connections: usize,
 }
 
@@ -792,198 +785,228 @@ impl LoadgenReport {
             ((q * self.latencies.len() as f64).ceil() as usize).clamp(1, self.latencies.len());
         self.latencies[rank - 1]
     }
+
+    /// Folds `other` into this report: counts and connections add, the
+    /// latencies stay sorted, and the wall clock is the longer of the
+    /// two, since threads and lanes run at the same time.
+    pub fn merge(&mut self, other: LoadgenReport) {
+        self.ok += other.ok;
+        self.non_ok += other.non_ok;
+        self.errors += other.errors;
+        self.elapsed = self.elapsed.max(other.elapsed);
+        self.latencies.extend(other.latencies);
+        self.latencies.sort_unstable();
+        self.retries += other.retries;
+        self.retryable_status += other.retryable_status;
+        self.rate_limited += other.rate_limited;
+        merge_status(&mut self.retries_by_status, &other.retries_by_status);
+        self.transport_resets += other.transport_resets;
+        self.breaker_opens += other.breaker_opens;
+        self.connections += other.connections;
+    }
+
+    /// Counts one response on the way to a request's answer: a
+    /// retryable status (429/5xx) by its code, a 429 also as a rate
+    /// limit.
+    fn saw(&mut self, status: u16) {
+        if retryable_status(status) {
+            self.retryable_status += 1;
+            merge_status(&mut self.retries_by_status, &[(status, 1)]);
+            if status == 429 {
+                self.rate_limited += 1;
+            }
+        }
+    }
+
+    /// Counts a request's final answer: a 200 with its latency, any
+    /// other status as not OK.
+    fn answered(&mut self, status: u16, latency: Duration) {
+        if status == 200 {
+            self.ok += 1;
+            self.latencies.push(latency);
+        } else {
+            self.non_ok += 1;
+        }
+    }
 }
 
-/// What one loadgen worker thread tallied.
-#[derive(Debug, Default)]
-struct ThreadTally {
-    ok: u64,
-    non_ok: u64,
-    errors: u64,
-    retries: u64,
-    retryable_status: u64,
-    rate_limited: u64,
-    retries_by_status: Vec<(u16, u64)>,
-    transport_resets: u64,
-    latencies: Vec<Duration>,
+/// The one request a load run repeats: where it goes, what it says,
+/// and the API key it sends as `Authorization: Bearer {key}`.
+#[derive(Debug, Clone, Copy)]
+pub struct RequestSpec<'a> {
+    /// Server address, e.g. `127.0.0.1:7421`.
+    pub addr: &'a str,
+    /// HTTP method.
+    pub method: &'a str,
+    /// Request path.
+    pub path: &'a str,
+    /// JSON body, if any.
+    pub body: Option<&'a str>,
+    /// API key, if any.
+    pub key: Option<&'a str>,
 }
 
-/// Fans `requests` identical (`method`, `path`, `body`) requests over
-/// `concurrency` threads against `addr` and collects latencies. With a
-/// [`RetryPolicy`], every request retries through a fleet-shared
-/// [`CircuitBreaker`] (per-thread jitter seeds are derived from the
-/// policy's), and the report carries the chaos-era counters.
+impl RequestSpec<'_> {
+    /// Sends the request once on a new connection.
+    fn send(&self) -> Result<ClientResponse, ServeError> {
+        request_auth(self.addr, self.method, self.path, self.body, self.key)
+    }
+}
+
+/// How a load run drives its requests.
+#[derive(Debug, Clone)]
+pub enum Drive {
+    /// One connection per request (`Connection: close`), the requests
+    /// spread over `threads` threads. With a `retry` policy every
+    /// request retries through one circuit breaker the threads share,
+    /// each thread drawing its own jitter seed from the policy's.
+    PerRequest {
+        /// Client threads.
+        threads: usize,
+        /// Retry policy, if any.
+        retry: Option<RetryPolicy>,
+    },
+    /// A fleet of `connections` keep-alive connections, all opened
+    /// before the clock starts so the server holds the whole fleet at
+    /// once, each writing `pipeline` requests per batch. The fleet is
+    /// spread over up to `available_parallelism` threads.
+    KeepAlive {
+        /// Fleet size.
+        connections: usize,
+        /// Requests written per batch on each connection.
+        pipeline: usize,
+    },
+}
+
+/// One load run: the request, how many times to send it, and how.
+#[derive(Debug, Clone)]
+pub struct Workload<'a> {
+    /// The request every send repeats.
+    pub request: RequestSpec<'a>,
+    /// How many times to send it.
+    pub requests: u64,
+    /// How the sends are driven.
+    pub drive: Drive,
+}
+
+/// Sends `work.requests` copies of `work.request` the way `work.drive`
+/// says, and reports throughput, exact latency quantiles and what the
+/// retries went through.
 ///
 /// # Errors
 ///
-/// [`ServeError::Client`] only when the very first probe request fails
-/// — a dead server fails fast instead of producing a report of pure
-/// errors. Individual failures during the run are counted, not fatal.
-pub fn loadgen(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    concurrency: usize,
-    requests: u64,
-    retry: Option<&RetryPolicy>,
-) -> Result<LoadgenReport, ServeError> {
-    loadgen_auth(addr, method, path, body, None, concurrency, requests, retry)
-}
-
-/// [`loadgen`] with an optional API key sent as
-/// `Authorization: Bearer {key}` on every request — the harness for
-/// driving one tenant's share of a multi-tenant server.
-///
-/// # Errors
-///
-/// Same as [`loadgen`].
-#[allow(clippy::too_many_arguments)]
-pub fn loadgen_auth(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    key: Option<&str>,
-    concurrency: usize,
-    requests: u64,
-    retry: Option<&RetryPolicy>,
-) -> Result<LoadgenReport, ServeError> {
-    let breaker = retry.map(CircuitBreaker::from_policy);
+/// [`ServeError::Client`] when the first probe request fails — a dead
+/// server fails fast instead of producing a report of pure errors — or
+/// when a socket of a [`Drive::KeepAlive`] fleet cannot be opened.
+/// Failures during the run are counted, not fatal.
+pub fn loadgen(work: &Workload<'_>) -> Result<LoadgenReport, ServeError> {
+    let spec = work.request;
+    let (policy, breaker) = match &work.drive {
+        Drive::PerRequest {
+            retry: Some(policy),
+            ..
+        } => (policy.clone(), Some(CircuitBreaker::from_policy(policy))),
+        _ => (
+            RetryPolicy {
+                max_retries: 0,
+                ..RetryPolicy::default()
+            },
+            None,
+        ),
+    };
+    let breaker = breaker.as_ref();
     // Probe first so misconfiguration is an error, not a zero report
     // (under chaos the probe itself retries, so an injected fault
     // cannot fail an otherwise healthy run).
-    match retry {
-        Some(policy) => {
-            request_with_retry_auth(addr, method, path, body, key, policy, breaker.as_ref())?;
-        }
-        None => {
-            request_auth(addr, method, path, body, key)?;
-        }
-    }
-    let concurrency = concurrency.max(1);
-    let per_thread = requests / concurrency as u64;
-    let remainder = requests % concurrency as u64;
-    let started = Instant::now();
-    let breaker_ref = breaker.as_ref();
-    let results: Vec<ThreadTally> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(concurrency);
-        for t in 0..concurrency {
-            let quota = per_thread + u64::from((t as u64) < remainder);
-            handles.push(scope.spawn(move || {
-                let mut tally = ThreadTally {
-                    latencies: Vec::with_capacity(quota as usize),
-                    ..ThreadTally::default()
-                };
+    retry_via(&policy, breaker, &mut LoadgenReport::default(), || {
+        spec.send()
+    })?;
+    Ok(match work.drive {
+        Drive::PerRequest { threads, .. } => {
+            let threads = threads.max(1);
+            let policy = &policy;
+            let report = fan_out(split(work.requests, threads), |t, quota| {
                 // Decorrelate threads without sharing rng state.
-                let policy = retry.map(|p| {
-                    p.clone()
-                        .with_seed(p.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                });
+                let policy = policy
+                    .clone()
+                    .with_seed(policy.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let mut tally = LoadgenReport::default();
                 for _ in 0..quota {
                     let t0 = Instant::now();
-                    match &policy {
-                        Some(policy) => {
-                            match request_with_retry_auth(
-                                addr,
-                                method,
-                                path,
-                                body,
-                                key,
-                                policy,
-                                breaker_ref,
-                            ) {
-                                Ok(outcome) => {
-                                    tally.retries += outcome.retries;
-                                    tally.retryable_status += outcome.retryable_status;
-                                    tally.rate_limited += outcome.rate_limited;
-                                    merge_status(
-                                        &mut tally.retries_by_status,
-                                        &outcome.retries_by_status,
-                                    );
-                                    tally.transport_resets += outcome.transport_resets;
-                                    if outcome.response.status == 200 {
-                                        tally.ok += 1;
-                                        tally.latencies.push(t0.elapsed());
-                                    } else {
-                                        tally.non_ok += 1;
-                                    }
-                                }
-                                Err(_) => tally.errors += 1,
-                            }
-                        }
-                        None => match request_auth(addr, method, path, body, key) {
-                            Ok(resp) if resp.status == 200 => {
-                                tally.ok += 1;
-                                tally.latencies.push(t0.elapsed());
-                            }
-                            Ok(resp) => {
-                                // Distinguish "back off and retry"
-                                // (e.g. admission-control 503s) from
-                                // terminal statuses.
-                                if retryable_status(resp.status) {
-                                    tally.retryable_status += 1;
-                                    bump_status(&mut tally.retries_by_status, resp.status);
-                                }
-                                if resp.status == 429 {
-                                    tally.rate_limited += 1;
-                                }
-                                tally.non_ok += 1;
-                            }
-                            Err(_) => {
-                                tally.transport_resets += 1;
-                                tally.errors += 1;
-                            }
-                        },
+                    match retry_via(&policy, breaker, &mut tally, || spec.send()) {
+                        Ok(resp) => tally.answered(resp.status, t0.elapsed()),
+                        Err(_) => tally.errors += 1,
                     }
                 }
                 tally
-            }));
+            });
+            LoadgenReport {
+                connections: threads,
+                breaker_opens: breaker.map_or(0, CircuitBreaker::opens),
+                ..report
+            }
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("loadgen thread panicked"))
-            .collect()
-    });
-    let elapsed = started.elapsed();
-    let mut report = LoadgenReport {
-        ok: 0,
-        non_ok: 0,
-        errors: 0,
-        elapsed,
-        latencies: Vec::new(),
-        retries: 0,
-        retryable_status: 0,
-        rate_limited: 0,
-        retries_by_status: Vec::new(),
-        transport_resets: 0,
-        breaker_opens: breaker.as_ref().map_or(0, CircuitBreaker::opens),
-        connections: concurrency,
-    };
-    for tally in results {
-        report.ok += tally.ok;
-        report.non_ok += tally.non_ok;
-        report.errors += tally.errors;
-        report.retries += tally.retries;
-        report.retryable_status += tally.retryable_status;
-        report.rate_limited += tally.rate_limited;
-        merge_status(&mut report.retries_by_status, &tally.retries_by_status);
-        report.transport_resets += tally.transport_resets;
-        report.latencies.extend(tally.latencies);
-    }
-    report.latencies.sort_unstable();
-    Ok(report)
+        Drive::KeepAlive {
+            connections,
+            pipeline,
+        } => {
+            let (connections, pipeline) = (connections.max(1), pipeline.max(1));
+            let threads = std::thread::available_parallelism()
+                .map_or(8, std::num::NonZeroUsize::get)
+                .min(connections);
+            // Open the whole fleet before the clock starts, dealt
+            // round-robin so quota remainders spread evenly.
+            let mut groups: Vec<Vec<(Connection, u64)>> =
+                (0..threads).map(|_| Vec::new()).collect();
+            for (c, quota) in split(work.requests, connections).into_iter().enumerate() {
+                groups[c % threads].push((Connection::connect(spec.addr)?, quota));
+            }
+            let report = fan_out(groups, |_, group| {
+                let mut tally = LoadgenReport::default();
+                for (conn, quota) in group {
+                    drive_connection(spec, conn, quota, pipeline, &mut tally);
+                }
+                tally
+            });
+            LoadgenReport {
+                connections,
+                ..report
+            }
+        }
+    })
 }
 
-/// The one request a load run repeats: where to send it and what it
-/// says.
-#[derive(Clone, Copy)]
-struct RequestSpec<'a> {
-    addr: &'a str,
-    method: &'a str,
-    path: &'a str,
-    body: Option<&'a str>,
-    key: Option<&'a str>,
+/// `total` split into `parts` shares that differ by at most one, the
+/// larger shares first.
+fn split(total: u64, parts: usize) -> Vec<u64> {
+    let n = parts as u64;
+    (0..n)
+        .map(|i| total / n + u64::from(i < total % n))
+        .collect()
+}
+
+/// Runs `run` on every part, each in a thread of its own, and merges
+/// what they counted. The run's wall clock covers these threads only.
+fn fan_out<T: Send>(
+    parts: Vec<T>,
+    run: impl Fn(usize, T) -> LoadgenReport + Sync,
+) -> LoadgenReport {
+    let run = &run;
+    let started = Instant::now();
+    let mut total = std::thread::scope(|scope| {
+        let handles: Vec<_> = parts
+            .into_iter()
+            .enumerate()
+            .map(|(i, part)| scope.spawn(move || run(i, part)))
+            .collect();
+        let mut total = LoadgenReport::default();
+        for handle in handles {
+            total.merge(handle.join().expect("loadgen thread panicked"));
+        }
+        total
+    });
+    total.elapsed = started.elapsed();
+    total
 }
 
 /// Drives one persistent connection through its request quota in
@@ -994,7 +1017,7 @@ fn drive_connection(
     mut conn: Connection,
     quota: u64,
     pipeline: usize,
-    tally: &mut ThreadTally,
+    tally: &mut LoadgenReport,
 ) {
     let mut remaining = quota;
     let mut retried_stale = false;
@@ -1017,21 +1040,10 @@ fn drive_connection(
             match conn.recv() {
                 Ok(resp) => {
                     received += 1;
-                    if resp.status == 200 {
-                        tally.ok += 1;
-                        // Batch-relative latency: later responses in a
-                        // deep pipeline carry their queueing delay.
-                        tally.latencies.push(t0.elapsed());
-                    } else {
-                        if retryable_status(resp.status) {
-                            tally.retryable_status += 1;
-                            bump_status(&mut tally.retries_by_status, resp.status);
-                        }
-                        if resp.status == 429 {
-                            tally.rate_limited += 1;
-                        }
-                        tally.non_ok += 1;
-                    }
+                    tally.saw(resp.status);
+                    // Batch-relative latency: later responses in a
+                    // deep pipeline carry their queueing delay.
+                    tally.answered(resp.status, t0.elapsed());
                 }
                 Err(_) => {
                     broken = true;
@@ -1078,129 +1090,6 @@ fn drive_connection(
     }
 }
 
-/// Fans `requests` identical requests over a fleet of `connections`
-/// persistent keep-alive connections, `pipeline` requests per write
-/// batch. Every socket is opened before the clock starts, so the
-/// server demonstrably holds the whole fleet concurrently; the fleet
-/// is then spread over up to `available_parallelism` driver threads.
-///
-/// # Errors
-///
-/// [`ServeError::Client`] when the initial probe request fails or any
-/// of the fleet's sockets cannot be opened — a dead or conn-capped
-/// server fails fast. Failures during the run are counted, not fatal.
-pub fn loadgen_keep_alive(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    connections: usize,
-    requests: u64,
-    pipeline: usize,
-) -> Result<LoadgenReport, ServeError> {
-    loadgen_keep_alive_auth(
-        addr,
-        method,
-        path,
-        body,
-        None,
-        connections,
-        requests,
-        pipeline,
-    )
-}
-
-/// [`loadgen_keep_alive`] with an optional API key sent as
-/// `Authorization: Bearer {key}` on every request.
-///
-/// # Errors
-///
-/// Same as [`loadgen_keep_alive`].
-#[allow(clippy::too_many_arguments)]
-pub fn loadgen_keep_alive_auth(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    key: Option<&str>,
-    connections: usize,
-    requests: u64,
-    pipeline: usize,
-) -> Result<LoadgenReport, ServeError> {
-    let connections = connections.max(1);
-    let pipeline = pipeline.max(1);
-    let spec = RequestSpec {
-        addr,
-        method,
-        path,
-        body,
-        key,
-    };
-    // Probe first so misconfiguration is an error, not a zero report.
-    request_auth(addr, method, path, body, key)?;
-    let per_conn = requests / connections as u64;
-    let remainder = requests % connections as u64;
-    let mut fleet: Vec<(Connection, u64)> = Vec::with_capacity(connections);
-    for c in 0..connections {
-        let quota = per_conn + u64::from((c as u64) < remainder);
-        fleet.push((Connection::connect(addr)?, quota));
-    }
-    let threads = std::thread::available_parallelism()
-        .map_or(8, std::num::NonZeroUsize::get)
-        .min(connections);
-    // Deal the fleet round-robin so quota remainders spread evenly.
-    let mut groups: Vec<Vec<(Connection, u64)>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, pair) in fleet.into_iter().enumerate() {
-        groups[i % threads].push(pair);
-    }
-    let started = Instant::now();
-    let results: Vec<ThreadTally> = std::thread::scope(|scope| {
-        let handles: Vec<_> = groups
-            .into_iter()
-            .map(|group| {
-                scope.spawn(move || {
-                    let mut tally = ThreadTally::default();
-                    for (conn, quota) in group {
-                        drive_connection(spec, conn, quota, pipeline, &mut tally);
-                    }
-                    tally
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("loadgen thread panicked"))
-            .collect()
-    });
-    let elapsed = started.elapsed();
-    let mut report = LoadgenReport {
-        ok: 0,
-        non_ok: 0,
-        errors: 0,
-        elapsed,
-        latencies: Vec::new(),
-        retries: 0,
-        retryable_status: 0,
-        rate_limited: 0,
-        retries_by_status: Vec::new(),
-        transport_resets: 0,
-        breaker_opens: 0,
-        connections,
-    };
-    for tally in results {
-        report.ok += tally.ok;
-        report.non_ok += tally.non_ok;
-        report.errors += tally.errors;
-        report.retryable_status += tally.retryable_status;
-        report.rate_limited += tally.rate_limited;
-        merge_status(&mut report.retries_by_status, &tally.retries_by_status);
-        report.transport_resets += tally.transport_resets;
-        report.latencies.extend(tally.latencies);
-    }
-    report.latencies.sort_unstable();
-    Ok(report)
-}
-
 /// What one async job round trip produced.
 #[derive(Debug, Clone)]
 pub struct JobOutcome {
@@ -1218,7 +1107,8 @@ pub struct JobOutcome {
 
 /// Submits `spec` to `POST /v1/jobs` and follows the job to its
 /// terminal state: cursors `GET /v1/jobs/{id}/events` until the state
-/// leaves `"running"`, then fetches the final poll body.
+/// leaves `"running"`, then fetches the final poll body. Every request
+/// sends `key`, when given, as `Authorization: Bearer {key}`.
 ///
 /// # Errors
 ///
@@ -1226,11 +1116,12 @@ pub struct JobOutcome {
 /// malformed body, or when the job outlives `deadline`.
 pub fn run_job(
     addr: &str,
+    key: Option<&str>,
     spec: Option<&str>,
     poll_every: Duration,
     deadline: Duration,
 ) -> Result<JobOutcome, ServeError> {
-    let submitted = request(addr, "POST", "/v1/jobs", spec)?;
+    let submitted = request_auth(addr, "POST", "/v1/jobs", spec, key)?;
     if submitted.status != 202 {
         return Err(ServeError::Client(format!(
             "job submit: status {} body {}",
@@ -1247,11 +1138,12 @@ pub fn run_job(
     let mut cursor = 0u64;
     let mut events: Vec<serde::Value> = Vec::new();
     let state = loop {
-        let resp = request(
+        let resp = request_auth(
             addr,
             "GET",
             &format!("/v1/jobs/{id}/events?since={cursor}"),
             None,
+            key,
         )?;
         let page: serde::Value = serde_json::from_str(&resp.body)
             .map_err(|e| ServeError::Client(format!("job events body: {e}")))?;
@@ -1277,7 +1169,7 @@ pub fn run_job(
         }
         std::thread::sleep(poll_every);
     };
-    let final_poll = request(addr, "GET", &format!("/v1/jobs/{id}"), None)?;
+    let final_poll = request_auth(addr, "GET", &format!("/v1/jobs/{id}"), None, key)?;
     Ok(JobOutcome {
         id,
         state,
@@ -1305,30 +1197,15 @@ mod tests {
         assert!(parse_response(b"HTTP/1.1 abc\r\n\r\n").is_err());
     }
 
-    fn empty_report(latencies: Vec<Duration>, elapsed: Duration) -> LoadgenReport {
-        LoadgenReport {
-            ok: 0,
-            non_ok: 0,
-            errors: 0,
-            elapsed,
-            latencies,
-            retries: 0,
-            retryable_status: 0,
-            rate_limited: 0,
-            retries_by_status: Vec::new(),
-            transport_resets: 0,
-            breaker_opens: 0,
-            connections: 0,
-        }
-    }
-
     #[test]
     fn quantiles_are_exact_order_statistics() {
         let mut latencies: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
         latencies.sort_unstable();
         let report = LoadgenReport {
             ok: 100,
-            ..empty_report(latencies, Duration::from_secs(1))
+            elapsed: Duration::from_secs(1),
+            latencies,
+            ..LoadgenReport::default()
         };
         assert_eq!(report.quantile(0.50), Duration::from_millis(50));
         assert_eq!(report.quantile(0.95), Duration::from_millis(95));
@@ -1338,9 +1215,131 @@ mod tests {
 
     #[test]
     fn empty_report_is_safe() {
-        let report = empty_report(Vec::new(), Duration::ZERO);
+        let report = LoadgenReport::default();
         assert_eq!(report.quantile(0.5), Duration::ZERO);
         assert_eq!(report.throughput_rps(), 0.0);
+    }
+
+    /// One request as a load run ends it: the retryable statuses and
+    /// transport resets its attempts ran into, the retries it spent,
+    /// and its final status and latency (`None`: it failed terminally).
+    struct Outcome {
+        seen: Vec<u16>,
+        resets: u64,
+        retries: u64,
+        last: Option<(u16, Duration)>,
+    }
+
+    /// Counts `outcome` as `loadgen`'s threads do.
+    fn record(report: &mut LoadgenReport, outcome: &Outcome) {
+        for &status in &outcome.seen {
+            report.saw(status);
+        }
+        report.transport_resets += outcome.resets;
+        report.retries += outcome.retries;
+        match outcome.last {
+            Some((status, latency)) => {
+                report.saw(status);
+                report.answered(status, latency);
+            }
+            None => report.errors += 1,
+        }
+    }
+
+    #[test]
+    fn merged_threads_and_lanes_count_what_one_report_of_every_outcome_counts() {
+        let statuses = [200, 200, 200, 200, 400, 404, 429, 500, 502, 503, 504];
+        let retryable = [429, 500, 502, 503, 504];
+        let mut rng = SmallRng::seed_from_u64(2301);
+        for case in 0..400 {
+            let outcomes: Vec<Outcome> = (0..rng.random_range(0..120))
+                .map(|_| Outcome {
+                    seen: (0..rng.random_range(0..4))
+                        .map(|_| retryable[rng.random_range(0..retryable.len())])
+                        .collect(),
+                    resets: rng.random_range(0..3),
+                    retries: rng.random_range(0..5),
+                    last: (rng.random_range(0..8) > 0).then(|| {
+                        let status = statuses[rng.random_range(0..statuses.len())];
+                        (status, Duration::from_micros(rng.random_range(0..50)))
+                    }),
+                })
+                .collect();
+            // The oracle counts every outcome at once, by hand.
+            let mut by_status = std::collections::BTreeMap::new();
+            let mut want = LoadgenReport::default();
+            for outcome in &outcomes {
+                let last = outcome.last.map(|(status, _)| status);
+                for &status in outcome.seen.iter().chain(last.iter()) {
+                    if retryable.contains(&status) {
+                        want.retryable_status += 1;
+                        *by_status.entry(status).or_insert(0) += 1;
+                    }
+                    want.rate_limited += u64::from(status == 429);
+                }
+                want.transport_resets += outcome.resets;
+                want.retries += outcome.retries;
+                match outcome.last {
+                    Some((200, latency)) => {
+                        want.ok += 1;
+                        want.latencies.push(latency);
+                    }
+                    Some(_) => want.non_ok += 1,
+                    None => want.errors += 1,
+                }
+            }
+            want.latencies.sort_unstable();
+            want.retries_by_status = by_status.into_iter().collect();
+            // The run under test deals the outcomes over random lanes
+            // and threads, then merges threads into lanes and lanes
+            // into the total.
+            let lanes: usize = rng.random_range(1..4);
+            let mut threads: Vec<Vec<LoadgenReport>> = (0..lanes)
+                .map(|_| vec![LoadgenReport::default(); rng.random_range(1..5usize)])
+                .collect();
+            for outcome in &outcomes {
+                let lane = &mut threads[rng.random_range(0..lanes)];
+                let t = rng.random_range(0..lane.len());
+                record(&mut lane[t], outcome);
+            }
+            let mut total = LoadgenReport::default();
+            for lane_threads in threads {
+                let mut lane = LoadgenReport::default();
+                for thread in lane_threads {
+                    lane.merge(thread);
+                }
+                lane.elapsed = Duration::from_millis(rng.random_range(0..100));
+                lane.connections = rng.random_range(1..9);
+                lane.breaker_opens = rng.random_range(0..3);
+                want.elapsed = want.elapsed.max(lane.elapsed);
+                want.connections += lane.connections;
+                want.breaker_opens += lane.breaker_opens;
+                total.merge(lane);
+            }
+            let counts = |r: &LoadgenReport| {
+                [
+                    r.ok,
+                    r.non_ok,
+                    r.errors,
+                    r.retries,
+                    r.retryable_status,
+                    r.rate_limited,
+                    r.transport_resets,
+                    r.breaker_opens,
+                    r.connections as u64,
+                ]
+            };
+            assert_eq!(counts(&total), counts(&want), "case {case}");
+            assert_eq!(
+                total.retries_by_status, want.retries_by_status,
+                "case {case}"
+            );
+            assert_eq!(total.elapsed, want.elapsed, "case {case}");
+            assert_eq!(total.latencies, want.latencies, "case {case}");
+            for q in [0.5, 0.95, 0.99] {
+                assert_eq!(total.quantile(q), want.quantile(q), "case {case}, q {q}");
+            }
+        }
     }
 
     #[test]
@@ -1507,7 +1506,21 @@ mod tests {
         )
         .unwrap();
         let addr = server.addr().to_string();
-        let report = loadgen_keep_alive(&addr, "GET", "/healthz", None, 4, 40, 3).unwrap();
+        let report = loadgen(&Workload {
+            request: RequestSpec {
+                addr: &addr,
+                method: "GET",
+                path: "/healthz",
+                body: None,
+                key: None,
+            },
+            requests: 40,
+            drive: Drive::KeepAlive {
+                connections: 4,
+                pipeline: 3,
+            },
+        })
+        .unwrap();
         assert_eq!(
             report.ok, 40,
             "errors={} non_ok={}",
@@ -1516,6 +1529,34 @@ mod tests {
         assert_eq!(report.connections, 4);
         assert_eq!(report.latencies.len(), 40);
         server.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_terminal_failure_keeps_what_its_attempts_ran_into() {
+        let policy = RetryPolicy {
+            max_retries: 2,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(2),
+            ..RetryPolicy::default()
+        };
+        let attempts = std::cell::Cell::new(0);
+        let mut seen = LoadgenReport::default();
+        let result = retry_via(&policy, None, &mut seen, || {
+            attempts.set(attempts.get() + 1);
+            if attempts.get() == 1 {
+                parse_response(b"HTTP/1.1 503 Service Unavailable\r\n\r\n")
+                    .map_err(ServeError::Client)
+            } else {
+                Err(ServeError::Client("connection reset".into()))
+            }
+        });
+        assert!(result.is_err());
+        assert_eq!(attempts.get(), 3);
+        assert_eq!(
+            (seen.retries, seen.retryable_status, seen.transport_resets),
+            (2, 1, 2)
+        );
+        assert_eq!(seen.retries_by_status, vec![(503, 1)]);
     }
 
     #[test]

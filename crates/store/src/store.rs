@@ -2055,8 +2055,7 @@ mod tests {
     #[ignore = "benchmark: run with --ignored --nocapture to measure"]
     fn bench_fsync_policy_throughput_delta() {
         // Measures put throughput under flush vs fsync durability with
-        // seal-sized segments — the numbers recorded in
-        // bench_results/BENCH_durability.json (EXPERIMENTS.md R8).
+        // seal-sized segments — the dated record in EXPERIMENTS.md R8.
         let run = |durability: DurabilityPolicy| -> (u64, f64) {
             let dir = temp_dir(&format!("bench-{}", durability.as_str()));
             let store = ResultStore::open_with(

@@ -16,7 +16,7 @@ use wrsn::geom::Field;
 use wrsn::serve::api::ApiContext;
 use wrsn::serve::client::{
     loadgen, request, request_auth, request_with_retry, request_with_retry_auth, run_job,
-    ClientResponse, Connection, RetryPolicy,
+    ClientResponse, Connection, Drive, RequestSpec, RetryPolicy, Workload,
 };
 use wrsn::serve::{ChaosPolicy, Server, ServerConfig, ServerHandle, TenantSpec, MAX_REACTORS};
 
@@ -828,7 +828,21 @@ fn loadgen_sustains_cached_solves() {
     let addr = server.addr().to_string();
     let body = format!("{{{SMALL},\"solver\":\"idb\"}}");
 
-    let report = loadgen(&addr, "POST", "/v1/solve", Some(&body), 4, 60, None).unwrap();
+    let report = loadgen(&Workload {
+        request: RequestSpec {
+            addr: &addr,
+            method: "POST",
+            path: "/v1/solve",
+            body: Some(&body),
+            key: None,
+        },
+        requests: 60,
+        drive: Drive::PerRequest {
+            threads: 4,
+            retry: None,
+        },
+    })
+    .unwrap();
     assert_eq!(report.ok, 60, "no drops under the queue depth");
     assert_eq!(report.errors, 0);
     assert!(report.throughput_rps() > 0.0);
@@ -929,15 +943,20 @@ fn retrying_fleet_rides_out_chaos_with_byte_identical_sweeps() {
     );
     let addr = chaotic.addr().to_string();
 
-    let report = loadgen(
-        &addr,
-        "POST",
-        "/v1/sweep",
-        Some(&sweep_body),
-        4,
-        40,
-        Some(&fast_retry(7)),
-    )
+    let report = loadgen(&Workload {
+        request: RequestSpec {
+            addr: &addr,
+            method: "POST",
+            path: "/v1/sweep",
+            body: Some(&sweep_body),
+            key: None,
+        },
+        requests: 40,
+        drive: Drive::PerRequest {
+            threads: 4,
+            retry: Some(fast_retry(7)),
+        },
+    })
     .unwrap();
     assert_eq!(report.ok, 40, "every request eventually succeeds");
     assert_eq!(report.non_ok, 0);
@@ -1162,6 +1181,7 @@ fn async_job_report_is_byte_identical_to_the_synchronous_sweep() {
     // 202 + id, cursored per-seed events, terminal state "done".
     let outcome = run_job(
         &addr,
+        None,
         Some(&spec),
         Duration::from_millis(20),
         Duration::from_secs(60),
