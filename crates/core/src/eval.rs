@@ -16,6 +16,18 @@
 //! branch-and-bound's incumbent and the three scheduling solvers:
 //! [`CostEvaluator::from_ones`], [`CostEvaluator::cheapest_add`],
 //! [`CostEvaluator::greedy_fill`] and [`CostEvaluator::solution`].
+//!
+//! [`CostEvaluator::cheapest_add`] repairs only the posts it must. A node
+//! added at `q` lowers `q` by the drop `δ_q` of its best uplink and every
+//! strict descendant of `q` in the shortest-path tree by one common shift
+//! `σ_q = δ_q + rx·(1/η(m_q) − 1/η(m_q+1))`. While `σ_q` is below the
+//! least reduced cost `w(u,v) + dist[v] − dist[u]` of any uplink entering
+//! `q`'s subtree from outside, no other post can switch into it, so the
+//! saving is a closed form in `δ_q`, `σ_q`, the subtree's report rate and
+//! `q`'s sensing draw, read in O(out-degree). Every post that fails that
+//! test, and every post whose estimate lies within `1e-9·f` of the best,
+//! is repaired exactly, and the first strict minimum of the exact totals
+//! wins: the pick is the one probing every post gives (DESIGN §3.5).
 
 use crate::{optimal_cost, Deployment, Instance, RoutingTree, Solution, SolveError};
 use std::cmp::Ordering;
@@ -45,8 +57,168 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// A post's estimated one-node-more cost in a `cheapest_add` round.
+#[derive(Debug, Clone, Copy)]
+enum Probe {
+    /// At the cap: not a candidate.
+    Full,
+    /// `f` minus the certified closed-form saving.
+    Certified(f64),
+    /// The exact `repair_add` total.
+    Repaired(f64),
+}
+
+impl Probe {
+    fn cost(self) -> Option<f64> {
+        match self {
+            Probe::Full => None,
+            Probe::Certified(c) | Probe::Repaired(c) => Some(c),
+        }
+    }
+}
+
+/// Relative margin, against `f`, within which a certified estimate is
+/// confirmed by an exact repair before it may win. The rounding of `f`
+/// and of the estimates is about `N·2⁻⁵³·f` (≈10⁻¹³·f at 1 000 posts).
+const CERTIFICATE_MARGIN: f64 = 1e-9;
+
+/// Marks "no child" / "no sibling" in [`Certificate`]'s child lists.
+const NO_NODE: usize = usize::MAX;
+
+/// One `cheapest_add` round's view of the shortest-path tree, kept
+/// across rounds so that a round allocates nothing. Indexed by node:
+/// posts, then the base station.
+#[derive(Debug, Default)]
+struct Certificate {
+    /// The tree, as [`CostEvaluator::parents_into`] routes it, and each
+    /// node's children as a list linked through `next_sibling`.
+    parent: Vec<usize>,
+    first_child: Vec<usize>,
+    next_sibling: Vec<usize>,
+    /// Preorder of the tree from the base station, and its DFS stack.
+    order: Vec<usize>,
+    stack: Vec<usize>,
+    /// Euler-tour interval: `a` is `x` or an ancestor of it iff
+    /// `tin[a] <= tin[x] < tout[a]`.
+    tin: Vec<usize>,
+    tout: Vec<usize>,
+    /// `W(q)`: the report rate summed over `q`'s subtree.
+    subtree_rate: Vec<f64>,
+    /// `minslack(q)`: the least reduced cost of an uplink from outside
+    /// `q`'s subtree into it (∞ when there is none).
+    min_slack: Vec<f64>,
+    /// This round's estimate per post.
+    probes: Vec<Probe>,
+}
+
+impl Certificate {
+    #[inline]
+    fn is_ancestor(&self, a: usize, x: usize) -> bool {
+        self.tin[a] <= self.tin[x] && self.tin[x] < self.tout[a]
+    }
+
+    /// Builds the round's tree aggregates from `eval`'s base state.
+    /// `false` when the parents do not form one tree rooted at the base
+    /// station (possible only through rounding), and nothing may be
+    /// certified.
+    fn build(&mut self, eval: &CostEvaluator<'_>) -> bool {
+        let n = eval.up.len();
+        let bs = n;
+        eval.parents_into(&mut self.parent);
+        self.first_child.clear();
+        self.first_child.resize(n + 1, NO_NODE);
+        self.next_sibling.clear();
+        self.next_sibling.resize(n + 1, NO_NODE);
+        for p in (0..n).rev() {
+            self.next_sibling[p] = self.first_child[self.parent[p]];
+            self.first_child[self.parent[p]] = p;
+        }
+        self.tin.clear();
+        self.tin.resize(n + 1, 0);
+        self.order.clear();
+        self.stack.clear();
+        self.stack.push(bs);
+        while let Some(v) = self.stack.pop() {
+            self.tin[v] = self.order.len();
+            self.order.push(v);
+            let mut c = self.first_child[v];
+            while c != NO_NODE {
+                self.stack.push(c);
+                c = self.next_sibling[c];
+            }
+        }
+        if self.order.len() != n + 1 {
+            return false;
+        }
+        // Subtree sizes and rates, children before parents; an exit time
+        // is the entry time plus the subtree's size.
+        self.tout.clear();
+        self.tout.resize(n + 1, 1);
+        self.subtree_rate.clear();
+        self.subtree_rate.extend_from_slice(&eval.rates);
+        self.subtree_rate.push(0.0);
+        for &v in self.order[1..].iter().rev() {
+            let p = self.parent[v];
+            self.tout[p] += self.tout[v];
+            self.subtree_rate[p] += self.subtree_rate[v];
+        }
+        for (tout, &tin) in self.tout.iter_mut().zip(&self.tin) {
+            *tout += tin;
+        }
+        // An uplink u -> v enters the subtree of every node from v up to,
+        // not including, the first ancestor of u.
+        self.min_slack.clear();
+        self.min_slack.resize(n + 1, f64::INFINITY);
+        for u in 0..n {
+            for &(v, tx) in &eval.up[u] {
+                if self.is_ancestor(v, u) {
+                    continue;
+                }
+                let slack = (eval.weight(u, v, tx) + eval.dist[v]) - eval.dist[u];
+                let mut a = v;
+                while !self.is_ancestor(a, u) {
+                    self.min_slack[a] = self.min_slack[a].min(slack);
+                    a = self.parent[a];
+                }
+            }
+        }
+        true
+    }
+
+    /// `f(m + e_q)` in closed form when one more node at `q` moves no
+    /// post into `q`'s subtree, else `None`.
+    fn certified_cost(&self, eval: &CostEvaluator<'_>, q: usize) -> Option<f64> {
+        let bs = eval.up.len();
+        let new_eff = eval.instance.charge_efficiency(eval.counts[q] + 1);
+        let inv_drop = 1.0 / eval.eff[q] - 1.0 / new_eff;
+        let mut best = eval.dist[q];
+        for &(v, tx) in &eval.up[q] {
+            let mut w = tx / new_eff;
+            if v != bs {
+                w += eval.rx_nj / eval.eff[v];
+            }
+            best = best.min(w + eval.dist[v]);
+        }
+        let drop = eval.dist[q] - best;
+        let shift = drop + eval.rx_nj * inv_drop;
+        (shift < self.min_slack[q]).then(|| {
+            let rate = eval.rates[q];
+            let saving =
+                rate * drop + shift * (self.subtree_rate[q] - rate) + eval.sensing_nj[q] * inv_drop;
+            eval.sum - saving
+        })
+    }
+}
+
 /// Reusable evaluator of the minimum total recharging cost under a
 /// deployment; see the module-level discussion above for the design.
+///
+/// [`probe_add`](Self::probe_add) and [`commit_add`](Self::commit_add)
+/// always repair. [`cheapest_add`](Self::cheapest_add), and so
+/// [`greedy_fill`](Self::greedy_fill), repairs only the posts whose
+/// saving the subtree-shift certificate cannot bound and those whose
+/// bound comes within `1e-9·f` of the best: about a fifth of the probes
+/// at 100 posts / 400 nodes, for the same pick.
 ///
 /// # Examples
 ///
@@ -85,6 +257,11 @@ pub struct CostEvaluator<'a> {
     /// Scratch distance buffer for probes.
     scratch: Vec<f64>,
     heap: BinaryHeap<HeapEntry>,
+    /// `cheapest_add`'s per-round buffers.
+    round: Certificate,
+    /// Decrease-only repairs run so far.
+    #[cfg(test)]
+    repairs: usize,
 }
 
 impl<'a> CostEvaluator<'a> {
@@ -116,6 +293,9 @@ impl<'a> CostEvaluator<'a> {
             sum: f64::INFINITY,
             scratch: vec![f64::INFINITY; n + 1],
             heap: BinaryHeap::new(),
+            round: Certificate::default(),
+            #[cfg(test)]
+            repairs: 0,
         }
     }
 
@@ -242,9 +422,19 @@ impl<'a> CostEvaluator<'a> {
         new_sum
     }
 
-    /// The post where one more node lowers `f(m)` the most: every post
-    /// below the instance's per-post cap is probed in index order, and
-    /// the first strict minimum wins. `None` when every post is full.
+    /// The post where one more node lowers `f(m)` the most: among the
+    /// posts below the instance's per-post cap, the first strict minimum
+    /// of [`probe_add`](Self::probe_add) in index order. `None` when every
+    /// post is full.
+    ///
+    /// Not every post is repaired. A post whose probe the subtree-shift
+    /// certificate bounds (module docs) gets a closed-form estimate; the
+    /// rest are repaired. Every post whose estimate lies within `1e-9·f`
+    /// of the lowest then gets its exact repaired total, and the first
+    /// strict minimum of those wins. Estimates and totals differ only by
+    /// rounding, far below that margin, so the post probing every one
+    /// would pick is always among them, and wins. When some estimate is
+    /// not finite, every open post is repaired.
     ///
     /// # Panics
     ///
@@ -255,17 +445,42 @@ impl<'a> CostEvaluator<'a> {
             .instance
             .max_nodes_per_post()
             .unwrap_or(self.instance.num_nodes());
-        let mut best: Option<(f64, usize)> = None;
-        for p in 0..self.counts.len() {
-            if self.counts[p] >= cap {
-                continue;
-            }
-            let cost = self.probe_add(p);
-            if best.is_none_or(|(b, _)| cost < b) {
-                best = Some((cost, p));
-            }
+        let f = self.current_cost();
+        let mut round = std::mem::take(&mut self.round);
+        let certify = round.build(self);
+        round.probes.clear();
+        for q in 0..self.counts.len() {
+            let probe = if self.counts[q] >= cap {
+                Probe::Full
+            } else if let Some(cost) = certify.then(|| round.certified_cost(self, q)).flatten() {
+                Probe::Certified(cost)
+            } else {
+                Probe::Repaired(self.repair_add(q))
+            };
+            round.probes.push(probe);
         }
-        best.map(|(_, p)| p)
+        let costs = round.probes.iter().filter_map(|p| p.cost());
+        let finite = costs.clone().all(f64::is_finite);
+        let bar = costs.fold(f64::INFINITY, f64::min) + CERTIFICATE_MARGIN * f;
+        let mut near = (0..round.probes.len())
+            .filter(|&q| round.probes[q].cost().is_some_and(|c| !finite || c <= bar));
+        let pick = if near.clone().count() == 1 {
+            near.next()
+        } else {
+            let mut best: Option<(f64, usize)> = None;
+            for q in near {
+                let cost = match round.probes[q] {
+                    Probe::Repaired(c) => c,
+                    _ => self.repair_add(q),
+                };
+                if best.is_none_or(|(b, _)| cost < b) {
+                    best = Some((cost, q));
+                }
+            }
+            best.map(|(_, q)| q)
+        };
+        self.round = round;
+        pick
     }
 
     /// Spends the instance's remaining nodes one at a time, each at
@@ -291,6 +506,10 @@ impl<'a> CostEvaluator<'a> {
         let n = self.up.len();
         assert!(self.sum.is_finite(), "set_deployment must be called first");
         assert!(post < n, "post {post} out of range");
+        #[cfg(test)]
+        {
+            self.repairs += 1;
+        }
         let old_eff = self.eff[post];
         let new_eff = self.instance.charge_efficiency(self.counts[post] + 1);
         self.scratch.copy_from_slice(&self.dist);
@@ -417,6 +636,7 @@ impl<'a> CostEvaluator<'a> {
 mod tests {
     use super::*;
     use crate::{optimal_cost, InstanceSampler};
+    use wrsn_energy::Energy;
     use wrsn_geom::Field;
 
     fn check_against_reference(n: usize, m: u32, seed: u64) {
@@ -497,6 +717,51 @@ mod tests {
         assert!(a < b);
         assert_eq!(a, a2);
         assert_eq!(eval.deployment().counts(), &[3u32; 8]);
+    }
+
+    #[test]
+    fn certificate_refuses_a_post_whose_boost_pulls_in_a_non_descendant() {
+        // Post 1 routes straight to the base station (5.5 nJ) with 1.5 nJ
+        // of slack over its uplink into post 0 (1 + rx 4 + 2). A second
+        // node at post 0 halves its costs: post 0 drops by 1 and the rx
+        // of its in-links by 2, a shift of 3, so post 1 switches into
+        // post 0's subtree and saves 1.5 more than the closed form sees.
+        let e = Energy::from_njoules;
+        let inst = crate::InstanceBuilder::new(2, 4)
+            .rx_energy(e(4.0))
+            .uplink(0, 2, e(2.0))
+            .uplink(1, 2, e(5.5))
+            .uplink(1, 0, e(1.0))
+            .build()
+            .unwrap();
+        let mut eval = CostEvaluator::new(&inst);
+        let f = eval.set_deployment(&[1, 1]).unwrap();
+        assert_eq!(eval.parents(), vec![2, 2]);
+        let mut round = Certificate::default();
+        assert!(round.build(&eval));
+        assert_eq!(round.min_slack[0], 1.5);
+        assert_eq!(round.certified_cost(&eval, 0), None);
+        assert_eq!(eval.probe_add(0), f - 2.5);
+        // Nothing enters post 1's subtree: its closed form is exact.
+        assert_eq!(round.certified_cost(&eval, 1), Some(f - 2.75));
+        assert_eq!(eval.probe_add(1), f - 2.75);
+        assert_eq!(eval.cheapest_add(), Some(1));
+    }
+
+    #[test]
+    fn greedy_fill_repairs_under_a_third_of_the_probes() {
+        // Probing every open post repairs (M − N)·N = 30 000 times per
+        // solve at 100 posts / 400 nodes; the certificate spares most.
+        for seed in [1, 2, 3] {
+            let inst = InstanceSampler::new(Field::square(500.0), 100, 400).sample(seed);
+            let mut eval = CostEvaluator::from_ones(&inst).unwrap();
+            eval.greedy_fill();
+            assert!(
+                eval.repairs <= 9_000,
+                "seed {seed}: {} repairs, over 30 % of 30 000",
+                eval.repairs
+            );
+        }
     }
 
     #[test]

@@ -9,9 +9,12 @@ use crate::{optimal_cost, CostEvaluator, Deployment, Instance, Solution, SolveEr
 ///
 /// With `δ = 1` this is greedy coordinate ascent on the exact objective
 /// `f(m) = Σ_p dist_m(p → BS)`, the shared kernel
-/// [`CostEvaluator::greedy_fill`]: each candidate is scored by a local
-/// decrease-only repair instead of a full Dijkstra. Larger `δ` explores
-/// `C(N+δ−1, δ)` candidates per round, trading time for lookahead.
+/// [`CostEvaluator::greedy_fill`]. No candidate costs a full Dijkstra:
+/// most are bounded in closed form by a subtree-shift certificate, and
+/// the rest, plus every near-best one, are scored by a local
+/// decrease-only repair, so each round picks exactly the post that
+/// repairing every candidate would. Larger `δ` explores `C(N+δ−1, δ)`
+/// candidates per round, trading time for lookahead.
 ///
 /// # Examples
 ///

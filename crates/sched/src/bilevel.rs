@@ -297,7 +297,7 @@ mod tests {
         optimal_cost, ChargeSpec, Deployment, GainKind, GeometricInstanceBuilder, Idb,
         InstanceBuilder, InstanceSampler, RoutingTree,
     };
-    use wrsn_geom::Field;
+    use wrsn_geom::{Field, Layout};
 
     /// IDB(1) as the cost-greedy solvers each wrote it out before they
     /// shared [`CostEvaluator::greedy_fill`]: the one-node prologue that
@@ -359,16 +359,17 @@ mod tests {
         Ok(warm.expect("the anneal scores its warm start"))
     }
 
-    /// A random instance drawn from `seed`: 2..=8 posts with up to two
-    /// spare nodes each on average; a linear, sublinear or measured gain,
-    /// one of them with plateaus where probes tie; an optional per-post
-    /// cap; uniform or random report rates; zero or random sensing. Half
-    /// are geometric, half explicit with a direct uplink per post.
-    fn random_instance(seed: u64) -> Instance {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let e = Energy::from_njoules;
-        let n = rng.random_range(2..=8usize);
-        let m = n as u32 + rng.random_range(0..=2 * n as u32);
+    /// What both instance generators draw besides the layout, for `n`
+    /// posts and `m` nodes: a linear, sublinear or measured gain, one of
+    /// them with plateaus where probes tie; an optional per-post cap of
+    /// at most `max_cap`; uniform or random report rates; zero or random
+    /// sensing.
+    fn draw_loads(
+        rng: &mut SmallRng,
+        n: usize,
+        m: u32,
+        max_cap: u32,
+    ) -> (ChargeSpec, Option<u32>, Vec<f64>, Vec<Energy>) {
         let gain = match rng.random_range(0..4) {
             0 => GainKind::Linear,
             1 => GainKind::Sublinear(rng.random_range(0.3..=1.0)),
@@ -378,17 +379,32 @@ mod tests {
         let charge = ChargeSpec::new(rng.random_range(0.05..=1.0), gain);
         let cap = rng
             .random::<bool>()
-            .then(|| rng.random_range(m.div_ceil(n as u32)..=m));
+            .then(|| rng.random_range(m.div_ceil(n as u32)..=max_cap));
         let rates: Vec<f64> = if rng.random::<bool>() {
             (0..n).map(|_| rng.random_range(0.5..3.0)).collect()
         } else {
             vec![1.0; n]
         };
         let sensing: Vec<Energy> = if rng.random::<bool>() {
-            (0..n).map(|_| e(rng.random_range(0.0..200.0))).collect()
+            (0..n)
+                .map(|_| Energy::from_njoules(rng.random_range(0.0..200.0)))
+                .collect()
         } else {
             vec![Energy::ZERO; n]
         };
+        (charge, cap, rates, sensing)
+    }
+
+    /// A random instance drawn from `seed`: 2..=8 posts with up to two
+    /// spare nodes each on average and [`draw_loads`]'s gain, cap, rates
+    /// and sensing. Half are geometric, half explicit with a direct
+    /// uplink per post.
+    fn random_instance(seed: u64) -> Instance {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let e = Energy::from_njoules;
+        let n = rng.random_range(2..=8usize);
+        let m = n as u32 + rng.random_range(0..=2 * n as u32);
+        let (charge, cap, rates, sensing) = draw_loads(&mut rng, n, m, m);
         if rng.random::<bool>() {
             let layout = InstanceSampler::new(Field::square(rng.random_range(100.0..250.0)), n, m)
                 .sample(seed);
@@ -422,33 +438,106 @@ mod tests {
         }
     }
 
+    /// A random instance drawn from `seed` with 9..=60 posts, where
+    /// `cheapest_add`'s certificate bounds deep subtrees and breaks ties:
+    /// - a random geometric layout, most posts several hops deep;
+    /// - a 3×3 to 7×7 grid layout from `wrsn-geom`, whose mirror-image
+    ///   posts tie;
+    /// - explicit uplinks that all cost one energy, so alternative routes
+    ///   tie and their slacks are zero.
+    ///
+    /// Up to one spare node per post, and [`draw_loads`]'s gain, rates,
+    /// sensing and a cap at most two above the least feasible one.
+    fn deep_instance(seed: u64) -> Instance {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let e = Energy::from_njoules;
+        let layout = rng.random_range(0..3);
+        let n = match layout {
+            1 => {
+                let side = rng.random_range(3..=7usize);
+                side * side
+            }
+            _ => rng.random_range(10..=60usize),
+        };
+        let m = n as u32 + rng.random_range(0..=n as u32);
+        let (charge, cap, rates, sensing) = draw_loads(&mut rng, n, m, m.div_ceil(n as u32) + 2);
+        if layout == 2 {
+            // Post u reaches the base station directly (u < 3) or through
+            // a lower-numbered post, plus up to two more uplinks.
+            let tx = e(rng.random_range(1.0..50.0));
+            let rx = e(rng.random_range(0.0..20.0));
+            let mut builder = InstanceBuilder::new(n, m)
+                .rx_energy(rx)
+                .charge(charge)
+                .report_rates(rates)
+                .sensing_energies(sensing);
+            for u in 0..n {
+                let first = if u < 3 { n } else { rng.random_range(0..u) };
+                builder = builder.uplink(u, first, tx);
+                for _ in 0..rng.random_range(0..=2) {
+                    let v = rng.random_range(0..n);
+                    if v != u && v != first {
+                        builder = builder.uplink(u, v, tx);
+                    }
+                }
+            }
+            if let Some(cap) = cap {
+                builder = builder.max_nodes_per_post(cap);
+            }
+            return builder.build().unwrap();
+        }
+        // About one post per 35-55 m square, so most posts are several
+        // 75 m hops from the base station (a grid's rows 30-70 m apart).
+        let side = (n as f64).sqrt();
+        let posts = if layout == 1 {
+            let field = Field::square(side * rng.random_range(30.0..70.0));
+            field.layout_posts(Layout::Grid {
+                cols: side as usize,
+                rows: side as usize,
+            })
+        } else {
+            let field = Field::square(side * rng.random_range(35.0..55.0));
+            let layout = InstanceSampler::new(field, n, m).sample(seed);
+            layout.geometry().expect("sampled").posts.clone()
+        };
+        let mut builder = GeometricInstanceBuilder::new(posts, m)
+            .charge(charge)
+            .report_rates(rates)
+            .sensing_energies(sensing);
+        if let Some(cap) = cap {
+            builder = builder.max_nodes_per_post(cap);
+        }
+        builder.build().unwrap()
+    }
+
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
         /// `Idb::new(1)`, `SchedPlace` on explicit instances and the
         /// bi-level warm start give the reference's deployment, parents
-        /// and cost bits.
+        /// and cost bits, on a small instance and a deep one per seed.
         #[test]
         fn greedy_kernel_reproduces_the_reference(seed in proptest::prelude::any::<u64>()) {
-            let inst = random_instance(seed);
-            let (want, f) = reference_greedy(&inst).unwrap();
-            let mut solutions = vec![Idb::new(1).solve(&inst).unwrap()];
-            if inst.geometry().is_none() {
-                solutions.push(SchedPlace::default().solve(&inst).unwrap());
+            for inst in [random_instance(seed), deep_instance(seed)] {
+                let (want, f) = reference_greedy(&inst).unwrap();
+                let mut solutions = vec![Idb::new(1).solve(&inst).unwrap()];
+                if inst.geometry().is_none() {
+                    solutions.push(SchedPlace::default().solve(&inst).unwrap());
+                }
+                for sol in &solutions {
+                    proptest::prop_assert_eq!(sol.deployment(), want.deployment(), "seed {}", seed);
+                    proptest::prop_assert_eq!(sol.tree(), want.tree(), "seed {}", seed);
+                    proptest::prop_assert_eq!(
+                        sol.total_cost().as_njoules().to_bits(),
+                        want.total_cost().as_njoules().to_bits(),
+                        "seed {}", seed
+                    );
+                }
+                let (counts, parents, warm_f) = warm_start(&inst).unwrap();
+                proptest::prop_assert_eq!(counts.as_slice(), want.deployment().counts(), "seed {}", seed);
+                proptest::prop_assert_eq!(parents.as_slice(), want.tree().parents(), "seed {}", seed);
+                proptest::prop_assert_eq!(warm_f, f, "seed {}", seed);
             }
-            for sol in &solutions {
-                proptest::prop_assert_eq!(sol.deployment(), want.deployment(), "seed {}", seed);
-                proptest::prop_assert_eq!(sol.tree(), want.tree(), "seed {}", seed);
-                proptest::prop_assert_eq!(
-                    sol.total_cost().as_njoules().to_bits(),
-                    want.total_cost().as_njoules().to_bits(),
-                    "seed {}", seed
-                );
-            }
-            let (counts, parents, warm_f) = warm_start(&inst).unwrap();
-            proptest::prop_assert_eq!(counts.as_slice(), want.deployment().counts(), "seed {}", seed);
-            proptest::prop_assert_eq!(parents.as_slice(), want.tree().parents(), "seed {}", seed);
-            proptest::prop_assert_eq!(warm_f, f, "seed {}", seed);
         }
     }
 

@@ -4,7 +4,7 @@
 //! HTTP/1.1 JSON service built on readiness event loops — one reactor
 //! thread per available CPU, at most [`MAX_REACTORS`], each
 //! multiplexing its own connections
-//! through `epoll` ([`sys`], [`reactor`](crate) internals) with
+//! through `epoll` (the crate's private `sys` and `reactor` modules) with
 //! per-connection state machines and full HTTP/1.1 pipelining; the
 //! first loop accepts and hands each connection to the least-loaded
 //! loop — plus a fixed-size CPU worker pool behind one bounded

@@ -2,9 +2,11 @@
 # Crash-recovery smoke test.
 #
 # SIGKILLs a `wrsn serve --cache --durability fsync` process while a
-# 40-seed async job is mid-sweep, restarts it over the same store
+# 400-seed async job is mid-sweep, restarts it over the same store
 # directory, and requires:
 #
+#   0. the kill left the job running with 1 <= committed seeds < 400
+#      (otherwise the kill raced the sweep, and the script says so),
 #   1. the restarted server still knows the job and resumes it,
 #   2. the resumed job's final report equals an uninterrupted run's,
 #   3. /statusz reports the resume in its `io` section,
@@ -23,7 +25,11 @@ WORK=$(mktemp -d "${TMPDIR:-/tmp}/wrsn-crash-smoke.XXXXXX")
 SERVE_PID=""
 trap '[ -n "$SERVE_PID" ] && kill -9 "$SERVE_PID" 2>/dev/null; rm -rf "$WORK"' EXIT
 
-SPEC='{"instance":{"posts":10,"nodes":50,"field":300.0},"seeds":40}'
+# Each seed is an iRFH solve of 100 posts (about 2 ms on a 2-vCPU VM
+# with fsync), so the job runs for dozens of times the kill loop's
+# latency, one curl and a 10 ms sleep.
+SEEDS=400
+SPEC='{"instance":{"posts":100,"nodes":400,"field":500.0},"solver":"irfh","seeds":'$SEEDS'}'
 
 start_server() { # $1 = cache dir, $2 = log file
   "$WRSN" serve --addr "$ADDR" --workers 2 --cache "$1" \
@@ -38,9 +44,11 @@ start_server() { # $1 = cache dir, $2 = log file
   exit 1
 }
 
-submit_job() {
-  curl -fsS -X POST "http://$ADDR/v1/jobs" -d "$SPEC" \
-    | python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])'
+submit_job() { # prints the job id; no interpreter start between submit and poll
+  local body
+  body=$(curl -fsS -X POST "http://$ADDR/v1/jobs" -d "$SPEC")
+  [[ $body =~ \"id\":([0-9]+) ]] || { echo "crash smoke: bad submit answer $body" >&2; exit 1; }
+  echo "${BASH_REMATCH[1]}"
 }
 
 poll_until_done() { # $1 = job id, $2 = output file for the report
@@ -66,19 +74,45 @@ EOF
   exit 1
 }
 
-# --- Act 1: submit, wait for the first committed seed, kill -9.
+# --- Act 1: submit, kill -9 as soon as a seed is committed. The poll
+# loop spawns only curl: the events cursor `next` counts committed seeds.
 start_server "$WORK/crashed" "$WORK/serve-1.log"
 JOB_ID=$(submit_job)
-for _ in $(seq 1 500); do
-  N=$(curl -fsS "http://$ADDR/v1/jobs/$JOB_ID/events?since=0" \
-    | python3 -c 'import json,sys; print(len(json.load(sys.stdin)["events"]))')
+N=0
+for _ in $(seq 1 3000); do
+  EVENTS=$(curl -fsS "http://$ADDR/v1/jobs/$JOB_ID/events?since=0")
+  [[ $EVENTS =~ \"next\":([0-9]+) ]] && N=${BASH_REMATCH[1]}
   [ "$N" -ge 1 ] && break
-  sleep 0.02
+  sleep 0.01
 done
 kill -9 "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
-echo "crash smoke: SIGKILL'd job $JOB_ID mid-sweep ($N seeds committed)"
+
+# The journal must still say `running`, and the checkpoint next to it
+# must hold at least one seed and not all of them; a torn last line
+# (the kill landing mid-write) is not a committed seed.
+COMMITTED=$(python3 - "$WORK/crashed/jobs" "$JOB_ID" "$SEEDS" <<'EOF'
+import json, sys
+jobs, job, seeds = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+state = json.load(open(f"{jobs}/job-{job:08}.json"))["state"]
+if state != "running":
+    sys.exit(f"crash smoke: job {job} was already {state} when killed: "
+             "the kill raced the sweep")
+committed = 0
+for line in open(f"{jobs}/job-{job:08}.checkpoint.jsonl").read().splitlines()[1:]:
+    try:
+        json.loads(line)
+        committed += 1
+    except ValueError:
+        pass
+if not 1 <= committed < seeds:
+    sys.exit(f"crash smoke: the kill left {committed} of {seeds} seeds "
+             "committed, not a mid-sweep crash")
+print(committed)
+EOF
+)
+echo "crash smoke: SIGKILL'd job $JOB_ID mid-sweep ($COMMITTED of $SEEDS seeds committed)"
 
 # --- Act 2: restart over the same store; the journal resumes the job.
 start_server "$WORK/crashed" "$WORK/serve-2.log"
