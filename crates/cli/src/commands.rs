@@ -663,43 +663,20 @@ fn sweep(mut args: Args) -> Result<String, CliError> {
         Some(n) => SweepRunner::new().threads(n),
         None => SweepRunner::new(),
     };
+    // A seed's attempts are its retries plus the first one.
+    let attempts = max_retries.checked_add(1).ok_or_else(|| {
+        CliError::Msg(format!(
+            "--max-retries must be below {}, got {max_retries}",
+            u32::MAX
+        ))
+    })?;
     let shard = shard.as_deref().map(parse_shard).transpose()?;
     let store = cache_arg.map(open_cache).transpose()?;
-    if let Some(list) = compare {
-        if algo_opt.is_some() {
-            return Err(CliError::Msg(
-                "--compare names its own solvers; drop --algo".into(),
-            ));
-        }
-        if checkpoint.is_some() || resume || shard.is_some() || halt_after.is_some() {
-            return Err(CliError::Msg(
-                "--compare runs multiple solvers and cannot be combined with \
-                 --checkpoint/--resume/--shard/--halt-after"
-                    .into(),
-            ));
-        }
-        return sweep_compare(SweepCompare {
-            source,
-            scenario: opts.params.scenario.as_ref(),
-            list: &list,
-            seeds: seed_range,
-            runner,
-            history,
-            max_retries,
-            keep_going,
-            no_timings,
-            store,
-            json,
-        });
-    }
-    let algo = algo_opt.unwrap_or_else(|| "irfh".to_string());
-    let registry = SolverRegistry::with_defaults();
     let mut experiment = Experiment::new(source)
-        .solver(&algo)
         .seeds(seed_range)
         .runner(runner)
         .capture_history(history)
-        .retry(RetryPolicy::attempts(max_retries + 1))
+        .retry(RetryPolicy::attempts(attempts))
         .keep_going(keep_going)
         .resume(resume)
         .record_timings(!no_timings);
@@ -715,8 +692,8 @@ fn sweep(mut args: Args) -> Result<String, CliError> {
     if let Some((index, count)) = shard {
         experiment = experiment.shard(index, count);
     }
-    if let Some(store) = &store {
-        experiment = experiment.cache(store.clone());
+    if let Some(store) = store {
+        experiment = experiment.cache(store);
     }
     if progress || checkpoint.is_some() {
         experiment = experiment.on_seed(|event| match event {
@@ -738,14 +715,63 @@ fn sweep(mut args: Args) -> Result<String, CliError> {
             }
         });
     }
-    let report = experiment.run(&registry)?;
+    let registry = SolverRegistry::with_defaults();
+    if let Some(list) = compare {
+        if algo_opt.is_some() {
+            return Err(CliError::Msg(
+                "--compare names its own solvers; drop --algo".into(),
+            ));
+        }
+        if checkpoint.is_some() || resume || shard.is_some() || halt_after.is_some() {
+            return Err(CliError::Msg(
+                "--compare runs multiple solvers and cannot be combined with \
+                 --checkpoint/--resume/--shard/--halt-after"
+                    .into(),
+            ));
+        }
+        let title = format!("compare ({seeds} seeds, seed {seed_start}..)");
+        return sweep_compare(&experiment, &registry, &list, &title, json);
+    }
+    let algo = algo_opt.unwrap_or_else(|| "irfh".to_string());
+    let report = experiment.solver(&algo).run(&registry)?;
     if json {
         return Ok(report.to_json());
     }
-    let mut table = Table::new(
-        &format!("sweep {algo} ({seeds} seeds)"),
-        &["seed", "cost (uJ)", "solve (ms)"],
+    let mut notes = format!(
+        "wall-clock: setup {:.1} ms, solve {:.1} ms ({:.2} ms/seed)\n",
+        report.setup_ms_total,
+        report.solve_ms_total,
+        report.mean_solve_ms()
     );
+    if let Some(cache) = &report.cache {
+        let _ = writeln!(
+            notes,
+            "cache: {} hit(s), {} miss(es), {} appended",
+            cache.hits, cache.misses, cache.appended
+        );
+    }
+    let mut out = render_runs(
+        &format!("sweep {algo} ({seeds} seeds)"),
+        &report,
+        &notes,
+        seeds,
+    );
+    if history {
+        let trace: Vec<String> = report
+            .mean_history_uj()
+            .iter()
+            .map(|c| format!("{c:.3}"))
+            .collect();
+        let _ = writeln!(out, "mean cost by iteration: {}", trace.join(" -> "));
+    }
+    Ok(out)
+}
+
+/// Renders a report as `sweep` and `merge` print it: the per-seed table
+/// under `title`, the cost line, the caller's `notes`, then any failed
+/// seeds out of `covered`.
+fn render_runs(title: &str, report: &RunReport, notes: &str, covered: u64) -> String {
+    let mut table = Table::new(title, &["seed", "cost (uJ)", "solve (ms)"]);
     for run in &report.runs {
         table.row(&[
             run.seed.to_string(),
@@ -759,22 +785,13 @@ fn sweep(mut args: Args) -> Result<String, CliError> {
         "cost: mean {:.3} uJ, std {:.3}, min {:.3}, max {:.3}",
         report.cost_uj.mean, report.cost_uj.std_dev, report.cost_uj.min, report.cost_uj.max
     );
-    let _ = writeln!(
-        out,
-        "wall-clock: setup {:.1} ms, solve {:.1} ms ({:.2} ms/seed)",
-        report.setup_ms_total,
-        report.solve_ms_total,
-        report.mean_solve_ms()
-    );
-    if let Some(cache) = &report.cache {
+    out.push_str(notes);
+    if !report.is_complete() {
         let _ = writeln!(
             out,
-            "cache: {} hit(s), {} miss(es), {} appended",
-            cache.hits, cache.misses, cache.appended
+            "failed seeds ({} of {covered}):",
+            report.failures.len()
         );
-    }
-    if !report.is_complete() {
-        let _ = writeln!(out, "failed seeds ({} of {seeds}):", report.failures.len());
         for f in &report.failures {
             let _ = writeln!(
                 out,
@@ -783,43 +800,25 @@ fn sweep(mut args: Args) -> Result<String, CliError> {
             );
         }
     }
-    if history {
-        let trace: Vec<String> = report
-            .mean_history_uj()
-            .iter()
-            .map(|c| format!("{c:.3}"))
-            .collect();
-        let _ = writeln!(out, "mean cost by iteration: {}", trace.join(" -> "));
-    }
-    Ok(out)
+    out
 }
 
-/// Everything `sweep --compare` needs, bundled to keep the call site
-/// readable.
-struct SweepCompare<'a> {
-    source: InstanceSource,
-    scenario: Option<&'a ScenarioSpec>,
-    list: &'a str,
-    seeds: std::ops::Range<u64>,
-    runner: SweepRunner,
-    history: bool,
-    max_retries: u32,
-    keep_going: bool,
-    no_timings: bool,
-    store: Option<Arc<ResultStore>>,
+/// Runs `experiment` once per solver of `list` over the identical
+/// instance/seed grid and renders a paired comparison table under
+/// `title` (the shape of the paper's Fig. 7 and Fig. 8 cross-algorithm
+/// comparisons). Every cell reuses the result store when `--cache` is
+/// active, so regenerating a comparison after adding one solver only
+/// computes the new column.
+fn sweep_compare(
+    experiment: &Experiment,
+    registry: &SolverRegistry,
+    list: &str,
+    title: &str,
     json: bool,
-}
-
-/// Runs several solvers over the identical instance/seed grid and
-/// renders a paired comparison table (the shape of the paper's Fig. 7
-/// and Fig. 8 cross-algorithm comparisons). Every cell reuses the
-/// result store when `--cache` is active, so regenerating a comparison
-/// after adding one solver only computes the new column.
-fn sweep_compare(cfg: SweepCompare<'_>) -> Result<String, CliError> {
-    let algos: Vec<String> = cfg
-        .list
+) -> Result<String, CliError> {
+    let algos: Vec<&str> = list
         .split(',')
-        .map(|s| s.trim().to_string())
+        .map(str::trim)
         .filter(|s| !s.is_empty())
         .collect();
     if algos.len() < 2 {
@@ -827,35 +826,16 @@ fn sweep_compare(cfg: SweepCompare<'_>) -> Result<String, CliError> {
             "--compare needs at least two solver names (e.g. --compare rfh,irfh,idb)".into(),
         ));
     }
-    let registry = SolverRegistry::with_defaults();
-    let mut reports = Vec::new();
-    for algo in &algos {
-        let mut experiment = Experiment::new(cfg.source.clone())
-            .solver(algo)
-            .seeds(cfg.seeds.clone())
-            .runner(cfg.runner)
-            .capture_history(cfg.history)
-            .retry(RetryPolicy::attempts(cfg.max_retries + 1))
-            .keep_going(cfg.keep_going)
-            .record_timings(!cfg.no_timings);
-        if let Some(spec) = cfg.scenario {
-            experiment = experiment.scenario(spec.clone());
-        }
-        if let Some(store) = &cfg.store {
-            experiment = experiment.cache(store.clone());
-        }
-        reports.push(experiment.run(&registry)?);
-    }
-    if cfg.json {
+    let reports = algos
+        .iter()
+        .map(|algo| experiment.clone().solver(*algo).run(registry))
+        .collect::<Result<Vec<_>, _>>()?;
+    if json {
         return Ok(serde_json::to_string_pretty(&reports).expect("reports are serializable"));
     }
     let baseline = reports[0].cost_uj.mean;
     let mut table = Table::new(
-        &format!(
-            "compare ({} seeds, seed {}..)",
-            cfg.seeds.end - cfg.seeds.start,
-            cfg.seeds.start
-        ),
+        title,
         &[
             "algo",
             "mean (uJ)",
@@ -931,53 +911,24 @@ fn merge(mut args: Args) -> Result<String, CliError> {
         // full shard set is byte-identical to an unsharded sweep.
         return Ok(report.to_json());
     }
-    let mut table = Table::new(
-        &format!(
-            "merge {} ({} of {} seeds from {} log(s))",
-            report.solver,
-            covered,
-            total,
-            parts.len()
-        ),
-        &["seed", "cost (uJ)", "solve (ms)"],
-    );
-    for run in &report.runs {
-        table.row(&[
-            run.seed.to_string(),
-            format!("{:.3}", run.cost_uj),
-            format!("{:.2}", run.solve_ms),
-        ]);
-    }
-    let mut out = table.render();
-    let _ = writeln!(
-        out,
-        "cost: mean {:.3} uJ, std {:.3}, min {:.3}, max {:.3}",
-        report.cost_uj.mean, report.cost_uj.std_dev, report.cost_uj.min, report.cost_uj.max
-    );
+    let mut notes = String::new();
     if covered < total {
         let _ = writeln!(
-            out,
+            notes,
             "WARNING: {} seed(s) of {seed_start}..{} missing — merge every shard log \
              to reproduce the full sweep",
             total - covered,
             seed_start + total
         );
     }
-    if !report.is_complete() {
-        let _ = writeln!(
-            out,
-            "failed seeds ({} of {covered}):",
-            report.failures.len()
-        );
-        for f in &report.failures {
-            let _ = writeln!(
-                out,
-                "  seed {} after {} attempt(s): {}",
-                f.seed, f.attempts, f.error
-            );
-        }
-    }
-    Ok(out)
+    let title = format!(
+        "merge {} ({} of {} seeds from {} log(s))",
+        report.solver,
+        covered,
+        total,
+        parts.len()
+    );
+    Ok(render_runs(&title, &report, &notes, covered))
 }
 
 /// The `wrsn simulate` flag that sets a simulate-spec setting.
@@ -3234,6 +3185,29 @@ mod tests {
                 "{cmd}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn sweep_refuses_a_retry_count_with_no_room_for_the_first_attempt() {
+        for extra in ["--algo idb", "--compare rfh,idb"] {
+            let err = run_str(&format!(
+                "sweep --posts 5 --nodes 10 --field 150 --seeds 2 {extra} \
+                 --max-retries 4294967295"
+            ))
+            .unwrap_err()
+            .to_string();
+            assert!(
+                err.contains("--max-retries must be below 4294967295"),
+                "{extra}: {err}"
+            );
+        }
+        // One below is the largest budget a seed can have.
+        let out = run_str(
+            "sweep --posts 5 --nodes 10 --field 150 --seeds 2 --algo idb \
+             --max-retries 4294967294 --no-timings --json",
+        )
+        .unwrap();
+        assert!(out.contains("\"attempts\": 1"), "{out}");
     }
 
     #[test]

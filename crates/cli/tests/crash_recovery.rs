@@ -148,6 +148,22 @@ fn sigkill_mid_sweep_loses_no_committed_results() {
             >= 1,
         "restart must report the resumed job: {io:?}"
     );
+    // Every seed reached the store: those the killed server committed
+    // (stored before they were checkpointed) and those the resumed
+    // job solved.
+    let entries = status
+        .get("cache")
+        .and_then(|cache| cache.get("entries"))
+        .and_then(serde_json::Value::as_u64);
+    assert_eq!(
+        entries,
+        Some(40),
+        "store entries after the resume: {status:?}"
+    );
+    // The resumed job's feed counts the seeds it restored, too.
+    let events = get_json(&server.addr, &format!("/v1/jobs/{id}/events?since=0"));
+    let next = events.get("next").and_then(serde_json::Value::as_u64);
+    assert_eq!(next, Some(40), "resumed job's events: {events:?}");
     server.shutdown();
 
     // --- Act 3: the same job on a never-crashed server, for the

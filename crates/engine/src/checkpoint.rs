@@ -24,7 +24,6 @@ use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::Arc;
 use wrsn_store::jsonl::{self, LogWriter};
 use wrsn_store::Vfs;
 
@@ -311,11 +310,13 @@ impl SweepCheckpoint {
 ///
 /// Opening compacts the current state into a fresh log (atomic whole-
 /// file write), then appends from there; a crash mid-append loses at
-/// most the seed in flight (the torn line is dropped on reload).
+/// most the seed in flight (the torn line is dropped on reload). In a
+/// sweep the append is the second step of a seed's commit: after the
+/// result store's put, before the sweep's observer hears of it (see
+/// [`crate::SeedEvent`]).
 #[derive(Debug)]
 pub struct CheckpointLog {
     writer: LogWriter,
-    feed: Option<Arc<ProgressFeed>>,
     /// Whether each append is fsynced (the `DurabilityPolicy::Fsync`
     /// per-batch discipline); the flush-only default matches the
     /// historical behavior.
@@ -334,7 +335,6 @@ impl CheckpointLog {
             .map_err(|e| checkpoint_err(path, e))?;
         Ok(CheckpointLog {
             writer,
-            feed: None,
             durable: false,
         })
     }
@@ -361,21 +361,7 @@ impl CheckpointLog {
             durable,
         )
         .map_err(|e| checkpoint_err(path, e))?;
-        Ok(CheckpointLog {
-            writer,
-            feed: None,
-            durable,
-        })
-    }
-
-    /// Mirrors every subsequent append into `feed`, so in-memory
-    /// subscribers (the async job API) see the same per-seed stream the
-    /// log persists. Records already compacted at [`open`] time are not
-    /// replayed.
-    ///
-    /// [`open`]: CheckpointLog::open
-    pub fn subscribe(&mut self, feed: Arc<ProgressFeed>) {
-        self.feed = Some(feed);
+        Ok(CheckpointLog { writer, durable })
     }
 
     /// Appends one completed run and flushes it.
@@ -390,9 +376,6 @@ impl CheckpointLog {
             .map_err(|e| checkpoint_err(&path, e))?;
         if self.durable {
             self.writer.sync().map_err(|e| checkpoint_err(&path, e))?;
-        }
-        if let Some(feed) = &self.feed {
-            feed.publish_run(run);
         }
         Ok(())
     }
@@ -409,9 +392,6 @@ impl CheckpointLog {
             .map_err(|e| checkpoint_err(&path, e))?;
         if self.durable {
             self.writer.sync().map_err(|e| checkpoint_err(&path, e))?;
-        }
-        if let Some(feed) = &self.feed {
-            feed.publish_failure(failure);
         }
         Ok(())
     }
@@ -433,11 +413,13 @@ pub struct ProgressSnapshot {
 /// An in-memory, thread-safe subscription to a running sweep's
 /// per-seed progress — the live counterpart of a [`CheckpointLog`].
 ///
-/// The engine publishes one event per terminal seed (completed or
-/// failed); consumers poll with [`events_since`] using a cursor, so a
-/// slow reader never blocks the sweep and can catch up at its own
-/// pace. The producer calls [`finish`] exactly once when the sweep is
-/// over.
+/// The producer publishes one event per terminal seed (completed or
+/// failed), typically from the sweep's observer
+/// ([`Experiment::on_seed`](crate::Experiment::on_seed)), so the feed
+/// follows the checkpoint log line for line. Consumers poll with
+/// [`events_since`] using a cursor, so a slow reader never blocks the
+/// sweep and can catch up at its own pace. The producer calls
+/// [`finish`] exactly once when the sweep is over.
 ///
 /// [`events_since`]: ProgressFeed::events_since
 /// [`finish`]: ProgressFeed::finish
@@ -849,32 +831,6 @@ mod tests {
         let snap = feed.progress();
         assert!(snap.finished);
         assert_eq!(snap.error.as_deref(), Some("halted"));
-    }
-
-    #[test]
-    fn subscribed_log_mirrors_appends_but_not_compacted_records() {
-        let mut ckpt = SweepCheckpoint::new("demo", "idb", 0..4);
-        ckpt.record_run(run(0)); // compacted at open, must not replay
-        let path = temp_path("subscribed.jsonl");
-        let mut log = CheckpointLog::open(&path, &ckpt).unwrap();
-        let feed = Arc::new(ProgressFeed::new(4));
-        log.subscribe(Arc::clone(&feed));
-        log.append_run(&run(1)).unwrap();
-        log.append_failure(&SeedFailure {
-            seed: 2,
-            attempts: 1,
-            error: "boom".into(),
-        })
-        .unwrap();
-        drop(log);
-        let (next, events) = feed.events_since(0);
-        assert_eq!(next, 2);
-        assert_eq!(events.len(), 2);
-        assert_eq!(feed.progress().done, 2);
-        // The log on disk still has all three records.
-        let back = SweepCheckpoint::load(&path).unwrap();
-        assert_eq!(back.runs.len() + back.failures.len(), 3);
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

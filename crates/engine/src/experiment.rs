@@ -4,8 +4,8 @@
 
 use crate::runner::{Failure, SeedOutcome};
 use crate::{
-    CheckpointLog, EngineError, ProgressFeed, RetryPolicy, RunReport, SeedFailure, SeedRun,
-    SolverRegistry, SweepCheckpoint, SweepRunner,
+    CheckpointLog, EngineError, RetryPolicy, RunReport, SeedFailure, SeedRun, SolverRegistry,
+    SweepCheckpoint, SweepRunner,
 };
 use parking_lot::Mutex;
 use serde::{Deserialize as _, Serialize as _};
@@ -208,11 +208,18 @@ impl KeyPrefix {
 }
 
 /// A per-seed progress notification from a running sweep — how the CLI
-/// prints live progress lines and how callers stream partial results.
+/// prints live progress lines and how the job API feeds its
+/// [`ProgressFeed`](crate::ProgressFeed).
 ///
-/// Events fire from worker threads (under the sweep's bookkeeping lock),
-/// possibly out of seed order; `done`/`total` count processed seeds
-/// including any restored from a resumed checkpoint.
+/// Every terminal seed is announced once. Seeds known before any worker
+/// starts — restored from a resumed checkpoint or replayed from the
+/// result store — come first, in seed order. Each seed the sweep runs
+/// follows from its worker thread, possibly out of seed order, once it
+/// is committed: put into the store, then appended to the checkpoint,
+/// all under the sweep's bookkeeping lock. So the events mirror the
+/// checkpoint log line for line. After the first write error nothing
+/// more is written or announced. `done`/`total` count seeds including
+/// the restored and replayed ones.
 #[derive(Debug, Clone, Copy)]
 pub enum SeedEvent<'a> {
     /// A seed completed successfully.
@@ -283,7 +290,6 @@ pub struct Experiment {
     cache_namespace: Option<String>,
     scenario: Option<ScenarioSpec>,
     on_seed: Option<Arc<SeedObserver>>,
-    progress: Option<Arc<ProgressFeed>>,
     vfs: Option<Arc<dyn Vfs>>,
     durability: DurabilityPolicy,
 }
@@ -308,7 +314,6 @@ impl fmt::Debug for Experiment {
             .field("cache_namespace", &self.cache_namespace)
             .field("scenario", &self.scenario)
             .field("on_seed", &self.on_seed.as_ref().map(|_| "<callback>"))
-            .field("progress", &self.progress.as_ref().map(|_| "<feed>"))
             .field("vfs", &self.vfs)
             .field("durability", &self.durability)
             .finish()
@@ -339,7 +344,6 @@ impl Experiment {
             cache_namespace: None,
             scenario: None,
             on_seed: None,
-            progress: None,
             vfs: None,
             durability: DurabilityPolicy::default(),
         }
@@ -466,8 +470,9 @@ impl Experiment {
     /// Routes the sweep through a content-addressed [`ResultStore`]:
     /// seeds whose [`seed_fingerprint`] is already present skip the
     /// solve entirely (replaying the stored run, with zeroed timings),
-    /// and freshly solved seeds are appended for future runs. The
-    /// report's `cache` block records the hit/miss/append counts.
+    /// and each freshly solved seed is put into the store as it
+    /// finishes, before its checkpoint line is written. The report's
+    /// `cache` block records the hit/miss/append counts.
     #[must_use]
     pub fn cache(mut self, store: Arc<ResultStore>) -> Self {
         self.cache = Some(store);
@@ -519,26 +524,17 @@ impl Experiment {
         self
     }
 
-    /// Installs a per-seed progress callback (see [`SeedEvent`]).
+    /// Installs the sweep's observer: `callback` hears of every terminal
+    /// seed, restored and replayed ones included, once that seed is
+    /// committed (see [`SeedEvent`] for the order). The CLI prints
+    /// progress lines from it; the job API publishes into a
+    /// [`ProgressFeed`](crate::ProgressFeed).
     #[must_use]
     pub fn on_seed<F>(mut self, callback: F) -> Self
     where
         F: Fn(SeedEvent<'_>) + Send + Sync + 'static,
     {
         self.on_seed = Some(Arc::new(callback));
-        self
-    }
-
-    /// Publishes every terminal seed (including cache-restored ones)
-    /// into `feed` as the sweep runs, so a detached consumer — the
-    /// serve layer's async job API — can poll incremental progress.
-    /// When the sweep also writes a checkpoint, the feed is subscribed
-    /// to the [`CheckpointLog`] so disk appends and feed events stay
-    /// one-to-one; the caller remains responsible for
-    /// [`ProgressFeed::finish`].
-    #[must_use]
-    pub fn progress(mut self, feed: Arc<ProgressFeed>) -> Self {
-        self.progress = Some(feed);
         self
     }
 
@@ -647,9 +643,6 @@ impl Experiment {
                 match hit {
                     Some(run) => {
                         cache_stats.hits += 1;
-                        if let Some(feed) = &self.progress {
-                            feed.publish_run(&run);
-                        }
                         state.record_run(run);
                     }
                     None => {
@@ -708,42 +701,66 @@ impl Experiment {
                     Some(vfs) => Arc::clone(vfs),
                     None => Arc::new(RealFs::new()),
                 };
-                let mut log =
-                    CheckpointLog::open_on(&*vfs, path, &state, self.durability.is_fsync())?;
-                // With a log present the feed rides on its appends so
-                // disk and memory stay one-to-one; without one, the
-                // observer below publishes directly.
-                if let Some(feed) = &self.progress {
-                    log.subscribe(Arc::clone(feed));
-                }
-                Some(log)
+                Some(CheckpointLog::open_on(
+                    &*vfs,
+                    path,
+                    &state,
+                    self.durability.is_fsync(),
+                )?)
             }
             None => None,
         };
+        let announce = |event: SeedEvent<'_>| {
+            if let Some(callback) = &self.on_seed {
+                callback(event);
+            }
+        };
+        // Restored and replayed seeds are already compacted into the
+        // log, in seed order: announce them first, in that order.
+        for (run, done) in state.runs.iter().zip(1..) {
+            announce(SeedEvent::Completed { run, done, total });
+        }
 
-        // All bookkeeping — checkpoint state, log flushes, progress
-        // callbacks — happens under one lock so events and checkpoint
-        // contents stay mutually consistent. The per-seed solver work
-        // itself runs outside it.
-        let shared = Mutex::new((state, log, None::<EngineError>));
+        // Each finished seed is committed once, under one lock: put into
+        // the store (timings zeroed, so a later hit truthfully reports
+        // zero wall-clock and payloads stay deterministic), appended to
+        // the checkpoint, then announced. A killed sweep's checkpoint
+        // thus never holds a seed the store lacks. The first write error
+        // stops further writes and is returned after the runner ends.
+        let store_run = |run: &SeedRun, stats: &mut CacheStats| -> Result<(), EngineError> {
+            if let Some((store, prefix)) = &cache {
+                let payload = SeedRun {
+                    setup_ms: 0.0,
+                    solve_ms: 0.0,
+                    ..run.clone()
+                };
+                if store.put_tagged(&prefix.key(run.seed), payload.to_value(), &cache_tag())? {
+                    stats.appended += 1;
+                }
+            }
+            Ok(())
+        };
+        let shared = Mutex::new((state, log, cache_stats, None::<EngineError>));
         let observe = |seed: u64, outcome: &SeedOutcome<SeedRun, EngineError>, processed: usize| {
             let mut guard = shared.lock();
-            let (state, log, save_error) = &mut *guard;
+            let (state, log, stats, write_error) = &mut *guard;
             let done = prior + processed;
             match outcome {
                 SeedOutcome::Ok { value, attempts } => {
-                    let mut run = value.clone();
-                    run.attempts = *attempts;
-                    match log {
-                        Some(log) => {
-                            if save_error.is_none() {
-                                *save_error = log.append_run(&run).err();
-                            }
-                        }
-                        None => {
-                            if let Some(feed) = &self.progress {
-                                feed.publish_run(&run);
-                            }
+                    let run = SeedRun {
+                        attempts: *attempts,
+                        ..value.clone()
+                    };
+                    if write_error.is_none() {
+                        let written = store_run(&run, stats)
+                            .and_then(|()| log.as_mut().map_or(Ok(()), |log| log.append_run(&run)));
+                        match written {
+                            Ok(()) => announce(SeedEvent::Completed {
+                                run: &run,
+                                done,
+                                total,
+                            }),
+                            Err(e) => *write_error = Some(e),
                         }
                     }
                     state.record_run(run);
@@ -754,46 +771,22 @@ impl Experiment {
                         attempts: *attempts,
                         error: failure.to_string(),
                     };
-                    match log {
-                        Some(log) => {
-                            if save_error.is_none() {
-                                *save_error = log.append_failure(&failure).err();
-                            }
-                        }
-                        None => {
-                            if let Some(feed) = &self.progress {
-                                feed.publish_failure(&failure);
-                            }
+                    if write_error.is_none() {
+                        match log
+                            .as_mut()
+                            .map_or(Ok(()), |log| log.append_failure(&failure))
+                        {
+                            Ok(()) => announce(SeedEvent::Failed {
+                                failure: &failure,
+                                done,
+                                total,
+                            }),
+                            Err(e) => *write_error = Some(e),
                         }
                     }
                     state.record_failure(failure);
                 }
-                SeedOutcome::Skipped => return,
-            }
-            if let Some(callback) = &self.on_seed {
-                match outcome {
-                    SeedOutcome::Ok { .. } => {
-                        let run = state
-                            .runs
-                            .iter()
-                            .find(|r| r.seed == seed)
-                            .expect("just recorded");
-                        callback(SeedEvent::Completed { run, done, total });
-                    }
-                    SeedOutcome::Failed { .. } => {
-                        let failure = state
-                            .failures
-                            .iter()
-                            .find(|f| f.seed == seed)
-                            .expect("just recorded");
-                        callback(SeedEvent::Failed {
-                            failure,
-                            done,
-                            total,
-                        });
-                    }
-                    SeedOutcome::Skipped => {}
-                }
+                SeedOutcome::Skipped => {}
             }
         };
 
@@ -801,25 +794,9 @@ impl Experiment {
             self.runner
                 .run_fault_tolerant(&pending, self.retry, self.halt_after, work, observe);
 
-        let (state, _log, save_error) = shared.into_inner();
-        if let Some(e) = save_error {
+        let (state, _log, cache_stats, write_error) = shared.into_inner();
+        if let Some(e) = write_error {
             return Err(e);
-        }
-        // Append freshly solved seeds to the cache. Timings are zeroed
-        // in the stored payload — a later cache hit truthfully reports
-        // zero wall-clock, and stored payloads stay deterministic.
-        if let Some((store, prefix)) = &cache {
-            for (seed, outcome) in pending.iter().zip(&outcomes) {
-                if let SeedOutcome::Ok { value, attempts } = outcome {
-                    let mut run = value.clone();
-                    run.attempts = *attempts;
-                    run.setup_ms = 0.0;
-                    run.solve_ms = 0.0;
-                    if store.put_tagged(&prefix.key(*seed), run.to_value(), &cache_tag())? {
-                        cache_stats.appended += 1;
-                    }
-                }
-            }
         }
         if !self.keep_going {
             // Preserve the typed first-failure error (in seed order).
@@ -849,7 +826,9 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ProgressFeed;
     use wrsn_geom::Field;
+    use wrsn_store::FaultFs;
 
     fn sampler(posts: usize, nodes: u32) -> InstanceSampler {
         InstanceSampler::new(Field::square(150.0), posts, nodes)
@@ -875,6 +854,16 @@ mod tests {
         assert_eq!(report.label, "idb");
     }
 
+    /// An observer that publishes every event into `feed`, as the job
+    /// API's does.
+    fn publish_to(feed: &Arc<ProgressFeed>) -> impl Fn(SeedEvent<'_>) + Send + Sync + 'static {
+        let feed = Arc::clone(feed);
+        move |event| match event {
+            SeedEvent::Completed { run, .. } => feed.publish_run(run),
+            SeedEvent::Failed { failure, .. } => feed.publish_failure(failure),
+        }
+    }
+
     #[test]
     fn progress_feed_sees_every_terminal_seed() {
         let registry = SolverRegistry::with_defaults();
@@ -882,7 +871,7 @@ mod tests {
         Experiment::sampled(sampler(5, 10))
             .solver("idb")
             .seeds(0..4)
-            .progress(Arc::clone(&feed))
+            .on_seed(publish_to(&feed))
             .run(&registry)
             .unwrap();
         let snap = feed.progress();
@@ -910,7 +899,7 @@ mod tests {
         // Second run restores every seed from the cache; the feed must
         // still see all three as terminal.
         let feed = Arc::new(ProgressFeed::new(3));
-        let report = base.progress(Arc::clone(&feed)).run(&registry).unwrap();
+        let report = base.on_seed(publish_to(&feed)).run(&registry).unwrap();
         assert_eq!(report.cache.as_ref().unwrap().hits, 3);
         assert_eq!(feed.progress().done, 3);
         let _ = std::fs::remove_dir_all(dir);
@@ -1184,16 +1173,111 @@ mod tests {
             .unwrap();
         assert_eq!(partial.runs.len(), 3);
         // …resume, finishing the rest…
+        let announced = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&announced);
         let resumed = base
             .clone()
             .checkpoint(&path)
             .resume(true)
+            .on_seed(move |event| {
+                if let SeedEvent::Completed { run, done, .. } = event {
+                    sink.lock().push((run.seed, done));
+                }
+            })
             .run(&registry)
             .unwrap();
         // …and compare byte-for-byte against an uninterrupted sweep.
         let clean = base.run(&registry).unwrap();
         assert_eq!(resumed.to_json(), clean.to_json());
+        // The observer heard the three restored seeds first, then the
+        // rest: the checkpoint log's records, line for line.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let logged: Vec<u64> = text
+            .lines()
+            .skip(1)
+            .map(|line| {
+                serde_json::from_str::<serde::Value>(line).unwrap()["run"]["seed"]
+                    .as_u64()
+                    .unwrap()
+            })
+            .collect();
+        let announced = announced.lock().clone();
+        assert_eq!(
+            announced.iter().map(|&(seed, _)| seed).collect::<Vec<_>>(),
+            logged
+        );
+        assert_eq!(
+            announced.iter().map(|&(_, done)| done).collect::<Vec<_>>(),
+            (1..=8).collect::<Vec<_>>()
+        );
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn a_crashed_checkpoint_never_holds_a_seed_the_store_lacks() {
+        let dir = temp_dir("crash-commit");
+        let path = dir.join("sweep.jsonl");
+        let registry = SolverRegistry::with_defaults();
+        let base = Experiment::sampled(sampler(6, 14))
+            .solver("idb")
+            .seeds(0..8)
+            .runner(SweepRunner::sequential())
+            .record_timings(false)
+            .checkpoint(&path);
+        // A fault-free run learns the bytes of the header and three seeds.
+        let probe = Arc::new(FaultFs::seeded(1));
+        base.clone()
+            .vfs(probe.clone())
+            .halt_after(3)
+            .run(&registry)
+            .unwrap();
+        std::fs::remove_file(&path).unwrap();
+        // The checkpoint's filesystem dies on the fourth seed's line.
+        let store = Arc::new(ResultStore::open(dir.join("store")).unwrap());
+        let crash = Arc::new(FaultFs::seeded(1).crash_after_bytes(probe.bytes_written()));
+        let crashed = base
+            .clone()
+            .cache(Arc::clone(&store))
+            .vfs(crash.clone())
+            .run(&registry);
+        assert!(crash.crashed());
+        assert!(
+            matches!(crashed, Err(EngineError::Checkpoint { .. })),
+            "{crashed:?}"
+        );
+        drop(store);
+        // What a killed process leaves: every checkpointed seed is on
+        // disk in the store too.
+        let store = Arc::new(ResultStore::open(dir.join("store")).unwrap());
+        let source = InstanceSource::Sampled(sampler(6, 14));
+        let key = |seed| seed_fingerprint(&source, "idb", ENGINE_VERSION, false, seed);
+        let logged = SweepCheckpoint::load(&path).unwrap();
+        assert_eq!(logged.runs.len(), 3);
+        assert!(logged
+            .runs
+            .iter()
+            .all(|run| store.get(&key(run.seed)).is_some()));
+        // The resumed sweep restores those, replays what the store alone
+        // holds, solves the rest and stores every seed; its observer
+        // hears of all eight.
+        let feed = Arc::new(ProgressFeed::new(8));
+        let resumed = base
+            .clone()
+            .cache(Arc::clone(&store))
+            .resume(true)
+            .on_seed(publish_to(&feed))
+            .run(&registry)
+            .unwrap();
+        assert!((0..8).all(|seed| store.get(&key(seed)).is_some()));
+        assert_eq!(feed.progress().done, 8);
+        let clean = Experiment::sampled(sampler(6, 14))
+            .solver("idb")
+            .seeds(0..8)
+            .record_timings(false)
+            .run(&registry)
+            .unwrap();
+        assert_eq!(resumed.runs, clean.runs);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     fn temp_dir(name: &str) -> PathBuf {

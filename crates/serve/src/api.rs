@@ -11,8 +11,8 @@ use wrsn_core::{Instance, Solution};
 use wrsn_energy::Energy;
 use wrsn_engine::{
     plan_tour_schedule, CacheStats, EngineError, Experiment, Fingerprint, InstanceParams,
-    InstanceSource, KeyPrefix, ProgressFeed, ResultStore, SeedRun, SolverRegistry, TourSchedule,
-    ENGINE_VERSION, MAX_POSTS,
+    InstanceSource, KeyPrefix, ProgressFeed, ResultStore, SeedEvent, SeedRun, SolverRegistry,
+    TourSchedule, ENGINE_VERSION, MAX_POSTS,
 };
 use wrsn_sim::{ChargerPolicy, FaultPlan, SimConfig, SimReport, Simulator};
 
@@ -722,7 +722,10 @@ impl ApiContext {
             experiment = experiment.checkpoint(path).resume(true);
         }
         if let Some(feed) = progress {
-            experiment = experiment.progress(feed);
+            experiment = experiment.on_seed(move |event| match event {
+                SeedEvent::Completed { run, .. } => feed.publish_run(run),
+                SeedEvent::Failed { failure, .. } => feed.publish_failure(failure),
+            });
         }
         // A request scenario rebinds the scheduling solvers and keys the
         // cache fingerprints (via Experiment::scenario), so differently
@@ -881,8 +884,8 @@ impl ApiContext {
 
     /// The async job API's sweep: [`sweep_in`](ApiContext::sweep_in)
     /// plus an optional progress feed and an optional checkpoint path.
-    /// The feed observes every terminal seed (including cache hits) as
-    /// the sweep runs, and the job API streams it to
+    /// The sweep's observer publishes every terminal seed into the feed
+    /// (restored and cached ones first), and the job API streams it to
     /// `/v1/jobs/{id}/events`; the body is byte-identical with or
     /// without a feed. With a checkpoint the sweep journals every
     /// completed seed there (under the store's

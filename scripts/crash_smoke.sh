@@ -12,7 +12,9 @@
 #   3. /statusz reports the resume in its `io` section,
 #   4. `wrsn cache verify` finds no corruption in the crashed store
 #      (a torn tail is repairable, not a loss),
-#   5. `wrsn cache verify` exits nonzero once corruption IS planted.
+#   5. the crashed store holds all 400 seeds' keys: the ones the killed
+#      server committed and the ones the resumed job solved,
+#   6. `wrsn cache verify` exits nonzero once corruption IS planted.
 #
 # Usage: scripts/crash_smoke.sh [path-to-wrsn-binary]
 # Defaults to ./target/release/wrsn (build with `cargo build --release`).
@@ -141,8 +143,10 @@ diff "$WORK/resumed-report.json" "$WORK/clean-report.json" \
   || { echo "crash smoke: resumed report differs from the clean run" >&2; exit 1; }
 echo "crash smoke: resumed report is identical to the uninterrupted run"
 
-# --- Act 4: the crashed store verifies clean...
-"$WRSN" cache verify --cache "$WORK/crashed"
+# --- Act 4: the crashed store verifies clean, with every seed's key...
+"$WRSN" cache verify --cache "$WORK/crashed" | tee "$WORK/verify.txt"
+grep -q " $SEEDS distinct key(s)," "$WORK/verify.txt" \
+  || { echo "crash smoke: the crashed store lacks some of the $SEEDS seeds" >&2; exit 1; }
 
 # ...and verify exits nonzero once interior corruption is planted.
 SEGMENT=$(ls "$WORK/crashed"/seg-*.jsonl | head -n 1)
