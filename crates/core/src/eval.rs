@@ -16,6 +16,8 @@
 //! branch-and-bound's incumbent and the three scheduling solvers:
 //! [`CostEvaluator::from_ones`], [`CostEvaluator::cheapest_add`],
 //! [`CostEvaluator::greedy_fill`] and [`CostEvaluator::solution`].
+//! Every RFH pass runs its Phase I here too: `route`, then the fat tree
+//! from `tight_parents`.
 //!
 //! [`CostEvaluator::cheapest_add`] repairs only the posts it must. A node
 //! added at `q` lowers `q` by the drop `δ_q` of its best uplink and every
@@ -29,17 +31,17 @@
 //! is repaired exactly, and the first strict minimum of the exact totals
 //! wins: the pick is the one probing every post gives (DESIGN §3.5).
 
-use crate::{optimal_cost, Deployment, Instance, RoutingTree, Solution, SolveError};
+use crate::{Deployment, Instance, RoutingTree, Solution, SolveError};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Max-heap entry ordered by *smallest* distance first, ties by smallest
 /// node id — the exact pop order of `wrsn_graph::dijkstra_to`, which the
-/// amortized evaluators here and in `rfh.rs` must reproduce bit-for-bit.
+/// evaluator must reproduce bit-for-bit.
 #[derive(Debug, PartialEq)]
-pub(crate) struct HeapEntry {
-    pub(crate) dist: f64,
-    pub(crate) node: usize,
+struct HeapEntry {
+    dist: f64,
+    node: usize,
 }
 
 impl Eq for HeapEntry {}
@@ -307,16 +309,9 @@ impl<'a> CostEvaluator<'a> {
     /// [`SolveError::Unroutable`] when a post cannot reach the base
     /// station under that deployment, naming the stranded post.
     pub fn from_ones(instance: &'a Instance) -> Result<Self, SolveError> {
-        let ones = Deployment::ones(instance.num_posts());
         let mut eval = CostEvaluator::new(instance);
-        if eval.set_deployment(ones.counts()).is_some() {
-            return Ok(eval);
-        }
-        // Surface which post is stranded.
-        Err(match optimal_cost(instance, &ones) {
-            Err(e) => e,
-            Ok(_) => SolveError::Unroutable { post: 0 },
-        })
+        eval.route(Deployment::ones(instance.num_posts()).counts())?;
+        Ok(eval)
     }
 
     /// Weight of the uplink `u -> v` under the current efficiencies.
@@ -367,6 +362,18 @@ impl<'a> CostEvaluator<'a> {
         }
         self.sum = self.weighted_total(None);
         self.sum.is_finite().then_some(self.sum)
+    }
+
+    /// [`set_deployment`](Self::set_deployment), naming the first post
+    /// that cannot reach the base station when the cost is not finite:
+    /// the post `optimal_cost` names for that deployment.
+    pub(crate) fn route(&mut self, counts: &[u32]) -> Result<f64, SolveError> {
+        self.set_deployment(counts).ok_or_else(|| {
+            let stranded = self.dist.iter().position(|d| !d.is_finite());
+            SolveError::Unroutable {
+                post: stranded.unwrap_or(0),
+            }
+        })
     }
 
     /// `Σ_p r_p·dist[p] + Σ_p sensing_p/eff[p]` over the given distance
@@ -606,6 +613,39 @@ impl<'a> CostEvaluator<'a> {
         }));
     }
 
+    /// Every tight uplink under the current base deployment, the paper's
+    /// "fat tree": per node, the sorted targets `v` of its uplinks with
+    /// `dist[u] = w(u, v) + dist[v]` within `wrsn_graph::tight_edges`'
+    /// tolerance, `1e-9·max(|dist[u]|, 1)`. The base station's list is
+    /// empty, ready for `Dag::from_parents`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no deployment has been set.
+    #[allow(clippy::needless_range_loop)] // walks dist/up/parents in parallel
+    pub(crate) fn tight_parents(&self) -> Vec<Vec<usize>> {
+        assert!(self.sum.is_finite(), "set_deployment must be called first");
+        let n = self.up.len();
+        let mut parents = vec![Vec::new(); n + 1];
+        for u in 0..n {
+            let du = self.dist[u];
+            for &(v, tx) in &self.up[u] {
+                let dv = self.dist[v];
+                if !dv.is_finite() {
+                    continue;
+                }
+                let slack = du - (self.weight(u, v, tx) + dv);
+                let tol = 1e-9 * du.abs().max(1.0);
+                if slack.abs() <= tol {
+                    parents[u].push(v);
+                }
+            }
+            parents[u].sort_unstable();
+            parents[u].dedup();
+        }
+        parents
+    }
+
     /// The current node count per post.
     #[must_use]
     pub fn counts(&self) -> &[u32] {
@@ -761,6 +801,28 @@ mod tests {
                 "seed {seed}: {} repairs, over 30 % of 30 000",
                 eval.repairs
             );
+        }
+    }
+
+    proptest::proptest! {
+        /// The fat tree read off the evaluator is `tight_edges` over
+        /// `cost_digraph` and `dijkstra_to`, on random instances (gain
+        /// curves with plateaus, caps, rates, sensing, explicit and
+        /// geometric) under random deployments.
+        #[test]
+        fn tight_parents_match_the_reference(
+            seed in proptest::prelude::any::<u64>(),
+            extra in proptest::collection::vec(0u32..5, 12),
+        ) {
+            use wrsn_graph::{dijkstra_to, tight_edges};
+            let inst = crate::testing::random_instance(seed, 12);
+            let n = inst.num_posts();
+            let dep = Deployment::new(extra[..n].iter().map(|&x| 1 + x).collect());
+            let mut eval = CostEvaluator::new(&inst);
+            eval.route(dep.counts()).unwrap();
+            let g = crate::cost_digraph(&inst, &dep);
+            let want = tight_edges(&g, &dijkstra_to(&g, inst.bs()));
+            proptest::prop_assert_eq!(eval.tight_parents(), want, "seed {}", seed);
         }
     }
 

@@ -58,6 +58,8 @@ mod sampler;
 mod scenario;
 mod solution;
 mod spec;
+#[cfg(test)]
+mod testing;
 
 pub mod reduction;
 

@@ -18,12 +18,10 @@
 //! the previous deployment's charging efficiencies; the paper observes
 //! convergence within about seven iterations (Fig. 6).
 
-use crate::eval::HeapEntry;
 use crate::{
-    greedy_allocate, greedy_allocate_by_efficiency, lagrange_allocate, Deployment, GainKind,
-    Instance, RoutingTree, Solution, SolveError, Solver,
+    greedy_allocate, greedy_allocate_by_efficiency, lagrange_allocate, CostEvaluator, Deployment,
+    GainKind, Instance, RoutingTree, Solution, SolveError, Solver,
 };
-use std::collections::BinaryHeap;
 use wrsn_energy::Energy;
 use wrsn_graph::{AncestorSets, Dag};
 
@@ -144,9 +142,9 @@ impl Rfh {
         let mut dep = Deployment::ones(n);
         let mut history = Vec::with_capacity(self.iterations);
         let mut best: Option<Solution> = None;
-        // One adjacency build and one set of Dijkstra scratch buffers
-        // amortized over every iteration (mirrors `CostEvaluator`).
-        let mut scratch = PhaseOneScratch::new(instance);
+        // One adjacency build and one set of Dijkstra buffers amortized
+        // over every pass.
+        let mut eval = CostEvaluator::new(instance);
         // Each pass's input deployment. A pass reads nothing else, so
         // once an input repeats, every later pass repeats the cycle that
         // began there; `best` changes only on a strict improvement, which
@@ -161,7 +159,7 @@ impl Rfh {
                 break;
             }
             inputs.push(dep.clone());
-            let tree = self.build_tree(instance, &dep, &mut scratch)?;
+            let tree = self.build_tree(instance, &dep, &mut eval)?;
             let weights = self.workload_weights(instance, &tree);
             // The paper's Lagrange method and the m-proportional greedy
             // both assume the linear gain k(m) = m; under any other gain
@@ -211,6 +209,10 @@ impl Rfh {
     /// Returns [`SolveError::Unroutable`] if some post cannot reach the
     /// base station.
     ///
+    /// # Panics
+    ///
+    /// Panics if `deployment` does not hold one count per post.
+    ///
     /// # Examples
     ///
     /// ```
@@ -227,8 +229,7 @@ impl Rfh {
         instance: &Instance,
         deployment: &Deployment,
     ) -> Result<RoutingTree, SolveError> {
-        let mut scratch = PhaseOneScratch::new(instance);
-        self.build_tree(instance, deployment, &mut scratch)
+        self.build_tree(instance, deployment, &mut CostEvaluator::new(instance))
     }
 
     /// Phases I–III: build the workload-concentrated routing tree under
@@ -237,22 +238,23 @@ impl Rfh {
         &self,
         instance: &Instance,
         dep: &Deployment,
-        scratch: &mut PhaseOneScratch,
+        eval: &mut CostEvaluator<'_>,
     ) -> Result<RoutingTree, SolveError> {
         let n = instance.num_posts();
         // Phase I: fat tree of all minimum-cost routes, via the amortized
         // reverse Dijkstra.
-        let mut dag = Dag::from_parents(scratch.fat_tree(instance, dep)?);
+        eval.route(dep.counts())?;
+        let mut dag = Dag::from_parents(eval.tight_parents());
 
-        // Phase II: trim to a workload-concentrated tree.
+        // Phase II: trim to a workload-concentrated tree. Every post keeps
+        // a parent: its Dijkstra next hop is tight with slack exactly 0,
+        // and trimming never cuts a post's last parent.
         trim_to_tree(&mut dag, n);
         let mut parent: Vec<usize> = (0..n)
             .map(|p| {
                 let ps = dag.parents(p);
                 debug_assert_eq!(ps.len(), 1, "trimming must leave exactly one parent");
-                // Defensive fallback for the (provably impossible) multi-
-                // parent case: follow the Dijkstra next hop.
-                ps.first().copied().unwrap_or_else(|| scratch.next_hop(p))
+                ps[0]
             })
             .collect();
 
@@ -304,137 +306,6 @@ impl Solver for Rfh {
         let report = self.solve_with_report(instance)?;
         let history = report.cost_history().to_vec();
         Ok((report.into_best(), history))
-    }
-}
-
-/// Amortized Phase I state: the reversed uplink adjacency plus the
-/// Dijkstra scratch buffers, built once per instance and reused across
-/// the iterative solver's passes (mirroring [`crate::CostEvaluator`]).
-///
-/// `fat_tree` reproduces `cost_digraph` + `dijkstra_to` + `tight_edges`
-/// exactly — same weight arithmetic, same relaxation order, same heap
-/// tie-breaking, same tightness tolerance — so the iterative solver's
-/// deployments are bit-identical to the unamortized ones.
-#[derive(Debug)]
-struct PhaseOneScratch {
-    /// Uplinks per post as `(target, tx energy in nJ)`.
-    up: Vec<Vec<(usize, f64)>>,
-    /// Incoming uplinks per node as `(source post, tx energy in nJ)`.
-    rev: Vec<Vec<(usize, f64)>>,
-    rx_nj: f64,
-    /// Per-post charging efficiencies of the current deployment.
-    eff: Vec<f64>,
-    /// Distances to the base station (index `bs` holds 0).
-    dist: Vec<f64>,
-    /// Next hop toward the base station per post.
-    via: Vec<Option<usize>>,
-    heap: BinaryHeap<HeapEntry>,
-}
-
-impl PhaseOneScratch {
-    #[allow(clippy::needless_range_loop)] // fills two parallel adjacencies
-    fn new(instance: &Instance) -> Self {
-        let n = instance.num_posts();
-        let mut up = vec![Vec::new(); n];
-        let mut rev = vec![Vec::new(); n + 1];
-        for p in 0..n {
-            for &(to, tx) in instance.uplinks(p) {
-                up[p].push((to, tx.as_njoules()));
-                rev[to].push((p, tx.as_njoules()));
-            }
-        }
-        PhaseOneScratch {
-            up,
-            rev,
-            rx_nj: instance.rx_energy().as_njoules(),
-            eff: vec![1.0; n],
-            dist: vec![f64::INFINITY; n + 1],
-            via: vec![None; n + 1],
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Weight of the uplink `u -> v` under the current efficiencies —
-    /// the same expression, in the same order, as `cost_digraph`.
-    #[inline]
-    fn weight(&self, u: usize, v: usize, tx: f64) -> f64 {
-        let bs = self.up.len();
-        let mut w = tx / self.eff[u];
-        if v != bs {
-            w += self.rx_nj / self.eff[v];
-        }
-        w
-    }
-
-    /// Phase I under `dep`: reverse Dijkstra from the base station over
-    /// the prebuilt reversed adjacency, then tight-edge extraction.
-    /// Returns one sorted parent list per node (the base station's is
-    /// empty), ready for [`Dag::from_parents`].
-    #[allow(clippy::needless_range_loop)] // walks dist/up/parents in parallel
-    fn fat_tree(
-        &mut self,
-        instance: &Instance,
-        dep: &Deployment,
-    ) -> Result<Vec<Vec<usize>>, SolveError> {
-        let n = self.up.len();
-        let bs = n;
-        for (e, &c) in self.eff.iter_mut().zip(dep.counts()) {
-            *e = instance.charge_efficiency(c);
-        }
-        self.dist.fill(f64::INFINITY);
-        self.via.fill(None);
-        self.dist[bs] = 0.0;
-        self.heap.clear();
-        self.heap.push(HeapEntry {
-            dist: 0.0,
-            node: bs,
-        });
-        while let Some(HeapEntry { dist: d, node: v }) = self.heap.pop() {
-            if d > self.dist[v] {
-                continue;
-            }
-            for i in 0..self.rev[v].len() {
-                let (u, tx) = self.rev[v][i];
-                let nd = d + self.weight(u, v, tx);
-                if nd < self.dist[u] {
-                    self.dist[u] = nd;
-                    self.via[u] = Some(v);
-                    self.heap.push(HeapEntry { dist: nd, node: u });
-                }
-            }
-        }
-        for p in 0..n {
-            if !self.dist[p].is_finite() {
-                return Err(SolveError::Unroutable { post: p });
-            }
-        }
-        // Tight edges, with `wrsn_graph::tight_edges`' exact tolerance.
-        let mut parents = vec![Vec::new(); n + 1];
-        for u in 0..n {
-            let du = self.dist[u];
-            for i in 0..self.up[u].len() {
-                let (v, tx) = self.up[u][i];
-                let dv = self.dist[v];
-                if !dv.is_finite() {
-                    continue;
-                }
-                let slack = du - (self.weight(u, v, tx) + dv);
-                let tol = 1e-9 * du.abs().max(1.0);
-                if slack.abs() <= tol {
-                    parents[u].push(v);
-                }
-            }
-            parents[u].sort_unstable();
-            parents[u].dedup();
-        }
-        Ok(parents)
-    }
-
-    /// The Dijkstra next hop of `post` from the last [`fat_tree`] run.
-    ///
-    /// [`fat_tree`]: PhaseOneScratch::fat_tree
-    fn next_hop(&self, post: usize) -> usize {
-        self.via[post].expect("reachable posts have a next hop")
     }
 }
 
@@ -801,33 +672,22 @@ mod tests {
         // the exact deployment sequence the iterative solver visits and
         // check the amortized Phase I against the one-shot primitives
         // (cost_digraph + dijkstra_to + tight_edges) at every step —
-        // fat tree, next hops, and the resulting deployments must all
-        // be identical.
+        // fat tree and the resulting deployments must both be identical.
         use wrsn_graph::{dijkstra_to, tight_edges};
         let inst = InstanceSampler::new(Field::square(500.0), 100, 400).sample(0);
         let n = inst.num_posts();
         let solver = Rfh::iterative(7);
-        let mut scratch = PhaseOneScratch::new(&inst);
+        let mut eval = CostEvaluator::new(&inst);
         let mut dep = Deployment::ones(n);
         let mut history = Vec::new();
         for iter in 0..7 {
-            let got = scratch.fat_tree(&inst, &dep).unwrap();
+            eval.route(dep.counts()).unwrap();
             let g = crate::cost_digraph(&inst, &dep);
             let sp = dijkstra_to(&g, inst.bs());
-            assert_eq!(got, tight_edges(&g, &sp), "fat tree diverged at {iter}");
-            for p in 0..n {
-                assert_eq!(
-                    scratch.next_hop(p),
-                    sp.via(p).unwrap(),
-                    "next hop diverged at iteration {iter}, post {p}"
-                );
-                assert!(
-                    (scratch.dist[p] - sp.distance(p).unwrap()).abs() == 0.0,
-                    "distance diverged at iteration {iter}, post {p}"
-                );
-            }
+            let want = tight_edges(&g, &sp);
+            assert_eq!(eval.tight_parents(), want, "fat tree diverged at {iter}");
             // Advance the deployment exactly as solve_with_report does.
-            let tree = solver.build_tree(&inst, &dep, &mut scratch).unwrap();
+            let tree = solver.build_tree(&inst, &dep, &mut eval).unwrap();
             let weights = solver.workload_weights(&inst, &tree);
             let counts =
                 crate::lagrange_allocate(&weights, inst.num_nodes(), inst.max_nodes_per_post());
@@ -996,10 +856,11 @@ mod tests {
         for seed in 0..3 {
             let inst = InstanceSampler::new(Field::square(500.0), 100, 400).sample(seed);
             let n = inst.num_posts();
-            let mut scratch = PhaseOneScratch::new(&inst);
+            let mut eval = CostEvaluator::new(&inst);
             let mut dep = Deployment::ones(n);
             for pass in 0..7 {
-                let dag = Dag::from_parents(scratch.fat_tree(&inst, &dep).unwrap());
+                eval.route(dep.counts()).unwrap();
+                let dag = Dag::from_parents(eval.tight_parents());
                 let mut fast = dag.clone();
                 trim_to_tree(&mut fast, n);
                 let mut slow = dag;
@@ -1014,7 +875,7 @@ mod tests {
                     "seed {seed}, pass {pass}: merges differ"
                 );
                 // Advance the deployment exactly as solve_with_report does.
-                let tree = solver.build_tree(&inst, &dep, &mut scratch).unwrap();
+                let tree = solver.build_tree(&inst, &dep, &mut eval).unwrap();
                 assert_eq!(tree.parents(), &merged[..]);
                 let weights = solver.workload_weights(&inst, &tree);
                 dep = Deployment::new(crate::lagrange_allocate(
@@ -1029,11 +890,11 @@ mod tests {
     /// iRFH as it ran before the repeated-input stop: every pass run.
     fn solve_every_pass(solver: &Rfh, instance: &Instance) -> RfhReport {
         let mut dep = Deployment::ones(instance.num_posts());
-        let mut scratch = PhaseOneScratch::new(instance);
+        let mut eval = CostEvaluator::new(instance);
         let mut history = Vec::new();
         let mut best: Option<Solution> = None;
         for _ in 0..solver.iterations {
-            let tree = solver.build_tree(instance, &dep, &mut scratch).unwrap();
+            let tree = solver.build_tree(instance, &dep, &mut eval).unwrap();
             let weights = solver.workload_weights(instance, &tree);
             let (total, cap) = (instance.num_nodes(), instance.max_nodes_per_post());
             let counts = match (solver.allocator, instance.charge().gain()) {

@@ -10,7 +10,7 @@ use crate::{
 use parking_lot::Mutex;
 use serde::{Deserialize as _, Serialize as _};
 use std::fmt::{self, Write as _};
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -29,7 +29,7 @@ pub const ENGINE_VERSION: &str = env!("CARGO_PKG_VERSION");
 /// gc` keeps exactly the entries carrying the current tag — anything
 /// else (older engine versions, older schemes, untagged legacy
 /// segments) is by construction unreachable from today's
-/// [`seed_fingerprint`] keys and safe to drop.
+/// [`seed_fingerprint_scenario`] keys and safe to drop.
 #[must_use]
 pub fn cache_tag() -> String {
     format!("wrsn-seedrun-v1/{ENGINE_VERSION}")
@@ -70,46 +70,12 @@ impl InstanceSource {
 /// capture was on, and the seed itself. Changing any component (a
 /// renamed solver, a version bump, a different sampler) yields a
 /// different key, so stale cached results are never reused.
-#[must_use]
-pub fn seed_fingerprint(
-    source: &InstanceSource,
-    solver: &str,
-    engine_version: &str,
-    capture_history: bool,
-    seed: u64,
-) -> Fingerprint {
-    seed_fingerprint_in(None, source, solver, engine_version, capture_history, seed)
-}
-
-/// [`seed_fingerprint`] under an optional cache namespace. `None`
-/// produces exactly the same fingerprint as [`seed_fingerprint`], so
-/// existing caches stay valid; a `Some` namespace (the serve layer's
-/// isolated tenants) keys a disjoint slice of the store.
-#[must_use]
-pub fn seed_fingerprint_in(
-    namespace: Option<&str>,
-    source: &InstanceSource,
-    solver: &str,
-    engine_version: &str,
-    capture_history: bool,
-    seed: u64,
-) -> Fingerprint {
-    seed_fingerprint_scenario(
-        namespace,
-        None,
-        source,
-        solver,
-        engine_version,
-        capture_history,
-        seed,
-    )
-}
-
-/// [`seed_fingerprint_in`] extended with an optional charging scenario.
-/// `None` produces exactly the same fingerprint as before, so caches of
-/// scenario-free sweeps stay valid; a `Some` scenario folds its
-/// canonical JSON into the key, so any scenario-parameter change
-/// invalidates cached scheduling runs.
+///
+/// A `Some` namespace (the serve layer's isolated tenants) keys a
+/// disjoint slice of the store. A `Some` scenario folds its canonical
+/// JSON into the key, so any scenario-parameter change invalidates
+/// cached scheduling runs. With both `None` the key is the one written
+/// before namespaces and scenarios existed, so older stores stay valid.
 ///
 /// This is [`KeyPrefix::new`] followed by [`KeyPrefix::key`]: callers
 /// that key many seeds of one cell build the prefix once.
@@ -468,10 +434,10 @@ impl Experiment {
     }
 
     /// Routes the sweep through a content-addressed [`ResultStore`]:
-    /// seeds whose [`seed_fingerprint`] is already present skip the
-    /// solve entirely (replaying the stored run, with zeroed timings),
-    /// and each freshly solved seed is put into the store as it
-    /// finishes, before its checkpoint line is written. The report's
+    /// seeds whose [`seed_fingerprint_scenario`] is already present skip
+    /// the solve entirely (replaying the stored run, with zeroed
+    /// timings), and each freshly solved seed is put into the store as
+    /// it finishes, before its checkpoint line is written. The report's
     /// `cache` block records the hit/miss/append counts.
     #[must_use]
     pub fn cache(mut self, store: Arc<ResultStore>) -> Self {
@@ -480,9 +446,9 @@ impl Experiment {
     }
 
     /// Keys every cache fingerprint under `namespace` (see
-    /// [`seed_fingerprint_in`]): runs in different namespaces never
-    /// share cached results. The default — no namespace — fingerprints
-    /// exactly as before, so existing stores stay valid.
+    /// [`seed_fingerprint_scenario`]): runs in different namespaces
+    /// never share cached results. The default — no namespace —
+    /// fingerprints exactly as before, so existing stores stay valid.
     #[must_use]
     pub fn cache_namespace(mut self, namespace: impl Into<String>) -> Self {
         self.cache_namespace = Some(namespace.into());
@@ -554,9 +520,10 @@ impl Experiment {
     /// bound to [`Experiment::scenario`] when one is set.
     ///
     /// Panicking or erroring seeds are caught and retried under the
-    /// retry policy; the remaining seeds always run to completion. What
+    /// retry policy; the remaining seeds still run to completion. What
     /// happens to a seed that exhausts its attempts depends on
-    /// [`Experiment::keep_going`].
+    /// [`Experiment::keep_going`]. A store or checkpoint write error is
+    /// different: no seed starts after it, and the error is returned.
     ///
     /// # Errors
     ///
@@ -726,7 +693,8 @@ impl Experiment {
         // zero wall-clock and payloads stay deterministic), appended to
         // the checkpoint, then announced. A killed sweep's checkpoint
         // thus never holds a seed the store lacks. The first write error
-        // stops further writes and is returned after the runner ends.
+        // stops further writes, and further solves: every seed not yet
+        // started is skipped, and the error is returned.
         let store_run = |run: &SeedRun, stats: &mut CacheStats| -> Result<(), EngineError> {
             if let Some((store, prefix)) = &cache {
                 let payload = SeedRun {
@@ -787,6 +755,11 @@ impl Experiment {
                     state.record_failure(failure);
                 }
                 SeedOutcome::Skipped => {}
+            }
+            if write_error.is_some() {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
         };
 
@@ -1250,7 +1223,9 @@ mod tests {
         // disk in the store too.
         let store = Arc::new(ResultStore::open(dir.join("store")).unwrap());
         let source = InstanceSource::Sampled(sampler(6, 14));
-        let key = |seed| seed_fingerprint(&source, "idb", ENGINE_VERSION, false, seed);
+        let key = |seed| {
+            seed_fingerprint_scenario(None, None, &source, "idb", ENGINE_VERSION, false, seed)
+        };
         let logged = SweepCheckpoint::load(&path).unwrap();
         assert_eq!(logged.runs.len(), 3);
         assert!(logged
@@ -1277,6 +1252,37 @@ mod tests {
             .run(&registry)
             .unwrap();
         assert_eq!(resumed.runs, clean.runs);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_checkpoint_write_error_stops_the_sweep() {
+        use std::sync::atomic::Ordering::SeqCst;
+        let dir = temp_dir("write-error-stop");
+        let path = dir.join("sweep.jsonl");
+        let (registry, calls) = counting_registry();
+        let base = Experiment::sampled(sampler(6, 14))
+            .solver("counted")
+            .seeds(0..8)
+            .runner(SweepRunner::sequential())
+            .record_timings(false)
+            .checkpoint(&path);
+        // A fault-free run learns the bytes of the header and seed 0.
+        let probe = Arc::new(FaultFs::seeded(1));
+        base.clone()
+            .vfs(probe.clone())
+            .halt_after(1)
+            .run(&registry)
+            .unwrap();
+        std::fs::remove_file(&path).unwrap();
+        calls.store(0, SeqCst);
+        // The checkpoint's filesystem dies inside seed 1's line.
+        let crash = Arc::new(FaultFs::seeded(1).crash_after_bytes(probe.bytes_written() + 8));
+        let err = base.vfs(crash.clone()).run(&registry).unwrap_err();
+        assert!(crash.crashed());
+        assert!(matches!(err, EngineError::Checkpoint { .. }), "{err}");
+        // Seeds 0 and 1 were solved; the six after the error never were.
+        assert_eq!(calls.load(SeqCst), 2);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1343,18 +1349,21 @@ mod tests {
 
     #[test]
     fn fingerprint_invalidates_on_version_name_and_source_changes() {
+        let key = |source: &InstanceSource, solver: &str, version: &str, history: bool, seed| {
+            seed_fingerprint_scenario(None, None, source, solver, version, history, seed)
+        };
         let sampled = InstanceSource::Sampled(sampler(6, 12));
-        let base = seed_fingerprint(&sampled, "idb", "0.1.0", false, 3);
-        assert_eq!(base, seed_fingerprint(&sampled, "idb", "0.1.0", false, 3));
-        assert_ne!(base, seed_fingerprint(&sampled, "rfh", "0.1.0", false, 3));
-        assert_ne!(base, seed_fingerprint(&sampled, "idb", "0.2.0", false, 3));
-        assert_ne!(base, seed_fingerprint(&sampled, "idb", "0.1.0", true, 3));
-        assert_ne!(base, seed_fingerprint(&sampled, "idb", "0.1.0", false, 4));
+        let base = key(&sampled, "idb", "0.1.0", false, 3);
+        assert_eq!(base, key(&sampled, "idb", "0.1.0", false, 3));
+        assert_ne!(base, key(&sampled, "rfh", "0.1.0", false, 3));
+        assert_ne!(base, key(&sampled, "idb", "0.2.0", false, 3));
+        assert_ne!(base, key(&sampled, "idb", "0.1.0", true, 3));
+        assert_ne!(base, key(&sampled, "idb", "0.1.0", false, 4));
         let other = InstanceSource::Sampled(sampler(6, 13));
-        assert_ne!(base, seed_fingerprint(&other, "idb", "0.1.0", false, 3));
+        assert_ne!(base, key(&other, "idb", "0.1.0", false, 3));
         let spec = InstanceSpec::from_instance(&sampler(6, 12).sample(9)).unwrap();
         let pinned = InstanceSource::Spec(spec);
-        assert_ne!(base, seed_fingerprint(&pinned, "idb", "0.1.0", false, 3));
+        assert_ne!(base, key(&pinned, "idb", "0.1.0", false, 3));
     }
 
     #[test]
@@ -1363,7 +1372,8 @@ mod tests {
         let store = ResultStore::open(&dir).unwrap();
         let source = InstanceSource::Sampled(sampler(6, 12));
         // Simulate an older engine having populated the store.
-        let old_key = seed_fingerprint(&source, "counted", "0.0.9-old", false, 0);
+        let old_key =
+            seed_fingerprint_scenario(None, None, &source, "counted", "0.0.9-old", false, 0);
         let payload = SeedRun {
             seed: 0,
             cost_uj: 42.0,

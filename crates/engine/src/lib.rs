@@ -49,8 +49,8 @@ pub use checkpoint::{
 };
 pub use error::EngineError;
 pub use experiment::{
-    cache_tag, seed_fingerprint, seed_fingerprint_in, seed_fingerprint_scenario, Experiment,
-    InstanceSource, KeyPrefix, SeedEvent, ENGINE_VERSION,
+    cache_tag, seed_fingerprint_scenario, Experiment, InstanceSource, KeyPrefix, SeedEvent,
+    ENGINE_VERSION,
 };
 pub use params::{InstanceParams, MAX_LEVELS, MAX_NODES, MAX_POSTS};
 pub use registry::{SolverFactory, SolverRegistry};

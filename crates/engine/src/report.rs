@@ -144,8 +144,10 @@ impl RunReport {
         failures: Vec<SeedFailure>,
     ) -> Self {
         let costs: Vec<f64> = runs.iter().map(|r| r.cost_uj).collect();
-        let setup_ms_total = runs.iter().map(|r| r.setup_ms).sum();
-        let solve_ms_total = runs.iter().map(|r| r.solve_ms).sum();
+        // Folded from +0.0: `Iterator::sum` starts from -0.0, which an
+        // empty sweep would print.
+        let setup_ms_total = runs.iter().fold(0.0, |t, r| t + r.setup_ms);
+        let solve_ms_total = runs.iter().fold(0.0, |t, r| t + r.solve_ms);
         RunReport {
             label,
             solver,
@@ -355,6 +357,20 @@ mod tests {
         assert!(clean.is_complete());
         let v: serde_json::Value = serde_json::from_str(&clean.to_json()).unwrap();
         assert!(v.get("failures").is_none());
+    }
+
+    #[test]
+    fn a_report_with_no_runs_totals_positive_zero() {
+        let failure = SeedFailure {
+            seed: 0,
+            attempts: 1,
+            error: "search space too large".into(),
+        };
+        let report = RunReport::from_outcomes("x".into(), "x".into(), Vec::new(), vec![failure]);
+        for total in [report.setup_ms_total, report.solve_ms_total] {
+            assert_eq!(total.to_bits(), 0.0f64.to_bits());
+        }
+        assert!(!report.to_json().contains("-0.0"));
     }
 
     #[test]

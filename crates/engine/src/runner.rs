@@ -10,9 +10,9 @@
 
 use parking_lot::Mutex;
 use std::fmt;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Bounded retry for failing seeds: up to `max_attempts` tries with a
@@ -117,7 +117,7 @@ pub enum SeedOutcome<T, E> {
         attempts: u32,
     },
     /// The seed was never run because the sweep halted first (see
-    /// [`SweepRunner::run_fault_tolerant`]'s `halt_after`).
+    /// [`SweepRunner::run_fault_tolerant`]'s `halt_after` and `observe`).
     Skipped,
 }
 
@@ -222,7 +222,7 @@ impl SweepRunner {
             RetryPolicy::none(),
             None,
             |s| Ok::<T, std::convert::Infallible>(f(s)),
-            |_, _, _| {},
+            |_, _, _| ControlFlow::Continue(()),
         );
         outcomes
             .into_iter()
@@ -253,7 +253,8 @@ impl SweepRunner {
     ///
     /// `halt_after` stops the sweep early: once that many seeds have
     /// been processed, remaining seeds are returned as
-    /// [`SeedOutcome::Skipped`] without running. With a sequential
+    /// [`SeedOutcome::Skipped`] without running. `observe` stops it the
+    /// same way by returning [`ControlFlow::Break`]. With a sequential
     /// runner the cut is exact; with parallel workers seeds already in
     /// flight still finish.
     pub fn run_fault_tolerant<T, E, F, O>(
@@ -268,16 +269,19 @@ impl SweepRunner {
         T: Send,
         E: Send,
         F: Fn(u64) -> Result<T, E> + Sync,
-        O: Fn(u64, &SeedOutcome<T, E>, usize) + Sync,
+        O: Fn(u64, &SeedOutcome<T, E>, usize) -> ControlFlow<()> + Sync,
     {
         let n = seeds.len();
         if n == 0 {
             return Vec::new();
         }
         let processed = AtomicUsize::new(0);
-        let process = |seed: u64| -> Option<(SeedOutcome<T, E>, usize)> {
-            if halt_after.is_some_and(|h| processed.load(Ordering::Acquire) >= h) {
-                return None;
+        let stopped = AtomicBool::new(false);
+        let process = |seed: u64| -> SeedOutcome<T, E> {
+            if stopped.load(Ordering::Acquire)
+                || halt_after.is_some_and(|h| processed.load(Ordering::Acquire) >= h)
+            {
+                return SeedOutcome::Skipped;
             }
             let mut attempt = 1u32;
             let outcome = loop {
@@ -310,20 +314,14 @@ impl SweepRunner {
                 }
             };
             let done = processed.fetch_add(1, Ordering::AcqRel) + 1;
-            Some((outcome, done))
+            if observe(seed, &outcome, done).is_break() {
+                stopped.store(true, Ordering::Release);
+            }
+            outcome
         };
 
         if self.workers_for(n) == 1 {
-            return seeds
-                .iter()
-                .map(|&seed| match process(seed) {
-                    Some((outcome, done)) => {
-                        observe(seed, &outcome, done);
-                        outcome
-                    }
-                    None => SeedOutcome::Skipped,
-                })
-                .collect();
+            return seeds.iter().map(|&seed| process(seed)).collect();
         }
 
         // One slot (and one lock) per seed: workers write disjoint slots,
@@ -338,14 +336,7 @@ impl SweepRunner {
                     if i >= n {
                         break;
                     }
-                    let outcome = match process(seeds[i]) {
-                        Some((outcome, done)) => {
-                            observe(seeds[i], &outcome, done);
-                            outcome
-                        }
-                        None => SeedOutcome::Skipped,
-                    };
-                    *slots[i].lock() = Some(outcome);
+                    *slots[i].lock() = Some(process(seeds[i]));
                 });
             }
         })
@@ -449,7 +440,7 @@ mod tests {
                 assert!(s != 5, "seed 5 explodes");
                 Ok::<u64, String>(s * 2)
             },
-            |_, _, _| {},
+            |_, _, _| ControlFlow::Continue(()),
         );
         assert_eq!(outcomes.len(), 16);
         for (i, o) in outcomes.iter().enumerate() {
@@ -485,7 +476,7 @@ mod tests {
                     Ok(s)
                 }
             },
-            |_, _, _| {},
+            |_, _, _| ControlFlow::Continue(()),
         );
         let SeedOutcome::Ok { value, attempts } = &outcomes[0] else {
             panic!("should recover");
@@ -502,7 +493,7 @@ mod tests {
             RetryPolicy::attempts(2),
             None,
             |_| Err::<u64, _>("always broken".to_string()),
-            |_, _, _| {},
+            |_, _, _| ControlFlow::Continue(()),
         );
         let SeedOutcome::Failed { failure, attempts } = &outcomes[0] else {
             panic!("should fail");
@@ -519,7 +510,7 @@ mod tests {
             RetryPolicy::none(),
             Some(4),
             Ok::<u64, String>,
-            |_, _, _| {},
+            |_, _, _| ControlFlow::Continue(()),
         );
         let done = outcomes
             .iter()
@@ -547,6 +538,7 @@ mod tests {
             Ok::<u64, String>,
             |seed, _, done| {
                 seen.lock().push((seed, done));
+                ControlFlow::Continue(())
             },
         );
         let mut seen = seen.into_inner();

@@ -1,20 +1,18 @@
 //! A minimal HTTP/1.1 subset: exactly what the serving layer needs.
 //!
 //! No chunked transfer, no TLS; keep-alive is opt-in per response via
-//! [`Response::write_to_with`] (the default [`Response::write_to`]
-//! still closes after one request). Requests are capped at 16 KiB of
+//! [`Response::serialize`]'s flag. Requests are capped at 16 KiB of
 //! head (request line + headers) and 1 MiB of body; both caps turn
 //! attackers' oversized payloads into cheap early rejections.
 //!
-//! Two parsing entry points share the grammar: [`read_request`] pulls
-//! one request off a blocking stream (tests, simple clients), while
-//! [`try_parse`] consumes zero or more complete requests from a byte
-//! buffer — the nonblocking reactor's pipelining path, where a single
-//! read may carry several back-to-back requests. When that path finds
-//! an `Expect: 100-continue` head whose body has not arrived, the
-//! connection answers `100 Continue` before the request's response.
+//! One parser, [`try_parse`], consumes zero or more complete requests
+//! from a byte buffer — the nonblocking reactor's pipelining path,
+//! where a single read may carry several back-to-back requests. When
+//! that path finds an `Expect: 100-continue` head whose body has not
+//! arrived, the connection answers `100 Continue` before the request's
+//! response.
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// Maximum bytes of request line + headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -58,8 +56,6 @@ pub enum ParseError {
     Bad(String),
     /// Head or body exceeded its cap.
     TooLarge,
-    /// The socket failed or closed mid-request.
-    Io(std::io::Error),
 }
 
 impl std::fmt::Display for ParseError {
@@ -67,60 +63,15 @@ impl std::fmt::Display for ParseError {
         match self {
             ParseError::Bad(m) => write!(f, "bad request: {m}"),
             ParseError::TooLarge => write!(f, "request too large"),
-            ParseError::Io(e) => write!(f, "io: {e}"),
         }
     }
-}
-
-/// Reads and parses one request from `stream`.
-///
-/// # Errors
-///
-/// [`ParseError::Bad`] for malformed syntax, [`ParseError::TooLarge`]
-/// past the head/body caps, [`ParseError::Io`] on socket failure.
-pub fn read_request(stream: &mut impl Read) -> Result<Request, ParseError> {
-    // Read byte-wise until the blank line; the head is tiny and the
-    // socket is buffered by the kernel, so this stays simple and never
-    // over-reads into the body.
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        if head.len() >= MAX_HEAD_BYTES {
-            return Err(ParseError::TooLarge);
-        }
-        match stream.read(&mut byte) {
-            Ok(0) if head.is_empty() => {
-                // A peer hanging up between requests (keep-alive churn)
-                // is an io-level close, not a protocol violation.
-                return Err(ParseError::Io(std::io::Error::from(
-                    std::io::ErrorKind::UnexpectedEof,
-                )));
-            }
-            Ok(0) => {
-                return Err(ParseError::Bad("connection closed mid-head".to_string()));
-            }
-            Ok(_) => head.push(byte[0]),
-            Err(e) => return Err(ParseError::Io(e)),
-        }
-    }
-    let head = String::from_utf8_lossy(&head);
-    let (method, path, headers) = parse_head(&head)?;
-    let length = content_length(&headers)?;
-    let mut body = vec![0u8; length];
-    stream.read_exact(&mut body).map_err(ParseError::Io)?;
-    Ok(Request {
-        method,
-        path,
-        headers,
-        body,
-    })
 }
 
 /// Method, path, and lowercased headers from one request head.
 type ParsedHead = (String, String, Vec<(String, String)>);
 
-/// Parses the head lines shared by both entry points: the request line
-/// plus headers, already split on the blank line.
+/// Parses the request line plus headers, already split on the blank
+/// line.
 fn parse_head(head: &str) -> Result<ParsedHead, ParseError> {
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
@@ -299,27 +250,6 @@ impl Response {
         self
     }
 
-    /// Serializes the response (status line, headers, body) into `out`
-    /// with `Connection: close`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the write failure.
-    pub fn write_to(&self, out: &mut impl Write) -> std::io::Result<()> {
-        self.write_to_with(out, false)
-    }
-
-    /// Serializes the response, advertising `Connection: keep-alive`
-    /// when `keep_alive` is set and `Connection: close` otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the write failure.
-    pub fn write_to_with(&self, out: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
-        out.write_all(&self.serialize(keep_alive))?;
-        out.flush()
-    }
-
     /// The full wire form of the response as bytes (used by the server
     /// so chaos truncation can cut a serialized response mid-body),
     /// written into one buffer sized for it up front.
@@ -389,8 +319,9 @@ fn serialize_by_format(response: &Response, keep_alive: bool) -> Vec<u8> {
 mod tests {
     use super::*;
 
+    /// The request at the front of `text`, which holds one whole.
     fn parse(text: &str) -> Result<Request, ParseError> {
-        read_request(&mut text.as_bytes())
+        try_parse(text.as_bytes()).map(|parsed| parsed.expect("a whole request").0)
     }
 
     #[test]
@@ -407,7 +338,7 @@ mod tests {
         let req = parse(
             "POST /v1/solve HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: 13\r\n\r\n{\"solver\":\"x\"}",
         );
-        // 13 bytes of a 14-byte body: read_exact takes exactly 13.
+        // 13 bytes of a 14-byte body: the request takes exactly 13.
         let req = req.unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.body.len(), 13);
@@ -435,14 +366,6 @@ mod tests {
             parse("GET / HTTP/1.1\r\nContent-Length: lots\r\n\r\n"),
             Err(ParseError::Bad(_))
         ));
-        assert!(
-            matches!(parse(""), Err(ParseError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof),
-            "a clean close before any bytes is an io close, not bad syntax"
-        );
-        assert!(
-            matches!(parse("GET / HTT"), Err(ParseError::Bad(_))),
-            "a close mid-head stays a protocol violation"
-        );
     }
 
     #[test]
@@ -457,12 +380,6 @@ mod tests {
             "y".repeat(MAX_HEAD_BYTES)
         );
         assert!(matches!(parse(&huge_head), Err(ParseError::TooLarge)));
-    }
-
-    #[test]
-    fn truncated_body_is_an_io_error() {
-        let text = "POST / HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort";
-        assert!(matches!(parse(text), Err(ParseError::Io(_))));
     }
 
     #[test]
@@ -545,21 +462,10 @@ mod tests {
     }
 
     #[test]
-    fn try_parse_matches_read_request_on_a_full_request() {
-        let wire = "POST /v1/solve HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}";
-        let blocking = parse(wire).unwrap();
-        let (buffered, used) = try_parse(wire.as_bytes()).unwrap().unwrap();
-        assert_eq!(blocking, buffered);
-        assert_eq!(used, wire.len());
-    }
-
-    #[test]
     fn response_serializes_with_default_headers() {
-        let mut out = Vec::new();
-        Response::json(200, "{\"ok\":true}")
+        let out = Response::json(200, "{\"ok\":true}")
             .header("Retry-After", "1")
-            .write_to(&mut out)
-            .unwrap();
+            .serialize(false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Content-Length: 11\r\n"));
@@ -654,11 +560,9 @@ mod tests {
 
     #[test]
     fn round_trips_through_the_wire_format() {
-        let mut out = Vec::new();
-        Response::json(503, "{}")
+        let out = Response::json(503, "{}")
             .header("Retry-After", "1")
-            .write_to(&mut out)
-            .unwrap();
+            .serialize(false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable"));
     }

@@ -71,7 +71,6 @@ mod error;
 pub mod http;
 mod jobs;
 mod metrics;
-mod queue;
 mod reactor;
 mod server;
 pub mod signal;
@@ -82,6 +81,5 @@ pub use chaos::{ChaosDecision, ChaosPolicy, ChaosState};
 pub use cluster::{FORWARDED_HEADER, SERVED_BY_HEADER};
 pub use error::ServeError;
 pub use metrics::{Histogram, Metrics, StatusGauges};
-pub use queue::BoundedQueue;
 pub use server::{Server, ServerConfig, ServerHandle, MAX_REACTORS};
 pub use tenant::{FairQueue, TenantSpec, TokenBucket};

@@ -347,30 +347,20 @@ impl Reactor {
                         None => AfterRead::Dispatch(parsed, outcome),
                         Some(e) => {
                             let response = match e {
-                                ParseError::TooLarge => {
-                                    Some(Response::error(413, "request too large"))
-                                }
-                                ParseError::Bad(why) => Some(Response::error(400, &why)),
-                                // try_parse never produces Io; treat a
-                                // stray one as a dead socket.
-                                ParseError::Io(_) => None,
+                                ParseError::TooLarge => Response::error(413, "request too large"),
+                                ParseError::Bad(why) => Response::error(400, &why),
                             };
-                            match response {
-                                None => AfterRead::Remove,
-                                Some(response) => {
-                                    shared.metrics.record("other", response.status, 0);
-                                    let seq = conn.fail_next_request();
-                                    conn.enqueue(
-                                        seq,
-                                        Outgoing {
-                                            bytes: response.serialize(false),
-                                            close: true,
-                                            drain: true,
-                                        },
-                                    );
-                                    AfterRead::Dispatch(parsed, outcome)
-                                }
-                            }
+                            shared.metrics.record("other", response.status, 0);
+                            let seq = conn.fail_next_request();
+                            conn.enqueue(
+                                seq,
+                                Outgoing {
+                                    bytes: response.serialize(false),
+                                    close: true,
+                                    drain: true,
+                                },
+                            );
+                            AfterRead::Dispatch(parsed, outcome)
                         }
                     }
                 }

@@ -557,10 +557,9 @@ struct FairState<T> {
 /// A bounded weighted-fair admission queue: per-class FIFO sub-queues
 /// with non-blocking pushes (per-class depth caps — the caller turns
 /// overflow into an inline `503`) and blocking deficit-round-robin
-/// pops. With a single class it degenerates to exactly the FIFO
-/// behavior of [`crate::BoundedQueue`], including the close contract:
-/// after [`FairQueue::close`], pushes fail immediately and pops drain
-/// the backlog before returning `None`.
+/// pops. With a single class it degenerates to a bounded FIFO,
+/// including the close contract: after [`FairQueue::close`], pushes
+/// fail immediately and pops drain the backlog before returning `None`.
 pub struct FairQueue<T> {
     state: Mutex<FairState<T>>,
     available: Condvar,

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use wrsn::core::{InstanceSampler, ScenarioSpec};
 use wrsn::engine::{
-    merge_checkpoints, seed_fingerprint_in, seed_fingerprint_scenario, Experiment, InstanceSource,
-    RunReport, SolverRegistry, SweepCheckpoint, SweepRunner, ENGINE_VERSION,
+    merge_checkpoints, seed_fingerprint_scenario, Experiment, InstanceSource, RunReport,
+    SolverRegistry, SweepCheckpoint, SweepRunner, ENGINE_VERSION,
 };
 use wrsn::geom::Field;
 
@@ -146,17 +146,6 @@ proptest! {
         ] {
             prop_assert!(baseline != fp(Some(&varied)));
         }
-        // No scenario at all keys exactly the legacy fingerprint, so
-        // pre-scenario caches remain valid.
-        let legacy = seed_fingerprint_in(
-            None,
-            &source,
-            "sched-bilevel",
-            ENGINE_VERSION,
-            false,
-            seed,
-        );
-        prop_assert_eq!(fp(None), legacy);
         prop_assert!(fp(Some(&base)) != fp(None));
     }
 }
