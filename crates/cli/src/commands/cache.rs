@@ -4,9 +4,9 @@ use super::{open_cache, CliError, DEFAULT_CACHE_DIR};
 use crate::args::Args;
 use std::fmt::Write as _;
 use std::path::Path;
-use wrsn_engine::{cache_tag, ResultStore};
+use wrsn_engine::{cache_tag, DurabilityPolicy, ResultStore};
 
-pub(super) const CACHE_HELP: &str = "\
+pub(super) const HELP: &str = "\
 wrsn cache — maintain the content-addressed result store
 
 SUBCOMMANDS:
@@ -29,15 +29,15 @@ OPTIONS (verify):
     --cache [DIR]   store directory   [default dir: bench_results/cache]
     --json          machine-readable VerifyReport output";
 
-pub(super) fn cache_cmd(rest: &[String]) -> Result<String, CliError> {
+pub(super) fn run(rest: &[String]) -> Result<String, CliError> {
     let Some((sub, rest)) = rest.split_first() else {
-        return Ok(CACHE_HELP.to_string());
+        return Ok(HELP.to_string());
     };
     match sub.as_str() {
         "gc" => cache_gc(Args::parse(rest.to_vec())?),
         "verify" => cache_verify(Args::parse(rest.to_vec())?),
-        other => Err(CliError::Msg(format!(
-            "unknown cache subcommand {other:?}\n\n{CACHE_HELP}"
+        other => Err(CliError(format!(
+            "unknown cache subcommand {other:?}\n\n{HELP}"
         ))),
     }
 }
@@ -49,8 +49,7 @@ fn cache_verify(mut args: Args) -> Result<String, CliError> {
     let dir = cache_arg
         .flatten()
         .unwrap_or_else(|| DEFAULT_CACHE_DIR.to_string());
-    let report =
-        ResultStore::verify_dir(Path::new(&dir)).map_err(|e| CliError::Msg(e.to_string()))?;
+    let report = ResultStore::verify_dir(Path::new(&dir)).map_err(|e| CliError(e.to_string()))?;
     let rendered = if json {
         serde_json::to_string_pretty(&report).expect("serializable")
     } else {
@@ -89,7 +88,7 @@ fn cache_verify(mut args: Args) -> Result<String, CliError> {
     } else {
         // Nonzero exit so CI and scripts can gate on store health; the
         // report still lands on stderr via the error path.
-        Err(CliError::Msg(rendered))
+        Err(CliError(rendered))
     }
 }
 
@@ -98,11 +97,11 @@ fn cache_gc(mut args: Args) -> Result<String, CliError> {
     let max_bytes: Option<u64> = args.opt("max-bytes", "a byte budget")?;
     let json = args.flag("json");
     args.finish()?;
-    let store = open_cache(cache_arg.flatten())?;
+    let store = open_cache(cache_arg.flatten(), DurabilityPolicy::default())?;
     let tag = cache_tag();
     let report = store
         .gc(|t| t == Some(tag.as_str()), max_bytes)
-        .map_err(|e| CliError::Msg(e.to_string()))?;
+        .map_err(|e| CliError(e.to_string()))?;
     if json {
         return Ok(serde_json::to_string_pretty(&report).expect("serializable"));
     }

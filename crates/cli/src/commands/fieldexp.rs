@@ -6,7 +6,7 @@ use serde::Serialize;
 use std::fmt::Write as _;
 use wrsn_charging::FieldExperiment;
 
-pub(super) const FIELDEXP_HELP: &str = "\
+pub(super) const HELP: &str = "\
 wrsn fieldexp — replay the Section II field experiment
 
 OPTIONS:
@@ -23,13 +23,14 @@ struct FieldExpRow {
     network_efficiency: f64,
 }
 
-pub(super) fn fieldexp(mut args: Args) -> Result<String, CliError> {
+pub(super) fn run(rest: &[String]) -> Result<String, CliError> {
+    let mut args = Args::parse(rest.to_vec())?;
     let seed: u64 = args.get_or("seed", "an integer seed", 42)?;
     let trials: u32 = args.get_or("trials", "a trial count", 40)?;
     let json = args.flag("json");
     args.finish()?;
     if trials == 0 {
-        return Err(CliError::Msg("--trials must be at least 1".into()));
+        return Err(CliError("--trials must be at least 1".into()));
     }
     let exp = FieldExperiment::default();
     let (sensors, distances, spacings) = FieldExperiment::table_ii_grid();

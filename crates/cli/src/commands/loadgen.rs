@@ -8,7 +8,7 @@ use std::time::Duration;
 use wrsn_engine::Table;
 use wrsn_serve::client;
 
-pub(super) const LOADGEN_HELP: &str = "\
+pub(super) const HELP: &str = "\
 wrsn loadgen — drive a running `wrsn serve` and measure it
 
 MODES (the first of these flags given picks the mode; a flag the mode
@@ -109,7 +109,8 @@ fn loadgen_row(requests: u64, report: &client::LoadgenReport) -> serde::Value {
 /// round-robin share of the requests) or one per keyed tenant of
 /// `--tenants-file` (the whole workload each), all run at once; or,
 /// with `--job`, one async sweep job.
-pub(super) fn loadgen_cmd(mut args: Args) -> Result<String, CliError> {
+pub(super) fn run(rest: &[String]) -> Result<String, CliError> {
+    let mut args = Args::parse(rest.to_vec())?;
     let given = args.given();
     let addr: String = args.get_or("addr", "an address:port", "127.0.0.1:7421".to_string())?;
     let concurrency: usize = args.get_or("concurrency", "a thread count", 4)?;
@@ -159,7 +160,7 @@ pub(super) fn loadgen_cmd(mut args: Args) -> Result<String, CliError> {
         .map(|f| format!("--{f}"))
         .collect();
     if !unread.is_empty() {
-        return Err(CliError::Msg(format!(
+        return Err(CliError(format!(
             "{mode} does not read {}",
             unread.join(", ")
         )));
@@ -168,12 +169,12 @@ pub(super) fn loadgen_cmd(mut args: Args) -> Result<String, CliError> {
         loadgen_job(&addr, &body, tenant_key.as_deref())?
     } else {
         if concurrency == 0 || requests == 0 {
-            return Err(CliError::Msg(
+            return Err(CliError(
                 "--concurrency and --requests must be at least 1".into(),
             ));
         }
         if connections == Some(0) || pipeline == 0 {
-            return Err(CliError::Msg(
+            return Err(CliError(
                 "--connections and --pipeline must be at least 1".into(),
             ));
         }
@@ -204,10 +205,10 @@ pub(super) fn loadgen_cmd(mut args: Args) -> Result<String, CliError> {
                 .collect();
             let n = nodes.len() as u64;
             if n == 0 {
-                return Err(CliError::Msg("--addrs needs at least one address".into()));
+                return Err(CliError("--addrs needs at least one address".into()));
             }
             if requests < n {
-                return Err(CliError::Msg(format!(
+                return Err(CliError(format!(
                     "--requests {requests} is fewer than the {n} node(s) in --addrs"
                 )));
             }
@@ -293,7 +294,7 @@ pub(super) fn loadgen_cmd(mut args: Args) -> Result<String, CliError> {
     if let Some(path) = &bench_json {
         let text = serde_json::to_string_pretty(&doc).expect("serializable");
         std::fs::write(path, text.as_bytes())
-            .map_err(|e| CliError::Msg(format!("writing {path}: {e}")))?;
+            .map_err(|e| CliError(format!("writing {path}: {e}")))?;
     }
     if json {
         return Ok(serde_json::to_string_pretty(&doc).expect("serializable"));
@@ -322,8 +323,8 @@ fn run_lanes(
     let mut total = client::LoadgenReport::default();
     for ((label, work), report) in lanes.iter().zip(reports) {
         let report = report.map_err(|e| match kind {
-            "" => CliError::Msg(e.to_string()),
-            kind => CliError::Msg(format!("{kind} {label}: {e}")),
+            "" => CliError(e.to_string()),
+            kind => CliError(format!("{kind} {label}: {e}")),
         })?;
         rows.push((label.clone(), loadgen_row(work.requests, &report)));
         total.merge(report);
@@ -335,12 +336,12 @@ fn run_lanes(
 /// --tenants-file`.
 fn keyed_tenants(file: &str) -> Result<Vec<wrsn_serve::TenantSpec>, CliError> {
     let text =
-        std::fs::read_to_string(file).map_err(|e| CliError::Msg(format!("reading {file}: {e}")))?;
+        std::fs::read_to_string(file).map_err(|e| CliError(format!("reading {file}: {e}")))?;
     let tenants = wrsn_serve::tenant::parse_tenants(&text)
-        .map_err(|why| CliError::Msg(format!("{file}: {why}")))?;
+        .map_err(|why| CliError(format!("{file}: {why}")))?;
     let keyed: Vec<_> = tenants.into_iter().filter(|t| t.key.is_some()).collect();
     if keyed.is_empty() {
-        return Err(CliError::Msg(format!("{file}: no keyed tenants to drive")));
+        return Err(CliError(format!("{file}: no keyed tenants to drive")));
     }
     Ok(keyed)
 }
@@ -380,7 +381,7 @@ fn loadgen_job(
         Duration::from_millis(50),
         Duration::from_secs(120),
     )
-    .map_err(|e| CliError::Msg(e.to_string()))?;
+    .map_err(|e| CliError(e.to_string()))?;
     let text = format!(
         "job {} finished in state {:?} after {} event(s)\n{}\n",
         outcome.id,
@@ -388,20 +389,17 @@ fn loadgen_job(
         outcome.events.len(),
         outcome.final_body
     );
+    let report = serde_json::from_str(&outcome.final_body);
     let doc = serde::Value::Object(vec![
-        (
-            "id".to_string(),
-            serde::Value::Number(serde::Number::PosInt(outcome.id)),
-        ),
+        ("id".to_string(), outcome.id.to_value()),
         ("state".to_string(), serde::Value::String(outcome.state)),
         (
             "events".to_string(),
-            serde::Value::Number(serde::Number::PosInt(outcome.events.len() as u64)),
+            (outcome.events.len() as u64).to_value(),
         ),
         (
             "final".to_string(),
-            serde_json::from_str::<serde::Value>(&outcome.final_body)
-                .unwrap_or(serde::Value::String(outcome.final_body)),
+            report.unwrap_or(serde::Value::String(outcome.final_body)),
         ),
     ]);
     Ok((doc, text))

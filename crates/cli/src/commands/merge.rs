@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use wrsn_engine::{merge_checkpoints, RunReport, SweepCheckpoint};
 
-pub(super) const MERGE_HELP: &str = "\
+pub(super) const HELP: &str = "\
 wrsn merge — fold sharded sweep logs back into one report
 
 Shard logs are the checkpoint files written by `wrsn sweep --shard K/N
@@ -19,7 +19,8 @@ OPTIONS:
     --json          machine-readable RunReport output";
 
 /// `wrsn merge`: folds shard logs back into one report.
-pub(super) fn merge(mut args: Args) -> Result<String, CliError> {
+pub(super) fn run(rest: &[String]) -> Result<String, CliError> {
+    let mut args = Args::parse(rest.to_vec())?;
     let logs: String = args.require("logs", "a comma-separated list of shard log paths")?;
     let json = args.flag("json");
     let out_path: Option<String> = args.opt("out", "a file path")?;

@@ -21,20 +21,8 @@ use std::path::Path;
 use std::sync::Arc;
 use wrsn_core::{Instance, InstanceSpec, ScenarioSpec};
 use wrsn_engine::{
-    DurabilityPolicy, EngineError, InstanceParams, InstanceSource, ResultStore, RunReport,
-    StoreOptions, Table,
+    DurabilityPolicy, EngineError, InstanceParams, ResultStore, RunReport, StoreOptions, Table,
 };
-
-use cache::{cache_cmd, CACHE_HELP};
-use cluster::{cluster_cmd, CLUSTER_HELP};
-use fieldexp::{fieldexp, FIELDEXP_HELP};
-use loadgen::{loadgen_cmd, LOADGEN_HELP};
-use merge::{merge, MERGE_HELP};
-use reduce::{reduce_cmd, REDUCE_HELP};
-use serve::{serve_cmd, SERVE_HELP};
-use simulate::{simulate, SIMULATE_HELP};
-use solve::{solve, SOLVE_HELP};
-use sweep::{sweep, SWEEP_HELP};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -58,46 +46,13 @@ COMMANDS:
 
 Run `wrsn <command> --help` for per-command options.";
 
-/// A fatal CLI error with a user-facing message.
+/// A fatal CLI error: the message to print to stderr.
 #[derive(Debug)]
-pub enum CliError {
-    /// A free-form user-facing message.
-    Msg(String),
-    /// An operation that needs coordinates was handed an
-    /// explicit-adjacency instance.
-    NonGeometric {
-        /// What the user asked for (e.g. `"--save"`, `"--svg"`).
-        what: &'static str,
-    },
-    /// A numeric flag fell outside its valid range — caught at parse
-    /// time so the flag name appears in the message.
-    OutOfRange {
-        /// The offending flag (e.g. `"--link-loss"`).
-        flag: &'static str,
-        /// What the user passed.
-        value: f64,
-        /// Inclusive lower bound.
-        lo: f64,
-        /// Inclusive upper bound.
-        hi: f64,
-    },
-}
+pub struct CliError(pub String);
 
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CliError::Msg(msg) => f.write_str(msg),
-            CliError::NonGeometric { what } => write!(
-                f,
-                "{what} needs a geometric instance, but this one has explicit adjacency only"
-            ),
-            CliError::OutOfRange {
-                flag,
-                value,
-                lo,
-                hi,
-            } => write!(f, "{flag} {value} out of range [{lo}, {hi}]"),
-        }
+        f.write_str(&self.0)
     }
 }
 
@@ -105,7 +60,7 @@ impl Error for CliError {}
 
 impl From<ArgsError> for CliError {
     fn from(e: ArgsError) -> Self {
-        CliError::Msg(e.to_string())
+        CliError(e.to_string())
     }
 }
 
@@ -113,17 +68,34 @@ impl From<EngineError> for CliError {
     fn from(e: EngineError) -> Self {
         match e {
             // Keep the flag name in the message so the fix is obvious.
-            EngineError::UnknownSolver { name, known } => CliError::Msg(format!(
+            EngineError::UnknownSolver { name, known } => CliError(format!(
                 "unknown --algo {name:?} (expected {})",
                 known.join("|")
             )),
             EngineError::InvalidSetting { setting, problem } => {
-                CliError::Msg(format!("{} {problem}", flag_of(setting)))
+                CliError(format!("{} {problem}", flag_of(setting)))
             }
-            other => CliError::Msg(other.to_string()),
+            other => CliError(other.to_string()),
         }
     }
 }
+
+/// A subcommand's handler: its arguments in, its report out.
+type Handler = fn(&[String]) -> Result<String, CliError>;
+
+/// Every subcommand: its name, its `--help` text and its handler.
+const COMMANDS: [(&str, &str, Handler); 10] = [
+    ("solve", solve::HELP, solve::run),
+    ("sweep", sweep::HELP, sweep::run),
+    ("merge", merge::HELP, merge::run),
+    ("simulate", simulate::HELP, simulate::run),
+    ("fieldexp", fieldexp::HELP, fieldexp::run),
+    ("reduce", reduce::HELP, reduce::run),
+    ("serve", serve::HELP, serve::run),
+    ("loadgen", loadgen::HELP, loadgen::run),
+    ("cache", cache::HELP, cache::run),
+    ("cluster", cluster::HELP, cluster::run),
+];
 
 /// Dispatches a full argument vector (without the program name).
 ///
@@ -134,80 +106,54 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let Some((command, rest)) = argv.split_first() else {
         return Ok(USAGE.to_string());
     };
-    let wants_help = rest.iter().any(|a| a == "--help" || a == "-h");
-    match command.as_str() {
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        "solve" if wants_help => Ok(SOLVE_HELP.to_string()),
-        "sweep" if wants_help => Ok(SWEEP_HELP.to_string()),
-        "merge" if wants_help => Ok(MERGE_HELP.to_string()),
-        "simulate" if wants_help => Ok(SIMULATE_HELP.to_string()),
-        "fieldexp" if wants_help => Ok(FIELDEXP_HELP.to_string()),
-        "reduce" if wants_help => Ok(REDUCE_HELP.to_string()),
-        "serve" if wants_help => Ok(SERVE_HELP.to_string()),
-        "loadgen" if wants_help => Ok(LOADGEN_HELP.to_string()),
-        "cache" if wants_help => Ok(CACHE_HELP.to_string()),
-        "cluster" if wants_help => Ok(CLUSTER_HELP.to_string()),
-        "solve" => solve(Args::parse(rest.to_vec())?),
-        "sweep" => sweep(Args::parse(rest.to_vec())?),
-        "merge" => merge(Args::parse(rest.to_vec())?),
-        "simulate" => simulate(Args::parse(rest.to_vec())?),
-        "fieldexp" => fieldexp(Args::parse(rest.to_vec())?),
-        "reduce" => reduce_cmd(Args::parse(rest.to_vec())?),
-        "serve" => serve_cmd(Args::parse(rest.to_vec())?),
-        "loadgen" => loadgen_cmd(Args::parse(rest.to_vec())?),
-        "cache" => cache_cmd(rest),
-        "cluster" => cluster_cmd(rest),
-        other => Err(CliError::Msg(format!(
-            "unknown command {other:?}\n\n{USAGE}"
-        ))),
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        return Ok(USAGE.to_string());
     }
+    let Some((_, help, handler)) = COMMANDS.iter().find(|(name, ..)| name == command) else {
+        return Err(CliError(format!("unknown command {command:?}\n\n{USAGE}")));
+    };
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(help.to_string());
+    }
+    handler(rest)
 }
 
-/// The instance-shaping options shared by `solve`, `simulate`, and
-/// `sweep`, read into the engine's [`InstanceParams`] so the HTTP API
-/// and the CLI check parameters alike and resolve them to identical
-/// instances (and identical cache fingerprints).
-struct InstanceOptions {
-    params: InstanceParams,
-    /// The `--load` path, named in messages about its spec.
-    load: Option<String>,
+/// Reads the instance flags shared by `solve`, `sweep` and `simulate`,
+/// and the `--load` spec, into the engine's [`InstanceParams`], so the
+/// CLI and HTTP check them alike and resolve them to identical
+/// instances (and cache keys). Also returns the `--load` path, which
+/// [`in_load`] names in messages about its spec.
+fn instance_params(args: &mut Args) -> Result<(InstanceParams, Option<String>), CliError> {
+    let defaults = InstanceParams::default();
+    let mut params = InstanceParams {
+        posts: args.get_or("posts", "a post count", defaults.posts)?,
+        nodes: args.get_or("nodes", "a node count", defaults.nodes)?,
+        field: args.get_or("field", "meters", defaults.field)?,
+        levels: args.get_or("levels", "a level count", defaults.levels)?,
+        eta: args.get_or("eta", "an efficiency in (0,1]", defaults.eta)?,
+        cap: args.opt("cap", "a per-post cap")?,
+        spec: None,
+        scenario: parse_scenario(args)?,
+    };
+    let load: Option<String> = args.opt("load", "a file path")?;
+    if let Some(path) = &load {
+        let text =
+            std::fs::read_to_string(path).map_err(|e| CliError(format!("reading {path}: {e}")))?;
+        params.spec = Some(InstanceSpec::from_json(&text).map_err(|e| CliError(e.to_string()))?);
+    }
+    Ok((params, load))
 }
 
-impl InstanceOptions {
-    /// Reads the flags and the `--load` spec; [`source`](Self::source)
-    /// checks their values.
-    fn parse(args: &mut Args) -> Result<Self, CliError> {
-        let defaults = InstanceParams::default();
-        let mut params = InstanceParams {
-            posts: args.get_or("posts", "a post count", defaults.posts)?,
-            nodes: args.get_or("nodes", "a node count", defaults.nodes)?,
-            field: args.get_or("field", "meters", defaults.field)?,
-            levels: args.get_or("levels", "a level count", defaults.levels)?,
-            eta: args.get_or("eta", "an efficiency in (0,1]", defaults.eta)?,
-            cap: args.opt("cap", "a per-post cap")?,
-            spec: None,
-            scenario: parse_scenario(args)?,
-        };
-        let load: Option<String> = args.opt("load", "a file path")?;
-        if let Some(path) = &load {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::Msg(format!("reading {path}: {e}")))?;
-            params.spec =
-                Some(InstanceSpec::from_json(&text).map_err(|e| CliError::Msg(e.to_string()))?);
-        }
-        Ok(InstanceOptions { params, load })
-    }
-
-    /// Resolves the options into an engine instance source: a pinned
-    /// spec when `--load` was given, a sampler otherwise. Every value,
-    /// the scenario's too, is checked here, by the same
-    /// [`InstanceParams::source`] that checks HTTP requests.
-    fn source(&self) -> Result<InstanceSource, CliError> {
-        self.params.source().map_err(|e| match &self.load {
-            // Keep the file name in the message.
-            Some(path) => CliError::Msg(format!("spec in {path}: {e}")),
-            None => CliError::from(e),
-        })
+/// `e` as the CLI reports it. An error of [`InstanceParams::source`]
+/// (the only source of these three kinds before a sweep starts) names
+/// the `--load` file when the instance came from one.
+fn in_load(load: Option<&str>, e: EngineError) -> CliError {
+    match (load, &e) {
+        (
+            Some(path),
+            EngineError::InvalidRequest(_) | EngineError::Build(_) | EngineError::Spec(_),
+        ) => CliError(format!("spec in {path}: {e}")),
+        _ => CliError::from(e),
     }
 }
 
@@ -218,43 +164,43 @@ fn parse_scenario(args: &mut Args) -> Result<Option<ScenarioSpec>, CliError> {
         return Ok(None);
     };
     let value: serde::Value = serde_json::from_str(&text)
-        .map_err(|e| CliError::Msg(format!("--scenario is not valid JSON: {e}")))?;
+        .map_err(|e| CliError(format!("--scenario is not valid JSON: {e}")))?;
     ScenarioSpec::from_value(&value)
         .map(Some)
-        .map_err(|e| CliError::Msg(format!("--scenario: {e}")))
+        .map_err(|e| CliError(format!("--scenario: {e}")))
+}
+
+/// `what` (`--save`, `--svg`) asked coordinates of an instance that has
+/// explicit adjacency only.
+fn non_geometric(what: &str) -> CliError {
+    CliError(format!(
+        "{what} needs a geometric instance, but this one has explicit adjacency only"
+    ))
 }
 
 /// Writes `--save PATH`: the instance's spec as JSON.
 fn save_instance(path: &str, instance: &Instance) -> Result<(), CliError> {
-    let spec =
-        InstanceSpec::from_instance(instance).ok_or(CliError::NonGeometric { what: "--save" })?;
-    std::fs::write(path, spec.to_json()).map_err(|e| CliError::Msg(format!("writing {path}: {e}")))
+    let spec = InstanceSpec::from_instance(instance).ok_or_else(|| non_geometric("--save"))?;
+    std::fs::write(path, spec.to_json()).map_err(|e| CliError(format!("writing {path}: {e}")))
 }
 
 /// The default result-store directory for a bare `--cache` flag.
 const DEFAULT_CACHE_DIR: &str = "bench_results/cache";
 
-/// Opens the result store behind `--cache [DIR]`.
-fn open_cache(dir: Option<String>) -> Result<Arc<ResultStore>, CliError> {
-    open_cache_with(dir, DurabilityPolicy::default())
-}
-
-/// [`open_cache`] under an explicit fsync discipline (`serve
-/// --durability`).
-fn open_cache_with(
+/// Opens the result store behind `--cache [DIR]` under `durability`
+/// (`serve --durability`; the default elsewhere).
+fn open_cache(
     dir: Option<String>,
     durability: DurabilityPolicy,
 ) -> Result<Arc<ResultStore>, CliError> {
     let dir = dir.unwrap_or_else(|| DEFAULT_CACHE_DIR.to_string());
-    ResultStore::open_with(
-        Path::new(&dir),
-        StoreOptions {
-            durability,
-            ..StoreOptions::default()
-        },
-    )
-    .map(Arc::new)
-    .map_err(|e| CliError::Msg(e.to_string()))
+    let options = StoreOptions {
+        durability,
+        ..StoreOptions::default()
+    };
+    ResultStore::open_with(Path::new(&dir), options)
+        .map(Arc::new)
+        .map_err(|e| CliError(e.to_string()))
 }
 
 /// Renders a report as `sweep` and `merge` print it: the per-seed table
@@ -293,15 +239,22 @@ fn render_runs(title: &str, report: &RunReport, notes: &str, covered: u64) -> St
     out
 }
 
-/// The `wrsn simulate` flag that sets a simulate-spec setting.
+/// The flag that sets a spec setting: the key with `-` for `_`, except
+/// where `wrsn simulate` names it otherwise. A sum of settings
+/// (`seed_start + seeds`) names each.
 fn flag_of(setting: &str) -> String {
-    match setting {
+    let flag = |key| match key {
         "battery_j" => "--battery".to_string(),
         "bits_per_report" => "--bits".to_string(),
         "speed_mps" => "--speed".to_string(),
         "power_w" => "--power".to_string(),
         other => format!("--{}", other.replace('_', "-")),
-    }
+    };
+    setting
+        .split(" + ")
+        .map(flag)
+        .collect::<Vec<_>>()
+        .join(" + ")
 }
 
 #[cfg(test)]
@@ -370,6 +323,16 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("not-an-address"));
+        // A rate that is not a finite number at least 0 would turn rate
+        // limiting off.
+        for rps in ["nan", "inf", "-1"] {
+            let err = run_str(&format!("serve --default-rps {rps} --default-burst 1"));
+            let err = err.unwrap_err().to_string();
+            assert!(
+                err.starts_with("--default-rps must be finite and non-negative"),
+                "{rps}: {err}"
+            );
+        }
         assert!(run_str("loadgen --requests 0")
             .unwrap_err()
             .to_string()

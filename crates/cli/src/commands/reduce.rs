@@ -9,7 +9,7 @@ use wrsn_core::reduction::reduce;
 use wrsn_core::{BranchAndBound, Solver};
 use wrsn_sat::{CnfFormula, DpllSolver};
 
-pub(super) const REDUCE_HELP: &str = "\
+pub(super) const HELP: &str = "\
 wrsn reduce — 3-CNF SAT to deployment/routing (the NP-completeness gadget)
 
 OPTIONS:
@@ -30,7 +30,8 @@ struct ReduceReport {
     assignment: Option<Vec<bool>>,
 }
 
-pub(super) fn reduce_cmd(mut args: Args) -> Result<String, CliError> {
+pub(super) fn run(rest: &[String]) -> Result<String, CliError> {
+    let mut args = Args::parse(rest.to_vec())?;
     let path: String = args.require("dimacs", "a file path or -")?;
     let do_solve = args.flag("solve");
     let json = args.flag("json");
@@ -40,14 +41,13 @@ pub(super) fn reduce_cmd(mut args: Args) -> Result<String, CliError> {
         let mut buf = String::new();
         std::io::stdin()
             .read_to_string(&mut buf)
-            .map_err(|e| CliError::Msg(format!("reading stdin: {e}")))?;
+            .map_err(|e| CliError(format!("reading stdin: {e}")))?;
         buf
     } else {
-        std::fs::read_to_string(&path).map_err(|e| CliError::Msg(format!("reading {path}: {e}")))?
+        std::fs::read_to_string(&path).map_err(|e| CliError(format!("reading {path}: {e}")))?
     };
-    let formula =
-        CnfFormula::parse_dimacs(&text).map_err(|e| CliError::Msg(format!("DIMACS: {e}")))?;
-    let red = reduce(&formula).map_err(|e| CliError::Msg(format!("reduction: {e}")))?;
+    let formula = CnfFormula::parse_dimacs(&text).map_err(|e| CliError(format!("DIMACS: {e}")))?;
+    let red = reduce(&formula).map_err(|e| CliError(format!("reduction: {e}")))?;
     let dpll = DpllSolver::new().is_satisfiable(&formula);
     let mut report = ReduceReport {
         vars: formula.num_vars(),
@@ -63,7 +63,7 @@ pub(super) fn reduce_cmd(mut args: Args) -> Result<String, CliError> {
     if do_solve {
         let sol = BranchAndBound::new()
             .solve(red.instance())
-            .map_err(|e| CliError::Msg(format!("solving gadget: {e}")))?;
+            .map_err(|e| CliError(format!("solving gadget: {e}")))?;
         let meets = sol.total_cost().as_njoules() <= report.bound_w_nj * (1.0 + 1e-9);
         report.optimal_nj = Some(sol.total_cost().as_njoules());
         report.optimizer_satisfiable = Some(meets);
@@ -80,22 +80,14 @@ pub(super) fn reduce_cmd(mut args: Args) -> Result<String, CliError> {
         "formula: {} vars, {} clauses -> gadget with {} posts, {} nodes, W = {:.1} nJ",
         report.vars, report.clauses, report.posts, report.nodes, report.bound_w_nj
     );
-    let _ = writeln!(
-        out,
-        "DPLL says: {}",
-        if dpll { "SATISFIABLE" } else { "UNSATISFIABLE" }
-    );
+    let verdict = |sat: bool| if sat { "SATISFIABLE" } else { "UNSATISFIABLE" };
+    let _ = writeln!(out, "DPLL says: {}", verdict(dpll));
     if let (Some(opt), Some(meets)) = (report.optimal_nj, report.optimizer_satisfiable) {
+        let bound = if meets { "<=" } else { ">" };
         let _ = writeln!(
             out,
-            "optimizer: optimal cost {:.1} nJ {} W -> {}",
-            opt,
-            if meets { "<=" } else { ">" },
-            if meets {
-                "SATISFIABLE"
-            } else {
-                "UNSATISFIABLE"
-            }
+            "optimizer: optimal cost {opt:.1} nJ {bound} W -> {}",
+            verdict(meets)
         );
         if let Some(a) = &report.assignment {
             let pretty: Vec<String> = a

@@ -1,13 +1,14 @@
 //! `wrsn serve`: the HTTP serving layer over the solver registry.
 
-use super::{open_cache_with, CliError};
+use super::{open_cache, CliError};
 use crate::args::Args;
 use std::time::Duration;
 use wrsn_engine::DurabilityPolicy;
 use wrsn_serve::api::ApiContext;
+use wrsn_serve::tenant::check_rate;
 use wrsn_serve::{ChaosPolicy, Server, ServerConfig};
 
-pub(super) const SERVE_HELP: &str = "\
+pub(super) const HELP: &str = "\
 wrsn serve — a std-only HTTP/1.1 JSON service over the solver registry
 
 Endpoints: POST /v1/solve, /v1/simulate, /v1/sweep, /v1/jobs; GET
@@ -90,30 +91,33 @@ fn unit_interval(flag: &'static str, value: f64) -> Result<f64, CliError> {
     if (0.0..=1.0).contains(&value) {
         Ok(value)
     } else {
-        Err(CliError::OutOfRange {
-            flag,
-            value,
-            lo: 0.0,
-            hi: 1.0,
-        })
+        Err(CliError(format!("{flag} {value} out of range [0, 1]")))
     }
 }
 
-pub(super) fn serve_cmd(mut args: Args) -> Result<String, CliError> {
-    let addr: String = args.get_or("addr", "an address:port", "127.0.0.1:7421".to_string())?;
-    let workers: usize = args.get_or("workers", "a worker count", 4)?;
-    let queue_depth: usize = args.get_or("queue-depth", "a queue capacity", 64)?;
+pub(super) fn run(rest: &[String]) -> Result<String, CliError> {
+    let mut args = Args::parse(rest.to_vec())?;
+    let defaults = ServerConfig::default();
+    let addr: String = args.get_or("addr", "an address:port", defaults.addr.clone())?;
+    let workers: usize = args.get_or("workers", "a worker count", defaults.workers)?;
+    let queue_depth: usize =
+        args.get_or("queue-depth", "a queue capacity", defaults.queue_depth)?;
     let cache_arg = args.flag_or_value("cache");
     let durability_arg: Option<String> = args.opt("durability", "flush or fsync")?;
     let timeout_ms: Option<u64> = args.opt("request-timeout-ms", "milliseconds")?;
     let keep_alive = args.flag("keep-alive");
-    let keep_alive_max_requests: usize =
-        args.get_or("keep-alive-max-requests", "a request cap", 32)?;
-    let max_conns: usize = args.get_or("max-conns", "a connection cap", 4096)?;
-    let max_jobs: usize = args.get_or("max-jobs", "a job cap", 8)?;
+    let keep_alive_max_requests: usize = args.get_or(
+        "keep-alive-max-requests",
+        "a request cap",
+        defaults.keep_alive_max_requests,
+    )?;
+    let max_conns: usize = args.get_or("max-conns", "a connection cap", defaults.max_conns)?;
+    let max_jobs: usize = args.get_or("max-jobs", "a job cap", defaults.max_jobs)?;
     let tenants_file: Option<String> = args.opt("tenants", "a tenants file")?;
-    let default_rps: f64 = args.get_or("default-rps", "requests per second", 0.0)?;
-    let default_burst: u64 = args.get_or("default-burst", "a burst size", 16)?;
+    let default_rps: f64 =
+        args.get_or("default-rps", "requests per second", defaults.default_rps)?;
+    let default_burst: u64 =
+        args.get_or("default-burst", "a burst size", defaults.default_burst)?;
     let chaos_fault: Option<f64> = args.opt("chaos", "a probability")?;
     let chaos_truncate: Option<f64> = args.opt("chaos-truncate", "a probability")?;
     let chaos_latency: Option<f64> = args.opt("chaos-latency", "a probability")?;
@@ -129,89 +133,74 @@ pub(super) fn serve_cmd(mut args: Args) -> Result<String, CliError> {
         wrsn_cluster::DEFAULT_VNODES,
     )?;
     args.finish()?;
-    if workers == 0 {
-        return Err(CliError::Msg("--workers must be at least 1".into()));
+    let zero = [
+        ("--workers", workers == 0),
+        ("--queue-depth", queue_depth == 0),
+        (
+            "--max-conns and --max-jobs",
+            max_conns == 0 || max_jobs == 0,
+        ),
+        ("--keep-alive-max-requests", keep_alive_max_requests == 0),
+        ("--request-timeout-ms", timeout_ms == Some(0)),
+    ];
+    if let Some((flag, _)) = zero.iter().find(|(_, zero)| *zero) {
+        return Err(CliError(format!("{flag} must be at least 1")));
     }
-    if queue_depth == 0 {
-        return Err(CliError::Msg("--queue-depth must be at least 1".into()));
-    }
-    if max_conns == 0 || max_jobs == 0 {
-        return Err(CliError::Msg(
-            "--max-conns and --max-jobs must be at least 1".into(),
-        ));
-    }
-    if keep_alive_max_requests == 0 {
-        return Err(CliError::Msg(
-            "--keep-alive-max-requests must be at least 1".into(),
-        ));
-    }
-    if timeout_ms == Some(0) {
-        return Err(CliError::Msg(
-            "--request-timeout-ms must be at least 1".into(),
-        ));
-    }
-    let chaos_fault = chaos_fault
-        .map(|p| unit_interval("--chaos", p))
-        .transpose()?;
-    let chaos_truncate = chaos_truncate
-        .map(|p| unit_interval("--chaos-truncate", p))
-        .transpose()?;
-    let chaos_latency = chaos_latency
-        .map(|p| unit_interval("--chaos-latency", p))
-        .transpose()?;
-    let chaos = if chaos_fault.is_some() || chaos_truncate.is_some() || chaos_latency.is_some() {
-        let mut policy = ChaosPolicy::seeded(chaos_seed);
-        if let Some(p) = chaos_fault {
-            policy = policy.faults(p);
-        }
-        if let Some(p) = chaos_truncate {
-            policy = policy.truncation(p);
-        }
-        if let Some(p) = chaos_latency {
-            policy = policy.latency(p, Duration::from_millis(chaos_latency_ms));
-        }
-        Some(policy)
-    } else {
-        None
-    };
-    if default_rps < 0.0 {
-        return Err(CliError::Msg("--default-rps must be non-negative".into()));
-    }
+    let [chaos_fault, chaos_truncate, chaos_latency] = [
+        ("--chaos", chaos_fault),
+        ("--chaos-truncate", chaos_truncate),
+        ("--chaos-latency", chaos_latency),
+    ]
+    .map(|(flag, p)| p.map(|p| unit_interval(flag, p)).transpose());
+    let (chaos_fault, chaos_truncate, chaos_latency) =
+        (chaos_fault?, chaos_truncate?, chaos_latency?);
+    let chaos = (chaos_fault.is_some() || chaos_truncate.is_some() || chaos_latency.is_some())
+        .then(|| {
+            let mut policy = ChaosPolicy::seeded(chaos_seed);
+            if let Some(p) = chaos_fault {
+                policy = policy.faults(p);
+            }
+            if let Some(p) = chaos_truncate {
+                policy = policy.truncation(p);
+            }
+            if let Some(p) = chaos_latency {
+                policy = policy.latency(p, Duration::from_millis(chaos_latency_ms));
+            }
+            policy
+        });
+    check_rate(default_rps).map_err(|why| CliError(format!("--default-rps {why}")))?;
     if default_burst == 0 {
-        return Err(CliError::Msg("--default-burst must be at least 1".into()));
+        return Err(CliError("--default-burst must be at least 1".into()));
     }
     let tenants = match &tenants_file {
         Some(path) => {
             let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::Msg(format!("reading {path}: {e}")))?;
+                .map_err(|e| CliError(format!("reading {path}: {e}")))?;
             let specs = wrsn_serve::tenant::parse_tenants(&text)
-                .map_err(|why| CliError::Msg(format!("{path}: {why}")))?;
+                .map_err(|why| CliError(format!("{path}: {why}")))?;
             Some(specs)
         }
         None => None,
     };
-    let tenants_note = match &tenants {
-        Some(specs) => format!(", {} tenant(s)", specs.len()),
-        None => String::new(),
-    };
+    let tenants_note = tenants
+        .as_ref()
+        .map_or_else(String::new, |specs| format!(", {} tenant(s)", specs.len()));
     let cluster = match &cluster_peers {
         Some(spec) => {
             if cache_arg.is_none() {
-                return Err(CliError::Msg(
+                return Err(CliError(
                     "--cluster-peers requires --cache (the fabric shares the result store)".into(),
                 ));
             }
             let peers = wrsn_cluster::parse_peers(spec)
-                .map_err(|why| CliError::Msg(format!("--cluster-peers: {why}")))?;
-            let node_id = node_id
-                .ok_or_else(|| CliError::Msg("--cluster-peers requires --node-id".into()))?;
+                .map_err(|why| CliError(format!("--cluster-peers: {why}")))?;
+            let node_id =
+                node_id.ok_or_else(|| CliError("--cluster-peers requires --node-id".into()))?;
             if gossip_interval_ms == 0 {
-                return Err(CliError::Msg(
-                    "--gossip-interval-ms must be at least 1".into(),
-                ));
+                return Err(CliError("--gossip-interval-ms must be at least 1".into()));
             }
             if cluster_vnodes == 0 {
-                return Err(CliError::Msg("--cluster-vnodes must be at least 1".into()));
+                return Err(CliError("--cluster-vnodes must be at least 1".into()));
             }
             let config = wrsn_cluster::ClusterConfig {
                 node_id,
@@ -224,58 +213,50 @@ pub(super) fn serve_cmd(mut args: Args) -> Result<String, CliError> {
             // startup, not on the first forwarded request.
             config
                 .ring()
-                .map_err(|why| CliError::Msg(format!("cluster config: {why}")))?;
+                .map_err(|why| CliError(format!("cluster config: {why}")))?;
             Some(config)
         }
         None => {
             if node_id.is_some() {
-                return Err(CliError::Msg("--node-id requires --cluster-peers".into()));
+                return Err(CliError("--node-id requires --cluster-peers".into()));
             }
             None
         }
     };
-    let cluster_note = match &cluster {
-        Some(c) => format!(
-            ", cluster node {} of {} ({} vnodes, gossip {}ms)",
-            c.node_id,
-            c.peers.len(),
-            c.vnodes,
-            gossip_interval_ms
-        ),
-        None => String::new(),
-    };
+    let cluster_note = cluster.as_ref().map_or_else(String::new, |c| {
+        let (id, peers, vnodes) = (&c.node_id, c.peers.len(), c.vnodes);
+        format!(", cluster node {id} of {peers} ({vnodes} vnodes, gossip {gossip_interval_ms}ms)")
+    });
     let durability = match &durability_arg {
         Some(text) => {
             if cache_arg.is_none() {
-                return Err(CliError::Msg(
+                return Err(CliError(
                     "--durability requires --cache (there is no disk without a store)".into(),
                 ));
             }
             DurabilityPolicy::parse(text).ok_or_else(|| {
-                CliError::Msg(format!("--durability expects flush or fsync, got {text:?}"))
+                CliError(format!("--durability expects flush or fsync, got {text:?}"))
             })?
         }
         None => DurabilityPolicy::default(),
     };
     let store = cache_arg
-        .map(|dir| open_cache_with(dir, durability))
+        .map(|dir| open_cache(dir, durability))
         .transpose()?;
-    let cache_note = match &store {
-        Some(store) => format!(
-            ", cache {} ({} entries, {})",
-            store.dir().display(),
-            store.len(),
+    let cache_note = store.as_ref().map_or_else(String::new, |store| {
+        let (dir, entries) = (store.dir().display(), store.len());
+        format!(
+            ", cache {dir} ({entries} entries, {})",
             store.durability().as_str()
-        ),
-        None => String::new(),
-    };
-    let chaos_note = match &chaos {
-        Some(p) => format!(
-            ", CHAOS fault {:.2}/truncate {:.2}/latency {:.2} seed {}",
-            p.fault_prob, p.truncate_prob, p.latency_prob, p.seed
-        ),
-        None => String::new(),
-    };
+        )
+    });
+    let chaos_note = chaos.as_ref().map_or_else(String::new, |p| {
+        let (fault, truncate, latency) = (p.fault_prob, p.truncate_prob, p.latency_prob);
+        format!(
+            ", CHAOS fault {fault:.2}/truncate {truncate:.2}/latency {latency:.2} seed {}",
+            p.seed
+        )
+    });
     let mut api = ApiContext::new();
     api.store = store;
     let config = ServerConfig {
@@ -292,9 +273,9 @@ pub(super) fn serve_cmd(mut args: Args) -> Result<String, CliError> {
         default_rps,
         default_burst,
         cluster,
-        ..ServerConfig::default()
+        ..defaults
     };
-    let handle = Server::start(&config, api).map_err(|e| CliError::Msg(e.to_string()))?;
+    let handle = Server::start(&config, api).map_err(|e| CliError(e.to_string()))?;
     let bound = handle.addr();
     // Announce readiness on stderr immediately — stdout is the final
     // report, printed only after shutdown.
@@ -304,7 +285,7 @@ pub(super) fn serve_cmd(mut args: Args) -> Result<String, CliError> {
     );
     handle
         .run_until_signal()
-        .map_err(|e| CliError::Msg(e.to_string()))?;
+        .map_err(|e| CliError(e.to_string()))?;
     Ok(format!("wrsn-serve on {bound}: shut down cleanly"))
 }
 

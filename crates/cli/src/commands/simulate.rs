@@ -1,7 +1,7 @@
 //! `wrsn simulate`: solve, then run the network in the discrete-event
 //! simulator.
 
-use super::{save_instance, CliError, InstanceOptions};
+use super::{instance_params, save_instance, CliError};
 use crate::args::Args;
 use crate::render;
 use std::fmt::Write as _;
@@ -9,7 +9,7 @@ use wrsn_engine::SolverRegistry;
 use wrsn_serve::api::SimulateRequest;
 use wrsn_sim::{ChargerPolicy, PatrolTour};
 
-pub(super) const SIMULATE_HELP: &str = "\
+pub(super) const HELP: &str = "\
 wrsn simulate — solve, then run the network over time
 
 All `wrsn solve` options, plus:
@@ -66,8 +66,7 @@ fn entry_list<const N: usize>(
     };
     text.split(',')
         .map(|entry| {
-            let bad =
-                |what| CliError::Msg(format!("--{flag} expects {shape} {what}, got {entry:?}"));
+            let bad = |what| CliError(format!("--{flag} expects {shape} {what}, got {entry:?}"));
             let parts: Vec<&str> = entry.split(':').collect();
             if parts.len() != N {
                 return Err(bad("entries"));
@@ -88,14 +87,15 @@ fn post_index(post: u64) -> usize {
     usize::try_from(post).unwrap_or(usize::MAX)
 }
 
-pub(super) fn simulate(mut args: Args) -> Result<String, CliError> {
+pub(super) fn run(rest: &[String]) -> Result<String, CliError> {
+    let mut args = Args::parse(rest.to_vec())?;
     let defaults = SimulateRequest::default();
-    let opts = InstanceOptions::parse(&mut args)?;
+    let (instance, _) = instance_params(&mut args)?;
     let kill = entry_list::<2>(&mut args, "kill", "ROUND:POST")?;
     let outage = entry_list::<3>(&mut args, "outage", "POST:FROM:UNTIL")?;
     let charger_down = entry_list::<2>(&mut args, "charger-down", "FROM:UNTIL")?;
     let spec = SimulateRequest {
-        instance: opts.params,
+        instance,
         solver: args.get_or("algo", "an algorithm name", defaults.solver)?,
         seed: args.get_or("seed", "an integer seed", 1)?,
         rounds: args.get_or("rounds", "a round count", defaults.rounds)?,

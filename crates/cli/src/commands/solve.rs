@@ -1,13 +1,14 @@
 //! `wrsn solve`: co-design deployment and routing for one instance.
 
-use super::{save_instance, CliError, InstanceOptions};
+use super::{in_load, instance_params, non_geometric, save_instance, CliError};
 use crate::args::Args;
 use crate::render;
 use serde::Serialize;
 use std::fmt::Write as _;
 use wrsn_engine::SolverRegistry;
+use wrsn_serve::api::{solve_seed, SolveRequest};
 
-pub(super) const SOLVE_HELP: &str = "\
+pub(super) const HELP: &str = "\
 wrsn solve — co-design deployment and routing
 
 OPTIONS:
@@ -40,35 +41,38 @@ struct SolveReport {
     parents: Vec<usize>,
 }
 
-pub(super) fn solve(mut args: Args) -> Result<String, CliError> {
+pub(super) fn run(rest: &[String]) -> Result<String, CliError> {
+    let mut args = Args::parse(rest.to_vec())?;
     let draw = args.flag("draw");
     let svg: Option<String> = args.opt("svg", "a file path")?;
-    let opts = InstanceOptions::parse(&mut args)?;
-    let seed: u64 = args.get_or("seed", "an integer seed", 1)?;
-    let algo: String = args.get_or("algo", "an algorithm name", "irfh".to_string())?;
+    let (instance, load) = instance_params(&mut args)?;
+    let defaults = SolveRequest::default();
+    let req = SolveRequest {
+        instance,
+        // `wrsn solve` starts at seed 1, a request body at seed 0.
+        seed: args.get_or("seed", "an integer seed", 1)?,
+        solver: args.get_or("algo", "an algorithm name", defaults.solver)?,
+        ..defaults
+    };
     let save: Option<String> = args.opt("save", "a file path")?;
     let json = args.flag("json");
-    let instance = opts.source()?.instance(seed)?;
+    let registry = SolverRegistry::with_defaults();
+    let (instance, solution) = solve_seed(&registry, &req.instance, &req.solver, req.seed)
+        .map_err(|e| in_load(load.as_deref(), e))?;
     if let Some(path) = save {
         save_instance(&path, &instance)?;
     }
-    let solution = SolverRegistry::with_defaults()
-        .resolve(&algo, opts.params.scenario.as_ref())?
-        .solve(&instance)
-        .map_err(|e| CliError::Msg(format!("{algo} failed: {e}")))?;
     args.finish()?;
     if let Some(path) = &svg {
-        let geo = instance
-            .geometry()
-            .ok_or(CliError::NonGeometric { what: "--svg" })?;
+        let geo = instance.geometry().ok_or_else(|| non_geometric("--svg"))?;
         let doc = render::render_svg(geo, &solution, 720);
-        std::fs::write(path, doc).map_err(|e| CliError::Msg(format!("writing {path}: {e}")))?;
+        std::fs::write(path, doc).map_err(|e| CliError(format!("writing {path}: {e}")))?;
     }
     let report = SolveReport {
         algorithm: solution.algorithm().to_string(),
         posts: instance.num_posts(),
         nodes: instance.num_nodes(),
-        seed,
+        seed: req.seed,
         total_cost_uj: solution.total_cost().as_ujoules(),
         deployment: solution.deployment().counts().to_vec(),
         parents: solution.tree().parents().to_vec(),

@@ -1,12 +1,15 @@
 //! `wrsn sweep`: one solver over a seed range, or several with
 //! `--compare`.
 
-use super::{open_cache, render_runs, CliError, InstanceOptions};
+use super::{in_load, instance_params, open_cache, render_runs, CliError};
 use crate::args::Args;
 use std::fmt::Write as _;
-use wrsn_engine::{Experiment, RetryPolicy, SeedEvent, SolverRegistry, SweepRunner, Table};
+use wrsn_engine::{
+    DurabilityPolicy, Experiment, RetryPolicy, SeedEvent, SolverRegistry, SweepRunner, Table,
+};
+use wrsn_serve::api::SweepRequest;
 
-pub(super) const SWEEP_HELP: &str = "\
+pub(super) const HELP: &str = "\
 wrsn sweep — run a solver over many random instances in parallel
 
 Takes the instance options of `wrsn solve` (--posts, --nodes, --field,
@@ -47,7 +50,7 @@ Result store (content-addressed cache):
 /// Parses `--shard K/N` into a 1-based (index, count) pair. Range
 /// validation happens in the engine ([`EngineError::BadShard`]).
 fn parse_shard(text: &str) -> Result<(u32, u32), CliError> {
-    let bad = || CliError::Msg(format!("--shard expects K/N (e.g. 2/4), got {text:?}"));
+    let bad = || CliError(format!("--shard expects K/N (e.g. 2/4), got {text:?}"));
     let (index, count) = text.split_once('/').ok_or_else(bad)?;
     match (index.trim().parse(), count.trim().parse()) {
         (Ok(i), Ok(c)) => Ok((i, c)),
@@ -55,11 +58,18 @@ fn parse_shard(text: &str) -> Result<(u32, u32), CliError> {
     }
 }
 
-pub(super) fn sweep(mut args: Args) -> Result<String, CliError> {
-    let opts = InstanceOptions::parse(&mut args)?;
-    let algo_opt: Option<String> = args.opt("algo", "an algorithm name")?;
-    let seeds: u64 = args.get_or("seeds", "a seed count", 10)?;
-    let seed_start: u64 = args.get_or("seed-start", "an integer seed", 0)?;
+pub(super) fn run(rest: &[String]) -> Result<String, CliError> {
+    let mut args = Args::parse(rest.to_vec())?;
+    let (instance, load) = instance_params(&mut args)?;
+    let algo: Option<String> = args.opt("algo", "an algorithm name")?;
+    let defaults = SweepRequest::default();
+    let req = SweepRequest {
+        instance,
+        solver: algo.clone().unwrap_or(defaults.solver),
+        // `wrsn sweep` runs 10 seeds by default, a request body 8.
+        seeds: args.get_or("seeds", "a seed count", 10)?,
+        seed_start: args.get_or("seed-start", "an integer seed", defaults.seed_start)?,
+    };
     let threads: Option<usize> = args.opt("threads", "a worker count")?;
     let history = args.flag("history");
     let json = args.flag("json");
@@ -74,39 +84,35 @@ pub(super) fn sweep(mut args: Args) -> Result<String, CliError> {
     let shard: Option<String> = args.opt("shard", "K/N")?;
     let compare: Option<String> = args.opt("compare", "a comma-separated solver list")?;
     args.finish()?;
-    let source = opts.source()?;
-    let seed_range = wrsn_serve::api::seed_range(seed_start, seeds, ["--seed-start", "--seeds"])
-        .map_err(CliError::Msg)?;
+    let experiment = req.experiment().map_err(|e| in_load(load.as_deref(), e))?;
     if resume && checkpoint.is_none() {
-        return Err(CliError::Msg(
+        return Err(CliError(
             "--resume needs --checkpoint to know where the previous run left off".into(),
         ));
     }
     let runner = match threads {
-        Some(0) => return Err(CliError::Msg("--threads must be at least 1".into())),
+        Some(0) => return Err(CliError("--threads must be at least 1".into())),
         Some(n) => SweepRunner::new().threads(n),
         None => SweepRunner::new(),
     };
     // A seed's attempts are its retries plus the first one.
     let attempts = max_retries.checked_add(1).ok_or_else(|| {
-        CliError::Msg(format!(
+        CliError(format!(
             "--max-retries must be below {}, got {max_retries}",
             u32::MAX
         ))
     })?;
     let shard = shard.as_deref().map(parse_shard).transpose()?;
-    let store = cache_arg.map(open_cache).transpose()?;
-    let mut experiment = Experiment::new(source)
-        .seeds(seed_range)
+    let store = cache_arg
+        .map(|dir| open_cache(dir, DurabilityPolicy::default()))
+        .transpose()?;
+    let mut experiment = experiment
         .runner(runner)
         .capture_history(history)
         .retry(RetryPolicy::attempts(attempts))
         .keep_going(keep_going)
         .resume(resume)
         .record_timings(!no_timings);
-    if let Some(spec) = &opts.params.scenario {
-        experiment = experiment.scenario(spec.clone());
-    }
     if let Some(path) = &checkpoint {
         experiment = experiment.checkpoint(path);
     }
@@ -141,23 +147,22 @@ pub(super) fn sweep(mut args: Args) -> Result<String, CliError> {
     }
     let registry = SolverRegistry::with_defaults();
     if let Some(list) = compare {
-        if algo_opt.is_some() {
-            return Err(CliError::Msg(
+        if algo.is_some() {
+            return Err(CliError(
                 "--compare names its own solvers; drop --algo".into(),
             ));
         }
         if checkpoint.is_some() || resume || shard.is_some() || halt_after.is_some() {
-            return Err(CliError::Msg(
+            return Err(CliError(
                 "--compare runs multiple solvers and cannot be combined with \
                  --checkpoint/--resume/--shard/--halt-after"
                     .into(),
             ));
         }
-        let title = format!("compare ({seeds} seeds, seed {seed_start}..)");
+        let title = format!("compare ({} seeds, seed {}..)", req.seeds, req.seed_start);
         return sweep_compare(&experiment, &registry, &list, &title, json);
     }
-    let algo = algo_opt.unwrap_or_else(|| "irfh".to_string());
-    let report = experiment.solver(&algo).run(&registry)?;
+    let report = experiment.run(&registry)?;
     if json {
         return Ok(report.to_json());
     }
@@ -174,12 +179,8 @@ pub(super) fn sweep(mut args: Args) -> Result<String, CliError> {
             cache.hits, cache.misses, cache.appended
         );
     }
-    let mut out = render_runs(
-        &format!("sweep {algo} ({seeds} seeds)"),
-        &report,
-        &notes,
-        seeds,
-    );
+    let title = format!("sweep {} ({} seeds)", req.solver, req.seeds);
+    let mut out = render_runs(&title, &report, &notes, req.seeds);
     if history {
         let trace: Vec<String> = report
             .mean_history_uj()
@@ -210,7 +211,7 @@ fn sweep_compare(
         .filter(|s| !s.is_empty())
         .collect();
     if algos.len() < 2 {
-        return Err(CliError::Msg(
+        return Err(CliError(
             "--compare needs at least two solver names (e.g. --compare rfh,irfh,idb)".into(),
         ));
     }
@@ -272,6 +273,11 @@ fn sweep_compare(
 #[cfg(test)]
 mod tests {
     use crate::commands::tests::{run_str, scratch};
+    use crate::commands::{flag_of, run};
+    use serde::{Deserialize as _, Serialize as _};
+    use wrsn_core::ScenarioSpec;
+    use wrsn_engine::InstanceParams;
+    use wrsn_serve::api::{ApiContext, SweepRequest};
 
     #[test]
     fn sweep_json_is_a_run_report() {
@@ -578,5 +584,120 @@ mod tests {
         .unwrap();
         let v: serde_json::Value = serde_json::from_str(&out).unwrap();
         assert_eq!(v["runs"].as_array().map(Vec::len), Some(1), "{out}");
+    }
+
+    /// One random sweep spec on a small instance, drawn from `picks`
+    /// and rendered both as `wrsn sweep --json` argv and as a
+    /// `/v1/sweep` body. Most `sched-*` specs carry a scenario. In one
+    /// case of four, one setting is out of range.
+    fn random_sweep_spec(picks: &[u64]) -> (Vec<String>, serde::Value) {
+        let mut picks = picks.iter().copied();
+        let mut pick = |n: u64| picks.next().expect("enough picks") % n;
+        let broken = pick(4 * 6);
+        let posts = 4 + pick(5);
+        let solver = [
+            "idb",
+            "rfh",
+            "irfh",
+            "uniform",
+            "sched-tour",
+            "sched-place",
+            "sched-bilevel",
+        ][pick(7) as usize];
+        let scenario =
+            (pick(4) < if solver.starts_with("sched-") { 3 } else { 1 }).then(|| ScenarioSpec {
+                battery_j: [0.002, 0.01, 0.1][pick(3) as usize],
+                chargers: 1 + pick(3) as u32,
+                charger_budget: 1 + pick(3) as u32,
+                sa_iters: [20, 60][pick(2) as usize],
+                seed: pick(3),
+                ..ScenarioSpec::default()
+            });
+        let instance = InstanceParams {
+            posts: if broken == 1 { 0 } else { posts as usize },
+            nodes: if broken == 2 {
+                2001
+            } else {
+                (posts * (2 + pick(3))) as u32
+            },
+            field: [150.0, 200.0, 300.0][pick(3) as usize],
+            levels: 3 + pick(3) as usize,
+            eta: if broken == 3 {
+                1.5
+            } else {
+                [0.5, 0.8, 1.0][pick(3) as usize]
+            },
+            cap: (pick(3) == 0).then(|| 2 + pick(3) as u32),
+            spec: None,
+            scenario: match (broken, scenario) {
+                (4, _) => Some(ScenarioSpec {
+                    chargers: 0,
+                    ..ScenarioSpec::default()
+                }),
+                (_, scenario) => scenario,
+            },
+        };
+        let (seed_start, seeds) = match broken {
+            5 => (pick(20), 0),
+            6 => (u64::MAX - pick(2), 2 + pick(2)),
+            _ => (pick(20), 1 + pick(3)),
+        };
+        let mut argv: Vec<String> = format!(
+            "sweep --posts {} --nodes {} --field {} --levels {} --eta {} --algo {solver} \
+             --seed-start {seed_start} --seeds {seeds} --no-timings --json",
+            instance.posts, instance.nodes, instance.field, instance.levels, instance.eta
+        )
+        .split_whitespace()
+        .map(String::from)
+        .collect();
+        if let Some(cap) = instance.cap {
+            argv.extend(["--cap".to_string(), cap.to_string()]);
+        }
+        if let Some(spec) = &instance.scenario {
+            let json = serde_json::to_string(&spec.to_value()).unwrap();
+            argv.extend(["--scenario".to_string(), json]);
+        }
+        let body = serde::Value::Object(vec![
+            ("instance".to_string(), instance.to_value()),
+            ("solver".to_string(), solver.to_value()),
+            ("seed_start".to_string(), seed_start.to_value()),
+            ("seeds".to_string(), seeds.to_value()),
+        ]);
+        (argv, body)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(80))]
+
+        /// `wrsn sweep --json` and `/v1/sweep` give equal reports for one
+        /// spec, or both reject it naming the same setting.
+        #[test]
+        fn cli_and_http_sweep_agree(
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 24)
+        ) {
+            let (argv, body) = random_sweep_spec(&picks);
+            let req = SweepRequest::from_value(&body).unwrap();
+            let reparse = |text: &str| serde_json::from_str::<serde_json::Value>(text).unwrap();
+            match (run(&argv), ApiContext::new().sweep_in(None, &req)) {
+                (Ok(cli), Ok(http)) => {
+                    let http = serde_json::to_string(&http.body).unwrap();
+                    proptest::prop_assert_eq!(reparse(&cli), reparse(&http), "{:?}", argv);
+                }
+                (Err(cli), Err(http)) => {
+                    // The HTTP message names the seed settings by key,
+                    // the CLI's by flag.
+                    let named: Vec<String> = http
+                        .message
+                        .split(' ')
+                        .map(|word| match word {
+                            "seed_start" | "seeds" => flag_of(word),
+                            other => other.to_string(),
+                        })
+                        .collect();
+                    proptest::prop_assert_eq!(cli.to_string(), named.join(" "), "{:?}", argv);
+                }
+                (cli, http) => panic!("{argv:?}: CLI {cli:?} but HTTP {http:?}"),
+            }
+        }
     }
 }

@@ -142,6 +142,40 @@ impl SweepCheckpoint {
         records
     }
 
+    /// Why the header cannot describe a sweep: an empty or inverted
+    /// seed range, or a shard index outside `1..=count`.
+    fn header_fault(&self) -> Option<String> {
+        if self.seed_start >= self.seed_end {
+            return Some(format!(
+                "seed range {}..{} is empty",
+                self.seed_start, self.seed_end
+            ));
+        }
+        match (self.shard_index, self.shard_count) {
+            (None, None) => None,
+            (Some(index), Some(count)) if (1..=count).contains(&index) => None,
+            (index, count) => Some(format!(
+                "shard {}/{} is not a 1-based index within its count",
+                index.map_or("-".to_string(), |i| i.to_string()),
+                count.map_or("-".to_string(), |c| c.to_string()),
+            )),
+        }
+    }
+
+    /// Why `seed` cannot be a record of this sweep: outside its seed
+    /// range, or outside its shard's round-robin slice.
+    fn stray_seed(&self, seed: u64) -> Option<String> {
+        if !(self.seed_start..self.seed_end).contains(&seed) {
+            return Some(format!(
+                "seed {seed} is outside the header's seeds {}..{}",
+                self.seed_start, self.seed_end
+            ));
+        }
+        let (index, count) = self.shard()?;
+        ((seed - self.seed_start) % u64::from(count) != u64::from(index - 1))
+            .then(|| format!("seed {seed} is not in shard {index}/{count}"))
+    }
+
     /// Loads and validates a checkpoint file: the JSONL format this
     /// build writes, or transparently the version-1 whole-file JSON
     /// format. Duplicate records for a seed resolve to the last one.
@@ -149,7 +183,10 @@ impl SweepCheckpoint {
     /// # Errors
     ///
     /// [`EngineError::Checkpoint`] when the file cannot be read, is not
-    /// a valid checkpoint, or has an unknown format version.
+    /// a valid checkpoint, has an unknown format version, an empty or
+    /// inverted seed range, a shard index outside `1..=count`, or a
+    /// record outside the seed range or the shard's slice (naming its
+    /// line, or its seed in the version-1 format).
     pub fn load(path: &Path) -> Result<Self, EngineError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| checkpoint_err(path, format!("reading: {e}")))?;
@@ -164,6 +201,14 @@ impl SweepCheckpoint {
                         legacy.version
                     ),
                 ));
+            }
+            if let Some(why) = legacy.header_fault() {
+                return Err(checkpoint_err(path, why));
+            }
+            let seeds = legacy.runs.iter().map(|r| r.seed);
+            let mut seeds = seeds.chain(legacy.failures.iter().map(|f| f.seed));
+            if let Some(why) = seeds.find_map(|seed| legacy.stray_seed(seed)) {
+                return Err(checkpoint_err(path, why));
             }
             legacy.version = CHECKPOINT_VERSION;
             return Ok(legacy);
@@ -192,32 +237,38 @@ impl SweepCheckpoint {
             runs: Vec::new(),
             failures: Vec::new(),
         };
+        if let Some(why) = ckpt.header_fault() {
+            return Err(checkpoint_err(path, format!("bad header: {why}")));
+        }
         for (i, record) in records.iter().enumerate() {
             let line = i + 2; // 1-based; the header is line 1.
+            let at_line = |why: String| checkpoint_err(path, format!("line {line}: {why}"));
             let Value::Object(pairs) = record else {
-                return Err(checkpoint_err(path, format!("line {line}: not an object")));
+                return Err(at_line("not an object".into()));
             };
             let [(kind, payload)] = pairs.as_slice() else {
-                return Err(checkpoint_err(
-                    path,
-                    format!("line {line}: expected exactly one of \"run\"/\"failure\""),
+                return Err(at_line(
+                    "expected exactly one of \"run\"/\"failure\"".into(),
                 ));
             };
-            match kind.as_str() {
-                "run" => ckpt.record_run(
-                    SeedRun::from_value(payload)
-                        .map_err(|e| checkpoint_err(path, format!("line {line}: {e}")))?,
-                ),
-                "failure" => ckpt.record_failure(
-                    SeedFailure::from_value(payload)
-                        .map_err(|e| checkpoint_err(path, format!("line {line}: {e}")))?,
-                ),
-                other => {
-                    return Err(checkpoint_err(
-                        path,
-                        format!("line {line}: unknown record kind {other:?}"),
-                    ))
+            let seed = match kind.as_str() {
+                "run" => {
+                    let run = SeedRun::from_value(payload).map_err(|e| at_line(e.to_string()))?;
+                    let seed = run.seed;
+                    ckpt.record_run(run);
+                    seed
                 }
+                "failure" => {
+                    let failure =
+                        SeedFailure::from_value(payload).map_err(|e| at_line(e.to_string()))?;
+                    let seed = failure.seed;
+                    ckpt.record_failure(failure);
+                    seed
+                }
+                other => return Err(at_line(format!("unknown record kind {other:?}"))),
+            };
+            if let Some(why) = ckpt.stray_seed(seed) {
+                return Err(at_line(why));
             }
         }
         Ok(ckpt)
@@ -795,8 +846,59 @@ mod tests {
         .unwrap();
         let err = SweepCheckpoint::load(&future).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+        // Headers that describe no sweep, and records outside the
+        // header's seeds or its shard's slice, name what is wrong.
+        let header = |range: &str, shard: &str| {
+            format!("{{\"version\": 2, \"label\": \"x\", \"solver\": \"idb\", {range}{shard}}}\n")
+        };
+        let range = "\"seed_start\": 0, \"seed_end\": 6";
+        let record = |seed: u64| {
+            format!(
+                "{}\n",
+                serde_json::to_string(&run_record(&run(seed))).unwrap()
+            )
+        };
+        let stray = temp_path("stray.jsonl");
+        for (text, want) in [
+            (
+                header("\"seed_start\": 10, \"seed_end\": 5", ""),
+                "seed range 10..5 is empty",
+            ),
+            (
+                header("\"seed_start\": 3, \"seed_end\": 3", ""),
+                "seed range 3..3 is empty",
+            ),
+            (
+                header(range, ", \"shard_index\": 0, \"shard_count\": 2"),
+                "shard 0/2",
+            ),
+            (
+                header(range, ", \"shard_index\": 3, \"shard_count\": 2"),
+                "shard 3/2",
+            ),
+            (header(range, ", \"shard_index\": 1"), "shard 1/-"),
+            (
+                header(range, "") + &record(1) + &record(6),
+                "line 3: seed 6 is outside",
+            ),
+            (
+                header(range, ", \"shard_index\": 2, \"shard_count\": 3") + &record(4) + &record(2),
+                "line 3: seed 2 is not in shard 2/3",
+            ),
+            (
+                "{\"version\": 1, \"label\": \"x\", \"solver\": \"idb\", \"seed_start\": 10, \
+                 \"seed_end\": 5, \"runs\": []}"
+                    .to_string(),
+                "seed range 10..5 is empty",
+            ),
+        ] {
+            std::fs::write(&stray, &text).unwrap();
+            let err = SweepCheckpoint::load(&stray).unwrap_err().to_string();
+            assert!(err.contains(want), "{text}: {err}");
+        }
         let _ = std::fs::remove_file(garbled);
         let _ = std::fs::remove_file(future);
+        let _ = std::fs::remove_file(stray);
     }
 
     #[test]

@@ -68,3 +68,6 @@ pub use wrsn_store::{
     CacheStats, DurabilityPolicy, FaultFs, Fingerprint, FingerprintBuilder, GcReport, IoSnapshot,
     IoStats, RealFs, ResultStore, StoreError, StoreOptions, VerifyReport, Vfs,
 };
+// The store's atomic whole-file write, for files kept beside a store
+// (the server's job journals) under its fsync discipline.
+pub use wrsn_store::jsonl::write_log_on;

@@ -20,28 +20,6 @@ use wrsn_sim::{ChargerPolicy, FaultPlan, SimConfig, SimReport, Simulator};
 /// big sweeps belong in the CLI, not behind a request timeout.
 pub const MAX_SWEEP_SEEDS: u64 = 1024;
 
-/// The seeds `start..start + count`, or why there are none: a zero
-/// `count`, or an end past `u64::MAX`. `names` spell the two settings
-/// as the caller's surface does (`seed_start` and `seeds` in a request
-/// body, `--seed-start` and `--seeds` on the command line).
-///
-/// # Errors
-///
-/// A message naming the setting at fault.
-pub fn seed_range(
-    start: u64,
-    count: u64,
-    [start_name, count_name]: [&str; 2],
-) -> Result<std::ops::Range<u64>, String> {
-    if count == 0 {
-        return Err(format!("{count_name} must be at least 1"));
-    }
-    let end = start
-        .checked_add(count)
-        .ok_or_else(|| format!("{start_name} + {count_name} overflows"))?;
-    Ok(start..end)
-}
-
 /// The fastest patrol a simulate spec may ask for, in meters per
 /// second; mobile chargers travel at a few (5 by default). Patrol
 /// events grow with the speed: at 6 posts and 100 rounds on a 2-vCPU
@@ -90,7 +68,8 @@ fn serde_defaults<T: Deserialize>() -> T {
     T::from_value(&Value::Object(Vec::new())).expect("every request field has a serde default")
 }
 
-/// `POST /v1/solve` body.
+/// `POST /v1/solve` body, and what `wrsn solve` parses its flags into
+/// (`include_solution` aside: the CLI always prints the solution).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct SolveRequest {
@@ -313,6 +292,34 @@ fn invalid(setting: &'static str, problem: String) -> EngineError {
     EngineError::InvalidSetting { setting, problem }
 }
 
+/// Seed `seed`'s instance of `instance` and `solver`'s solution of it,
+/// the solver resolved under the instance's scenario: the one solve of
+/// `wrsn solve`, of `/v1/solve`'s `include_solution` and of
+/// [`SimulateRequest::run`].
+///
+/// # Errors
+///
+/// The errors of [`InstanceParams::source`] and of building the
+/// instance, [`EngineError::UnknownSolver`], and [`EngineError::Solve`]
+/// when the solver fails.
+pub fn solve_seed(
+    registry: &SolverRegistry,
+    instance: &InstanceParams,
+    solver: &str,
+    seed: u64,
+) -> Result<(Instance, Solution), EngineError> {
+    let built = instance.source()?.instance(seed)?;
+    let solution = registry
+        .resolve(solver, instance.scenario.as_ref())?
+        .solve(&built)
+        .map_err(|error| EngineError::Solve {
+            solver: solver.to_string(),
+            seed,
+            error,
+        })?;
+    Ok((built, solution))
+}
+
 impl SimulateRequest {
     /// Checks every setting, solves the instance, builds the fault plan,
     /// the charger policy and (with `sched_tour`) the planned visit
@@ -326,15 +333,7 @@ impl SimulateRequest {
     /// fit the instance (a post out of range, an empty window).
     pub fn run(&self, registry: &SolverRegistry) -> Result<SimRun, EngineError> {
         let charger = self.charger_policy()?;
-        let instance = self.instance.source()?.instance(self.seed)?;
-        let solution = registry
-            .resolve(&self.solver, self.instance.scenario.as_ref())?
-            .solve(&instance)
-            .map_err(|error| EngineError::Solve {
-                solver: self.solver.clone(),
-                seed: self.seed,
-                error,
-            })?;
+        let (instance, solution) = solve_seed(registry, &self.instance, &self.solver, self.seed)?;
         let faults = self.fault_plan();
         if let Some(plan) = &faults {
             plan.validate(instance.num_posts())
@@ -566,7 +565,10 @@ impl SimRun {
     }
 }
 
-/// `POST /v1/sweep` and `POST /v1/jobs` body.
+/// `POST /v1/sweep` and `POST /v1/jobs` body, and what `wrsn sweep`
+/// parses its shared flags into: one spec, turned into the sweep's
+/// [`Experiment`] by [`SweepRequest::experiment`], so both front ends
+/// sweep and report alike.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct SweepRequest {
@@ -591,6 +593,39 @@ impl Default for SweepRequest {
 }
 
 impl SweepRequest {
+    /// The sweep's experiment: the instance source, the solver, the seed
+    /// range and the instance's scenario, which rebinds the scheduling
+    /// solvers and keys the cache, so differently parameterized sweeps
+    /// never collide in the store. Each front end adds its own settings
+    /// (store, checkpoint, observer, runner, timings).
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`InstanceParams::source`], then
+    /// [`EngineError::InvalidSetting`] naming `seeds` when it is zero or
+    /// `seed_start + seeds` when the range runs past the last seed.
+    pub fn experiment(&self) -> Result<Experiment, EngineError> {
+        let source = self.instance.source()?;
+        let mut experiment = Experiment::new(source)
+            .solver(&self.solver)
+            .seeds(self.seed_range()?);
+        if let Some(spec) = &self.instance.scenario {
+            experiment = experiment.scenario(spec.clone());
+        }
+        Ok(experiment)
+    }
+
+    /// The seeds `seed_start..seed_start + seeds`, or the setting that
+    /// leaves none.
+    fn seed_range(&self) -> Result<std::ops::Range<u64>, EngineError> {
+        if self.seeds == 0 {
+            return Err(invalid("seeds", "must be at least 1".into()));
+        }
+        let end = self.seed_start.checked_add(self.seeds);
+        let end = end.ok_or_else(|| invalid("seed_start + seeds", "overflows".into()))?;
+        Ok(self.seed_start..end)
+    }
+
     /// The store key of every seed of the sweep under `namespace`, in
     /// seed order: [`SolveRequest::cache_key`] per seed, from one key
     /// prefix.
@@ -687,25 +722,18 @@ impl ApiContext {
         }
     }
 
-    /// Runs one (instance, solver, seed) cell through the cached
-    /// experiment pipeline and returns the run report. A `Some`
-    /// namespace keys the cache per tenant; `None` uses the shared
-    /// default namespace (byte-identical fingerprints to a
-    /// single-tenant server).
+    /// Runs `req` through the cached experiment pipeline and returns the
+    /// run report. A `Some` namespace keys the cache per tenant; `None`
+    /// uses the shared default namespace (byte-identical fingerprints to
+    /// a single-tenant server).
     fn run_cell(
         &self,
         namespace: Option<&str>,
-        instance: &InstanceParams,
-        solver: &str,
-        seeds: std::ops::Range<u64>,
+        req: &SweepRequest,
         progress: Option<Arc<ProgressFeed>>,
         checkpoint: Option<&std::path::Path>,
     ) -> Result<(wrsn_engine::RunReport, CacheStats), ApiError> {
-        let source = instance.source()?;
-        let mut experiment = Experiment::new(source)
-            .solver(solver)
-            .seeds(seeds)
-            .record_timings(false);
+        let mut experiment = req.experiment()?.record_timings(false);
         if let Some(ns) = namespace {
             experiment = experiment.cache_namespace(ns);
         }
@@ -726,12 +754,6 @@ impl ApiContext {
                 SeedEvent::Completed { run, .. } => feed.publish_run(run),
                 SeedEvent::Failed { failure, .. } => feed.publish_failure(failure),
             });
-        }
-        // A request scenario rebinds the scheduling solvers and keys the
-        // cache fingerprints (via Experiment::scenario), so differently
-        // parameterized requests never collide in the store.
-        if let Some(spec) = &instance.scenario {
-            experiment = experiment.scenario(spec.clone());
         }
         let mut report = experiment.run(&self.registry)?;
         // The cache block is stripped from the body so identical
@@ -768,30 +790,23 @@ impl ApiContext {
         }
         // The engine runs seed ranges, and `seed..seed + 1` has no end
         // for the largest seed.
-        let end = req.seed.checked_add(1).ok_or_else(|| {
-            ApiError::bad_request(format!("seed must be below {}, got {}", u64::MAX, req.seed))
-        })?;
-        let (report, cache) = self.run_cell(
-            namespace,
-            &req.instance,
-            &req.solver,
-            req.seed..end,
-            None,
-            None,
-        )?;
+        if req.seed == u64::MAX {
+            let message = format!("seed must be below {}, got {}", u64::MAX, req.seed);
+            return Err(ApiError::bad_request(message));
+        }
+        let cell = SweepRequest {
+            instance: req.instance.clone(),
+            solver: req.solver.clone(),
+            seed_start: req.seed,
+            seeds: 1,
+        };
+        let (report, cache) = self.run_cell(namespace, &cell, None, None)?;
         let mut fields = solve_fields(req, report.runs[0].cost_uj);
         if req.include_solution {
-            // The report only carries costs; rebuild the instance and
-            // re-solve for the structural dump. This path bypasses the
-            // cache by design — it is a debugging aid, not the hot path.
-            let source = req.instance.source()?;
-            let instance = source.instance(req.seed)?;
-            let solver = self
-                .registry
-                .resolve(&req.solver, req.instance.scenario.as_ref())?;
-            let solution = solver
-                .solve(&instance)
-                .map_err(|e| ApiError::bad_request(format!("solve failed: {e}")))?;
+            // The report only carries costs; re-solve for the structural
+            // dump. This path bypasses the cache by design — it is a
+            // debugging aid, not the hot path.
+            let (_, solution) = solve_seed(&self.registry, &req.instance, &req.solver, req.seed)?;
             let counts: Vec<Value> = solution
                 .deployment()
                 .counts()
@@ -903,15 +918,8 @@ impl ApiContext {
         progress: Option<Arc<ProgressFeed>>,
         checkpoint: Option<&std::path::Path>,
     ) -> Result<ApiOutcome, ApiError> {
-        let end = Self::validate_sweep(req)?;
-        let (report, cache) = self.run_cell(
-            namespace,
-            &req.instance,
-            &req.solver,
-            req.seed_start..end,
-            progress,
-            checkpoint,
-        )?;
+        Self::validate_sweep(req)?;
+        let (report, cache) = self.run_cell(namespace, req, progress, checkpoint)?;
         Ok(ApiOutcome {
             body: report.to_value(),
             cache,
@@ -934,9 +942,7 @@ impl ApiContext {
                 req.seeds
             )));
         }
-        seed_range(req.seed_start, req.seeds, ["seed_start", "seeds"])
-            .map(|seeds| seeds.end)
-            .map_err(ApiError::bad_request)
+        Ok(req.seed_range()?.end)
     }
 
     /// `GET /v1/solvers`: the registry listing.

@@ -31,12 +31,11 @@ use crate::server::Shared;
 use crate::signal;
 use parking_lot::Mutex;
 use serde::{Deserialize as _, Serialize as _, Value};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use wrsn_engine::ProgressFeed;
+use wrsn_engine::{write_log_on, ProgressFeed, StoreError, Vfs};
 
 /// Finished jobs kept for late polls; the oldest finished entry is
 /// evicted past this.
@@ -81,14 +80,37 @@ struct JobEntry {
     state: Mutex<JobState>,
 }
 
-/// The job table: id allocation, the concurrency cap, the journal
-/// directory, and the handles shutdown joins.
+/// Where and how jobs are journaled: beside the result store, through
+/// its filesystem and under its fsync discipline.
+#[derive(Debug)]
+pub(crate) struct Journal {
+    /// The journal directory, `{store}/jobs`.
+    pub dir: PathBuf,
+    /// The store's filesystem.
+    pub vfs: Arc<dyn Vfs>,
+    /// Whether a journal write fsyncs the file and then the directory,
+    /// as the store does under `--durability fsync`.
+    pub durable: bool,
+}
+
+impl Journal {
+    /// Writes job `id`'s journal document atomically, as a log of one
+    /// line: a temp file renamed over the journal, so a crash leaves
+    /// the old journal or the new one, never a torn half of each.
+    fn write(&self, id: u64, value: &Value) -> Result<(), StoreError> {
+        let path = journal_path(&self.dir, id);
+        write_log_on(&*self.vfs, &path, value, &[], self.durable)
+    }
+}
+
+/// The job table: id allocation, the concurrency cap, the journal, and
+/// the handles shutdown joins.
 #[derive(Debug)]
 pub(crate) struct Jobs {
     capacity: usize,
-    /// Journal directory (`{store}/jobs`); `None` runs jobs in-memory
-    /// only, exactly the pre-durability behavior.
-    dir: Option<PathBuf>,
+    /// `None` runs jobs in-memory only, exactly the pre-durability
+    /// behavior.
+    journal: Option<Journal>,
     next_id: AtomicU64,
     submitted: AtomicU64,
     resumed: AtomicU64,
@@ -99,11 +121,11 @@ pub(crate) struct Jobs {
 
 impl Jobs {
     /// An empty table admitting at most `capacity` concurrent jobs,
-    /// journaling under `dir` when given.
-    pub fn new(capacity: usize, dir: Option<PathBuf>) -> Self {
+    /// journaling to `journal` when given.
+    pub fn new(capacity: usize, journal: Option<Journal>) -> Self {
         Jobs {
             capacity: capacity.max(1),
-            dir,
+            journal,
             next_id: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             resumed: AtomicU64::new(0),
@@ -156,9 +178,9 @@ impl Jobs {
                 let evicted = table.remove(idx);
                 // An evicted job can no longer be polled, so its
                 // journal has nothing left to restore.
-                if let Some(dir) = &self.dir {
-                    let _ = std::fs::remove_file(journal_path(dir, evicted.id));
-                    let _ = std::fs::remove_file(checkpoint_path(dir, evicted.id));
+                if let Some(journal) = &self.journal {
+                    let _ = std::fs::remove_file(journal_path(&journal.dir, evicted.id));
+                    let _ = std::fs::remove_file(checkpoint_path(&journal.dir, evicted.id));
                 }
             }
         }
@@ -179,22 +201,6 @@ fn journal_path(dir: &Path, id: u64) -> PathBuf {
 
 fn checkpoint_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("job-{id:08}.checkpoint.jsonl"))
-}
-
-/// Writes a journal document durably: temp file, `fsync`, atomic
-/// rename. A crash leaves either the old journal or the new one, never
-/// a torn half of each.
-fn write_journal(path: &Path, value: &Value) -> std::io::Result<()> {
-    let text = serde_json::to_string(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let tmp = path.with_extension("tmp");
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(text.as_bytes())?;
-        file.write_all(b"\n")?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
 }
 
 /// The journal document for `entry` in its current state. `running`
@@ -286,9 +292,9 @@ pub(crate) fn submit(request: &Request, tenant: usize, shared: &Arc<Shared>) -> 
     // Journal before answering 202: once the client holds the id, a
     // crash must not forget the job. A journal failure downgrades the
     // job to in-memory-only rather than rejecting it.
-    if let Some(dir) = &jobs.dir {
+    if let Some(journal) = &jobs.journal {
         let value = journal_value(&entry, &entry.state.lock());
-        if let Err(e) = write_journal(&journal_path(dir, id), &value) {
+        if let Err(e) = journal.write(id, &value) {
             eprintln!("wrsn-serve: job {id} journal write failed, job is not durable: {e}");
         }
     }
@@ -329,9 +335,9 @@ pub(crate) fn submit(request: &Request, tenant: usize, shared: &Arc<Shared>) -> 
 fn run_job(entry: &Arc<JobEntry>, tenant: Option<usize>, shared: &Arc<Shared>) {
     let checkpoint = shared
         .jobs
-        .dir
+        .journal
         .as_ref()
-        .map(|dir| checkpoint_path(dir, entry.id));
+        .map(|journal| checkpoint_path(&journal.dir, entry.id));
     let result = shared.api.sweep_job_in(
         entry.namespace.as_deref(),
         &entry.request,
@@ -359,9 +365,8 @@ fn run_job(entry: &Arc<JobEntry>, tenant: Option<usize>, shared: &Arc<Shared>) {
         // Rewrite the journal with the terminal state so a restart
         // serves the same poll answer, then drop the checkpoint — the
         // report is now the durable artifact.
-        if let Some(dir) = &shared.jobs.dir {
-            let path = journal_path(dir, entry.id);
-            if let Err(e) = write_journal(&path, &journal_value(entry, &state)) {
+        if let Some(journal) = &shared.jobs.journal {
+            if let Err(e) = journal.write(entry.id, &journal_value(entry, &state)) {
                 eprintln!("wrsn-serve: job {} journal finalize failed: {e}", entry.id);
             } else if let Some(checkpoint) = &checkpoint {
                 let _ = std::fs::remove_file(checkpoint);
@@ -381,7 +386,7 @@ fn run_job(entry: &Arc<JobEntry>, tenant: Option<usize>, shared: &Arc<Shared>) {
 /// recomputing. Unreadable journals are skipped with a warning; they
 /// never block startup.
 pub(crate) fn restore(shared: &Arc<Shared>) {
-    let Some(dir) = shared.jobs.dir.clone() else {
+    let Some(dir) = shared.jobs.journal.as_ref().map(|j| j.dir.clone()) else {
         return;
     };
     let Ok(listing) = std::fs::read_dir(&dir) else {
@@ -554,4 +559,30 @@ pub(crate) fn events(id: u64, since: usize, shared: &Shared) -> Response {
         ("events".to_string(), Value::Array(events)),
     ]);
     json_response(200, &body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wrsn_engine::FaultFs;
+
+    #[test]
+    fn journal_writes_fsync_file_and_directory_only_under_fsync() {
+        let dir = std::env::temp_dir().join(format!("wrsn-serve-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let value = Value::Object(vec![("id".to_string(), 7u64.to_value())]);
+        for (durable, fsyncs) in [(true, 2), (false, 0)] {
+            let vfs = Arc::new(FaultFs::seeded(1));
+            let journal = Journal {
+                dir: dir.clone(),
+                vfs: Arc::clone(&vfs) as Arc<dyn Vfs>,
+                durable,
+            };
+            journal.write(7, &value).unwrap();
+            assert_eq!(vfs.stats().snapshot().fsyncs, fsyncs, "durable: {durable}");
+            let text = std::fs::read_to_string(journal_path(&dir, 7)).unwrap();
+            assert_eq!(text, "{\"id\":7}\n");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

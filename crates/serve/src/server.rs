@@ -40,7 +40,7 @@ use crate::api::ApiContext;
 use crate::chaos::{ChaosPolicy, ChaosState};
 use crate::cluster::{gossip_loop, ClusterState};
 use crate::dispatch::{worker_loop, Completion, DispatchJob};
-use crate::jobs::{self, Jobs};
+use crate::jobs::{self, Jobs, Journal};
 use crate::metrics::Metrics;
 use crate::reactor::Reactor;
 use crate::signal;
@@ -293,10 +293,14 @@ impl Server {
         let workers = config.workers.max(1);
         // With a store attached, jobs journal their specs and reports
         // under it so they survive a crash or restart (see crate::jobs).
-        let jobs_dir = api.store.as_ref().and_then(|store| {
+        let journal = api.store.as_ref().and_then(|store| {
             let dir = store.dir().join("jobs");
             match std::fs::create_dir_all(&dir) {
-                Ok(()) => Some(dir),
+                Ok(()) => Some(Journal {
+                    dir,
+                    vfs: store.vfs(),
+                    durable: store.durability().is_fsync(),
+                }),
                 Err(e) => {
                     eprintln!(
                         "wrsn-serve: cannot create job journal dir {}: {e}; jobs are not durable",
@@ -325,7 +329,7 @@ impl Server {
                 .clone()
                 .filter(|p| !p.is_empty())
                 .map(ChaosState::new),
-            jobs: Jobs::new(config.max_jobs, jobs_dir),
+            jobs: Jobs::new(config.max_jobs, journal),
             cluster,
         });
         // Reload finished jobs and respawn interrupted ones before the

@@ -71,12 +71,27 @@ pub struct TenantSpec {
     pub max_jobs: Option<usize>,
 }
 
+/// Checks a request rate, `--default-rps` and a tenant's `rps` alike:
+/// finite and at least 0, where 0 turns limiting off.
+///
+/// # Errors
+///
+/// What is wrong with it, for the caller to prefix with its name.
+pub fn check_rate(rps: f64) -> Result<(), String> {
+    if rps.is_finite() && rps >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!("must be finite and non-negative, got {rps}"))
+    }
+}
+
 /// Parses a tenant config file: one JSON object per line.
 ///
 /// # Errors
 ///
 /// A message naming the offending line on malformed JSON, duplicate
-/// names/keys, an empty name, or a zero weight.
+/// names/keys, an empty name, a zero weight, burst, queue depth or job
+/// cap, or an `rps` that [`check_rate`] refuses (each named by its key).
 pub fn parse_tenants(text: &str) -> Result<Vec<TenantSpec>, String> {
     let mut specs: Vec<TenantSpec> = Vec::new();
     for (i, raw) in text.lines().enumerate() {
@@ -89,11 +104,20 @@ pub fn parse_tenants(text: &str) -> Result<Vec<TenantSpec>, String> {
         if spec.name.trim().is_empty() {
             return Err(format!("tenants file line {}: empty tenant name", i + 1));
         }
-        if spec.weight == 0 {
+        let zero = [
+            ("weight", spec.weight == 0),
+            ("burst", spec.burst == Some(0)),
+            ("queue_depth", spec.queue_depth == Some(0)),
+            ("max_jobs", spec.max_jobs == Some(0)),
+        ];
+        if let Some((key, _)) = zero.iter().find(|(_, zero)| *zero) {
             return Err(format!(
-                "tenants file line {}: weight must be at least 1",
+                "tenants file line {}: {key} must be at least 1",
                 i + 1
             ));
+        }
+        if let Some(rps) = spec.rps {
+            check_rate(rps).map_err(|why| format!("tenants file line {}: rps {why}", i + 1))?;
         }
         if specs.iter().any(|s| s.name == spec.name) {
             return Err(format!(
@@ -808,6 +832,24 @@ mod tests {
         // A misspelt limit would otherwise leave the tenant unlimited.
         let err = parse_tenants("{\"name\": \"a\", \"key\": \"k\", \"rsp\": 5}").unwrap_err();
         assert!(err.contains("line 1") && err.contains("`rsp`"), "{err}");
+        // A limit that would silently turn limiting off, or be raised
+        // to 1, is refused by its key.
+        for (setting, want) in [
+            ("\"rps\": -1", "rps must be finite and non-negative, got -1"),
+            (
+                "\"rps\": 1e999",
+                "rps must be finite and non-negative, got inf",
+            ),
+            ("\"burst\": 0", "burst must be at least 1"),
+            ("\"queue_depth\": 0", "queue_depth must be at least 1"),
+            ("\"max_jobs\": 0", "max_jobs must be at least 1"),
+        ] {
+            let text = format!("# roster\n{{\"name\": \"a\", \"key\": \"k\", {setting}}}");
+            let err = parse_tenants(&text).unwrap_err();
+            assert!(err.contains(&format!("line 2: {want}")), "{setting}: {err}");
+        }
+        assert_eq!(check_rate(0.0), Ok(()));
+        assert!(check_rate(f64::NAN).is_err());
     }
 
     #[test]

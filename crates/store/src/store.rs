@@ -880,6 +880,14 @@ impl ResultStore {
         self.durability
     }
 
+    /// The filesystem the store writes through, for files kept beside
+    /// it (the server's job journals) to share its fault seam and its
+    /// I/O counters.
+    #[must_use]
+    pub fn vfs(&self) -> Arc<dyn Vfs> {
+        Arc::clone(&self.vfs)
+    }
+
     /// A snapshot of the backing filesystem's I/O counters (fsyncs,
     /// real/injected errors, quarantined segments) — the `/statusz`
     /// `io` section.
