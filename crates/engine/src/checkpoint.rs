@@ -188,11 +188,16 @@ impl SweepCheckpoint {
     /// record outside the seed range or the shard's slice (naming its
     /// line, or its seed in the version-1 format).
     pub fn load(path: &Path) -> Result<Self, EngineError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| checkpoint_err(path, format!("reading: {e}")))?;
+        let bytes =
+            std::fs::read(path).map_err(|e| checkpoint_err(path, format!("reading: {e}")))?;
         // A v1 checkpoint is one whole-file JSON document; a JSONL log
-        // never parses as one (its header line lacks the records).
-        if let Ok(mut legacy) = serde_json::from_str::<SweepCheckpoint>(&text) {
+        // never parses as one (its header line lacks the records). Bytes
+        // that are not UTF-8 are no v1 checkpoint: the log reader judges
+        // them, line by line.
+        let legacy = std::str::from_utf8(&bytes)
+            .ok()
+            .and_then(|text| serde_json::from_str::<SweepCheckpoint>(text).ok());
+        if let Some(mut legacy) = legacy {
             if legacy.version != 1 {
                 return Err(checkpoint_err(
                     path,
@@ -766,6 +771,37 @@ mod tests {
         drop(file);
         let back = SweepCheckpoint::load(&path).unwrap();
         assert_eq!(back.runs.iter().map(|r| r.seed).collect::<Vec<_>>(), [0]);
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn bytes_that_are_not_utf8_are_a_torn_tail_or_a_named_line() {
+        let mut ckpt = SweepCheckpoint::new("démo", "idb", 0..4);
+        ckpt.record_run(run(0));
+        ckpt.record_run(run(1));
+        let path = temp_path("utf8.jsonl");
+        ckpt.save(&path).unwrap();
+        let saved = std::fs::read(&path).unwrap();
+        // A crash mid-append that cut a character in two loses only the
+        // seed in flight, as any torn append does.
+        let mut torn = saved.clone();
+        let record = "{\"run\": {\"label\": \"é".as_bytes();
+        torn.extend_from_slice(&record[..record.len() - 1]);
+        std::fs::write(&path, &torn).unwrap();
+        let back = SweepCheckpoint::load(&path).unwrap();
+        assert_eq!(back, ckpt);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            saved,
+            "the torn bytes are cut"
+        );
+        // Elsewhere it is damage, named by line, not a failed read.
+        let mut damaged = saved.clone();
+        let line_2 = saved.iter().position(|&b| b == b'\n').unwrap() + 1;
+        damaged[line_2 + 3] |= 0x80;
+        std::fs::write(&path, &damaged).unwrap();
+        let err = SweepCheckpoint::load(&path).unwrap_err().to_string();
+        assert!(err.contains(":2: invalid UTF-8 at byte 3"), "{err}");
         let _ = std::fs::remove_file(path);
     }
 

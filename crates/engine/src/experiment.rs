@@ -185,14 +185,15 @@ impl KeyPrefix {
 /// all under the sweep's bookkeeping lock. So the events mirror the
 /// checkpoint log line for line. After the first write error nothing
 /// more is written or announced. `done`/`total` count seeds including
-/// the restored and replayed ones.
+/// the restored and replayed ones; `done` is counted under that lock,
+/// so it rises by one from each event to the next.
 #[derive(Debug, Clone, Copy)]
 pub enum SeedEvent<'a> {
     /// A seed completed successfully.
     Completed {
         /// The finished run (attempts already filled in).
         run: &'a SeedRun,
-        /// Seeds processed so far, counting checkpointed ones.
+        /// Seeds committed so far, counting restored and replayed ones.
         done: usize,
         /// Total seeds in the sweep.
         total: usize,
@@ -201,7 +202,7 @@ pub enum SeedEvent<'a> {
     Failed {
         /// The recorded failure.
         failure: &'a SeedFailure,
-        /// Seeds processed so far, counting checkpointed ones.
+        /// Seeds committed so far, counting restored and replayed ones.
         done: usize,
         /// Total seeds in the sweep.
         total: usize,
@@ -708,11 +709,15 @@ impl Experiment {
             }
             Ok(())
         };
-        let shared = Mutex::new((state, log, cache_stats, None::<EngineError>));
-        let observe = |seed: u64, outcome: &SeedOutcome<SeedRun, EngineError>, processed: usize| {
+        // `done` counts the seeds committed so far, under the lock that
+        // orders the commits, so that announcements count up in the
+        // order of the checkpoint's lines.
+        let shared = Mutex::new((state, log, cache_stats, None::<EngineError>, prior));
+        let observe = |seed: u64, outcome: &SeedOutcome<SeedRun, EngineError>, _processed| {
             let mut guard = shared.lock();
-            let (state, log, stats, write_error) = &mut *guard;
-            let done = prior + processed;
+            let (state, log, stats, write_error, done) = &mut *guard;
+            *done += 1;
+            let done = *done;
             match outcome {
                 SeedOutcome::Ok { value, attempts } => {
                     let run = SeedRun {
@@ -767,7 +772,7 @@ impl Experiment {
             self.runner
                 .run_fault_tolerant(&pending, self.retry, self.halt_after, work, observe);
 
-        let (state, _log, cache_stats, write_error) = shared.into_inner();
+        let (state, _log, cache_stats, write_error, _done) = shared.into_inner();
         if let Some(e) = write_error {
             return Err(e);
         }
@@ -1091,6 +1096,39 @@ mod tests {
         for (i, &(_, done, total)) in events.iter().enumerate() {
             assert_eq!(done, i + 1);
             assert_eq!(total, 4);
+        }
+    }
+
+    #[test]
+    fn progress_counts_up_in_commit_order() {
+        // A slow observer holds the commit lock while the other worker
+        // finishes seeds; each announcement must still count one past
+        // the one before it.
+        let registry = SolverRegistry::with_defaults();
+        for attempt in 0..10 {
+            let announced = Arc::new(Mutex::new(Vec::new()));
+            let sink = Arc::clone(&announced);
+            let report = Experiment::sampled(sampler(4, 12))
+                .solver("uniform")
+                .seeds(0..64)
+                .runner(SweepRunner::new().threads(2))
+                .record_timings(false)
+                .on_seed(move |event| {
+                    if let SeedEvent::Completed { done, .. } = event {
+                        sink.lock().push(done);
+                        if done % 8 == 0 {
+                            std::thread::sleep(std::time::Duration::from_millis(2));
+                        }
+                    }
+                })
+                .run(&registry)
+                .unwrap();
+            assert_eq!(report.runs.len(), 64);
+            assert_eq!(
+                *announced.lock(),
+                (1..=64).collect::<Vec<_>>(),
+                "attempt {attempt}"
+            );
         }
     }
 

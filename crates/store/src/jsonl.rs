@@ -10,17 +10,19 @@
 //! - [`LogWriter`] appends one record per call and flushes it — an O(1)
 //!   incremental update. An append interrupted by a crash can leave one
 //!   torn final line; [`read_log`] detects that case (last line, no
-//!   trailing newline, invalid JSON), truncates the torn bytes off the
-//!   file with a logged warning, and returns the intact prefix, so the
-//!   log loses at most the record in flight and stays safe to append
-//!   to. Interior corruption is never repaired — it is a hard error
-//!   here (the [`ResultStore`](crate::ResultStore) layer above
-//!   downgrades it to segment quarantine).
+//!   trailing newline, not UTF-8 or not JSON), truncates the torn
+//!   bytes off the file with a logged warning, and returns the intact
+//!   prefix, so the log loses at most the record in flight and stays
+//!   safe to append to. Interior corruption is never repaired — it is
+//!   a hard error here (the [`ResultStore`](crate::ResultStore) layer
+//!   above downgrades it to segment quarantine).
 //!
 //! One line reader splits a log and applies the torn-tail rule. It is
 //! generic over the record decoder, so the result store checks its
 //! segments with a scan that builds no trees, while [`read_log`] parses
-//! every record.
+//! every record. It reads bytes, not text: a line that is not UTF-8 is
+//! read as one that is not JSON, so on the unterminated final line it
+//! is a torn append and anywhere else corruption at that line.
 //!
 //! Every function has a `_on` variant taking a [`Vfs`], the seam where
 //! [`FaultFs`](crate::FaultFs) injects disk faults; the plain names
@@ -105,10 +107,10 @@ pub(crate) fn write_lines_on(
 /// Reads a log back as `(header, records)`.
 ///
 /// A torn final line (crash mid-append: last line, not
-/// newline-terminated, not valid JSON) is truncated off the file with a
-/// logged warning — at most one record, the one in flight when the
-/// process died, is lost, and the file is left safe to append to. Any
-/// other malformed line is an error.
+/// newline-terminated, not UTF-8 or not valid JSON) is truncated off
+/// the file with a logged warning — at most one record, the one in
+/// flight when the process died, is lost, and the file is left safe to
+/// append to. Any other malformed line is an error.
 ///
 /// # Errors
 ///
@@ -124,20 +126,19 @@ pub fn read_log(path: &Path) -> Result<(Value, Vec<Value>), StoreError> {
 ///
 /// As [`read_log`].
 pub fn read_log_on(vfs: &dyn Vfs, path: &Path) -> Result<(Value, Vec<Value>), StoreError> {
-    let text = vfs
-        .read_to_string(path)
-        .map_err(|e| StoreError::io(path, e))?;
-    let log = read_lines(&text, |raw| {
+    let bytes = vfs.read(path).map_err(|e| StoreError::io(path, e))?;
+    let log = read_lines(&bytes, |raw| {
         serde_json::from_str(raw).map_err(LineError::Syntax)
     })
     .ok_or_else(|| StoreError::parse(path, 1, "empty log (missing header)"))?;
-    let header: Value = serde_json::from_str(log.header)
-        .map_err(|e| StoreError::parse(path, 1, format!("bad header: {e}")))?;
+    let header = log
+        .header_value()
+        .map_err(|why| StoreError::parse(path, 1, why))?;
     if let Some((line, e)) = log.corrupt {
         return Err(StoreError::parse(path, line, e));
     }
     if let Some(keep) = log.torn_at {
-        truncate_torn_tail(vfs, path, keep, text.len() - keep);
+        truncate_torn_tail(vfs, path, keep, bytes.len() - keep);
     }
     Ok((header, log.records))
 }
@@ -148,6 +149,9 @@ pub(crate) enum LineError {
     /// The line is not valid JSON. On the unterminated final line this
     /// is a torn append; anywhere else it is corruption.
     Syntax(serde_json::Error),
+    /// The line is not UTF-8, so not JSON either: its first bad byte is
+    /// at this offset into the line. Read as [`LineError::Syntax`] is.
+    Utf8(usize),
     /// The line is valid JSON but not a record of this log: corruption
     /// wherever it sits, never a torn append.
     Shape,
@@ -157,15 +161,16 @@ impl fmt::Display for LineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LineError::Syntax(e) => e.fmt(f),
+            LineError::Utf8(at) => write!(f, "invalid UTF-8 at byte {at}"),
             LineError::Shape => f.write_str("not a record of this log"),
         }
     }
 }
 
-/// A log's text, read line by line by [`read_lines`].
+/// A log's bytes, read line by line by [`read_lines`].
 pub(crate) struct LogLines<'a, R> {
-    /// The first line, undecoded.
-    pub(crate) header: &'a str,
+    /// The first line, undecoded, or why it is not UTF-8.
+    pub(crate) header: Result<&'a str, LineError>,
     /// The records before the first bad line, in order.
     pub(crate) records: Vec<R>,
     /// The first record line that failed to decode and is not a torn
@@ -176,23 +181,58 @@ pub(crate) struct LogLines<'a, R> {
     pub(crate) torn_at: Option<usize>,
 }
 
-/// Splits a log's text into its header line and its records, decoding
+impl<R> LogLines<'_, R> {
+    /// The header line as a JSON tree, or why it is none.
+    pub(crate) fn header_value(&self) -> Result<Value, String> {
+        let header = self
+            .header
+            .as_ref()
+            .map_err(|e| format!("bad header: {e}"))?;
+        serde_json::from_str(header).map_err(|e| format!("bad header: {e}"))
+    }
+}
+
+/// Splits a log's bytes into its header line and its records, decoding
 /// each record line with `decode` and skipping blank lines. Only the
 /// unterminated final line, the one a crash mid-append leaves, may be
-/// torn, and only when `decode` finds it is not valid JSON: a complete
-/// line of the wrong shape is corruption there as anywhere else.
-/// Returns `None` when the log has no header line. Touches no file:
-/// the caller decides whether to repair a torn tail.
+/// torn, and only when it is not UTF-8 or `decode` finds it is not valid
+/// JSON: a complete line of the wrong shape is corruption there as
+/// anywhere else. Returns `None` when the log has no header line.
+/// Touches no file: the caller decides whether to repair a torn tail.
+///
+/// The bytes are checked as UTF-8 once, whole. When that fails, the
+/// whole lines before the first bad byte are read as text and the line
+/// holding it is judged on its own.
 pub(crate) fn read_lines<'a, R>(
-    text: &'a str,
+    bytes: &'a [u8],
     mut decode: impl FnMut(&'a str) -> Result<R, LineError>,
 ) -> Option<LogLines<'a, R>> {
-    let terminated = text.ends_with('\n');
+    // `bad`: where the first line that is not UTF-8 starts, and the
+    // offset of its first bad byte.
+    let (text, bad) = match std::str::from_utf8(bytes) {
+        Ok(text) => (text, None),
+        Err(e) => {
+            let at = e.valid_up_to();
+            let start = bytes[..at]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |newline| newline + 1);
+            let text = std::str::from_utf8(&bytes[..start]).expect("UTF-8 up to the bad byte");
+            (text, Some((start, at - start)))
+        }
+    };
+    // Past a bad line, no line of `text` is the log's last.
+    let terminated = bad.is_some() || text.ends_with('\n');
     let lines: Vec<&str> = text.lines().collect();
-    let header = *lines.first().filter(|first| !first.trim().is_empty())?;
+    let header = match (lines.first(), bad) {
+        (Some(first), _) if first.trim().is_empty() => return None,
+        (Some(first), _) => Ok(*first),
+        (None, Some((_, at))) => Err(LineError::Utf8(at)),
+        (None, None) => return None,
+    };
     let mut log = LogLines {
         header,
-        records: Vec::with_capacity(lines.len() - 1),
+        records: Vec::with_capacity(lines.len().saturating_sub(1)),
         corrupt: None,
         torn_at: None,
     };
@@ -209,6 +249,14 @@ pub(crate) fn read_lines<'a, R>(
                 log.corrupt = Some((i + 1, e));
                 break;
             }
+        }
+    }
+    if let (Some((start, at)), Ok(_), None) = (bad, &log.header, &log.corrupt) {
+        // `text` ends in a newline, so it holds one line per newline.
+        if bytes[start..].contains(&b'\n') {
+            log.corrupt = Some((lines.len() + 1, LineError::Utf8(at)));
+        } else {
+            log.torn_at = Some(start);
         }
     }
     Some(log)
@@ -464,6 +512,40 @@ mod tests {
         std::fs::write(&path, "{\"version\": 2}\nnot json\n{\"seed\": 0}\n").unwrap();
         let err = read_log(&path).unwrap_err();
         assert!(err.to_string().contains(":2"), "{err}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn bytes_that_are_not_utf8_are_a_torn_tail_at_the_end_and_corrupt_elsewhere() {
+        // A final line torn inside a two-byte character is cut off.
+        let path = temp("torn-utf8.jsonl");
+        let mut torn = b"{\"version\": 2}\n{\"seed\": 0}\n{\"name\": \"".to_vec();
+        torn.push(0xC3);
+        std::fs::write(&path, &torn).unwrap();
+        let (_, r) = read_log(&path).unwrap();
+        assert_eq!(r, vec![obj(&[("seed", 0)])]);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            b"{\"version\": 2}\n{\"seed\": 0}\n"
+        );
+        // Anywhere else it is an error that names the line and the byte.
+        let path = temp("interior-utf8.jsonl");
+        std::fs::write(
+            &path,
+            b"{\"version\": 2}\n{\"seed\": \xFF0}\n{\"seed\": 1}\n",
+        )
+        .unwrap();
+        let err = read_log(&path).unwrap_err().to_string();
+        assert!(err.ends_with(":2: invalid UTF-8 at byte 9"), "{err}");
+        std::fs::write(&path, b"{\"version\": 2}\n{\"seed\": 0}\n\xC3").unwrap();
+        let (_, r) = read_log(&path).unwrap();
+        assert_eq!(r, vec![obj(&[("seed", 0)])], "a lone bad byte is torn too");
+        std::fs::write(&path, b"{\"version\": \xFF}").unwrap();
+        let err = read_log(&path).unwrap_err().to_string();
+        assert!(
+            err.ends_with(":1: bad header: invalid UTF-8 at byte 12"),
+            "{err}"
+        );
         let _ = std::fs::remove_file(path);
     }
 

@@ -1,13 +1,15 @@
 //! The content-addressed result store: a directory of JSONL segments.
 
-use crate::jsonl::{read_lines, truncate_torn_tail, write_lines_on, LineError, LogWriter};
+use crate::jsonl::{
+    read_lines, truncate_torn_tail, write_lines_on, LineError, LogLines, LogWriter,
+};
 use crate::vfs::{DurabilityPolicy, IoSnapshot, RealFs, Vfs};
 use crate::{Fingerprint, FingerprintBuilder, StoreError};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
@@ -146,21 +148,38 @@ impl VerifyReport {
     }
 }
 
-/// One stored result: its JSON text, and the tree parsed from that text
-/// on the first read. Open keeps only the text; `put` and import, which
-/// hold the tree already, fill both at once.
-#[derive(Debug)]
+/// One stored result: its JSON text, as a range of the buffer it was
+/// read or rendered into, and the tree parsed from that text on the
+/// first read. Every payload open reads from one segment shares that
+/// segment's buffer, which lives as long as any of them. Open keeps
+/// only the text; `put` and import, which hold the tree already, fill
+/// both at once.
 struct Payload {
-    text: Box<str>,
+    buf: Arc<Vec<u8>>,
+    range: Range<usize>,
     tree: OnceLock<Arc<Value>>,
+}
+
+impl std::fmt::Debug for Payload {
+    /// The payload's text, not the whole buffer it is a range of.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Payload")
+            .field("text", &self.text())
+            .field("tree", &self.tree)
+            .finish()
+    }
 }
 
 impl Payload {
     /// A payload read from a segment line that [`decode_record`]
-    /// accepted.
-    fn unparsed(text: &str) -> Arc<Self> {
+    /// accepted: `text` is a slice of `buf`, the segment's bytes.
+    fn in_segment(buf: &Arc<Vec<u8>>, text: &str) -> Arc<Self> {
+        let start = text.as_ptr().addr() - buf.as_ptr().addr();
+        let range = start..start + text.len();
+        debug_assert_eq!(buf.get(range.clone()), Some(text.as_bytes()));
         Arc::new(Payload {
-            text: text.into(),
+            buf: Arc::clone(buf),
+            range,
             tree: OnceLock::new(),
         })
     }
@@ -170,9 +189,18 @@ impl Payload {
     fn parsed(value: Value) -> Arc<Self> {
         let text = serde_json::to_string(&value).expect("a Value always serializes");
         Arc::new(Payload {
-            text: text.into_boxed_str(),
+            range: 0..text.len(),
+            buf: Arc::new(text.into_bytes()),
             tree: OnceLock::from(Arc::new(value)),
         })
+    }
+
+    /// The payload's JSON text.
+    fn text(&self) -> &str {
+        // Open slices only lines it read as UTF-8, and `put` renders
+        // text; checking one payload again costs far less than its
+        // parse.
+        std::str::from_utf8(&self.buf[self.range.clone()]).expect("a payload is UTF-8")
     }
 
     /// The tree, parsed on the first call. Concurrent first calls parse
@@ -182,7 +210,7 @@ impl Payload {
             // Only open leaves the tree empty, and open keeps only text
             // that `scan_fields` checked exactly as `from_str` would,
             // nested at least one level shallower than the limit.
-            let value = serde_json::from_str(&self.text).expect("a stored payload always parses");
+            let value = serde_json::from_str(self.text()).expect("a stored payload always parses");
             Arc::new(value)
         });
         Arc::clone(tree)
@@ -193,8 +221,9 @@ impl Payload {
 struct StoredEntry {
     payload: Arc<Payload>,
     /// Reachability tag (cache-scheme identifier) recorded at put time.
-    /// Legacy segments predate tags and load as `None`.
-    tag: Option<String>,
+    /// Legacy segments predate tags and load as `None`. Open shares one
+    /// allocation among consecutive records with equal tags.
+    tag: Option<Arc<str>>,
     /// Monotone insertion rank; compaction preserves it so "oldest
     /// first" stays meaningful across reopens.
     order: u64,
@@ -356,9 +385,21 @@ fn segment_seq(name: &str) -> Option<u64> {
 /// One record line of a segment: its key, its payload's JSON text and
 /// its tag.
 struct Record<'a> {
-    key: String,
+    key: Cow<'a, str>,
     value: &'a str,
-    tag: Option<String>,
+    tag: Option<Cow<'a, str>>,
+}
+
+/// The string a member value that `scan_fields` checked denotes, when
+/// it is a string: a slice of the literal unless the literal holds an
+/// escape, which only then is parsed.
+fn string_field(raw: &str) -> Option<Cow<'_, str>> {
+    let body = raw.strip_prefix('"')?;
+    if body.contains('\\') {
+        serde_json::str_literal(raw)
+    } else {
+        body.strip_suffix('"').map(Cow::Borrowed)
+    }
 }
 
 /// The one definition of a valid segment record line, shared by open,
@@ -379,19 +420,19 @@ fn decode_record(line: &str) -> Result<Record<'_>, LineError> {
         slot.get_or_insert(raw);
     })
     .map_err(LineError::Syntax)?;
-    match (key.and_then(serde_json::str_literal), value) {
+    match (key.and_then(string_field), value) {
         (Some(key), Some(value)) => Ok(Record {
-            key: key.into_owned(),
+            key,
             value,
-            tag: tag.and_then(serde_json::str_literal).map(Cow::into_owned),
+            tag: tag.and_then(string_field),
         }),
         _ => Err(LineError::Shape),
     }
 }
 
 /// Checks a segment's header line: JSON naming this store's kind.
-fn check_header(line: &str) -> Result<(), String> {
-    let head: Value = serde_json::from_str(line).map_err(|e| format!("bad header: {e}"))?;
+fn check_header<R>(log: &LogLines<'_, R>) -> Result<(), String> {
+    let head = log.header_value()?;
     if head.get("kind").and_then(Value::as_str) == Some(STORE_KIND) {
         Ok(())
     } else {
@@ -402,8 +443,8 @@ fn check_header(line: &str) -> Result<(), String> {
 /// A corrupt record line as open and import report it.
 fn record_fault(path: &Path, line: usize, e: LineError) -> StoreError {
     match e {
-        LineError::Syntax(e) => StoreError::parse(path, line, e),
         LineError::Shape => StoreError::parse(path, line, "segment record missing key/value"),
+        e => StoreError::parse(path, line, e),
     }
 }
 
@@ -414,31 +455,45 @@ enum SegmentFault {
     Io(StoreError),
 }
 
-/// Reads one segment and hands each record to `each`, in order, once
-/// the whole segment has checked clean. Any shape problem — no header,
-/// a foreign kind, a malformed line before the torn tail, a record
-/// missing its key or value — is a [`SegmentFault::Corrupt`], and the
-/// file is left as found for quarantine. A torn tail is cut off the
-/// file.
+/// Reads one segment and appends its records to `out`, in order, each
+/// ranked by its place there, once the whole segment has checked clean.
+/// Any shape problem — no header, a foreign kind, a malformed line or
+/// bytes that are not UTF-8 before the torn tail, a record missing its
+/// key or value — is a [`SegmentFault::Corrupt`], and the file is left
+/// as found for quarantine. A torn tail is cut off the file.
 fn load_segment(
     vfs: &dyn Vfs,
     path: &Path,
-    each: impl FnMut(Record<'_>),
+    out: &mut Vec<(String, StoredEntry)>,
 ) -> Result<(), SegmentFault> {
-    let text = vfs
-        .read_to_string(path)
-        .map_err(|e| SegmentFault::Io(StoreError::io(path, e)))?;
+    let buf = Arc::new(
+        vfs.read(path)
+            .map_err(|e| SegmentFault::Io(StoreError::io(path, e)))?,
+    );
     let corrupt = |e: StoreError| SegmentFault::Corrupt(e.to_string());
-    let log = read_lines(&text, decode_record)
+    let log = read_lines(&buf, decode_record)
         .ok_or_else(|| corrupt(StoreError::parse(path, 1, "empty log (missing header)")))?;
-    check_header(log.header).map_err(|why| corrupt(StoreError::parse(path, 1, why)))?;
+    check_header(&log).map_err(|why| corrupt(StoreError::parse(path, 1, why)))?;
     if let Some((line, e)) = log.corrupt {
         return Err(corrupt(record_fault(path, line, e)));
     }
     if let Some(keep) = log.torn_at {
-        truncate_torn_tail(vfs, path, keep, text.len() - keep);
+        truncate_torn_tail(vfs, path, keep, buf.len() - keep);
     }
-    log.records.into_iter().for_each(each);
+    out.reserve(log.records.len());
+    let mut last_tag: Option<Arc<str>> = None;
+    for record in log.records {
+        let tag = record.tag.map(|tag| match &last_tag {
+            Some(last) if **last == *tag => Arc::clone(last),
+            _ => Arc::clone(last_tag.insert(Arc::from(tag))),
+        });
+        let entry = StoredEntry {
+            payload: Payload::in_segment(&buf, record.value),
+            tag,
+            order: out.len() as u64,
+        };
+        out.push((record.key.into_owned(), entry));
+    }
     Ok(())
 }
 
@@ -510,26 +565,13 @@ impl ResultStore {
             .map_err(|e| StoreError::io(&dir, e))?;
         let mut segments = ResultStore::segment_files_on(&*vfs, &dir)?;
         segments.sort();
-        let mut entries = BTreeMap::new();
+        let mut records = Vec::new();
         let mut live_segments = Vec::with_capacity(segments.len());
-        let mut total_records = 0usize;
         let mut max_seq = 0u64;
-        let mut order = 0u64;
         for path in segments {
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
             max_seq = max_seq.max(segment_seq(name).unwrap_or(0));
-            let loaded = load_segment(&*vfs, &path, |record| {
-                // Later segments win, making compaction replay-safe.
-                let entry = StoredEntry {
-                    payload: Payload::unparsed(record.value),
-                    tag: record.tag,
-                    order,
-                };
-                entries.insert(record.key, entry);
-                order += 1;
-                total_records += 1;
-            });
-            match loaded {
+            match load_segment(&*vfs, &path, &mut records) {
                 Ok(()) => live_segments.push(path),
                 // One bad segment must not brick the node: set it
                 // aside and serve the rest. Only a filesystem failure
@@ -538,6 +580,12 @@ impl ResultStore {
                 Err(SegmentFault::Io(e)) => return Err(e),
             }
         }
+        let total_records = records.len();
+        // Later records win, making compaction replay-safe. One bulk
+        // build does what an insert per record in order would: its
+        // stable sort keeps records of one key in order, and of those
+        // it keeps the last.
+        let entries: BTreeMap<String, StoredEntry> = records.into_iter().collect();
         let needs_compaction = live_segments.len() > 1 || total_records > entries.len();
         let store = ResultStore {
             dir,
@@ -552,7 +600,7 @@ impl ResultStore {
             writer: Mutex::new(Writer {
                 active: None,
                 next_seq: max_seq + 1,
-                next_order: order,
+                next_order: total_records as u64,
             }),
         };
         if needs_compaction {
@@ -697,7 +745,7 @@ impl ResultStore {
             return Ok(false);
         }
         let payload = Payload::parsed(value);
-        let line = record_line(hex, &payload.text, tag);
+        let line = record_line(hex, payload.text(), tag);
         // Append only a line that open reads back: a payload nested past
         // the parser's limit would make its whole segment look corrupt.
         if let Err(e) = decode_record(&line) {
@@ -744,7 +792,7 @@ impl ResultStore {
             hex.to_string(),
             StoredEntry {
                 payload,
-                tag: tag.map(ToString::to_string),
+                tag: tag.map(Arc::from),
                 order,
             },
         );
@@ -958,9 +1006,13 @@ impl ResultStore {
             return Err(StoreError::parse(&path, 1, "not a segment file name"));
         }
         let _writer = self.writer.lock();
-        self.vfs
-            .read_to_string(&path)
-            .map_err(|e| StoreError::io(&path, e))
+        let bytes = self.vfs.read(&path).map_err(|e| StoreError::io(&path, e))?;
+        String::from_utf8(bytes).map_err(|e| {
+            StoreError::io(
+                &path,
+                std::io::Error::new(std::io::ErrorKind::InvalidData, e),
+            )
+        })
     }
 
     /// Imports segment text (as produced by [`ResultStore::read_segment`]
@@ -979,13 +1031,13 @@ impl ResultStore {
         let pseudo = self.dir.join("<import>");
         // Appends render the payload from its tree, as a put does, so
         // parse each one as its line is read.
-        let log = read_lines(text, |line| {
+        let log = read_lines(text.as_bytes(), |line| {
             let record = decode_record(line)?;
             let value: Value = serde_json::from_str(record.value).map_err(LineError::Syntax)?;
             Ok((record.key, value, record.tag))
         })
         .ok_or_else(|| StoreError::parse(&pseudo, 1, "empty segment (missing header)"))?;
-        check_header(log.header).map_err(|why| StoreError::parse(&pseudo, 1, why))?;
+        check_header(&log).map_err(|why| StoreError::parse(&pseudo, 1, why))?;
         let mut report = ImportReport::default();
         let mut writer = self.writer.lock();
         for (key, value, tag) in log.records {
@@ -1088,10 +1140,10 @@ impl ResultStore {
                 name,
                 ..SegmentVerify::default()
             };
-            match std::fs::read_to_string(&path) {
-                Ok(text) => {
-                    seg.bytes = text.len() as u64;
-                    verify_segment_text(&text, &mut seg, &mut keys);
+            match std::fs::read(&path) {
+                Ok(bytes) => {
+                    seg.bytes = bytes.len() as u64;
+                    verify_segment(&bytes, &mut seg, &mut keys);
                 }
                 Err(e) => seg.error = Some(format!("unreadable: {e}")),
             }
@@ -1105,25 +1157,29 @@ impl ResultStore {
 
 /// The parsing half of [`ResultStore::verify_dir`], split out so it
 /// never touches the filesystem.
-fn verify_segment_text(
-    text: &str,
+fn verify_segment(
+    bytes: &[u8],
     seg: &mut SegmentVerify,
     keys: &mut std::collections::BTreeSet<String>,
 ) {
-    let Some(log) = read_lines(text, decode_record) else {
+    let Some(log) = read_lines(bytes, decode_record) else {
         seg.error = Some("empty segment (missing header)".to_string());
         return;
     };
-    if let Err(why) = check_header(log.header) {
+    if let Err(why) = check_header(&log) {
         seg.error = Some(why);
         return;
     }
     seg.records = log.records.len() as u64;
-    keys.extend(log.records.into_iter().map(|record| record.key));
+    keys.extend(
+        log.records
+            .into_iter()
+            .map(|record| record.key.into_owned()),
+    );
     seg.torn_tail = log.torn_at.is_some();
     seg.error = log.corrupt.map(|(line, e)| match e {
-        LineError::Syntax(e) => format!("line {line}: {e}"),
         LineError::Shape => format!("line {line}: record missing key/value"),
+        e => format!("line {line}: {e}"),
     });
 }
 
@@ -1267,8 +1323,8 @@ mod tests {
                 .map(|(k, e)| {
                     (
                         k.clone(),
-                        e.payload.text.to_string(),
-                        e.tag.clone(),
+                        e.payload.text().to_string(),
+                        e.tag.as_deref().map(str::to_string),
                         e.order,
                     )
                 })
@@ -1305,6 +1361,160 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert_eq!(store.get(&key("dup")).as_deref(), Some(&2u64.to_value()));
         assert_eq!(store.segment_count().unwrap(), 1, "duplicates compacted");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn the_later_of_two_records_wins_with_its_payload_tag_and_order() {
+        let dir = temp_dir("later-record-wins");
+        std::fs::create_dir_all(&dir).unwrap();
+        let [a, b, dup] = ["a", "b", "dup"].map(|k| key(k).to_hex());
+        write_log(
+            &dir.join("seg-00000001-1.jsonl"),
+            &header(),
+            &[
+                record(&a, &1u64.to_value(), Some("t")),
+                record(&dup, &10u64.to_value(), Some("old")),
+            ],
+        )
+        .unwrap();
+        write_log(
+            &dir.join("seg-00000002-1.jsonl"),
+            &header(),
+            &[
+                record(&dup, &20u64.to_value(), Some("newer")),
+                record(&b, &2u64.to_value(), None),
+                record(&dup, &30u64.to_value(), Some("newest")),
+            ],
+        )
+        .unwrap();
+        let store = ResultStore::open(&dir).unwrap();
+        let entries = |store: &ResultStore| -> Vec<(String, String, Option<String>, u64)> {
+            let index = store.index.lock();
+            let entries = index.entries.iter();
+            entries
+                .map(|(k, e)| {
+                    let tag = e.tag.as_deref().map(str::to_string);
+                    (k.clone(), e.payload.text().to_string(), tag, e.order)
+                })
+                .collect()
+        };
+        let mut expected = vec![
+            (a.clone(), "1".to_string(), Some("t".to_string()), 0),
+            (b.clone(), "2".to_string(), None, 3),
+            (dup.clone(), "30".to_string(), Some("newest".to_string()), 4),
+        ];
+        expected.sort();
+        assert_eq!(entries(&store), expected);
+        drop(store);
+        // Compaction keeps the winner and the order of age.
+        let reopened = ResultStore::open(&dir).unwrap();
+        let orders: Vec<(String, u64)> = entries(&reopened)
+            .into_iter()
+            .map(|(k, _, _, order)| (k, order))
+            .collect();
+        let mut by_age = orders.clone();
+        by_age.sort_by_key(|(_, order)| *order);
+        assert_eq!(by_age, vec![(a, 0), (b, 1), (dup.clone(), 2)]);
+        assert_eq!(
+            reopened.get(&key("dup")).as_deref(),
+            Some(&30u64.to_value())
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// The one segment a store at `dir` holds.
+    fn only_segment(dir: &Path) -> PathBuf {
+        let mut segments = ResultStore::segment_files_on(&RealFs::new(), dir).unwrap();
+        assert_eq!(segments.len(), 1);
+        segments.pop().unwrap()
+    }
+
+    #[test]
+    fn a_byte_that_is_not_utf8_quarantines_its_segment_and_names_the_line() {
+        // Bit 7 set in one ASCII byte of an interior line: damaged
+        // content, so quarantine, not an I/O error.
+        let dir = temp_dir("utf8-interior");
+        {
+            let store = ResultStore::open(&dir).unwrap();
+            for i in 0..3u64 {
+                store
+                    .put_tagged(&key(&format!("k{i}")), i.to_value(), "t")
+                    .unwrap();
+            }
+        }
+        let seg = only_segment(&dir);
+        let mut bytes = std::fs::read(&seg).unwrap();
+        let line_3 = bytes
+            .iter()
+            .enumerate()
+            .filter(|(_, &b)| b == b'\n')
+            .nth(1)
+            .unwrap()
+            .0
+            + 1;
+        bytes[line_3 + 5] |= 0x80;
+        std::fs::write(&seg, &bytes).unwrap();
+        write_log(
+            &dir.join("seg-00000009-1.jsonl"),
+            &header(),
+            &[record(&key("other").to_hex(), &9u64.to_value(), None)],
+        )
+        .unwrap();
+
+        let verify = ResultStore::verify_dir(&dir).unwrap();
+        assert!(!verify.is_clean());
+        let damaged = &verify.segments[0];
+        assert_eq!(damaged.bytes, bytes.len() as u64, "the file's real size");
+        assert_eq!(
+            damaged.error.as_deref(),
+            Some("line 3: invalid UTF-8 at byte 5")
+        );
+        assert_eq!(damaged.records, 1, "the records before the damage");
+
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!(store.io_stats().quarantined, 1);
+        let mut quarantined = seg.into_os_string();
+        quarantined.push(QUARANTINE_SUFFIX);
+        assert_eq!(std::fs::read(&quarantined).unwrap(), bytes, "kept as found");
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.get(&key("other")).as_deref(), Some(&9u64.to_value()));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_final_line_torn_inside_a_character_is_cut_off_like_any_torn_tail() {
+        let dir = temp_dir("utf8-torn");
+        {
+            let store = ResultStore::open(&dir).unwrap();
+            store
+                .put(&key("a"), Value::String("é".to_string()))
+                .unwrap();
+        }
+        let seg = only_segment(&dir);
+        let intact = std::fs::read(&seg).unwrap();
+        // The next record's line, cut between the two bytes of its `é`.
+        let line = record_line(&key("b").to_hex(), "\"é\"", None);
+        let cut = line.find('é').unwrap() + 1;
+        let mut torn = intact.clone();
+        torn.extend_from_slice(&line.as_bytes()[..cut]);
+        std::fs::write(&seg, &torn).unwrap();
+
+        let verify = ResultStore::verify_dir(&dir).unwrap();
+        assert!(verify.is_clean(), "{verify:?}");
+        assert!(verify.segments[0].torn_tail);
+        assert_eq!(verify.segments[0].bytes, torn.len() as u64);
+        assert_eq!(verify.records, 1);
+
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!(store.io_stats().quarantined, 0);
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.get(&key("a")).as_deref(), Some(&"é".to_value()));
+        assert_eq!(
+            std::fs::read(&seg).unwrap(),
+            intact,
+            "the torn bytes are cut"
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1971,8 +2181,8 @@ mod tests {
     }
 
     impl Vfs for GateFs {
-        fn read_to_string(&self, path: &Path) -> std::io::Result<String> {
-            self.real.read_to_string(path)
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            self.real.read(path)
         }
         fn write(&self, path: &Path, contents: &[u8]) -> std::io::Result<()> {
             self.real.write(path, contents)

@@ -23,34 +23,92 @@ pub(super) fn record(key: &str, value: &Value, tag: Option<&str>) -> Value {
     Value::Object(fields)
 }
 
-/// The eager log reader: every line parsed into a tree.
-fn read_log_on(vfs: &dyn Vfs, path: &Path) -> Result<(Value, Vec<Value>), StoreError> {
-    let text = vfs
-        .read_to_string(path)
-        .map_err(|e| StoreError::io(path, e))?;
-    let terminated = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    if lines.is_empty() || lines[0].trim().is_empty() {
-        return Err(StoreError::parse(path, 1, "empty log (missing header)"));
-    }
-    let header: Value = serde_json::from_str(lines[0])
-        .map_err(|e| StoreError::parse(path, 1, format!("bad header: {e}")))?;
-    let mut records = Vec::with_capacity(lines.len().saturating_sub(1));
-    for (i, raw) in lines.iter().enumerate().skip(1) {
-        if raw.trim().is_empty() {
-            continue;
+/// A log's lines, split as `str::lines` splits text: each line's bytes
+/// and its text, or, when it is not UTF-8, the offset of its first bad
+/// byte. Each line is checked on its own.
+fn lines(bytes: &[u8]) -> Vec<(&[u8], Result<&str, usize>)> {
+    let mut pieces: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+    let last = pieces.pop().filter(|last| !last.is_empty());
+    let terminated = pieces
+        .into_iter()
+        .map(|p| p.strip_suffix(b"\r").unwrap_or(p));
+    terminated
+        .chain(last)
+        .map(|line| (line, std::str::from_utf8(line).map_err(|e| e.valid_up_to())))
+        .collect()
+}
+
+fn not_utf8(at: usize) -> String {
+    format!("invalid UTF-8 at byte {at}")
+}
+
+/// A log as the eager reader parses it: the header, the records and,
+/// when the last line is torn, the bytes to keep.
+type EagerLog = (Value, Vec<Value>, Option<usize>);
+
+/// The eager log reader: every line parsed into a tree. A line that is
+/// not UTF-8 reads as one that is not JSON. Returns the parsed log, or
+/// the number of the bad line and why.
+fn parse_log(bytes: &[u8]) -> Result<EagerLog, (usize, String)> {
+    let terminated = bytes.ends_with(b"\n");
+    let lines = lines(bytes);
+    let header = match lines.first() {
+        Some((_, Ok(first))) if !first.trim().is_empty() => {
+            serde_json::from_str(first).map_err(|e| (1, format!("bad header: {e}")))?
         }
-        match serde_json::from_str::<Value>(raw) {
+        Some((_, Err(at))) => return Err((1, format!("bad header: {}", not_utf8(*at)))),
+        _ => return Err((1, "empty log (missing header)".to_string())),
+    };
+    let mut records = Vec::with_capacity(lines.len().saturating_sub(1));
+    for (i, (raw, line)) in lines.iter().enumerate().skip(1) {
+        let parsed = match line {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => serde_json::from_str::<Value>(text).map_err(|e| e.to_string()),
+            Err(at) => Err(not_utf8(*at)),
+        };
+        match parsed {
             Ok(v) => records.push(v),
             Err(_) if i + 1 == lines.len() && !terminated => {
-                let keep = text.len() - raw.len();
-                crate::jsonl::truncate_torn_tail(vfs, path, keep, raw.len());
-                break;
+                return Ok((header, records, Some(bytes.len() - raw.len())));
             }
-            Err(e) => return Err(StoreError::parse(path, i + 1, e)),
+            Err(e) => return Err((i + 1, e)),
         }
     }
+    Ok((header, records, None))
+}
+
+/// [`parse_log`] on a file, repairing a torn tail.
+fn read_log_on(vfs: &dyn Vfs, path: &Path) -> Result<(Value, Vec<Value>), StoreError> {
+    let bytes = vfs.read(path).map_err(|e| StoreError::io(path, e))?;
+    let (header, records, torn) =
+        parse_log(&bytes).map_err(|(line, why)| StoreError::parse(path, line, why))?;
+    if let Some(keep) = torn {
+        crate::jsonl::truncate_torn_tail(vfs, path, keep, bytes.len() - keep);
+    }
     Ok((header, records))
+}
+
+/// A segment's records, from its parsed lines, or why it is corrupt.
+fn segment_records(
+    head: &Value,
+    records: Vec<Value>,
+) -> Result<Vec<(String, Value, Option<String>)>, String> {
+    if head.get("kind").and_then(Value::as_str) != Some(STORE_KIND) {
+        return Err("not a wrsn result-store segment".to_string());
+    }
+    let mut out = Vec::with_capacity(records.len());
+    for rec in records {
+        let (Some(key), Some(value)) = (rec.get("key").and_then(Value::as_str), rec.get("value"))
+        else {
+            return Err("segment record missing key/value".to_string());
+        };
+        let tag = rec
+            .get("tag")
+            .and_then(Value::as_str)
+            .map(ToString::to_string);
+        out.push((key.to_string(), value.clone(), tag));
+    }
+    Ok(out)
 }
 
 /// The eager segment loader.
@@ -63,26 +121,7 @@ fn load_segment(
         Err(e @ StoreError::Io { .. }) => return Err(SegmentFault::Io(e)),
         Err(e @ StoreError::Parse { .. }) => return Err(SegmentFault::Corrupt(e.to_string())),
     };
-    if head.get("kind").and_then(Value::as_str) != Some(STORE_KIND) {
-        return Err(SegmentFault::Corrupt(
-            "not a wrsn result-store segment".to_string(),
-        ));
-    }
-    let mut out = Vec::with_capacity(records.len());
-    for rec in records {
-        let (Some(key), Some(value)) = (rec.get("key").and_then(Value::as_str), rec.get("value"))
-        else {
-            return Err(SegmentFault::Corrupt(
-                "segment record missing key/value".to_string(),
-            ));
-        };
-        let tag = rec
-            .get("tag")
-            .and_then(Value::as_str)
-            .map(ToString::to_string);
-        out.push((key.to_string(), value.clone(), tag));
-    }
-    Ok(out)
+    segment_records(&head, records).map_err(SegmentFault::Corrupt)
 }
 
 /// What the eager open serves: key → (payload, tag, insertion rank).
@@ -146,13 +185,13 @@ fn verify_dir(dir: &Path) -> VerifyReport {
     }
     names.sort();
     for name in names {
-        let text = std::fs::read_to_string(dir.join(&name)).unwrap();
+        let bytes = std::fs::read(dir.join(&name)).unwrap();
         let mut seg = SegmentVerify {
             name,
-            bytes: text.len() as u64,
+            bytes: bytes.len() as u64,
             ..SegmentVerify::default()
         };
-        verify_segment_text(&text, &mut seg, &mut keys);
+        verify_segment(&bytes, &mut seg, &mut keys);
         report.records += seg.records;
         report.segments.push(seg);
     }
@@ -161,17 +200,23 @@ fn verify_dir(dir: &Path) -> VerifyReport {
 }
 
 /// The eager parsing half of `verify_dir`.
-fn verify_segment_text(text: &str, seg: &mut SegmentVerify, keys: &mut BTreeSet<String>) {
-    let terminated = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    if lines.is_empty() || lines[0].trim().is_empty() {
-        seg.error = Some("empty segment (missing header)".to_string());
-        return;
-    }
-    let head: Value = match serde_json::from_str(lines[0]) {
-        Ok(v) => v,
-        Err(e) => {
-            seg.error = Some(format!("bad header: {e}"));
+fn verify_segment(bytes: &[u8], seg: &mut SegmentVerify, keys: &mut BTreeSet<String>) {
+    let terminated = bytes.ends_with(b"\n");
+    let lines = lines(bytes);
+    let head: Value = match lines.first() {
+        Some((_, Ok(first))) if !first.trim().is_empty() => match serde_json::from_str(first) {
+            Ok(v) => v,
+            Err(e) => {
+                seg.error = Some(format!("bad header: {e}"));
+                return;
+            }
+        },
+        Some((_, Err(at))) => {
+            seg.error = Some(format!("bad header: {}", not_utf8(*at)));
+            return;
+        }
+        _ => {
+            seg.error = Some("empty segment (missing header)".to_string());
             return;
         }
     };
@@ -179,11 +224,13 @@ fn verify_segment_text(text: &str, seg: &mut SegmentVerify, keys: &mut BTreeSet<
         seg.error = Some("not a wrsn result-store segment".to_string());
         return;
     }
-    for (i, raw) in lines.iter().enumerate().skip(1) {
-        if raw.trim().is_empty() {
-            continue;
-        }
-        let rec = match serde_json::from_str::<Value>(raw) {
+    for (i, (_, line)) in lines.iter().enumerate().skip(1) {
+        let parsed = match line {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => serde_json::from_str::<Value>(text).map_err(|e| e.to_string()),
+            Err(at) => Err(not_utf8(*at)),
+        };
+        let rec = match parsed {
             Ok(v) => v,
             Err(_) if i + 1 == lines.len() && !terminated => {
                 seg.torn_tail = true;
@@ -446,7 +493,10 @@ fn lazy_index(store: &ResultStore) -> BTreeMap<String, (String, Option<String>, 
     entries
         .map(|(k, e)| {
             let tree = serde_json::to_string(&*e.payload.tree()).unwrap();
-            (k.clone(), (tree, e.tag.clone(), e.order))
+            (
+                k.clone(),
+                (tree, e.tag.as_deref().map(str::to_string), e.order),
+            )
         })
         .collect()
 }
@@ -730,6 +780,139 @@ fn concurrent_first_reads_parse_once_and_share_the_tree() {
     assert_eq!(
         serde_json::to_string(&*trees[0]).unwrap(),
         serde_json::to_string(&payload).unwrap()
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// One byte-level mutation of `bytes`, as disk damage or a crash leaves
+/// it: a flipped bit (bit 7, which turns ASCII into bytes that are not
+/// UTF-8, half the time), an inserted byte, a deleted byte, or a cut at
+/// any offset.
+fn mutate(rng: &mut Rng, bytes: &mut Vec<u8>) {
+    let len = bytes.len() as u64;
+    let at = rng.below(len + 1) as usize;
+    let inside = rng.below(len.max(1)) as usize;
+    match rng.below(4) {
+        0 if !bytes.is_empty() => {
+            let bit = if rng.below(2) == 0 { 7 } else { rng.below(8) };
+            bytes[inside] ^= 1 << bit;
+        }
+        1 => {
+            let byte = rng.pick(&[b'\n', b'"', b'{', b'\\', b' ', 0xC3, 0x80, 0xFF]);
+            bytes.insert(
+                at,
+                if rng.below(4) == 0 {
+                    rng.next() as u8
+                } else {
+                    byte
+                },
+            );
+        }
+        2 if !bytes.is_empty() => {
+            bytes.remove(inside);
+        }
+        _ => bytes.truncate(at),
+    }
+}
+
+#[test]
+fn byte_mutations_of_a_segment_match_the_eager_oracle() {
+    // A valid three-segment store whose keys repeat across segments and
+    // whose payloads hold characters of two, three and four bytes.
+    let head = serde_json::to_string(&header()).unwrap();
+    let segment = |records: &[(&str, u64, &str, Option<&str>)]| -> Vec<u8> {
+        let mut text = format!("{head}\n");
+        for &(key, seed, note, tag) in records {
+            let payload: Value = serde_json::from_str(&format!(
+                r#"{{"seed":{seed},"cost_uj":-0.0,"note":{},"history":[[1,2.5e-7],[3,4]]}}"#,
+                quoted(note)
+            ))
+            .unwrap();
+            text.push_str(&serde_json::to_string(&record(key, &payload, tag)).unwrap());
+            text.push('\n');
+        }
+        text.into_bytes()
+    };
+    let store = [
+        (
+            "seg-00000001-1.jsonl",
+            segment(&[
+                ("k0", 0, "é", Some("t1")),
+                ("k1", 1, "plain", Some("t1")),
+                ("k2", 2, "😀 ü", Some("t1")),
+            ]),
+        ),
+        (
+            "seg-00000002-1.jsonl",
+            segment(&[("k1", 11, "Ωmega", Some("t2")), ("k3", 3, "a\"b\\c", None)]),
+        ),
+        (
+            "seg-00000003-1.jsonl",
+            segment(&[("k0", 10, "中文", Some("t2")), ("é", 4, "x", Some("t2"))]),
+        ),
+    ];
+    let dir = case_dir("mutations", 0);
+    let mut rng = Rng(0x6d75_7461_7465);
+    let (mut not_utf8, mut refused, mut torn) = (0, 0, 0);
+    for case in 0..2000 {
+        let mut segments = store.clone();
+        let victim = rng.below(3) as usize;
+        mutate(&mut rng, &mut segments[victim].1);
+        not_utf8 += usize::from(std::str::from_utf8(&segments[victim].1).is_err());
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            std::fs::remove_file(entry.unwrap().path()).unwrap();
+        }
+        for (name, bytes) in &segments {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        let show = || String::from_utf8_lossy(&segments[victim].1).into_owned();
+        let verified = ResultStore::verify_dir(&dir).unwrap();
+        assert_eq!(verified, verify_dir(&dir), "case {case}: {}", show());
+        let opened = ResultStore::open(&dir)
+            .unwrap_or_else(|e| panic!("case {case}: open failed: {e}: {}", show()));
+        // The oracle reads each segment in memory, as the eager open did.
+        let mut eager = EagerIndex::new();
+        let mut order = 0;
+        for ((name, bytes), verdict) in segments.iter().zip(&verified.segments) {
+            assert_eq!(*name, verdict.name);
+            let read = parse_log(bytes).map_err(|(_, why)| why);
+            let tail_torn = matches!(read, Ok((_, _, Some(_))));
+            let loaded = read.and_then(|(head, records, _)| segment_records(&head, records));
+            let quarantined = dir.join(format!("{name}{QUARANTINE_SUFFIX}")).exists();
+            assert_eq!(
+                quarantined,
+                loaded.is_err(),
+                "case {case}: {name}: {}",
+                show()
+            );
+            assert_eq!(
+                verdict.error.is_some(),
+                loaded.is_err(),
+                "case {case}: {verdict:?}"
+            );
+            match loaded {
+                Ok(records) => {
+                    assert_eq!(verdict.torn_tail, tail_torn, "case {case}: {verdict:?}");
+                    torn += usize::from(tail_torn);
+                    for (key, value, tag) in records {
+                        eager.insert(key, (value, tag, order));
+                        order += 1;
+                    }
+                }
+                Err(_) => refused += 1,
+            }
+        }
+        assert_eq!(
+            lazy_index(&opened),
+            printed(&eager),
+            "case {case}: {}",
+            show()
+        );
+    }
+    // Every verdict came up, and so did bytes that are not UTF-8.
+    assert!(
+        not_utf8 > 300 && refused > 300 && torn > 100,
+        "{not_utf8} {refused} {torn}"
     );
     let _ = std::fs::remove_dir_all(dir);
 }

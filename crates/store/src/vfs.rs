@@ -152,12 +152,13 @@ pub trait VfsFile: Send + Debug {
 /// The filesystem operations the persistence stack needs — the seam
 /// where [`FaultFs`] injects disk faults.
 pub trait Vfs: Send + Sync + Debug {
-    /// Reads a whole file as UTF-8.
+    /// Reads a whole file's bytes. Whether they are text is the
+    /// reader's question, not a filesystem failure.
     ///
     /// # Errors
     ///
     /// Any I/O failure, real or injected.
-    fn read_to_string(&self, path: &Path) -> io::Result<String>;
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
 
     /// Writes a whole file (create or truncate).
     ///
@@ -344,8 +345,8 @@ impl VfsFile for RealFile {
 }
 
 impl Vfs for RealFs {
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        self.track(std::fs::read_to_string(path))
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.track(std::fs::read(path))
     }
 
     fn write(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
@@ -717,8 +718,8 @@ impl VfsFile for FaultFile {
 }
 
 impl Vfs for FaultFs {
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        self.faulted_read(std::fs::read_to_string(path))
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.faulted_read(std::fs::read(path))
     }
 
     fn write(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
@@ -849,7 +850,7 @@ mod tests {
         let fs = RealFs::new();
         let path = dir.join("f.txt");
         fs.write(&path, b"hello\n").unwrap();
-        assert_eq!(fs.read_to_string(&path).unwrap(), "hello\n");
+        assert_eq!(fs.read(&path).unwrap(), b"hello\n");
         assert_eq!(fs.metadata_len(&path).unwrap(), 6);
         assert_eq!(fs.last_byte(&path).unwrap(), Some(b'\n'));
         let mut f = fs.open_append(&path).unwrap();
@@ -862,7 +863,7 @@ mod tests {
         assert_eq!(snap.real_errors, 0);
         assert_eq!(snap.injected_errors, 0);
         // A genuine failure is counted as real.
-        assert!(fs.read_to_string(&dir.join("missing")).is_err());
+        assert!(fs.read(&dir.join("missing")).is_err());
         assert_eq!(fs.stats().snapshot().real_errors, 1);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -896,7 +897,7 @@ mod tests {
         assert!(fs.crashed());
         assert_eq!(std::fs::read(dir.join("g")).unwrap(), b"cd");
         // Everything after the crash fails, reads included.
-        assert!(fs.read_to_string(&path).is_err());
+        assert!(fs.read(&path).is_err());
         assert!(fs.write(&dir.join("h"), b"x").is_err());
         assert!(fs.stats().snapshot().injected_errors >= 3);
         let _ = std::fs::remove_dir_all(dir);
@@ -922,6 +923,19 @@ mod tests {
         let err = fs.write(&dir.join("f"), b"0123456789").unwrap_err();
         assert!(err.to_string().contains("short write"), "{err}");
         assert_eq!(std::fs::read(dir.join("f")).unwrap(), b"01234");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn read_errors_fault_the_byte_read() {
+        let dir = temp_dir("read-fault");
+        let path = dir.join("f");
+        std::fs::write(&path, [0xFF, b'\n']).unwrap();
+        assert_eq!(FaultFs::seeded(2).read(&path).unwrap(), [0xFF, b'\n']);
+        let fs = FaultFs::seeded(2).read_errors(1.0);
+        let err = fs.read(&path).unwrap_err();
+        assert!(err.to_string().contains("injected"), "{err}");
+        assert_eq!(fs.stats().snapshot().injected_errors, 1);
         let _ = std::fs::remove_dir_all(dir);
     }
 
